@@ -3,9 +3,16 @@
 Runs the complete formal campaign: all 2047 PSL assertions over the 95
 leaf modules of the golden chip (every one must PASS), then attributes
 the seven logic bugs by re-checking the defective modules of the
-pre-fix chip.  The printed table carries exactly the paper's columns;
-the §6.1 batch-feasibility narrative (X1: "about 20 hours on a single
-CPU") becomes the measured wall-clock total.
+pre-fix chip.  The published table carries exactly the paper's
+columns and no timings, so it is identical from run to run; the §6.1
+batch-feasibility narrative (X1: "about 20 hours on a single CPU")
+gets the measured wall-clock total on stdout and in the benchmark
+record's ``extra_info``.
+
+The campaign runs on a two-worker work-stealing pool.  Reports are
+byte-identical on every executor, so the table is the serial one; only
+the wall time shrinks (the full chip is the longest check in tier-1),
+and the record names the worker count next to it.
 """
 
 import pytest
@@ -13,38 +20,38 @@ import pytest
 from repro.chip import ComponentChip, DEFECTS, TABLE2_BUGS, TABLE2_TARGETS
 from repro.core.campaign import FormalCampaign
 from repro.core.report import format_status_summary, format_table2
-from repro.core.stereotypes import stereotype_vunits
-from repro.formal.budget import ResourceBudget
-from repro.formal.engine import FAIL, ModelChecker
-from repro.psl.compile import compile_assertion
+from repro.formal.engine import FAIL
+from repro.orchestrate import CampaignConfig
 
 
-
-def _budget():
-    return ResourceBudget(sat_conflicts=1_000_000, bdd_nodes=10_000_000)
+#: work-stealing pool size for the full-chip campaign
+WORKERS = 2
 
 
 def run_full_campaign():
     chip = ComponentChip.golden()
-    campaign = FormalCampaign(chip.blocks, budget_factory=_budget)
-    return campaign.run()
+    config = CampaignConfig(sat_conflicts=1_000_000, bdd_nodes=10_000_000,
+                            executor=f"workstealing:{WORKERS}")
+    return FormalCampaign(chip.blocks, config=config).run()
 
 
 def attribute_bugs():
     """Check only the defective modules of the pre-fix chip (the rest
-    of the chip is identical to the golden run)."""
+    of the chip is identical to the golden run): every assertion with
+    ``auto`` on a cold solver, over the same worker pool."""
     chip = ComponentChip.with_all_defects()
+    modules = [chip.module_named(d.module_name) for d in DEFECTS]
+    config = CampaignConfig(engines="auto", sat_conflicts=1_000_000,
+                            bdd_nodes=10_000_000, sat_workspace=False,
+                            executor=f"workstealing:{WORKERS}")
+    report = FormalCampaign([("defective", modules)], config=config).run()
+    defects = {d.module_name: d for d in DEFECTS}
     found = {}
-    for defect in DEFECTS:
-        module = chip.module_named(defect.module_name)
-        for unit in stereotype_vunits(module):
-            for assert_name, _ in unit.asserted():
-                ts = compile_assertion(module, unit, assert_name)
-                result = ModelChecker(ts, _budget()).check()
-                if result.status == FAIL:
-                    found.setdefault(defect.defect_id, []).append(
-                        (defect.block, f"{unit.name}.{assert_name}")
-                    )
+    for record in report.by_status(FAIL):
+        defect = defects[record.module_name]
+        found.setdefault(defect.defect_id, []).append(
+            (defect.block, record.qualified_name)
+        )
     return found
 
 
@@ -74,12 +81,15 @@ def test_table2_full_campaign(benchmark, publish):
         report.blocks[block].bugs = count
 
     table = format_table2(report)
-    summary = format_status_summary(report)
-    x1 = (f"\nX1 batch feasibility: paper ~20 h on a 2004 workstation "
-          f"(single CPU, single licence); measured "
-          f"{report.seconds / 60:.1f} min for all 2047 assertions on "
-          f"this machine.")
+    summary = format_status_summary(report).replace(
+        f" checked in {report.seconds:.1f}s", "")
+    x1 = ("\nX1 batch feasibility: paper ~20 h on a 2004 workstation "
+          "(single CPU, single licence); the measured wall time of all "
+          "2047 assertions is in the benchmark record.")
     publish("table2_properties", table + "\n\n" + summary + x1)
+    print(f"X1 measured: {report.seconds / 60:.1f} min for all 2047 "
+          f"assertions on this machine with {WORKERS} workers.")
 
     benchmark.extra_info["properties"] = report.total_properties
     benchmark.extra_info["seconds"] = round(report.seconds, 1)
+    benchmark.extra_info["workers"] = WORKERS

@@ -11,11 +11,10 @@ cases), and B3 (masked by the wrong macro behavioural model).
 
 from repro.chip import ComponentChip, DEFECTS
 from repro.core.bugs import classify_findings
+from repro.core.campaign import FormalCampaign
 from repro.core.report import format_table3
-from repro.core.stereotypes import stereotype_vunits
-from repro.formal.budget import ResourceBudget
-from repro.formal.engine import FAIL, ModelChecker
-from repro.psl.compile import compile_assertion
+from repro.formal.engine import FAIL
+from repro.orchestrate import CampaignConfig
 from repro.sim.campaign import SimulationCampaign
 
 
@@ -23,29 +22,20 @@ SIM_CYCLES = 2000
 SIM_SEED = 2004
 
 
-class _FailureRecord:
-    def __init__(self, qualified_name, result):
-        self.qualified_name = qualified_name
-        self.result = result
-
-
 def run_both_campaigns():
     chip = ComponentChip.with_all_defects()
     defective = [chip.module_named(d.module_name) for d in DEFECTS]
 
+    # every assertion of the defective modules, with `auto` on a cold
+    # solver, over a two-worker pool (verdicts, depths and the
+    # replay-validated traces are executor-invariant)
+    config = CampaignConfig(engines="auto", sat_conflicts=1_000_000,
+                            bdd_nodes=10_000_000, sat_workspace=False,
+                            executor="workstealing:2")
+    report = FormalCampaign([("defective", defective)], config=config).run()
     formal_failures = {}
-    for module in defective:
-        for unit in stereotype_vunits(module):
-            for assert_name, _ in unit.asserted():
-                ts = compile_assertion(module, unit, assert_name)
-                budget = ResourceBudget(sat_conflicts=1_000_000,
-                                        bdd_nodes=10_000_000)
-                result = ModelChecker(ts, budget).check()
-                if result.status == FAIL:
-                    formal_failures.setdefault(module.name, []).append(
-                        _FailureRecord(f"{unit.name}.{assert_name}",
-                                       result)
-                    )
+    for record in report.by_status(FAIL):
+        formal_failures.setdefault(record.module_name, []).append(record)
 
     sim = SimulationCampaign(defective, cycles_per_module=SIM_CYCLES,
                              seed=SIM_SEED)

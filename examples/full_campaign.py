@@ -53,7 +53,7 @@ def main():
     config = CampaignConfig(
         sat_conflicts=1_000_000,
         bdd_nodes=10_000_000,
-        executor=(f"parallel:{args.jobs}" if args.jobs is not None
+        executor=(f"workstealing:{args.jobs}" if args.jobs is not None
                   else "serial"),
         cache_path=args.cache,
     )

@@ -23,10 +23,10 @@ Subpackages
 ``repro.orchestrate``
     Job-based campaign orchestration: the declarative, serializable
     ``CampaignConfig``, pluggable scheduling/portfolio policies,
-    check-job planning, serial and multiprocessing executors, per-job
-    engine portfolios, the fingerprint-keyed incremental result cache
-    (merge-safe across concurrent campaigns), crash-safe
-    checkpoint/resume, and shared per-module BDD workspaces.
+    check-job planning, serial, work-stealing and socket-fleet
+    executors, per-job engine portfolios, the fingerprint-keyed
+    incremental result cache (merge-safe across concurrent campaigns),
+    crash-safe checkpoint/resume, and shared incremental SAT sessions.
 ``repro.cli``
     The ``python -m repro`` command line: a whole campaign run,
     resumed, or inspected from one TOML config file.

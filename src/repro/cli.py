@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               "(see docs/configuration.md)")
         sub.add_argument("--stats", action="store_true",
                          help="print warm-state counter blocks "
-                              "(compile store, SAT/BDD workspaces)")
+                              "(compile store, SAT workspace)")
         if action in ("run", "resume"):
             sub.add_argument("--progress", action="store_true",
                              help="print one line per checked property")

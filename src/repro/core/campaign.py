@@ -217,12 +217,6 @@ class FormalCampaign:
     - ``executor`` / ``cache`` / ``checkpoint`` / ``engines`` —
       component-object overrides; an explicit object wins over the
       config's corresponding spec.
-
-    Note the default-flip that came with the config API: campaigns now
-    run with shared per-module BDD workspaces (``share_bdd = true``)
-    unless configured otherwise — outcome-invariant under the default
-    non-binding budgets, measurably cheaper, with
-    ``CampaignConfig(share_bdd=False)`` as the escape hatch.
     """
 
     def __init__(self, blocks: Sequence[Tuple[str, Sequence[Module]]],

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..formal.problems import note_elaboration
 from ..formal.transition import TransitionSystem
 from ..psl.ast import Always, Name, PslError, RedXor, VUnit
-from ..psl.compile import compile_assertion
+from ..psl.compile import compile_assertion, compile_sliced_assertion
 from ..rtl.elaborate import FlatDesign, elaborate
 from ..rtl.module import Module
 from ..rtl.signals import Expr, Input, Reg, substitute
@@ -128,9 +128,10 @@ def partition_property(module: Module, vunit: VUnit, assert_name: str,
     ``compile_slice`` compiles each checkpoint sub-problem from its
     cone-of-influence slice (:mod:`repro.formal.coi`) — the natural fit
     for the division, whose whole point is that each checkpoint's cone
-    is a fraction of the module.  The abstracted main problem always
-    compiles whole: it lives on the cut design, which is not module
-    content a cone digest could address.
+    is a fraction of the module.  Slices are derived from a private
+    elaboration, so ``store`` serves full compiles only.  The
+    abstracted main problem always compiles whole: it lives on the cut
+    design, which is not module content a cone digest could address.
     """
     plan = PartitionPlan(module.name, assert_name, list(cut_regs))
 
@@ -146,11 +147,7 @@ def partition_property(module: Module, vunit: VUnit, assert_name: str,
                          comment=f"{reg_name} should keep odd parity")
         sub_unit.assert_(prop_name)
         if compile_slice:
-            if store is not None:
-                ts = store.sliced_problem(module, sub_unit, prop_name)
-            else:
-                from ..psl.compile import compile_sliced_assertion
-                ts = compile_sliced_assertion(module, sub_unit, prop_name)
+            ts = compile_sliced_assertion(module, sub_unit, prop_name)
         elif store is not None:
             ts = store.problem(module, sub_unit, prop_name)
         else:

@@ -10,8 +10,7 @@ from .trace import Trace
 from .bmc import BmcResult, Unroller, bmc, bmc_session
 from .induction import InductionResult, k_induction, k_induction_session
 from .satspace import SatBinding, SatSession, SatWorkspace
-from .bdd import Bdd, nodes_created_total
-from .workspace import BddWorkspace, WorkspaceBinding
+from .bdd import Bdd
 from .problems import (
     CompiledProblemStore, compilations_total, elaborations_total,
 )
@@ -35,8 +34,7 @@ __all__ = [
     "BmcResult", "Unroller", "bmc", "bmc_session",
     "InductionResult", "k_induction", "k_induction_session",
     "SatBinding", "SatSession", "SatWorkspace",
-    "Bdd", "nodes_created_total",
-    "BddWorkspace", "WorkspaceBinding",
+    "Bdd",
     "CompiledProblemStore", "compilations_total", "elaborations_total",
     "ReachResult", "SymbolicModel", "backward_reach", "combined_reach",
     "forward_reach",

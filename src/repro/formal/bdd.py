@@ -23,17 +23,6 @@ TRUE = 1
 
 _TERMINAL_VAR = 1 << 30  # sorts after every real variable
 
-#: process-wide count of BDD nodes ever created, across all managers.
-#: Benchmarks read this to compare cold runs (a fresh manager per
-#: check, unreachable from outside the engine) against shared-workspace
-#: runs; it is telemetry only and never influences behaviour.
-_NODES_CREATED = 0
-
-
-def nodes_created_total() -> int:
-    """Total BDD nodes created in this process, across all managers."""
-    return _NODES_CREATED
-
 
 class Bdd:
     """A BDD manager with a fixed (construction-order) variable order."""
@@ -61,8 +50,6 @@ class Bdd:
         found = self._unique.get(key)
         if found is not None:
             return found
-        global _NODES_CREATED
-        _NODES_CREATED += 1
         node = len(self._var)
         self._var.append(var)
         self._lo.append(lo)
@@ -90,39 +77,6 @@ class Bdd:
         never freed, so this is also the count of nodes ever created
         by this manager, plus the two terminals."""
         return len(self._var)
-
-    # ------------------------------------------------------------------
-    # manager reuse (shared workspaces)
-    # ------------------------------------------------------------------
-    def rearm(self, budget: Optional[ResourceBudget]) -> None:
-        """Swap in the budget of the *next* problem this manager serves.
-
-        A reused manager keeps its hash-consed node table and operation
-        memos (that is the point of sharing), but each check must be
-        charged against its own fresh :class:`ResourceBudget` — nodes
-        created for earlier problems were charged to earlier budgets
-        and are free to reuse.  Passing ``None`` disarms the manager.
-        """
-        self.budget = budget
-
-    def clear_memos(self) -> None:
-        """Drop every operation memo, keeping the node table.
-
-        The unique table is the ground truth — every node id stays
-        valid, and recomputing a cleared operation rebuilds no nodes
-        (every ``mk`` hash-cons hits).  Clearing memos between problems
-        is the workspace's memory-pressure valve: it bounds the caches
-        that grow with *operations performed* while retaining the
-        structural sharing that grows with *functions built*.  The
-        rename-mapping pins are dropped together with the rename memo;
-        the two must live and die as one, because the memo is keyed by
-        ``id(mapping)`` and the pin is what keeps those ids unique.
-        """
-        self._ite_memo.clear()
-        self._exists_memo.clear()
-        self._andex_memo.clear()
-        self._rename_memo.clear()
-        self._rename_maps.clear()
 
     # ------------------------------------------------------------------
     # boolean operations

@@ -24,14 +24,14 @@ by construction (see ``[coi] fingerprints = "cone"`` in
 ``docs/configuration.md``).
 
 The cone also *compiles*: :meth:`ConeIndex.slice` builds a sliced
-``FlatDesign`` containing only the cone — the substrate for slice
-compilation (``[coi] slice = true``).  The slice deliberately keeps the
-**full input signature** of the original design: the bit-blaster
-numbers all inputs first (in declaration order), so a slice compile and
-a full compile of the same module assign identical literals to every
-input bit.  Cached FAIL counterexamples travel as canonical *input*
-frames, which makes them replayable against either compile — slicing
-never invalidates a stored trace.
+``FlatDesign`` containing only the cone — the substrate for the
+divide-and-conquer partitioner's slice compilation
+(``partition_property(compile_slice=True)``).  The slice deliberately
+keeps the **full input signature** of the original design: the
+bit-blaster numbers all inputs first (in declaration order), so a
+slice compile and a full compile of the same module assign identical
+literals to every input bit, and counterexample input frames replay
+against either compile.
 
 Digest contract (``COI_SCHEMA``): per-node structural hashes (constants
 by value/width, inputs and registers by name/width/reset, operators by

@@ -26,21 +26,15 @@ Counterexamples found by BDD engines are concretised by a BMC run at
 the discovered depth, then validated by replay on the transition
 system before being reported.
 
-BDD-family engines (``bdd-*``, ``pobdd``, and ``auto``'s fallback leg)
-honour ``EngineOptions.workspace``: when a
-:class:`~repro.formal.workspace.WorkspaceBinding` is attached, the
-engine leases a shared, possibly pre-warmed manager for the problem's
-module instead of building a cold one — same verdicts, fewer node
-constructions (see :mod:`repro.formal.workspace`).
-
-SAT-family engines (``bmc``, ``kind``, and ``auto``'s induction leg)
-likewise honour ``EngineOptions.sat_workspace``: when a
+BDD-family engines build a fresh manager per check.  The induction
+engines (``kind`` and ``auto``'s induction leg) honour
+``EngineOptions.sat_workspace``: when a
 :class:`~repro.formal.satspace.SatBinding` is attached, they run over
 shared incremental solver sessions — retained frame unrollings and
 learned clauses, per-assertion activation literals — instead of cold
 solvers; failing traces are re-derived cold on the solo-compiled
 system so counterexamples stay byte-canonical (see
-:mod:`repro.formal.satspace`).
+:mod:`repro.formal.satspace`).  ``bmc`` always runs a cold solver.
 """
 
 from __future__ import annotations
@@ -98,32 +92,21 @@ class CheckResult:
 class EngineOptions:
     """Tuning knobs handed to a registered engine.
 
-    ``workspace`` is *runtime wiring*, not a tuning knob: a
-    :class:`~repro.formal.workspace.WorkspaceBinding` (the shared BDD
-    workspace scoped to this problem's module) that BDD-family engines
-    lease their manager from instead of building a cold one.  It is
-    excluded from engine-config fingerprints —
+    ``sat_workspace`` is *runtime wiring*, not a tuning knob: a
+    :class:`~repro.formal.satspace.SatBinding` that ``kind`` (and
+    ``auto``'s induction leg) run their queries through, reusing shared
+    solver sessions instead of cold solvers.  It is excluded from
+    engine-config fingerprints —
     :meth:`repro.orchestrate.job.EngineConfig.describe` drops it — and
-    from equality, because sharing a node table never flips a
-    PASS/FAIL verdict; it changes the cost of reaching it (and with it,
-    one-sidedly, whether a tight node budget trips — see
-    :mod:`repro.orchestrate`).
-
-    ``sat_workspace`` is the SAT-family counterpart: a
-    :class:`~repro.formal.satspace.SatBinding` that ``bmc``/``kind``
-    (and ``auto``'s induction leg) run their queries through, reusing
-    shared solver sessions instead of cold solvers.  Equally excluded
-    from fingerprints and equality — verdicts and depths are invariant;
-    only solve cost changes (two-sidedly under a binding conflict
-    budget, see :mod:`repro.formal.satspace`).
+    from equality: verdicts and depths are invariant; only solve cost
+    changes (two-sidedly under a binding conflict budget, see
+    :mod:`repro.formal.satspace`).
     """
 
     max_bound: int = 60
     max_k: int = 40
     unique_states: bool = True
     num_window_vars: int = 2
-    workspace: Optional[object] = field(default=None, compare=False,
-                                        repr=False)
     sat_workspace: Optional[object] = field(default=None, compare=False,
                                             repr=False)
 
@@ -219,9 +202,6 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
         return result
 
     # ------------------------------------------------------------------
-    def _sat_binding(self, options: Optional[EngineOptions]):
-        return options.sat_workspace if options is not None else None
-
     def _rederive_trace(self, depth: int, stats: Dict[str, object]) -> Trace:
         """Canonical counterexample for a warm-session FAIL: replay the
         deterministic cold search on the solo-compiled system at the
@@ -237,28 +217,19 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
         self._validate(cold.trace)
         return cold.trace
 
-    def _run_bmc(self, max_bound: int,
-                 options: Optional[EngineOptions] = None) -> CheckResult:
-        binding = self._sat_binding(options)
-        if binding is None:
-            result = bmc(self.ts, max_bound, budget=self.budget)
-            trace = result.trace
-        else:
-            session = binding.lease("bmc-init", self.budget)
-            result = session.bmc_group(binding.assert_name, max_bound)
-            trace = (self._rederive_trace(result.bound, result.stats)
-                     if result.failed else None)
+    def _run_bmc(self, max_bound: int) -> CheckResult:
+        result = bmc(self.ts, max_bound, budget=self.budget)
         if result.failed:
-            self._validate(trace)
+            self._validate(result.trace)
             return CheckResult(self.ts.name, FAIL, "bmc",
-                               depth=result.bound, trace=trace,
+                               depth=result.bound, trace=result.trace,
                                stats={"sat": result.stats})
         return CheckResult(self.ts.name, UNKNOWN, "bmc",
                            depth=max_bound, stats={"sat": result.stats})
 
     def _run_induction(self, max_k: int, unique_states: bool,
                        options: Optional[EngineOptions] = None) -> CheckResult:
-        binding = self._sat_binding(options)
+        binding = options.sat_workspace if options is not None else None
         if binding is None:
             result = k_induction(self.ts, max_k=max_k, budget=self.budget,
                                  unique_states=unique_states)
@@ -282,19 +253,8 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
         return CheckResult(self.ts.name, UNKNOWN, "kind", depth=max_k,
                            stats={"sat": result.stats})
 
-    def _symbolic_model(self,
-                        options: Optional[EngineOptions]) -> SymbolicModel:
-        """Build the symbolic model — on a leased shared manager when
-        ``options`` carries a workspace binding, cold otherwise."""
-        workspace = options.workspace if options is not None else None
-        if workspace is None:
-            return SymbolicModel(self.ts, budget=self.budget)
-        manager = workspace.lease(self.budget)
-        return SymbolicModel(self.ts, budget=self.budget, bdd=manager)
-
-    def _run_bdd(self, method: str,
-                 options: Optional[EngineOptions] = None) -> CheckResult:
-        model = self._symbolic_model(options)
+    def _run_bdd(self, method: str) -> CheckResult:
+        model = SymbolicModel(self.ts, budget=self.budget)
         traversal = {
             "bdd-forward": forward_reach,
             "bdd-backward": backward_reach,
@@ -314,9 +274,8 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
         return CheckResult(self.ts.name, FAIL, method,
                            depth=trace.length - 1, trace=trace, stats=stats)
 
-    def _run_pobdd(self, num_window_vars: int,
-                   options: Optional[EngineOptions] = None) -> CheckResult:
-        model = self._symbolic_model(options)
+    def _run_pobdd(self, num_window_vars: int) -> CheckResult:
+        model = SymbolicModel(self.ts, budget=self.budget)
         reach, pstats = pobdd_reach(model, num_window_vars=num_window_vars)
         stats = {
             "iterations": reach.iterations,
@@ -364,14 +323,14 @@ def _engine_auto(checker: ModelChecker, options: EngineOptions) -> CheckResult:
     if inductive.status in (PASS, FAIL):
         inductive.engine = "auto:kind"
         return inductive
-    bdd_result = checker._run_bdd("bdd-combined", options)
+    bdd_result = checker._run_bdd("bdd-combined")
     bdd_result.engine = "auto:" + bdd_result.engine
     return bdd_result
 
 
 @register_engine("bmc")
 def _engine_bmc(checker: ModelChecker, options: EngineOptions) -> CheckResult:
-    return checker._run_bmc(options.max_bound, options)
+    return checker._run_bmc(options.max_bound)
 
 
 @register_engine("kind")
@@ -382,7 +341,7 @@ def _engine_kind(checker: ModelChecker, options: EngineOptions) -> CheckResult:
 
 def _bdd_engine(method: str) -> EngineFn:
     def run(checker: ModelChecker, options: EngineOptions) -> CheckResult:
-        return checker._run_bdd(method, options)
+        return checker._run_bdd(method)
     return run
 
 
@@ -392,4 +351,4 @@ for _method in ("bdd-forward", "bdd-backward", "bdd-combined"):
 
 @register_engine("pobdd")
 def _engine_pobdd(checker: ModelChecker, options: EngineOptions) -> CheckResult:
-    return checker._run_pobdd(options.num_window_vars, options)
+    return checker._run_pobdd(options.num_window_vars)

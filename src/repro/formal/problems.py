@@ -1,25 +1,21 @@
-"""Content-addressed compiled-problem store — one compile per content.
+"""Content-addressed compiled-problem store — one elaboration per
+module content.
 
 The methodology checks many assertions per leaf module, and every one
 of them used to pay the full psl → rtl → transition-system pipeline
-almost from scratch: elaboration hid behind a fragile one-entry design
-cache in the job runner, while the partitioner and the vunit compiler
-reused nothing at all.  A :class:`CompiledProblemStore` replaces those
+from scratch: elaboration hid behind a fragile one-entry design cache
+in the job runner, while the partitioner and the vunit compiler reused
+nothing at all.  A :class:`CompiledProblemStore` replaces those
 scattered compile paths with one **content-addressed, LRU-bounded**
-store with a two-level structure mirroring the pipeline's two fixed
-costs:
-
-- **designs** — the elaborated :class:`~repro.rtl.elaborate.FlatDesign`
-  of a module, keyed by the module's RTL digest (SHA-256 of its emitted
-  Verilog).  Every assertion of a module compiles against the same
-  flattened design, so a campaign pays one elaboration per *distinct
-  module content* instead of one per job;
-- **problems** — the compiled
-  :class:`~repro.formal.transition.TransitionSystem` of one assertion,
-  keyed by ``(module digest, vunit digest, assert name)``.  Replaying a
-  cached FAIL, re-decoding a checkpoint entry, or re-checking the same
-  assertion hits the compiled problem directly and skips the pipeline
-  entirely.
+store of elaborated designs: the
+:class:`~repro.rtl.elaborate.FlatDesign` of a module, keyed by the
+module's RTL digest (SHA-256 of its emitted Verilog).  Every assertion
+of a module compiles against the same flattened design, so a campaign
+pays one elaboration per *distinct module content* instead of one per
+job.  Compiled transition systems are not retained: a campaign
+compiles each assertion once per store, so a retained problem would
+never be read again; ``problem()`` compiles afresh against the
+retained design every time.
 
 Digest keying is what makes the store safe **by construction** where
 the old one-entry cache needed an object-identity hack: two distinct
@@ -28,42 +24,32 @@ campaign), but they can never share an RTL digest — so a store hit can
 only ever return the elaboration of byte-identical RTL, never the
 other variant's.
 
-Sharing compiled artifacts is sound because both levels are reused the
-way the pipeline always reused them:
+Sharing a :class:`FlatDesign` is sound because it is compiled against
+by many assertions in sequence; property monitors appended for ``next``
+operators are globally uniquely named and stripped by cone-of-influence
+reduction when a later problem does not reference them (the
+long-standing shared-design contract of
+:func:`~repro.psl.compile.compile_assertion`).
 
-- a :class:`FlatDesign` is compiled against by many assertions in
-  sequence; property monitors appended for ``next`` operators are
-  globally uniquely named and stripped by cone-of-influence reduction
-  when a later problem does not reference them (the long-standing
-  shared-design contract of
-  :func:`~repro.psl.compile.compile_assertion`);
-- a :class:`TransitionSystem` is immutable after construction — engines
-  and trace replay only read it — so one compiled problem can serve any
-  number of checks of the same content.
+Stores are deliberately **not** shared across processes: each executor
+worker owns its own, which keeps reuse lock-free; module-affinity
+scheduling (one worker runs one module's whole job group) is what
+turns the per-worker store into near-perfect design reuse.
 
-Stores are deliberately **not** shared across processes (exactly like
-:class:`~repro.formal.workspace.BddWorkspace`): each executor worker
-owns its own, which keeps reuse lock-free; module-affinity scheduling
-(one worker runs one module's whole job group) is what turns the
-per-worker store into near-perfect design reuse.
-
-``max_designs`` / ``max_problems`` bound each level independently
-(least recently used evicted first; ``None`` = unbounded).  Lifetime
-counters (`hits`, `misses`, evictions, per level) surface in
-``CampaignReport.stats["compile_store"]`` and the campaign benchmark's
-compile-store probe.
+``max_designs`` bounds the store (least recently used evicted first;
+``None`` = unbounded).  Lifetime hit/miss/eviction counters surface in
+``CampaignReport.stats["compile_store"]``.
 
 The module also keeps process-wide totals —
-:func:`elaborations_total` / :func:`compilations_total` — mirroring
-:func:`repro.formal.bdd.nodes_created_total`: benchmarks diff them
-around a campaign to measure how many pipeline runs the store actually
-avoided.
+:func:`elaborations_total` / :func:`compilations_total` — that
+benchmarks diff around a campaign to measure how many pipeline runs the
+store actually avoided.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..rtl.elaborate import FlatDesign, elaborate
 from ..rtl.module import Module
@@ -112,61 +98,35 @@ def content_digest(text: str) -> str:
 
 
 class CompiledProblemStore:
-    """Two-level LRU store of elaborated designs and compiled problems.
+    """LRU store of elaborated designs, keyed by module content.
 
     ``design(module)`` returns the module's elaborated
-    :class:`FlatDesign`; ``problem(module, vunit, assert_name)`` returns
-    the assertion's compiled :class:`TransitionSystem` — both served
-    from the store when their content digests match a retained entry,
-    compiled (and retained) otherwise.  Callers that already know the
-    digests (the campaign planner computes them once per module/vunit)
-    pass them in; otherwise the store derives them from the emitted
-    sources.
+    :class:`FlatDesign`, served from the store when its content digest
+    matches a retained entry, elaborated (and retained) otherwise;
+    ``problem(module, vunit, assert_name)`` compiles the assertion's
+    :class:`TransitionSystem` against that design.  Callers that
+    already know the digests (the campaign planner computes them once
+    per module) pass them in; otherwise the store derives them from
+    the emitted sources.
 
     Parameters
     ----------
     max_designs:
         Retain at most this many elaborated designs (least recently
         used evicted first).  ``None`` = unbounded.
-    max_problems:
-        Retain at most this many compiled transition systems.
-        ``None`` = unbounded.
     """
 
-    def __init__(self, max_designs: Optional[int] = 8,
-                 max_problems: Optional[int] = 64) -> None:
+    def __init__(self, max_designs: Optional[int] = 8) -> None:
         if max_designs is not None and max_designs < 1:
             raise ValueError(
                 f"max_designs must be >= 1 or None, got {max_designs}"
             )
-        if max_problems is not None and max_problems < 1:
-            raise ValueError(
-                f"max_problems must be >= 1 or None, got {max_problems}"
-            )
         self.max_designs = max_designs
-        self.max_problems = max_problems
         #: module digest -> elaborated design, LRU order (oldest first)
         self._designs: Dict[str, FlatDesign] = {}
-        #: (module digest, vunit digest, assert) -> transition system
-        self._problems: Dict[Tuple[str, str, str], TransitionSystem] = {}
-        #: module digest -> cone index over the retained design
-        #: (derived artifact — lives and dies with its design entry)
-        self._cone_indexes: Dict[str, "ConeIndex"] = {}
-        #: cone digest -> sliced design, LRU order (oldest first);
-        #: bounded by ``max_designs`` like the full designs.  Keyed by
-        #: cone content, so cone-equal assertions of *different*
-        #: modules (a golden and its out-of-cone mutants) share one
-        #: slice
-        self._slices: Dict[str, FlatDesign] = {}
         self._design_hits = 0
         self._design_misses = 0
         self._design_evictions = 0
-        self._problem_hits = 0
-        self._problem_misses = 0
-        self._problem_evictions = 0
-        self._slice_hits = 0
-        self._slice_misses = 0
-        self._slice_evictions = 0
 
     # ------------------------------------------------------------------
     def design(self, module: Module,
@@ -187,159 +147,35 @@ class CompiledProblemStore:
             design = elaborate(module)
             while self.max_designs is not None \
                     and len(self._designs) >= self.max_designs:
-                evicted = next(iter(self._designs))
-                self._designs.pop(evicted)
-                self._cone_indexes.pop(evicted, None)
+                self._designs.pop(next(iter(self._designs)))
                 self._design_evictions += 1
         self._designs[key] = design  # (re)insert at most-recent end
         return design
 
     def problem(self, module: Module, vunit, assert_name: str,
-                module_digest: Optional[str] = None,
-                vunit_digest: Optional[str] = None) -> TransitionSystem:
+                module_digest: Optional[str] = None) -> TransitionSystem:
         """The compiled safety problem for one asserted property,
-        served by content.
-
-        A miss compiles the assertion against the (store-served)
-        elaborated design and retains the transition system under
-        ``(module digest, vunit digest, assert name)``.
-        """
-        module_key = module_digest or content_digest(emit_module(module))
-        vunit_key = vunit_digest or content_digest(vunit.emit())
-        key = (module_key, vunit_key, assert_name)
-        ts = self._problems.pop(key, None)
-        if ts is not None:
-            self._problem_hits += 1
-        else:
-            self._problem_misses += 1
-            # deferred: psl.compile sits above this module's layer-mates
-            # (it imports formal.transition) — a top-level import here
-            # would be cyclic through the package inits
-            from ..psl.compile import compile_assertion
-            design = self.design(module, module_digest=module_key)
-            ts = compile_assertion(module, vunit, assert_name,
-                                   design=design)
-            while self.max_problems is not None \
-                    and len(self._problems) >= self.max_problems:
-                self._problems.pop(next(iter(self._problems)))
-                self._problem_evictions += 1
-        self._problems[key] = ts  # (re)insert at most-recent end
-        return ts
-
-    def cone(self, module: Module, vunit, assert_name: str,
-             module_digest: Optional[str] = None):
-        """The assertion's :class:`~repro.formal.coi.ConeInfo` over the
-        store-served design.  Per-design node-digest memos are shared
-        across a module's assertions via a retained
-        :class:`~repro.formal.coi.ConeIndex` (dropped whenever its
-        design is evicted, so the memo can never outlive the object
-        identities it keys on)."""
-        module_key = module_digest or content_digest(emit_module(module))
-        design = self.design(module, module_digest=module_key)
-        index = self._cone_indexes.get(module_key)
-        if index is None or index.design is not design:
-            from .coi import ConeIndex
-            index = ConeIndex(design)
-            self._cone_indexes[module_key] = index
-        return index.info(vunit, assert_name)
-
-    def sliced_problem(self, module: Module, vunit, assert_name: str,
-                       module_digest: Optional[str] = None,
-                       vunit_digest: Optional[str] = None,
-                       cone_digest: Optional[str] = None
-                       ) -> TransitionSystem:
-        """The assertion compiled against its cone-of-influence slice,
-        served by *cone* content (:mod:`repro.formal.coi`).
-
-        Problems are retained under ``("coi:" + cone digest, vunit
-        digest, assert name)`` — the prefix keeps cone keys from ever
-        aliasing module-digest keys in the shared ``_problems`` pool —
-        and the sliced designs themselves are retained by cone digest,
-        so cone-equal jobs of different modules (a golden module and
-        its out-of-cone mutants in one sweep) share both levels.  A
-        planner-stamped ``cone_digest`` skips the cone analysis
-        whenever the slice or the compiled problem is already
-        retained; it is cross-checked against the locally computed
-        digest before anything is stored under it.
-        """
-        vunit_key = vunit_digest or content_digest(vunit.emit())
-        if cone_digest is not None:
-            key = (f"coi:{cone_digest}", vunit_key, assert_name)
-            ts = self._problems.pop(key, None)
-            if ts is not None:
-                self._problem_hits += 1
-                self._problems[key] = ts
-                return ts
-        sliced = None if cone_digest is None \
-            else self._slices.pop(cone_digest, None)
-        if sliced is not None:
-            self._slice_hits += 1
-        else:
-            info = self.cone(module, vunit, assert_name,
-                             module_digest=module_digest)
-            if cone_digest is not None and cone_digest != info.digest:
-                raise ValueError(
-                    f"stamped cone digest {cone_digest[:12]}... does "
-                    f"not match the computed cone of "
-                    f"{vunit.name}.{assert_name} "
-                    f"({info.digest[:12]}...) — planner/store version "
-                    f"drift?"
-                )
-            cone_digest = info.digest
-            key = (f"coi:{cone_digest}", vunit_key, assert_name)
-            ts = self._problems.pop(key, None)
-            if ts is not None:
-                self._problem_hits += 1
-                self._problems[key] = ts
-                return ts
-            sliced = self._slices.pop(cone_digest, None)
-            if sliced is not None:
-                self._slice_hits += 1
-            else:
-                self._slice_misses += 1
-                index = self._cone_indexes[
-                    module_digest or content_digest(emit_module(module))]
-                sliced = index.slice(info)
-                while self.max_designs is not None \
-                        and len(self._slices) >= self.max_designs:
-                    self._slices.pop(next(iter(self._slices)))
-                    self._slice_evictions += 1
-        self._slices[cone_digest] = sliced  # (re)insert at recent end
-        key = (f"coi:{cone_digest}", vunit_key, assert_name)
-        self._problem_misses += 1
+        compiled against the (store-served) elaborated design."""
+        # deferred: psl.compile sits above this module's layer-mates
+        # (it imports formal.transition) — a top-level import here
+        # would be cyclic through the package inits
         from ..psl.compile import compile_assertion
-        ts = compile_assertion(module, vunit, assert_name, design=sliced)
-        while self.max_problems is not None \
-                and len(self._problems) >= self.max_problems:
-            self._problems.pop(next(iter(self._problems)))
-            self._problem_evictions += 1
-        self._problems[key] = ts
-        return ts
+        design = self.design(module, module_digest=module_digest)
+        return compile_assertion(module, vunit, assert_name, design=design)
 
     # ------------------------------------------------------------------
     def discard(self) -> None:
-        """Drop every retained design and problem (counters survive);
-        the next request compiles cold."""
+        """Drop every retained design (counters survive); the next
+        request elaborates cold."""
         self._designs.clear()
-        self._problems.clear()
-        self._cone_indexes.clear()
-        self._slices.clear()
 
     def stats(self) -> Dict[str, int]:
         """Lifetime counters plus the current pool shape."""
         return {
             "designs": len(self._designs),
-            "problems": len(self._problems),
-            "slices": len(self._slices),
             "design_hits": self._design_hits,
             "design_misses": self._design_misses,
             "design_evictions": self._design_evictions,
-            "problem_hits": self._problem_hits,
-            "problem_misses": self._problem_misses,
-            "problem_evictions": self._problem_evictions,
-            "slice_hits": self._slice_hits,
-            "slice_misses": self._slice_misses,
-            "slice_evictions": self._slice_evictions,
         }
 
     @staticmethod
@@ -353,5 +189,4 @@ class CompiledProblemStore:
 
     def __repr__(self) -> str:
         return (f"CompiledProblemStore(designs={len(self._designs)}, "
-                f"problems={len(self._problems)}, "
-                f"hits={self._design_hits + self._problem_hits})")
+                f"hits={self._design_hits})")

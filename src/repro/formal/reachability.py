@@ -27,31 +27,14 @@ from .transition import TransitionSystem
 
 
 class SymbolicModel:
-    """BDD encoding of a transition system.
-
-    ``bdd`` lets a caller supply a (possibly already warmed) manager —
-    the shared-workspace path, see :mod:`repro.formal.workspace` —
-    instead of building a fresh one; the manager is unconditionally
-    re-armed with ``budget`` (``None`` disarms it), matching
-    ``Bdd(budget)`` semantics so a stale budget from the manager's
-    previous problem can never leak into this one.  All
-    *per-problem* state (AIG-literal cache, variable maps, partitions,
-    quantification schedules) stays on the model, so two models may
-    safely share one manager as long as their lifetimes do not
-    interleave mid-operation — which is how the campaign runs them:
-    one check at a time per worker.
-    """
+    """BDD encoding of a transition system, on a fresh manager charged
+    against ``budget``."""
 
     def __init__(self, ts: TransitionSystem,
                  budget: Optional[ResourceBudget] = None,
-                 cluster_limit: int = 1,
-                 bdd: Optional[Bdd] = None) -> None:
+                 cluster_limit: int = 1) -> None:
         self.ts = ts
-        if bdd is None:
-            self.bdd = Bdd(budget)
-        else:
-            self.bdd = bdd
-            bdd.rearm(budget)
+        self.bdd = Bdd(budget)
         num_latches = len(ts.latches)
         self.curr_vars: Dict[int, int] = {}   # latch lit -> bdd var
         self.next_vars: Dict[int, int] = {}

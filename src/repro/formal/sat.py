@@ -335,11 +335,26 @@ class Solver:
         self._watches[lit_neg(clause.lits[1])].append(clause)
 
     def _propagate(self) -> Optional[_Clause]:
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats["propagations"] += 1
-            watch_list = self._watches[lit]
+        # The hot loop: attributes are hoisted into locals and
+        # ``_value``/``_enqueue`` are inlined.  ``assign ^ sign`` is -1
+        # or -2 for an unassigned variable, never 0 or 1, so it stands
+        # in for ``_value`` in the comparisons below.  Watch order, and
+        # with it the whole search, is unchanged.
+        trail = self._trail
+        watches = self._watches
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        depth = len(self._trail_lim)
+        qhead = self._qhead
+        propagated = 0
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            propagated += 1
+            false_lit = lit ^ 1
+            watch_list = watches[lit]
             kept: List[_Clause] = []
             index = 0
             while index < len(watch_list):
@@ -347,33 +362,39 @@ class Solver:
                 index += 1
                 lits = clause.lits
                 # make sure the falsified watch is lits[1]
-                false_lit = lit_neg(lit)
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) == 1:
+                if assign[first >> 1] ^ (first & 1) == 1:
                     kept.append(clause)
                     continue
                 # search a new watch
-                found = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != 0:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lit_neg(lits[1])].append(clause)
-                        found = True
+                    other = lits[k]
+                    if assign[other >> 1] ^ (other & 1) != 0:
+                        lits[1], lits[k] = other, lits[1]
+                        watches[other ^ 1].append(clause)
                         break
-                if found:
-                    continue
-                kept.append(clause)
-                if not self._enqueue(first, clause):
-                    # conflict: keep remaining watches and report
-                    kept.extend(watch_list[index:])
-                    del watch_list[:]
-                    watch_list.extend(kept)
-                    self._qhead = len(self._trail)
-                    return clause
-            del watch_list[:]
-            watch_list.extend(kept)
+                else:
+                    kept.append(clause)
+                    var = first >> 1
+                    if assign[var] != UNASSIGNED:
+                        # first is false: conflict — keep the remaining
+                        # watches and report
+                        kept.extend(watch_list[index:])
+                        watch_list[:] = kept
+                        self._qhead = len(trail)
+                        self.stats["propagations"] += propagated
+                        return clause
+                    value = 1 ^ (first & 1)
+                    assign[var] = value
+                    level[var] = depth
+                    reason[var] = clause
+                    phase[var] = value
+                    trail.append(first)
+            watch_list[:] = kept
+        self._qhead = qhead
+        self.stats["propagations"] += propagated
         return None
 
     def _analyze(self, conflict: _Clause) -> "tuple[List[int], int]":

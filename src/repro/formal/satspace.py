@@ -1,8 +1,7 @@
 """Shared incremental SAT workspaces: warm solver state across checks.
 
-The third member of the warm-state trio (beside
-:class:`~repro.formal.workspace.BddWorkspace` and
-:class:`~repro.formal.problems.CompiledProblemStore`).  A
+The warm-state layer beside
+:class:`~repro.formal.problems.CompiledProblemStore`.  A
 :class:`SatWorkspace` keeps live :class:`~repro.formal.sat.Solver` +
 :class:`~repro.formal.bmc.Unroller` pairs — *sessions* — alive across
 portfolio stages and check jobs, so time-frame encodings, variable
@@ -20,27 +19,17 @@ owns up to two sessions, keyed by
 
     (module digest, vunit digest, chunk index, mode)
 
-with mode ``bmc-init`` (frame 0 constrained to the initial state — BMC
-and induction's base leg) or ``step`` (frame 0 free — induction's step
+with mode ``bmc-init`` (frame 0 constrained to the initial state —
+induction's base leg) or ``step`` (frame 0 free — induction's step
 leg).  Keys include the *vunit* digest because ``assume`` directives
 become permanent unit clauses in the shared CNF: sessions may only be
 shared between checks that agree on the constraint.
 
-Group BMC and activation literals
----------------------------------
+Activation literals
+-------------------
 
-BMC runs *disjunctively* over the whole cluster
-(:meth:`SatSession.bmc_group`): each depth asks one query — "is any
-member's bad reachable at ``k``?" — and a group-UNSAT pins every
-member with the proven permanent unit ``¬bad@k``; members are only
-solved individually at depths where the group query is SAT.  The
-per-member verdicts are cached on the session keyed by the bound, so
-the cluster's remaining jobs answer without a solver call, and a
-deeper re-ladder (iterative deepening portfolios) finds its shallow
-depths already blocked — each depth is solved once per cluster, ever.
-
-Induction-style per-assertion facts enter the shared CNF under a fresh
-*activation literal* ``act`` instead:
+Per-assertion facts enter the shared CNF under a fresh *activation
+literal* ``act``:
 
 - queries run as ``solve([act, bad@k])``,
 - no-counterexample facts are guarded blocks ``(¬act ∨ ¬bad@k)``,
@@ -69,27 +58,26 @@ Budgets and memory valves
 
 Sessions are re-armed with the current check's budget at lease time;
 a :class:`~repro.formal.budget.BudgetExceeded` mid-solve leaves the
-solver consistent and the session reusable.  Unlike the BDD workspace's
-one-sided guarantee, warm CDCL search is *not* monotonically cheaper —
-retained clauses usually save conflicts but can steer the heuristics
-either way — so under a binding budget a warm run may TIMEOUT where a
-cold run finished (and vice versa); campaign defaults keep budgets
-non-binding.  ``max_sessions`` bounds live sessions LRU-fashion and
-``max_session_clauses`` discards any session whose clause database
-outgrew the valve.  Workspaces are plain per-process objects: executors
-build one per worker, exactly like BDD workspaces and compile stores.
+solver consistent and the session reusable.  Warm CDCL search is *not*
+monotonically cheaper — retained clauses usually save conflicts but can
+steer the heuristics either way — so under a binding budget a warm run
+may TIMEOUT where a cold run finished (and vice versa); campaign
+defaults keep budgets non-binding.  ``max_sessions`` bounds live
+sessions LRU-fashion and ``max_session_clauses`` discards any session
+whose clause database outgrew the valve.  Workspaces are plain
+per-process objects: executors build one per worker, exactly like
+compile stores.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..rtl.netlist import FALSE
-from .bmc import BmcResult, Unroller
+from .bmc import Unroller
 from .budget import ResourceBudget
 from .induction import _UniqueStates
 from .problems import content_digest
-from .sat import Solver, stats_delta
+from .sat import Solver
 from .transition import ClusterSystem
 
 MODE_BMC_INIT = "bmc-init"
@@ -120,7 +108,6 @@ class SatSession:
         self._constrained: set = set()
         self._lease_frames = 0
         self._lease_reused: set = set()
-        self._group_runs: Dict[int, Dict[str, Tuple[bool, int]]] = {}
 
     # ------------------------------------------------------------------
     def begin_lease(self, budget: Optional[ResourceBudget] = None) -> None:
@@ -176,93 +163,6 @@ class SatSession:
         self.solver.add_clause([act ^ 1])
         if self.workspace is not None:
             self.workspace.counters["retirements"] += 1
-
-    def bmc_group(self, assert_name: str, max_bound: int) -> BmcResult:
-        """Bounded model checking for ``assert_name`` via one shared
-        *disjunctive* ladder over the whole cluster (``bmc-init`` mode
-        only).
-
-        Instead of one solve per member per depth, each depth asks one
-        question — "is *any* member's bad reachable at ``k``?" — by
-        assuming a fresh literal ``or_k`` whose single defining clause
-        ``(¬or_k ∨ bad_1@k ∨ ... ∨ bad_n@k)`` forces some live bad
-        true.  A group-UNSAT at ``k`` proves every member individually
-        UNSAT at ``k`` (exactly the fact cold per-member BMC
-        establishes), so each surviving bad is pinned with the
-        permanent unit ``¬bad_i@k`` — the same blocking fact cold BMC
-        adds, valid session-wide because it was *proven*, not assumed.
-        Only at a depth where the group query is SAT does the session
-        fall back to individual member solves, verdicting the members
-        whose bads are reachable at their (cold-identical) first
-        failing depth and dropping them from later disjunctions.
-
-        Verdicts and depths match per-member cold BMC by construction;
-        counterexample *traces* are the caller's problem (engines
-        re-derive them cold).  The per-member results are cached on the
-        session keyed by ``max_bound``, so the cluster's remaining jobs
-        (and repeat campaigns against a long-lived workspace) answer
-        from the cache without a single solver call — that cache, plus
-        the n-to-1 solve reduction on all-pass clusters, is where the
-        shared workspace's headline savings come from.  A budget
-        exhaustion mid-ladder caches nothing; the next lease restarts
-        the ladder on the retained frames.
-        """
-        if self.mode != MODE_BMC_INIT:
-            raise ValueError("bmc_group needs a bmc-init session")
-        before = self.solver.stats_snapshot()
-        verdicts = self._group_runs.get(max_bound)
-        if verdicts is None:
-            verdicts = self._run_bmc_group(max_bound)
-            self._group_runs[max_bound] = verdicts
-        elif self.workspace is not None:
-            self.workspace.counters["group_hits"] += 1
-        failed, bound = verdicts[assert_name]
-        return BmcResult(failed, bound, None,
-                         stats_delta(before, self.solver.stats_snapshot()))
-
-    def _run_bmc_group(self, max_bound: int) -> Dict[str, Tuple[bool, int]]:
-        solver = self.solver
-        verdicts: Dict[str, Tuple[bool, int]] = {}
-        active = []
-        for name in self.cluster.members():
-            if self.cluster.bads[name] == FALSE:
-                # constant-safe: cold BMC never finds a violation
-                verdicts[name] = (False, max_bound)
-            else:
-                active.append(name)
-        if self.workspace is not None:
-            self.workspace.counters["group_runs"] += 1
-        for k in range(0, max_bound + 1):
-            if not active:
-                break
-            self.assert_constraint(k)
-            ctx = self.frame(k)
-            bad_lits = {name: ctx.lit(self.cluster.bads[name])
-                        for name in active}
-            or_k = solver.new_var() << 1
-            solver.add_clause([or_k ^ 1, *bad_lits.values()])
-            if self.workspace is not None:
-                self.workspace.counters["group_solves"] += 1
-            if not solver.solve([or_k]):
-                # no member's bad is reachable at k: pin every one with
-                # the proven fact, exactly cold BMC's blocking clause
-                for name in active:
-                    solver.add_clause([bad_lits[name] ^ 1])
-                continue
-            # some bad is reachable: resolve each member individually
-            # at this depth (its first possibly-failing depth — all
-            # earlier depths were group-UNSAT)
-            survivors = []
-            for name in active:
-                if solver.solve([bad_lits[name]]):
-                    verdicts[name] = (True, k)
-                else:
-                    solver.add_clause([bad_lits[name] ^ 1])
-                    survivors.append(name)
-            active = survivors
-        for name in active:
-            verdicts[name] = (False, max_bound)
-        return verdicts
 
     def unique_states(self, assert_name: str) -> _UniqueStates:
         """The assertion's guarded simple-path constraints (step mode),
@@ -326,8 +226,7 @@ class SatBinding:
 class SatWorkspace:
     """Process-local pool of shared SAT sessions, LRU-bounded.
 
-    Mirrors :class:`~repro.formal.workspace.BddWorkspace`'s contract:
-    pure acceleration state, never part of job fingerprints, with
+    Pure acceleration state, never part of job fingerprints, with
     ``stats()`` counters for telemetry and memory valves
     (``max_sessions`` LRU, ``max_session_clauses`` oversize discard).
     ``cluster_limit`` caps how many assertions of one (module, vunit)
@@ -354,7 +253,6 @@ class SatWorkspace:
             "oversize_discards": 0, "activations": 0, "retirements": 0,
             "frames_built": 0, "frames_reused": 0, "clauses_retained": 0,
             "cluster_compiles": 0,
-            "group_runs": 0, "group_solves": 0, "group_hits": 0,
         }
 
     # ------------------------------------------------------------------

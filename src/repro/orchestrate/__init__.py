@@ -17,12 +17,13 @@ scheduled, restartable job graph:
   check: module + vunit + assertion + engine portfolio), content
   fingerprints, the portfolio runner, and the serialization codecs
   (result entries shared with cache/checkpoint, plus the job/result
-  wire format pool executors ship across process boundaries);
+  wire format the pool and fleet executors ship across process
+  boundaries);
 - :mod:`~repro.orchestrate.planner` — one walk over the chip produces
   the flat, ordered job list;
-- :mod:`~repro.orchestrate.executor` — serial, chunked-pool, and
-  work-stealing multiprocessing executors, all bound to the
-  results-in-plan-order contract;
+- :mod:`~repro.orchestrate.executor` — serial and work-stealing
+  multiprocessing executors, both bound to the results-in-plan-order
+  contract;
 - :mod:`~repro.orchestrate.fleet` — the socket-fanout
   :class:`FleetExecutor`: a TCP coordinator leasing scheduling-policy
   batches to launcher-started worker processes over the portable wire
@@ -63,65 +64,36 @@ Every compile path — the job runner, cache FAIL-replay, checkpoint
 replay, the partitioner's checkpoint pieces, ``compile_vunit`` — runs
 through a per-worker
 :class:`~repro.formal.problems.CompiledProblemStore`: one elaborated
-design per module RTL digest, one compiled transition system per
-``(module digest, vunit digest, assertion)``.  Digest keying makes the
-golden-vs-patched same-name case safe by construction, campaign
-outcomes are byte-identical with the store on, off, or LRU-bounded
-(tests enforce it across every executor), and the hit/miss/evict
-counters surface in ``report.stats["compile_store"]``.  The knobs live
-in ``CampaignConfig`` (``compile_store`` / ``compile_max_designs`` /
-``compile_max_problems``) and, like the workspace valves, stay out of
-job fingerprints.
-
-Shared BDD workspaces
----------------------
-
-A campaign checks each module many times (one job per asserted
-property), and every BDD-family engine stage used to rebuild its
-hash-consed node table from scratch.  Passing ``share_bdd=True`` to any
-executor runs its jobs against a
-:class:`~repro.formal.workspace.BddWorkspace` — per-module managers
-whose node tables and operation memos persist across portfolio stages
-and across jobs of the same module (keyed by
-``CheckJob.workspace_key``, the module's RTL digest).  Serial runs
-share one workspace; pool executors give each worker process its own.
-
-Sharing never flips a PASS/FAIL verdict (hash-consed BDDs are
-canonical whatever else the table holds), so as long as no BDD-node
-budget trips — the default budgets are sized to bind only on genuinely
-oversized cones — ``CampaignReport.canonical_bytes`` is byte-identical
-with sharing on or off, and the tests enforce exactly that.  TIMEOUT
-verdicts, however, are budget-relative, and a warmed manager charges
-only newly created nodes: a check that exhausts its node budget cold
-may complete warm (never the reverse).  Under binding budgets sharing
-is therefore one-sidedly *stronger*, and with the work-stealing
-executor which checks run warm can vary with steal order — pin budgets
-generously (or run sharing off) where strict run-to-run byte-equality
-matters more than throughput.  Cost is the only other thing that
-changes: see ``benchmarks/bench_campaign.py``'s workspace record.
+design per module RTL digest, against which each assertion compiles.
+Digest keying makes the golden-vs-patched same-name case safe by
+construction, campaign outcomes are byte-identical with the store on,
+off, or LRU-bounded (tests enforce it across every executor), and the
+hit/miss/evict counters surface in ``report.stats["compile_store"]``.
+The knobs live in ``CampaignConfig`` (``compile_store`` /
+``compile_max_designs``) and, like the SAT valves, stay out of job
+fingerprints.
 
 Shared SAT workspaces
 ---------------------
 
 ``share_sat=True`` (the campaign default via ``CampaignConfig``'s
-``[sat]`` section) is the SAT-family counterpart: ``bmc``/``kind``
-stages query a :class:`~repro.formal.satspace.SatWorkspace` of live
-incremental solver sessions.  All assertions of one (module, vunit)
-pair compile into a *cluster* — one shared AIG with a bad output per
-assertion — and each session keeps its solver, unrolled time frames,
-and learned clauses alive across portfolio stages and jobs, with
-per-assertion activation literals scoping clauses so retiring one
-assertion (a unit ``¬act``) deactivates its clauses without touching
-its neighbours'.  Verdicts, depths, *and counterexample bytes* are
-sharing-invariant: a warm FAIL re-derives its trace by a cold
-deterministic BMC replay on the solo-compiled system, so
-``CampaignReport.canonical_bytes`` is identical with the workspace on,
-off, or LRU-thrashed (tests enforce it across every executor).  The
-one documented exception mirrors the BDD workspace: a *binding*
-``sat_conflicts`` budget — and unlike the one-sided BDD case, retained
-clauses can steer CDCL search either way, so pin conflict budgets
-generously (the defaults are non-binding) or run sharing off where
-strict equality under binding budgets matters.  Counters surface in
+``[sat]`` section) runs ``kind`` stages against a
+:class:`~repro.formal.satspace.SatWorkspace` of live incremental
+solver sessions.  All assertions of one (module, vunit) pair compile
+into a *cluster* — one shared AIG with a bad output per assertion —
+and each session keeps its solver, unrolled time frames, and learned
+clauses alive across portfolio stages and jobs, with per-assertion
+activation literals scoping clauses so retiring one assertion (a unit
+``¬act``) deactivates its clauses without touching its neighbours'.
+Verdicts, depths, *and counterexample bytes* are sharing-invariant: a
+warm FAIL re-derives its trace by a cold deterministic BMC replay on
+the solo-compiled system, so ``CampaignReport.canonical_bytes`` is
+identical with the workspace on, off, or LRU-thrashed (tests enforce
+it across every executor).  The one documented exception is a
+*binding* ``sat_conflicts`` budget: retained clauses can steer CDCL
+search either way, so pin conflict budgets generously (the defaults
+are non-binding) or run sharing off where strict equality under
+binding budgets matters.  Counters surface in
 ``report.stats["sat_workspace"]``; valves (``sat_cluster_limit``,
 ``sat_max_sessions``, ``sat_max_session_clauses``) live in
 ``CampaignConfig`` and stay out of job fingerprints.
@@ -152,14 +124,13 @@ enforces.
 
 from ..formal.problems import CompiledProblemStore
 from ..formal.satspace import SatWorkspace
-from ..formal.workspace import BddWorkspace
 from .job import (
     CheckJob, DEFAULT_PORTFOLIO_METHODS, EngineConfig, JobResult,
     compile_job, decode_job_result, decode_result, encode_job_result,
     encode_result, job_fingerprint, portfolio, run_check_job,
 )
 from .planner import CampaignPlan, plan_campaign
-from .executor import ParallelExecutor, SerialExecutor, WorkStealingExecutor
+from .executor import SerialExecutor, WorkStealingExecutor
 from .fleet import (
     FleetExecutor, LocalFleetLauncher, SshFleetLauncher,
     parse_launcher_spec,
@@ -178,11 +149,11 @@ from .stats import STATS_SCHEMA, counter_groups
 from .orchestrator import CampaignOrchestrator
 
 __all__ = [
-    "BddWorkspace", "CompiledProblemStore", "SatWorkspace",
+    "CompiledProblemStore", "SatWorkspace",
     "CheckJob", "DEFAULT_PORTFOLIO_METHODS", "EngineConfig", "JobResult",
     "compile_job", "job_fingerprint", "portfolio", "run_check_job",
     "CampaignPlan", "plan_campaign",
-    "ParallelExecutor", "SerialExecutor", "WorkStealingExecutor",
+    "SerialExecutor", "WorkStealingExecutor",
     "FleetExecutor", "LocalFleetLauncher", "SshFleetLauncher",
     "parse_launcher_spec",
     "ResultCache", "decode_result", "encode_result",

@@ -2,8 +2,8 @@
 
 A :class:`CampaignConfig` captures *everything* that parameterises a
 formal campaign — engine portfolio, executor, scheduling and portfolio
-policies, result cache, checkpoint journal, shared-BDD workspace
-valves, resource budgets, scope — as plain frozen data.  That buys the
+policies, result cache, checkpoint journal, warm-state valves,
+resource budgets, scope — as plain frozen data.  That buys the
 methodology its missing property: a campaign's full configuration is
 
 - **serializable** — ``to_dict()`` / ``from_dict()`` round-trip through
@@ -18,10 +18,10 @@ methodology its missing property: a campaign's full configuration is
 
 Compact string specs stand in for object graphs:
 
-- ``executor = "workstealing:4"`` — ``serial``, ``parallel[:N]``,
-  ``workstealing[:N]`` (``work-stealing`` accepted too), or
-  ``fleet[:N]`` (the socket-fanout coordinator of
-  :mod:`repro.orchestrate.fleet`, tuned by the ``[fleet]`` section);
+- ``executor = "workstealing:4"`` — ``serial``, ``workstealing[:N]``
+  (``work-stealing`` accepted too), or ``fleet[:N]`` (the
+  socket-fanout coordinator of :mod:`repro.orchestrate.fleet`, tuned
+  by the ``[fleet]`` section);
   ``N`` is the worker count, defaulting to the machine's CPU count;
 - ``engines = "portfolio:kind,bdd-combined,pobdd"`` — a single engine
   name runs one stage; ``portfolio:`` prefixes a comma-separated stage
@@ -36,41 +36,34 @@ kwargs are still accepted as overrides and map onto the config
 defaults (see :mod:`repro.orchestrate.orchestrator`).
 
 The default config **is** the default campaign: the classic budgets,
-serial executor, no cache, no checkpoint — with two deliberate changes
-of default:
-
-- ``engines = "portfolio:kind,bdd-combined"`` — campaigns now run an
-  explicit two-stage portfolio instead of the single ``auto`` engine.
-  The ladder is algorithmically identical to ``auto``'s internal
-  induction-then-BDD fallback, but at the portfolio layer it gains the
-  attempt log, the adaptive-policy slot, and portfolio-invariant
-  report canonicalization.  The engine spec participates in job
-  fingerprints, so the flip invalidates result caches written under
-  the old default — ``engines = "auto"`` is the one-line opt-out (see
-  ``docs/configuration.md``);
-- ``share_bdd = true`` — shared per-module BDD workspaces are
-  outcome-invariant while no node budget binds (the default regime)
-  and measurably cheaper; ``share_bdd = false`` is the escape hatch
-  where strict run-to-run byte-equality under *binding* node budgets
-  matters more than throughput.
+serial executor, no cache, no checkpoint — with one deliberate change
+of default: ``engines = "portfolio:kind,bdd-combined"``.  Campaigns
+run an explicit two-stage portfolio instead of the single ``auto``
+engine.  The ladder is algorithmically identical to ``auto``'s
+internal induction-then-BDD fallback, but at the portfolio layer it
+gains the attempt log, the adaptive-policy slot, and
+portfolio-invariant report canonicalization.  The engine spec
+participates in job fingerprints, so the flip invalidates result
+caches written under the old default — ``engines = "auto"`` is the
+one-line opt-out (see ``docs/configuration.md``).
 
 ``[sat]`` exposes the shared incremental SAT workspace
 (:class:`~repro.formal.satspace.SatWorkspace`): ``workspace`` on/off,
 ``cluster_limit`` (assertions per shared CNF cluster),
 ``max_sessions`` / ``max_session_clauses`` memory valves.  On by
-default for the same reason as ``share_bdd``: verdicts, depths, and
-counterexample bytes are sharing-invariant (binding ``sat_conflicts``
-budgets are the documented exception), and warm sessions are
-measurably cheaper on SAT-heavy ladders.
+default: verdicts, depths, and counterexample bytes are
+sharing-invariant (binding ``sat_conflicts`` budgets are the
+documented exception), and warm sessions are measurably cheaper on
+the default campaign.
 
 ``[compile]`` exposes the content-addressed
 :class:`~repro.formal.problems.CompiledProblemStore` every compile
-path runs through (``store`` on/off, ``max_designs`` /
-``max_problems`` LRU bounds).  Like the workspace valves, the compile
-knobs are runtime wiring: they participate in the *config* digest (the
-report names the configuration that produced it) but never in job
-fingerprints — a store changes the cost of a check, not its verdict,
-so warmed and cold runs replay each other's cached results.
+path runs through (``store`` on/off, ``max_designs`` LRU bound).  Like
+the SAT valves, the compile knobs are runtime wiring: they participate
+in the *config* digest (the report names the configuration that
+produced it) but never in job fingerprints — a store changes the cost
+of a check, not its verdict, so warmed and cold runs replay each
+other's cached results.
 """
 
 from __future__ import annotations
@@ -97,7 +90,6 @@ class ConfigError(ValueError):
 #: executor spec aliases -> canonical kind
 _EXECUTOR_KINDS = {
     "serial": "serial",
-    "parallel": "parallel",
     "workstealing": "work-stealing",
     "work-stealing": "work-stealing",
     "fleet": "fleet",
@@ -107,11 +99,11 @@ _EXECUTOR_KINDS = {
 def parse_executor_spec(spec: str) -> Tuple[str, Optional[int]]:
     """Parse an executor spec into ``(kind, processes)``.
 
-    Grammar: ``serial`` | ``parallel[:N]`` | ``workstealing[:N]`` |
-    ``fleet[:N]`` (``work-stealing`` is accepted as an alias).  ``N``
-    is the worker count — processes for the pools, fleet workers for
-    the socket executor — and must be a positive integer; ``serial``
-    takes no argument.
+    Grammar: ``serial`` | ``workstealing[:N]`` | ``fleet[:N]``
+    (``work-stealing`` is accepted as an alias).  ``N`` is the worker
+    count — processes for the pool, fleet workers for the socket
+    executor — and must be a positive integer; ``serial`` takes no
+    argument.
     """
     if not isinstance(spec, str):
         raise ConfigError(f"executor spec must be a string, got {spec!r}")
@@ -120,8 +112,7 @@ def parse_executor_spec(spec: str) -> Tuple[str, Optional[int]]:
     if kind is None:
         raise ConfigError(
             f"unknown executor {kind_text.strip()!r} in spec {spec!r}; "
-            f"expected serial, parallel[:N], workstealing[:N], or "
-            f"fleet[:N]"
+            f"expected serial, workstealing[:N], or fleet[:N]"
         )
     if not sep:
         return kind, None
@@ -201,18 +192,12 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
         "executor": "executor",
         "scheduling": "scheduling",
         "portfolio": "portfolio",
-        "share_bdd": "share_bdd",
     },
     "fleet": {
         "port": "fleet_port",
         "lease_timeout": "fleet_lease_timeout",
         "heartbeat_interval": "fleet_heartbeat_interval",
         "launcher": "fleet_launcher",
-    },
-    "workspace": {
-        "max_managers": "workspace_max_managers",
-        "retain_memos": "workspace_retain_memos",
-        "max_manager_nodes": "workspace_max_manager_nodes",
     },
     "sat": {
         "workspace": "sat_workspace",
@@ -223,11 +208,9 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
     "compile": {
         "store": "compile_store",
         "max_designs": "compile_max_designs",
-        "max_problems": "compile_max_problems",
     },
     "coi": {
         "fingerprints": "coi_fingerprints",
-        "slice": "coi_slice",
     },
     "scenario": {
         "seed": "scenario_seed",
@@ -292,17 +275,13 @@ class CampaignConfig:
     #: POBDD partitioning window variables
     num_window_vars: int = 2
 
-    #: executor spec — ``serial`` | ``parallel[:N]`` | ``workstealing[:N]``
+    #: executor spec — ``serial`` | ``workstealing[:N]`` | ``fleet[:N]``
     executor: str = "serial"
     #: work-queue scheduling policy (``fifo`` | ``module-affinity``);
     #: consulted by the work-stealing executor, a no-op elsewhere
     scheduling: str = "fifo"
     #: portfolio attempt-order policy (``static`` | ``adaptive``)
     portfolio: str = "static"
-    #: shared per-module BDD workspaces (the campaign default; set
-    #: ``False`` where binding node budgets demand strict run-to-run
-    #: byte-equality — see docs/configuration.md)
-    share_bdd: bool = True
 
     #: ``[fleet]`` — the socket-fanout executor's transport knobs
     #: (consulted only when ``executor = "fleet[:N]"``; see
@@ -317,19 +296,12 @@ class CampaignConfig:
     #: worker launcher spec — ``local`` | ``ssh:host1,host2,...``
     fleet_launcher: str = "local"
 
-    #: workspace valve: retained managers per worker (``None`` = all)
-    workspace_max_managers: Optional[int] = 8
-    #: workspace valve: keep operation memos between leases
-    workspace_retain_memos: bool = True
-    #: workspace valve: discard managers outgrowing this node count
-    workspace_max_manager_nodes: Optional[int] = None
-
     #: shared incremental SAT workspaces (per worker): clustered
     #: per-(module, vunit) CNFs with learned-clause retention across
     #: assertions.  Verdict- and byte-invariant (failing traces are
-    #: re-derived cold); like ``share_bdd``, the exception is a
-    #: *binding* ``sat_conflicts`` budget, where retained clauses can
-    #: shift the conflict count either way
+    #: re-derived cold); the exception is a *binding*
+    #: ``sat_conflicts`` budget, where retained clauses can shift the
+    #: conflict count either way
     sat_workspace: bool = True
     #: assertions per shared CNF cluster (the paper's clustering ablation
     #: plateaus by 16; ``1`` degenerates to one session per assertion)
@@ -342,24 +314,20 @@ class CampaignConfig:
     sat_max_session_clauses: Optional[int] = None
 
     #: content-addressed compiled-problem store (per worker; off = every
-    #: check recompiles its design and transition system cold)
+    #: check elaborates its design cold)
     compile_store: bool = True
     #: compile-store valve: retained elaborated designs (``None`` = all)
     compile_max_designs: Optional[int] = 8
-    #: compile-store valve: retained compiled problems (``None`` = all)
-    compile_max_problems: Optional[int] = 64
 
     #: ``[coi]`` — cone-of-influence content addressing
-    #: (:mod:`repro.formal.coi`).  Both default to ``None`` ("absent":
-    #: legacy module-digest fingerprints, full-module compiles), so
-    #: configs written before the section existed keep their digests.
-    #: Unlike the ``[compile]`` knobs, ``fingerprints`` *does* change
-    #: job fingerprints — "cone" keys each job by its assertion's cone
+    #: (:mod:`repro.formal.coi`).  Defaults to ``None`` ("absent":
+    #: legacy module-digest fingerprints), so configs written before
+    #: the section existed keep their digests.  Unlike the
+    #: ``[compile]`` knobs, ``fingerprints`` *does* change job
+    #: fingerprints — "cone" keys each job by its assertion's cone
     #: digest, so caches written under one mode miss under the other
     #: job fingerprint scope: ``"module"`` (default) or ``"cone"``
     coi_fingerprints: Optional[str] = None
-    #: compile each job's transition system from its cone slice
-    coi_slice: Optional[bool] = None
 
     #: ``[scenario]`` — the chip-family / mutation-sweep knobs consumed
     #: by ``python -m repro scenario sweep`` and
@@ -419,13 +387,11 @@ class CampaignConfig:
     #: round-trip would silently restore the bound
     _UNLIMITED_FIELDS = frozenset({
         "sat_conflicts", "bdd_nodes", "cache_max_entries",
-        "workspace_max_managers", "workspace_max_manager_nodes",
-        "compile_max_designs", "compile_max_problems",
+        "compile_max_designs",
         "sat_max_sessions", "sat_max_session_clauses",
     })
     _BOUNDED_BY_DEFAULT = frozenset({
-        "sat_conflicts", "bdd_nodes", "workspace_max_managers",
-        "compile_max_designs", "compile_max_problems",
+        "sat_conflicts", "bdd_nodes", "compile_max_designs",
         "sat_max_sessions",
     })
 
@@ -468,9 +434,7 @@ class CampaignConfig:
                     f"{name} must be a non-negative integer or absent, "
                     f"got {value!r}"
                 )
-        for name in ("cache_max_entries", "workspace_max_managers",
-                     "workspace_max_manager_nodes",
-                     "compile_max_designs", "compile_max_problems",
+        for name in ("cache_max_entries", "compile_max_designs",
                      "sat_max_sessions", "sat_max_session_clauses"):
             value = getattr(self, name)
             if value is not None and (not _is_int(value) or value < 1):
@@ -486,8 +450,7 @@ class CampaignConfig:
                     f"{name} must be a positive integer, "
                     f"got {getattr(self, name)!r}"
                 )
-        for name in ("lint", "unique_states", "share_bdd",
-                     "workspace_retain_memos", "compile_store",
+        for name in ("lint", "unique_states", "compile_store",
                      "sat_workspace"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(
@@ -524,12 +487,6 @@ class CampaignConfig:
             raise ConfigError(
                 f"coi_fingerprints must be \"module\" or \"cone\" "
                 f"(or absent), got {self.coi_fingerprints!r}"
-            )
-        if self.coi_slice is not None \
-                and not isinstance(self.coi_slice, bool):
-            raise ConfigError(
-                f"coi_slice must be a boolean or absent, "
-                f"got {self.coi_slice!r}"
             )
         if self.scenario_seed is not None and (
                 not _is_int(self.scenario_seed) or self.scenario_seed < 0):
@@ -705,16 +662,6 @@ class CampaignConfig:
             for method in methods
         )
 
-    def workspace_options(self) -> Dict[str, object]:
-        """Kwargs for the :class:`~repro.formal.workspace.BddWorkspace`
-        constructor (the executor builds one per worker when
-        ``share_bdd`` is on)."""
-        return {
-            "max_managers": self.workspace_max_managers,
-            "retain_memos": self.workspace_retain_memos,
-            "max_manager_nodes": self.workspace_max_manager_nodes,
-        }
-
     def sat_workspace_options(self) -> Dict[str, object]:
         """Kwargs for the :class:`~repro.formal.satspace.SatWorkspace`
         constructor (the executor builds one per worker when
@@ -730,39 +677,21 @@ class CampaignConfig:
         :class:`~repro.formal.problems.CompiledProblemStore`
         constructor (each executor worker builds one when
         ``compile_store`` is on)."""
-        return {
-            "max_designs": self.compile_max_designs,
-            "max_problems": self.compile_max_problems,
-        }
+        return {"max_designs": self.compile_max_designs}
 
     def build_executor(self):
         """The executor this config describes, wired with the
-        ``share_bdd`` setting, the workspace valves, the compile-store
-        knobs, and (for the work-stealing executor) the scheduling
-        policy."""
-        from .executor import (
-            ParallelExecutor, SerialExecutor, WorkStealingExecutor,
-        )
+        compile-store and SAT-workspace knobs and (for the pool and
+        the fleet) the scheduling policy."""
+        from .executor import SerialExecutor, WorkStealingExecutor
         from .fleet import FleetExecutor
         kind, processes = parse_executor_spec(self.executor)
-        options = self.workspace_options()
-        store_options = self.compile_store_options()
-        sat_options = self.sat_workspace_options()
+        warm = dict(compile_store=self.compile_store,
+                    store_options=self.compile_store_options(),
+                    share_sat=self.sat_workspace,
+                    sat_options=self.sat_workspace_options())
         if kind == "serial":
-            return SerialExecutor(share_bdd=self.share_bdd,
-                                  workspace_options=options,
-                                  compile_store=self.compile_store,
-                                  store_options=store_options,
-                                  share_sat=self.sat_workspace,
-                                  sat_options=sat_options)
-        if kind == "parallel":
-            return ParallelExecutor(processes=processes,
-                                    share_bdd=self.share_bdd,
-                                    workspace_options=options,
-                                    compile_store=self.compile_store,
-                                    store_options=store_options,
-                                    share_sat=self.sat_workspace,
-                                    sat_options=sat_options)
+            return SerialExecutor(**warm)
         if kind == "fleet":
             return FleetExecutor(workers=processes,
                                  port=self.fleet_port,
@@ -771,20 +700,10 @@ class CampaignConfig:
                                  self.fleet_heartbeat_interval,
                                  launcher=self.fleet_launcher,
                                  scheduling=self.build_scheduling(),
-                                 share_bdd=self.share_bdd,
-                                 workspace_options=options,
-                                 compile_store=self.compile_store,
-                                 store_options=store_options,
-                                 share_sat=self.sat_workspace,
-                                 sat_options=sat_options)
+                                 **warm)
         return WorkStealingExecutor(processes=processes,
-                                    share_bdd=self.share_bdd,
-                                    workspace_options=options,
                                     scheduling=self.build_scheduling(),
-                                    compile_store=self.compile_store,
-                                    store_options=store_options,
-                                    share_sat=self.sat_workspace,
-                                    sat_options=sat_options)
+                                    **warm)
 
     def build_scheduling(self):
         """The scheduling policy instance (``fifo`` unless configured)."""

@@ -1,124 +1,71 @@
-"""Job executors: serial, chunked multiprocessing, and work-stealing.
+"""Job executors: serial and work-stealing.
 
 An executor is anything with a ``name`` and a ``map(jobs)`` method that
 yields one :class:`JobResult` per job **in job-index order**.  The
 ordering contract is what makes every execution strategy produce the
 same report: the orchestrator aggregates results as they stream out,
-so serial, process-parallel, and any future distributed executor are
+so serial, process-parallel, and distributed executors are
 interchangeable without touching aggregation or report rendering.
 (``tests/test_executor_contract.py`` is the executable form of the
 contract — any new executor must pass that battery unchanged.)
 
-``ParallelExecutor`` ships pickled jobs to a ``multiprocessing`` pool
-and relies on ``imap`` (ordered, lazy) to restore plan order.  Each
-worker keeps a per-process elaboration cache so consecutive jobs of the
-same module (the planner emits them contiguously) share one flattened
-design, mirroring the serial executor's reuse.
+``WorkStealingExecutor`` fans jobs out over a shared job queue that
+idle workers pull from one unit at a time: a straggler check pins one
+worker while the rest keep draining the queue, instead of idling the
+pool behind a slow chunk.  Results come back unordered and are
+reassembled into plan order by the parent, so the streaming contract
+is preserved bit for bit.
 
-``WorkStealingExecutor`` replaces ``imap``'s static chunking with a
-shared job queue that idle workers pull from one job at a time: a
-straggler check pins one worker while the rest keep draining the queue,
-instead of idling the pool behind a slow chunk.  Results come back
-unordered and are reassembled into plan order by the parent, so the
-streaming contract is preserved bit for bit.
-
-Shared BDD workspaces
+Warm state per worker
 ---------------------
 
-Every executor takes ``share_bdd=True`` to run its jobs against a
-:class:`~repro.formal.workspace.BddWorkspace`: BDD-family engine stages
-lease a per-module hash-consed manager instead of building their node
-table from scratch, so the many jobs of one module (the planner emits
-them contiguously; ``CampaignPlan.module_groups()`` shows the
-grouping) reuse each other's nodes and operation memos.  PASS/FAIL verdicts are
-sharing-invariant, and while no BDD-node budget trips (the default
-regime) ``CampaignReport.canonical_bytes`` is identical with sharing
-on or off; a *binding* node budget is the one exception — a warmed
-manager is charged only fresh nodes, so a check that would TIMEOUT
-cold may complete warm (see :mod:`repro.orchestrate` for the full
-contract).
+Every worker holds two pieces of warm state, built by the worker
+itself and never shared across processes (which keeps reuse
+lock-free):
 
-Workspace scope follows worker scope, keeping sharing lock-free:
+- a content-addressed
+  :class:`~repro.formal.problems.CompiledProblemStore` (on by default,
+  ``compile_store=False`` to opt out; ``store_options`` forwards the
+  ``max_designs`` LRU bound): a module's many jobs share one
+  elaborated design keyed by the module's RTL digest, which makes
+  module-affinity batches (one queue pull = one module's whole job
+  group) hit a warm design for every job after the group's first —
+  and makes the golden-vs-patched same-name case safe by
+  construction, since two modules with different RTL can never share
+  a digest;
+- with ``share_sat=True``, a :class:`~repro.formal.satspace.SatWorkspace`
+  (``sat_options`` forwards the constructor kwargs: ``cluster_limit``,
+  ``max_sessions``, ``max_session_clauses``): ``kind`` stages query
+  shared incremental solver sessions — clustered per-(module, vunit)
+  CNFs, retained time-frame encodings, learned clauses surviving
+  across assertions under per-assertion activation literals — instead
+  of building cold solvers.  Verdicts, depths, and counterexample
+  bytes are sharing-invariant (failing traces are re-derived cold on
+  the solo compile), so ``CampaignReport.canonical_bytes`` is
+  identical with sharing on or off; the one exception is a *binding*
+  conflict budget, since retained clauses can steer CDCL search either
+  way.
 
-- ``SerialExecutor`` — one workspace for the whole run (pass
-  ``workspace=`` to keep one warm across *runs*);
-- ``ParallelExecutor`` / ``WorkStealingExecutor`` — one private
-  workspace per worker process, created by the worker itself (managers
-  hold megabytes of node tables and never cross process boundaries).
-  Affinity is best-effort, from plan contiguity alone: a pool chunk
-  holds consecutive (mostly same-module) jobs, but chunk boundaries
-  are size-based and can split a module's group across workers, and
-  the work-stealing pool interleaves modules freely — so every worker
-  retains a small LRU pool of managers
-  (``BddWorkspace(max_managers=...)``) rather than relying on strict
-  pinning.  (Module-batched scheduling over
-  ``CampaignPlan.module_groups()`` is an open ROADMAP item.)
-
-Every executor forwards ``workspace_options`` (a kwargs dict for the
-:class:`~repro.formal.workspace.BddWorkspace` constructor) to the
-workspaces it creates, so the memory valves — ``max_managers``,
-``retain_memos``, ``max_manager_nodes`` — are tunable on long
-campaigns: e.g. ``WorkStealingExecutor(share_bdd=True,
-workspace_options={"max_manager_nodes": 500_000,
-"retain_memos": False})``.
-
-Shared SAT workspaces
----------------------
-
-``share_sat=True`` is the SAT-family counterpart: jobs run against a
-:class:`~repro.formal.satspace.SatWorkspace`, so ``bmc``/``kind``
-stages query shared incremental solver sessions — clustered
-per-(module, vunit) CNFs, retained time-frame encodings, learned
-clauses surviving across assertions under per-assertion activation
-literals — instead of building cold solvers (``sat_options`` forwards
-the constructor kwargs: ``cluster_limit``, ``max_sessions``,
-``max_session_clauses``).  Verdicts, depths, and counterexample bytes
-are sharing-invariant (failing traces are re-derived cold on the solo
-compile), so ``CampaignReport.canonical_bytes`` is identical with
-sharing on or off; like the BDD workspace, the one exception is a
-*binding* budget — and unlike the BDD case the effect is two-sided,
-since retained clauses can steer CDCL search either way.  Scope follows
-worker scope exactly as for BDD workspaces: serial executors hold one
-workspace (or accept an explicit ``sat_workspace=`` to keep sessions
-warm across runs), pool workers each build their own.
-``executor.sat_stats()`` aggregates the counters after a ``map``; the
-orchestrator surfaces them in ``report.stats["sat_workspace"]``
-(``workspace_stats()`` / ``report.stats["bdd_workspace"]`` do the same
-for the BDD side).
-
-Compiled-problem stores
------------------------
-
-Alongside its workspace, every worker holds a content-addressed
-:class:`~repro.formal.problems.CompiledProblemStore` (on by default,
-``compile_store=False`` to opt out; ``store_options`` forwards the
-``max_designs`` / ``max_problems`` LRU bounds).  The store replaces the
-old one-entry design cache: a module's many jobs share one elaborated
-design keyed by the module's RTL digest, which makes module-affinity
-batches (one queue pull = one module's whole job group) hit a warm
-design for every job after the group's first — and makes the
-golden-vs-patched same-name case safe by construction, since two
-modules with different RTL can never share a digest.  Store scope
-follows worker scope exactly like workspaces (serial: one per
-executor; pools: one private store per worker process), keeping reuse
-lock-free.  ``executor.compile_stats()`` aggregates every worker's
-hit/miss/evict counters after a ``map``; the orchestrator surfaces the
-aggregate in ``report.stats["compile_store"]``.
+The serial executor holds one of each for the whole run (or accepts an
+explicit ``store=`` / ``sat_workspace=`` to keep them warm across
+runs); pool workers each build their own.  ``executor.compile_stats()``
+and ``executor.sat_stats()`` aggregate every worker's counters after a
+``map``; the orchestrator surfaces them in
+``report.stats["compile_store"]`` and ``report.stats["sat_workspace"]``.
 
 The process wire format
 -----------------------
 
-Pool workers no longer pickle whole :class:`JobResult` objects back to
-the parent: results cross the process boundary as
+Pool workers never pickle whole :class:`JobResult` objects back to the
+parent: results cross the process boundary as
 :func:`~repro.orchestrate.job.encode_job_result` dicts — identification
 scalars plus the serialized-result codec the cache and checkpoint
 already speak, with FAIL counterexamples carried as canonical input
 frames rather than the compiled transition system they replay on.  The
 parent re-pairs each entry with its plan job and decodes through its
 own compile store (:func:`~repro.orchestrate.job.decode_job_result`),
-revalidating every FAIL trace by replay.  Result pickles shrink from
-the whole AIG to a few hundred bytes, and the same dict shape is the
-wire format a future socket/SSH multi-host executor ships.
+revalidating every FAIL trace by replay.  The same dict shape is the
+wire format the socket fleet executor ships.
 """
 
 from __future__ import annotations
@@ -131,7 +78,6 @@ from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..formal.problems import CompiledProblemStore
 from ..formal.satspace import SatWorkspace
-from ..formal.workspace import BddWorkspace
 from .job import (
     CheckJob, JobResult, decode_job_result, encode_job_result,
     run_check_job,
@@ -178,34 +124,23 @@ def _note_worker_stats(worker_stats: Dict[int, dict], pid: int,
 class SerialExecutor:
     """Run every job in-process, in plan order (the default).
 
-    ``share_bdd=True`` runs all jobs against one
-    :class:`~repro.formal.workspace.BddWorkspace` (built with
-    ``workspace_options``); alternatively pass an explicit
-    ``workspace`` to share (and inspect, via ``workspace.stats()``) a
-    manager pool across multiple runs.  The compiled-problem store
-    works the same way: on by default (``compile_store=False`` opts
-    out, ``store_options`` tunes the LRU bounds), or pass an explicit
-    ``store`` to keep compiled designs warm across runs.  SAT-session
-    sharing follows the same shape: ``share_sat=True`` builds a
-    :class:`~repro.formal.satspace.SatWorkspace` (with ``sat_options``),
-    or pass an explicit ``sat_workspace`` to keep solver sessions warm
-    across runs.
+    The compiled-problem store is on by default (``compile_store=False``
+    opts out, ``store_options`` tunes the LRU bound), or pass an
+    explicit ``store`` to keep elaborated designs warm across runs.
+    SAT-session sharing follows the same shape: ``share_sat=True``
+    builds a :class:`~repro.formal.satspace.SatWorkspace` (with
+    ``sat_options``), or pass an explicit ``sat_workspace`` to keep
+    solver sessions warm across runs.
     """
 
     name = "serial"
 
-    def __init__(self, workspace: Optional[BddWorkspace] = None,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
-                 store: Optional[CompiledProblemStore] = None,
+    def __init__(self, store: Optional[CompiledProblemStore] = None,
                  compile_store: bool = True,
                  store_options: Optional[dict] = None,
                  sat_workspace: Optional[SatWorkspace] = None,
                  share_sat: bool = False,
                  sat_options: Optional[dict] = None) -> None:
-        if workspace is None and share_bdd:
-            workspace = BddWorkspace(**(workspace_options or {}))
-        self.workspace = workspace
         if store is None:
             store = _build_store(compile_store, store_options)
         self.store = store
@@ -218,7 +153,6 @@ class SerialExecutor:
         (trivially — jobs run one at a time in this process)."""
         for job in jobs:
             yield run_check_job(job, self.store,
-                                workspace=self.workspace,
                                 sat_workspace=self.sat_workspace)
 
     def compile_stats(self) -> Dict[str, int]:
@@ -234,199 +168,6 @@ class SerialExecutor:
             return {}
         return {**self.sat_workspace.stats(), "workers": 1}
 
-    def workspace_stats(self) -> Dict[str, int]:
-        """The BDD workspace's lifetime counters (``{}`` when off)."""
-        if self.workspace is None:
-            return {}
-        return {**self.workspace.stats(), "workers": 1}
-
-
-#: per-worker-process compiled-problem store; installed by
-#: :func:`_init_worker` (``None`` when the parent opted out)
-_WORKER_STORE: Optional[CompiledProblemStore] = None
-
-#: per-worker-process shared BDD workspace; installed by
-#: :func:`_init_worker` when the parent executor asked for sharing
-_WORKER_WORKSPACE: Optional[BddWorkspace] = None
-
-#: per-worker-process shared SAT workspace; installed by
-#: :func:`_init_worker` when the parent executor asked for sharing
-_WORKER_SAT: Optional[SatWorkspace] = None
-
-
-def _init_worker(share_bdd: bool,
-                 workspace_options: Optional[dict] = None,
-                 compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
-    """Pool-worker initializer: give this worker its own private BDD
-    workspace, SAT workspace, and compiled-problem store (none is ever
-    shared across processes)."""
-    global _WORKER_WORKSPACE, _WORKER_STORE, _WORKER_SAT
-    _WORKER_WORKSPACE = BddWorkspace(**(workspace_options or {})) \
-        if share_bdd else None
-    _WORKER_STORE = _build_store(compile_store, store_options)
-    _WORKER_SAT = _build_sat(share_sat, sat_options)
-
-
-def _worker_run(job: CheckJob) -> dict:
-    """Run one job in a pool worker and return the wire-format payload:
-    the encoded result plus this worker's identity and warm-state
-    counters (a handful of ints — the parent keeps each worker's latest
-    snapshot and aggregates after the run)."""
-    job_result = run_check_job(job, _WORKER_STORE,
-                               workspace=_WORKER_WORKSPACE,
-                               sat_workspace=_WORKER_SAT)
-    return {
-        "result": encode_job_result(job_result),
-        "pid": os.getpid(),
-        "store": _WORKER_STORE.stats()
-        if _WORKER_STORE is not None else None,
-        "sat": _WORKER_SAT.stats() if _WORKER_SAT is not None else None,
-        "bdd": _WORKER_WORKSPACE.stats()
-        if _WORKER_WORKSPACE is not None else None,
-    }
-
-
-class ParallelExecutor:
-    """Fan jobs out over a ``multiprocessing`` pool.
-
-    ``processes`` defaults to the machine's CPU count; ``chunksize``
-    controls how many consecutive jobs each worker grabs at once
-    (larger chunks amortise pickling and keep same-module jobs on one
-    worker's design cache; the default aims at ~4 chunks per worker).
-
-    Engines registered at runtime via
-    :func:`~repro.formal.engine.register_engine` reach workers only
-    under the ``fork`` start method (workers inherit the parent's
-    registry).  On spawn-only platforms workers re-import the engine
-    module and see just the built-ins, so jobs using a custom engine
-    fail with ``unknown method`` — run those campaigns serially there.
-    """
-
-    def __init__(self, processes: Optional[int] = None,
-                 chunksize: Optional[int] = None,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
-                 compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
-        if processes is not None and processes < 1:
-            raise ValueError(f"processes must be >= 1, got {processes}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        self.processes = processes or os.cpu_count() or 1
-        self.chunksize = chunksize
-        self.share_bdd = share_bdd
-        self.workspace_options = workspace_options
-        self.compile_store = compile_store
-        self.store_options = store_options
-        self.share_sat = share_sat
-        self.sat_options = sat_options
-        self._fell_back = False
-        self._fallback: Optional[SerialExecutor] = None
-        self._worker_stats: Dict[int, dict] = {}
-        self._sat_worker_stats: Dict[int, dict] = {}
-        self._bdd_worker_stats: Dict[int, dict] = {}
-
-    @property
-    def name(self) -> str:
-        """Reports the *effective* mode: a 1-worker or <=1-job run never
-        creates a pool, and stats must not claim it did."""
-        if self._fell_back:
-            return "parallel[serial-fallback]"
-        return "parallel"
-
-    def map(self, jobs: Iterable[CheckJob]) -> Iterator[JobResult]:
-        """Stream results in plan order off a ``multiprocessing`` pool
-        (``imap`` restores order); falls back to serial for <=1 job or
-        1 worker, where a pool could only add overhead."""
-        jobs = list(jobs)
-        if len(jobs) <= 1 or self.processes == 1:
-            # nothing to parallelise — skip the pool overhead entirely
-            self._fell_back = True
-            self._fallback = SerialExecutor(
-                share_bdd=self.share_bdd,
-                workspace_options=self.workspace_options,
-                compile_store=self.compile_store,
-                store_options=self.store_options,
-                share_sat=self.share_sat,
-                sat_options=self.sat_options,
-            )
-            yield from self._fallback.map(jobs)
-            return
-        self._fell_back = False
-        self._fallback = None
-        self._worker_stats = {}
-        self._sat_worker_stats = {}
-        self._bdd_worker_stats = {}
-        # the parent's own store only pays for FAIL-trace decodes (a
-        # recompile per failing module), so the default bounds are fine
-        decode_store = _build_store(self.compile_store,
-                                    self.store_options)
-        chunksize = self.chunksize or max(
-            1, len(jobs) // (self.processes * 4)
-        )
-        context = _pool_context()
-        pool = context.Pool(processes=self.processes,
-                            initializer=_init_worker,
-                            initargs=(self.share_bdd,
-                                      self.workspace_options,
-                                      self.compile_store,
-                                      self.store_options,
-                                      self.share_sat,
-                                      self.sat_options))
-        closed = False
-        try:
-            payloads = pool.imap(_worker_run, jobs, chunksize)
-            for job, payload in zip(jobs, payloads):
-                self._note_payload_stats(payload)
-                yield decode_job_result(payload["result"], job,
-                                        decode_store)
-            # reached when the consumer drives the generator past the
-            # last result (the orchestrator always does): shut the
-            # workers down gracefully
-            pool.close()
-            pool.join()
-            closed = True
-        finally:
-            if not closed:
-                pool.terminate()
-                pool.join()
-
-    def _note_payload_stats(self, payload: dict) -> None:
-        pid = payload["pid"]
-        if payload.get("store") is not None:
-            _note_worker_stats(self._worker_stats, pid, payload["store"])
-        if payload.get("sat") is not None:
-            _note_worker_stats(self._sat_worker_stats, pid, payload["sat"])
-        if payload.get("bdd") is not None:
-            _note_worker_stats(self._bdd_worker_stats, pid, payload["bdd"])
-
-    def compile_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker store counters from the last ``map``
-        (each worker ships its latest snapshot with every result);
-        ``{}`` when the store is off."""
-        if self._fallback is not None:
-            return self._fallback.compile_stats()
-        return _merge_worker_stats(self._worker_stats)
-
-    def sat_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker SAT-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.sat_stats()
-        return _merge_worker_stats(self._sat_worker_stats)
-
-    def workspace_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker BDD-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.workspace_stats()
-        return _merge_worker_stats(self._bdd_worker_stats)
-
 
 def _pool_context():
     """Prefer fork (no re-import, cheap job shipping); fall back to the
@@ -437,8 +178,7 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _steal_worker(job_queue, result_queue, share_bdd: bool = False,
-                  workspace_options: Optional[dict] = None,
+def _steal_worker(job_queue, result_queue,
                   compile_store: bool = True,
                   store_options: Optional[dict] = None,
                   share_sat: bool = False,
@@ -452,30 +192,22 @@ def _steal_worker(job_queue, result_queue, share_bdd: bool = False,
 
     Each payload is ``(job index, pickled wire dict | BaseException)``
     — the wire dict carries the encoded result plus this worker's pid
-    and store counters; the parent re-raises exceptions when their
-    job's turn in plan order comes up, matching
-    ``ParallelExecutor``'s error propagation through ``imap``.  A
-    failing job poisons only the rest of its own unit (skipped — their
-    results would be thrown away anyway); the worker keeps stealing
-    other units, exactly like the single-job loop kept stealing other
-    jobs.  Pickling happens here, in the worker, so an unpicklable
+    and warm-state counters; the parent re-raises exceptions when their
+    job's turn in plan order comes up.  A failing job poisons only the
+    rest of its own unit (skipped — their results would be thrown away
+    anyway); the worker keeps stealing other units, exactly like the
+    single-job loop kept stealing other jobs.  Pickling happens here, in the worker, so an unpicklable
     error (a custom engine raising an exotic exception) turns into a
     descriptive RuntimeError instead of dying silently in the queue's
     feeder thread and masquerading as a dead worker; results
     themselves are plain JSON-able dicts and always pickle.
 
-    ``share_bdd`` gives this worker a private multi-manager
-    :class:`~repro.formal.workspace.BddWorkspace`: FIFO-stolen jobs
-    interleave modules, so the worker retains an LRU pool of per-module
-    managers rather than relying on contiguity (module-affinity units
-    make the pool's job trivial — one unit, one hot manager).  The
-    private :class:`~repro.formal.problems.CompiledProblemStore` works
-    the same way: affinity units turn it into one elaboration per
-    module group.
+    FIFO-stolen jobs interleave modules, so the worker's private
+    :class:`~repro.formal.problems.CompiledProblemStore` retains an LRU
+    pool of designs rather than relying on contiguity; module-affinity
+    units turn it into one elaboration per module group.
     """
     store = _build_store(compile_store, store_options)
-    workspace = BddWorkspace(**(workspace_options or {})) \
-        if share_bdd else None
     sat = _build_sat(share_sat, sat_options)
     while True:
         unit = job_queue.get()
@@ -493,14 +225,11 @@ def _steal_worker(job_queue, result_queue, share_bdd: bool = False,
             try:
                 payload = {
                     "result": encode_job_result(
-                        run_check_job(job, store, workspace=workspace,
-                                      sat_workspace=sat)
+                        run_check_job(job, store, sat_workspace=sat)
                     ),
                     "pid": os.getpid(),
                     "store": store.stats() if store is not None else None,
                     "sat": sat.stats() if sat is not None else None,
-                    "bdd": workspace.stats()
-                    if workspace is not None else None,
                 }
             except BaseException as exc:  # ship the failure, keep going
                 payload = exc
@@ -522,8 +251,8 @@ class WorkStealingExecutor:
     """Pull-based multiprocessing executor: a shared job queue drained
     by ``processes`` workers, with an ordered reassembly buffer.
 
-    Compared to :class:`ParallelExecutor`'s ``imap`` chunking, no job
-    is committed to a worker before that worker is free: long checks
+    Unlike static chunking, no job is committed to a worker before
+    that worker is free: long checks
     (the Figure 7 oversized-cone scenario) occupy exactly one worker
     while every other worker keeps pulling, so tail latency is the
     longest single check rather than the longest chunk.  Results arrive
@@ -534,8 +263,8 @@ class WorkStealingExecutor:
     :class:`~repro.orchestrate.policy.SchedulingPolicy` deciding what
     one "pull" hands a worker: the default FIFO policy hands single
     jobs (maximum balance), the module-affinity policy hands one
-    module's whole job group (one worker keeps that module's shared
-    BDD manager hot).  Scheduling changes steal order and worker
+    module's whole job group (one worker keeps that module's warm
+    state hot).  Scheduling changes steal order and worker
     affinity only — results are reassembled into plan order either
     way, so the campaign outcome is policy-invariant.
 
@@ -548,15 +277,18 @@ class WorkStealingExecutor:
     ``multiprocessing`` limitation) can leave the *surviving* workers
     blocked on that lock forever, and a pool that is alive-but-stuck is
     indistinguishable from one running a long check, so that case still
-    hangs.  The same custom-engine caveat as :class:`ParallelExecutor`
-    applies: runtime-registered engines reach workers only under the
-    ``fork`` start method.
+    hangs.
+
+    Engines registered at runtime via
+    :func:`~repro.formal.engine.register_engine` reach workers only
+    under the ``fork`` start method (workers inherit the parent's
+    registry).  On spawn-only platforms workers re-import the engine
+    module and see just the built-ins, so jobs using a custom engine
+    fail with ``unknown method`` — run those campaigns serially there.
     """
 
     def __init__(self, processes: Optional[int] = None,
                  poll_interval: float = 0.1,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
                  scheduling=None,
                  compile_store: bool = True,
                  store_options: Optional[dict] = None,
@@ -570,8 +302,6 @@ class WorkStealingExecutor:
             )
         self.processes = processes or os.cpu_count() or 1
         self.poll_interval = poll_interval
-        self.share_bdd = share_bdd
-        self.workspace_options = workspace_options
         self.compile_store = compile_store
         self.store_options = store_options
         self.share_sat = share_sat
@@ -584,12 +314,11 @@ class WorkStealingExecutor:
         self._fallback: Optional[SerialExecutor] = None
         self._worker_stats: Dict[int, dict] = {}
         self._sat_worker_stats: Dict[int, dict] = {}
-        self._bdd_worker_stats: Dict[int, dict] = {}
 
     @property
     def name(self) -> str:
-        """Reports the *effective* mode, like :class:`ParallelExecutor`:
-        a 1-worker or <=1-job run never spawns workers."""
+        """Reports the *effective* mode: a 1-worker or <=1-job run
+        never spawns workers, and stats must not claim it did."""
         if self._fell_back:
             return "work-stealing[serial-fallback]"
         return "work-stealing"
@@ -603,8 +332,6 @@ class WorkStealingExecutor:
         if len(jobs) <= 1 or self.processes == 1:
             self._fell_back = True
             self._fallback = SerialExecutor(
-                share_bdd=self.share_bdd,
-                workspace_options=self.workspace_options,
                 compile_store=self.compile_store,
                 store_options=self.store_options,
                 share_sat=self.share_sat,
@@ -616,7 +343,8 @@ class WorkStealingExecutor:
         self._fallback = None
         self._worker_stats = {}
         self._sat_worker_stats = {}
-        self._bdd_worker_stats = {}
+        # the parent's own store only pays for FAIL-trace decodes (a
+        # recompile per failing module), so the default bound is fine
         decode_store = _build_store(self.compile_store,
                                     self.store_options)
         units = self.scheduling.batches(jobs)
@@ -637,8 +365,6 @@ class WorkStealingExecutor:
         workers = [
             context.Process(target=_steal_worker,
                             args=(job_queue, result_queue,
-                                  self.share_bdd,
-                                  self.workspace_options,
                                   self.compile_store,
                                   self.store_options,
                                   self.share_sat,
@@ -651,7 +377,7 @@ class WorkStealingExecutor:
         #: JobResult or BaseException by job index; exceptions are
         #: raised only when their job is next in plan order, so every
         #: earlier completed result streams out (and gets journaled)
-        #: first — the same semantics ``imap`` gives ParallelExecutor
+        #: first
         buffered: Dict[int, object] = {}
         try:
             for job in jobs:
@@ -685,8 +411,6 @@ class WorkStealingExecutor:
             _note_worker_stats(self._worker_stats, pid, payload["store"])
         if payload.get("sat") is not None:
             _note_worker_stats(self._sat_worker_stats, pid, payload["sat"])
-        if payload.get("bdd") is not None:
-            _note_worker_stats(self._bdd_worker_stats, pid, payload["bdd"])
 
     def compile_stats(self) -> Dict[str, int]:
         """Aggregated per-worker store counters from the last ``map``
@@ -702,13 +426,6 @@ class WorkStealingExecutor:
         if self._fallback is not None:
             return self._fallback.sat_stats()
         return _merge_worker_stats(self._sat_worker_stats)
-
-    def workspace_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker BDD-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.workspace_stats()
-        return _merge_worker_stats(self._bdd_worker_stats)
 
     def _next_payload(self, result_queue, workers: List) -> tuple:
         """Block for the next (index, payload) pair, watching for a

@@ -25,11 +25,11 @@ Lease lifecycle
 The coordinator hands each worker one *lease* at a time: a batch of
 jobs from the configured
 :class:`~repro.orchestrate.policy.SchedulingPolicy` (module-affinity
-batches keep a worker's ``BddWorkspace`` / ``CompiledProblemStore`` /
-``SatWorkspace`` warm for a whole module group, exactly as in the
-work-stealing pool).  Workers heartbeat on a fixed interval — also
-*during* long checks, from a background thread — so liveness and
-progress are separate signals:
+batches keep a worker's ``CompiledProblemStore`` / ``SatWorkspace``
+warm for a whole module group, exactly as in the work-stealing pool).
+Workers heartbeat on a fixed interval — also *during* long checks,
+from a background thread — so liveness and progress are separate
+signals:
 
 - a worker whose socket dies (SIGKILL, OOM, network) is detected
   immediately at EOF; its lease's unanswered jobs are re-queued at the
@@ -87,8 +87,6 @@ from .job import (
     CheckJob, JobResult, decode_job_result, encode_job_result,
     run_check_job,
 )
-
-from ..formal.workspace import BddWorkspace
 
 
 class FleetError(RuntimeError):
@@ -250,8 +248,6 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
     jobs_by_index = {job.index: job for job in (jobs or [])}
     store = _build_store(settings.get("compile_store", True),
                          settings.get("store_options"))
-    workspace = BddWorkspace(**(settings.get("workspace_options") or {})) \
-        if settings.get("share_bdd") else None
     sat = _build_sat(settings.get("share_sat", False),
                      settings.get("sat_options"))
     try:
@@ -297,8 +293,7 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
                             if order is not None else None
                         try:
                             job_result = run_check_job(
-                                job, store, workspace=workspace,
-                                sat_workspace=sat,
+                                job, store, sat_workspace=sat,
                             )
                         except BaseException as exc:
                             failed = (type(exc).__name__, str(exc))
@@ -314,8 +309,6 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
                                 if store is not None else None,
                                 "sat": sat.stats()
                                 if sat is not None else None,
-                                "bdd": workspace.stats()
-                                if workspace is not None else None,
                             })
                             continue
                 _send({"type": "error", "lease": lease_id,
@@ -346,7 +339,6 @@ def jobs_from_config(config) -> List[CheckJob]:
     plan = plan_campaign(
         blocks, config.build_engines(), lint=config.lint,
         coi_fingerprints=config.coi_fingerprints or "module",
-        coi_slice=bool(config.coi_slice),
     )
     return list(plan.jobs)
 
@@ -367,8 +359,6 @@ def run_fleet_worker(config, connect: str, worker_id: str,
             f"--connect must be HOST:PORT, got {connect!r}"
         ) from None
     settings = {
-        "share_bdd": config.share_bdd,
-        "workspace_options": config.workspace_options(),
         "compile_store": config.compile_store,
         "store_options": config.compile_store_options(),
         "share_sat": config.sat_workspace,
@@ -892,9 +882,9 @@ class FleetExecutor:
     no-heartbeat window after which a worker's lease is revoked and
     re-issued; ``heartbeat_interval`` is the workers' liveness cadence;
     ``max_respawns`` bounds replacement launches (default: the fleet
-    size).  The warm-state trio (``share_bdd`` / ``compile_store`` /
-    ``share_sat`` and their option dicts) is per worker process,
-    exactly as in the multiprocessing pools; ``scheduling`` picks the
+    size).  The warm state (``compile_store`` / ``share_sat`` and
+    their option dicts) is per worker process, exactly as in the
+    work-stealing pool; ``scheduling`` picks the
     lease granularity (module-affinity units keep one module's warm
     state on one worker).
 
@@ -911,8 +901,6 @@ class FleetExecutor:
                  launcher=None,
                  scheduling=None,
                  max_respawns: Optional[int] = None,
-                 share_bdd: bool = False,
-                 workspace_options: Optional[dict] = None,
                  compile_store: bool = True,
                  store_options: Optional[dict] = None,
                  share_sat: bool = False,
@@ -945,8 +933,6 @@ class FleetExecutor:
         self.scheduling = scheduling
         self.max_respawns = max_respawns if max_respawns is not None \
             else self.workers
-        self.share_bdd = share_bdd
-        self.workspace_options = workspace_options
         self.compile_store = compile_store
         self.store_options = store_options
         self.share_sat = share_sat
@@ -956,20 +942,17 @@ class FleetExecutor:
         self._run: Optional[_FleetRun] = None
         self._worker_stats: Dict[object, dict] = {}
         self._sat_worker_stats: Dict[object, dict] = {}
-        self._bdd_worker_stats: Dict[object, dict] = {}
 
     @property
     def name(self) -> str:
-        """Reports the *effective* mode, like the multiprocessing
-        pools: a 1-worker or <=1-job run never opens a socket."""
+        """Reports the *effective* mode, like the work-stealing pool:
+        a 1-worker or <=1-job run never opens a socket."""
         if self._fell_back:
             return "fleet[serial-fallback]"
         return "fleet"
 
     def _worker_settings(self) -> dict:
         return {
-            "share_bdd": self.share_bdd,
-            "workspace_options": self.workspace_options,
             "compile_store": self.compile_store,
             "store_options": self.store_options,
             "share_sat": self.share_sat,
@@ -988,8 +971,6 @@ class FleetExecutor:
             self._fell_back = True
             self._run = None
             self._fallback = SerialExecutor(
-                share_bdd=self.share_bdd,
-                workspace_options=self.workspace_options,
                 compile_store=self.compile_store,
                 store_options=self.store_options,
                 share_sat=self.share_sat,
@@ -1001,7 +982,6 @@ class FleetExecutor:
         self._fallback = None
         self._worker_stats = {}
         self._sat_worker_stats = {}
-        self._bdd_worker_stats = {}
         decode_store = _build_store(self.compile_store,
                                     self.store_options)
         run = _FleetRun(self, jobs)
@@ -1029,9 +1009,6 @@ class FleetExecutor:
         if payload.get("sat") is not None:
             _note_worker_stats(self._sat_worker_stats, pid,
                                payload["sat"])
-        if payload.get("bdd") is not None:
-            _note_worker_stats(self._bdd_worker_stats, pid,
-                               payload["bdd"])
 
     def compile_stats(self) -> Dict[str, int]:
         """Aggregated per-worker store counters from the last ``map``;
@@ -1046,13 +1023,6 @@ class FleetExecutor:
         if self._fallback is not None:
             return self._fallback.sat_stats()
         return _merge_worker_stats(self._sat_worker_stats)
-
-    def workspace_stats(self) -> Dict[str, int]:
-        """Aggregated per-worker BDD-workspace counters from the last
-        ``map``; ``{}`` when sharing is off."""
-        if self._fallback is not None:
-            return self._fallback.workspace_stats()
-        return _merge_worker_stats(self._bdd_worker_stats)
 
     def fleet_stats(self) -> Dict[str, object]:
         """Transport bookkeeping from the last ``map`` — workers

@@ -12,9 +12,9 @@ to try.  Jobs are:
   engine portfolio, so an unchanged check always maps to the same key
   (the result cache's index, see :mod:`repro.orchestrate.cache`); the
   per-component digests also ride on the job (``module_digest``,
-  ``vunit_digest``) and key the shared
+  ``vunit_digest``) and key the shared warm state: the
   :class:`~repro.formal.problems.CompiledProblemStore` every compile
-  path runs through;
+  path runs through, and the SAT sessions;
 - **engine-agnostic** — the portfolio is an ordered tuple of
   :class:`EngineConfig` stages tried until one returns a definitive
   PASS/FAIL verdict, generalising the old hardcoded ``auto`` fallback.
@@ -50,9 +50,8 @@ from ..formal.engine import (
 from ..formal.problems import CompiledProblemStore, content_digest
 from ..formal.satspace import SatWorkspace
 from ..formal.trace import Trace
-from ..formal.workspace import BddWorkspace
 from ..psl.ast import VUnit
-from ..psl.compile import compile_assertion, compile_sliced_assertion
+from ..psl.compile import compile_assertion
 from ..rtl.module import Module
 from ..rtl.verilog import emit_module
 
@@ -98,7 +97,7 @@ class EngineConfig:
     #: config — ``options()`` raises AttributeError otherwise, so a
     #: knob added to EngineOptions without its config counterpart
     #: fails loudly instead of silently defaulting.
-    RUNTIME_OPTION_FIELDS = frozenset({"workspace", "sat_workspace"})
+    RUNTIME_OPTION_FIELDS = frozenset({"sat_workspace"})
 
     def options(self) -> EngineOptions:
         """The :class:`EngineOptions` slice of this config — derived
@@ -115,7 +114,7 @@ class EngineConfig:
         """Stable, JSON-able description used in fingerprints.
 
         Runtime wiring (:data:`RUNTIME_OPTION_FIELDS`) is excluded: a
-        shared node table changes the cost of a check, never a
+        shared solver session changes the cost of a check, never a
         PASS/FAIL verdict, so it must not perturb content
         fingerprints — warmed and cold runs replay each other's cached
         results.
@@ -158,26 +157,19 @@ class CheckJob:
 
     ``module_digest`` is the SHA-256 of the module's emitted Verilog —
     the *module-level* slice of ``fingerprint``.  Jobs sharing a digest
-    encode their transition relations over the same RTL, which is what
-    makes them profitable to run against one shared BDD workspace
-    manager (:mod:`repro.formal.workspace`); executors use it as the
-    workspace key.  ``vunit_digest`` is the matching SHA-256 of the
-    vunit's PSL source; together with ``assert_name`` the two digests
-    are the content key of the job's compiled problem in a
-    :class:`~repro.formal.problems.CompiledProblemStore`.
+    compile against the same elaborated design in a
+    :class:`~repro.formal.problems.CompiledProblemStore`, which is what
+    makes them profitable to run on one worker (the module-affinity
+    scheduling unit).  ``vunit_digest`` is the matching SHA-256 of the
+    vunit's PSL source; together the two digests key the job's shared
+    SAT sessions (:mod:`repro.formal.satspace`).
 
     ``cone_digest`` is the assertion's cone-of-influence content hash
     (:mod:`repro.formal.coi`), stamped by the planner when the ``[coi]``
-    section asks for cone fingerprints or slice compilation (empty
-    otherwise).  With ``fingerprints = "cone"`` it replaces the module
-    digest as the fingerprint's scope component, so two modules that
-    agree on this assertion's cone share the job's cache/verdict-db
-    key.  ``compile_slice`` asks :func:`compile_job` to build the
-    transition system from the cone slice instead of the full module;
-    like ``engine_order`` it is execution wiring outside the
-    fingerprint — slicing changes the cost of a verdict, never the
-    verdict (see :func:`run_check_job` for how FAIL counterexamples
-    stay byte-identical).
+    section asks for cone fingerprints (empty otherwise).  It then
+    replaces the module digest as the fingerprint's scope component,
+    so two modules that agree on this assertion's cone share the job's
+    cache/verdict-db key.
 
     ``engine_order`` is execution-time wiring set by a portfolio
     policy (:mod:`repro.orchestrate.policy`): a permutation of
@@ -198,17 +190,11 @@ class CheckJob:
     module_digest: str = ""
     vunit_digest: str = ""
     cone_digest: str = ""
-    compile_slice: bool = False
     engine_order: Optional[Tuple[int, ...]] = None
 
     @property
     def qualified_name(self) -> str:
         return f"{self.vunit.name}.{self.assert_name}"
-
-    @property
-    def workspace_key(self) -> str:
-        """The key this job's checks share a BDD manager under."""
-        return self.module_digest or self.module.name
 
     def spec(self) -> Dict[str, object]:
         """Portable, digest-bearing description of this job — plain
@@ -232,7 +218,6 @@ class CheckJob:
             "module_digest": self.module_digest,
             "vunit_digest": self.vunit_digest,
             "cone_digest": self.cone_digest,
-            "compile_slice": self.compile_slice,
             "engines": [config.describe() for config in self.engines],
             "engine_order": list(self.engine_order)
             if self.engine_order is not None else None,
@@ -306,42 +291,21 @@ def compile_job(job: CheckJob,
     """Compile the job's assertion into a transition system, through
     the content-addressed ``store`` when one is supplied.
 
-    The store keys the elaborated design by the module's RTL digest
-    and the compiled problem by ``(module digest, vunit digest,
-    assert name)`` — so a module's many jobs share one elaboration,
-    repeated decodes of the same assertion share one compile, and two
-    distinct modules that happen to share a *name* (a golden and a
-    patched variant planned together) can never be served each other's
-    artifacts: equal digests mean byte-identical RTL by construction.
+    The store keys the elaborated design by the module's RTL digest —
+    so a module's many jobs share one elaboration, and two distinct
+    modules that happen to share a *name* (a golden and a patched
+    variant planned together) can never be served each other's
+    designs: equal digests mean byte-identical RTL by construction.
     Without a store the job compiles cold.
-
-    A slice-stamped job (``job.compile_slice``, the ``[coi] slice``
-    knob) compiles against its cone-of-influence slice instead of the
-    full module: same verdict, smaller BDD/SAT problem on wide
-    modules.  Through the store, slice problems are keyed by *cone*
-    digest, so cone-equal jobs of different modules (a golden and its
-    out-of-cone mutants) share one compile.
     """
-    if job.compile_slice:
-        if store is not None:
-            return store.sliced_problem(
-                job.module, job.vunit, job.assert_name,
-                module_digest=job.module_digest or None,
-                vunit_digest=job.vunit_digest or None,
-                cone_digest=job.cone_digest or None,
-            )
-        return compile_sliced_assertion(job.module, job.vunit,
-                                        job.assert_name)
     if store is None:
         return compile_assertion(job.module, job.vunit, job.assert_name)
     return store.problem(job.module, job.vunit, job.assert_name,
-                         module_digest=job.module_digest or None,
-                         vunit_digest=job.vunit_digest or None)
+                         module_digest=job.module_digest or None)
 
 
 def run_check_job(job: CheckJob,
                   store: Optional[CompiledProblemStore] = None,
-                  workspace: Optional[BddWorkspace] = None,
                   sat_workspace: Optional[SatWorkspace] = None
                   ) -> JobResult:
     """Execute one check job: compile (through ``store`` when given —
@@ -358,28 +322,16 @@ def run_check_job(job: CheckJob,
     no stage is definitive, the last stage's result (UNKNOWN/TIMEOUT)
     stands.
 
-    ``workspace`` opts the job's BDD-family stages into shared-manager
-    mode: the workspace is bound to the job's module key
-    (``job.workspace_key``), so every stage — and every other job of
-    the same module run against the same workspace — leases one
-    hash-consed node table instead of rebuilding its universe cold.
-    PASS/FAIL verdicts are workspace-invariant, and each stage still
-    gets its own fresh :class:`~repro.formal.budget.ResourceBudget`
-    charging only newly created nodes — so a warmed stage can settle a
-    check whose node budget would trip cold, never the reverse
-    (see :mod:`repro.orchestrate`).
-
-    ``sat_workspace`` is the SAT-family counterpart: the job binds its
-    assertion into the shared workspace
+    ``sat_workspace`` opts the job's induction stages into shared
+    solver sessions: the job binds its assertion into the workspace
     (:class:`~repro.formal.satspace.SatBinding`), sessions are
-    materialised lazily only when a SAT-family stage actually runs (a
+    materialised lazily only when an induction stage actually runs (a
     BDD-only portfolio compiles no cluster), and the binding is retired
     — the assertion's activation literal permanently deactivated — when
     the job finishes, whatever the outcome.  Verdicts, depths, and
-    counterexample bytes are workspace-invariant; note that unlike the
-    BDD workspace's one-sided guarantee, a binding *conflict* budget can
-    trip warm where it wouldn't cold (and vice versa) — campaign
-    defaults keep it non-binding.
+    counterexample bytes are workspace-invariant; a binding *conflict*
+    budget can trip warm where it wouldn't cold (and vice versa) —
+    campaign defaults keep it non-binding.
 
     ``job.engine_order`` (set by a portfolio policy) permutes the
     *attempt* order only.  A definitive PASS/FAIL verdict is
@@ -401,8 +353,6 @@ def run_check_job(job: CheckJob,
             f"a permutation of the {len(job.engines)}-stage portfolio"
         )
     ts = compile_job(job, store)
-    binding = workspace.bind(job.workspace_key) \
-        if workspace is not None else None
     sat_binding = sat_workspace.bind(
         job.module, job.vunit, job.assert_name,
         module_digest=job.module_digest, vunit_digest=job.vunit_digest,
@@ -415,8 +365,6 @@ def run_check_job(job: CheckJob,
         for position in order:
             config = job.engines[position]
             options = config.options()
-            if binding is not None:
-                options = replace(options, workspace=binding)
             if sat_binding is not None:
                 options = replace(options, sat_workspace=sat_binding)
             checker = ModelChecker(ts, budget=config.make_budget())
@@ -442,9 +390,6 @@ def run_check_job(job: CheckJob,
     # a single-stage portfolio keeps the same provenance a ladder does
     result.stats["portfolio"] = attempts
     result.seconds = sum(attempt["seconds"] for attempt in attempts)
-    if job.compile_slice and result.status == FAIL \
-            and result.trace is not None:
-        _rederive_slice_fail(job, store, result)
     if len(job.engines) > 1:
         result.engine = f"portfolio:{result.engine}"
     return JobResult(
@@ -457,44 +402,6 @@ def run_check_job(job: CheckJob,
         result=result,
         cached=False,
     )
-
-
-def _rederive_slice_fail(job: CheckJob,
-                         store: Optional[CompiledProblemStore],
-                         result: CheckResult) -> None:
-    """Swap a slice-found counterexample for the full-compile one.
-
-    Reports must be byte-identical with slicing on or off.  Verdicts
-    and minimal depths are — the slice is behaviour-preserving on the
-    property's cone — but the *model* a SAT/BDD search lands on can
-    differ between the slice and the full compile (their internal
-    variable orders differ even though input literals match), and
-    FAIL canonical frames are part of report bytes.  So a slice-mode
-    FAIL re-searches the full compile cold at the found depth — the
-    exact derivation every non-slice FAIL trace ultimately comes from
-    — and carries those frames instead.  If the re-search ever
-    disagrees (it cannot, short of a cone-analysis bug), the sound
-    slice trace stands rather than silently dropping a verdict.
-    """
-    from ..formal.bmc import bmc
-
-    if store is not None:
-        full_ts = store.problem(job.module, job.vunit, job.assert_name,
-                                module_digest=job.module_digest or None,
-                                vunit_digest=job.vunit_digest or None)
-    else:
-        full_ts = compile_assertion(job.module, job.vunit,
-                                    job.assert_name)
-    depth = result.depth if result.depth is not None \
-        else result.trace.length - 1
-    # no depth-equality requirement on the re-search: BDD engines
-    # report their iteration bound, not the minimal counterexample
-    # length, and the off-mode trace is whatever bmc(full, bound)
-    # concretises — exactly what is reproduced here
-    rerun = bmc(full_ts, depth)
-    if rerun.failed and rerun.trace is not None:
-        result.trace = rerun.trace
-        result.stats["coi_rederived"] = True
 
 
 # ----------------------------------------------------------------------
@@ -538,8 +445,7 @@ def decode_result(entry: dict, job: CheckJob,
     compiled transition system — so callers degrade to a re-check
     instead of ever replaying a wrong verdict.  ``store`` amortises the
     FAIL-replay compiles: consecutive decodes of one module's entries
-    share its elaborated design (and repeated decodes of one assertion
-    share the compiled problem outright).
+    share its elaborated design.
     """
     status = entry["status"]
     if status not in _STATUSES:

@@ -12,8 +12,8 @@
 3. the configured :class:`~repro.orchestrate.policy.PortfolioPolicy`
    picks each remaining job's engine attempt order (the adaptive
    policy tries the cache's historical winner first), then the
-   executor (serial by default; chunked-pool or work-stealing
-   process-parallel opt-in, the latter scheduled by the configured
+   executor (serial by default; work-stealing process pools and the
+   socket fleet are opt-in, both scheduled by the configured
    :class:`~repro.orchestrate.policy.SchedulingPolicy`) streams
    :class:`JobResult`\\ s back in plan order, each fresh result
    journaled to the checkpoint as it arrives;
@@ -61,7 +61,7 @@ class CampaignOrchestrator:
         CampaignOrchestrator(blocks, config=config).run()
 
     Every component — engine portfolio, executor (with its scheduling
-    policy and shared-BDD wiring), result cache, checkpoint journal —
+    policy and warm-state wiring), result cache, checkpoint journal —
     is built from the config, and the config's :meth:`digest
     <repro.orchestrate.config.CampaignConfig.digest>` is stamped into
     ``report.stats["config_digest"]`` so the report names the exact
@@ -160,7 +160,6 @@ class CampaignOrchestrator:
         return plan_campaign(
             self.blocks, self.engines, lint=self.lint,
             coi_fingerprints=self.config.coi_fingerprints or "module",
-            coi_slice=bool(self.config.coi_slice),
         )
 
     # ------------------------------------------------------------------
@@ -269,7 +268,6 @@ class CampaignOrchestrator:
         scheduling = getattr(self.executor, "scheduling", None)
         compile_stats_fn = getattr(self.executor, "compile_stats", None)
         sat_stats_fn = getattr(self.executor, "sat_stats", None)
-        bdd_stats_fn = getattr(self.executor, "workspace_stats", None)
         fleet_stats_fn = getattr(self.executor, "fleet_stats", None)
         report.stats = {
             # every record embedding these counters (CLI --stats, the
@@ -299,7 +297,6 @@ class CampaignOrchestrator:
             # executor's workers (empty dict = sharing off or executor
             # without the hook)
             "sat_workspace": sat_stats_fn() if sat_stats_fn else {},
-            "bdd_workspace": bdd_stats_fn() if bdd_stats_fn else {},
             # fleet transport bookkeeping (workers launched/lost,
             # leases issued/re-issued, rejected results, per-worker job
             # counts); empty dict = not a fleet executor
@@ -311,7 +308,6 @@ class CampaignOrchestrator:
             # still reported but cone_hits stays 0)
             "coi": {
                 "fingerprints": self.config.coi_fingerprints or "module",
-                "slice": bool(self.config.coi_slice),
                 "unique_cones": len({job.cone_digest
                                      for job in plan.jobs
                                      if job.cone_digest}),

@@ -56,29 +56,26 @@ class CampaignPlan:
         return list(seen)
 
     def module_groups(self) -> Dict[str, List[int]]:
-        """Job indices grouped by module fingerprint, in plan order.
+        """Job indices grouped by module digest, in plan order.
 
         The planner emits each module's jobs contiguously, so every
-        group is a contiguous index run.  Jobs in one group share a
-        module digest, hence a variable numbering, hence a profitable
-        shared BDD manager.  Each job carries the group key as
-        ``CheckJob.workspace_key``, and this grouping is the
+        group is a contiguous index run.  Jobs in one group share an
+        elaborated design and SAT sessions, and this grouping is the
         module-affinity scheduling unit: with
         ``scheduling = "module-affinity"`` the work-stealing executor
         hands one group per queue pull
         (:class:`~repro.orchestrate.policy.ModuleAffinityScheduling`),
-        keeping one module's manager hot on one worker.
+        keeping one module's warm state hot on one worker.
         """
         groups: Dict[str, List[int]] = {}
         for job in self.jobs:
-            groups.setdefault(job.workspace_key, []).append(job.index)
+            groups.setdefault(job.module_digest, []).append(job.index)
         return groups
 
 
 def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
                   lint: bool = True,
-                  coi_fingerprints: str = "module",
-                  coi_slice: bool = False) -> CampaignPlan:
+                  coi_fingerprints: str = "module") -> CampaignPlan:
     """Walk ``blocks`` once and produce the flat, ordered job list.
 
     Scoping, lint order, and job order exactly mirror the legacy
@@ -90,19 +87,17 @@ def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
     ``"cone"`` keys it by the assertion's cone-of-influence digest
     (:mod:`repro.formal.coi`) — so two modules that agree on one
     assertion's cone share that job's fingerprint, and a one-site
-    mutant re-checks only the cone-touching subset of its jobs.
-    ``coi_slice`` stamps the jobs for slice compilation (the
-    ``TransitionSystem`` is built from the cone slice instead of the
-    full module).  Either option computes one cone index per module at
-    plan time — a single monitor-free elaboration, amortised across
-    the module's assertions.
+    mutant re-checks only the cone-touching subset of its jobs.  Cone
+    mode computes one cone index per module at plan time — a single
+    monitor-free elaboration, amortised across the module's
+    assertions.
     """
     if coi_fingerprints not in COI_FINGERPRINT_MODES:
         raise ValueError(
             f"coi_fingerprints must be one of {COI_FINGERPRINT_MODES}, "
             f"got {coi_fingerprints!r}"
         )
-    need_cones = coi_fingerprints == "cone" or coi_slice
+    need_cones = coi_fingerprints == "cone"
     plan = CampaignPlan()
     engines_text = engines_digest(engines)
     index = 0
@@ -145,7 +140,6 @@ def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
                         module_digest=module_digest,
                         vunit_digest=vunit_digest,
                         cone_digest=cone,
-                        compile_slice=coi_slice,
                     ))
                     index += 1
     return plan

@@ -12,8 +12,8 @@ an API slot:
   work-stealing behaviour the executor always had.
   :class:`ModuleAffinityScheduling` batches each module's jobs
   (``CampaignPlan.module_groups()``) into one unit, so one worker keeps
-  one module's shared BDD manager hot instead of the pool interleaving
-  modules across workers;
+  one module's elaborated design and SAT sessions hot instead of the
+  pool interleaving modules across workers;
 - a :class:`PortfolioPolicy` picks the *attempt order* of a job's
   engine portfolio.  The default (:class:`StaticPortfolio`) runs the
   configured order.  :class:`AdaptivePortfolio` consults the
@@ -80,14 +80,13 @@ class FifoScheduling(SchedulingPolicy):
 class ModuleAffinityScheduling(SchedulingPolicy):
     """One unit per module group, in first-appearance order.
 
-    Jobs sharing a ``workspace_key`` (the module's RTL digest) encode
-    their transition relations over the same variable numbering, so
-    they profit from one shared BDD manager — but a one-job-at-a-time
-    queue sprays them across workers, each rebuilding (or LRU-thrashing)
-    its own manager.  Batching the whole group into one unit keeps one
-    module's manager hot on one worker; stealing still balances at the
-    granularity of modules, which is exactly the granularity at which
-    balance is free.
+    Jobs sharing a ``module_digest`` (the module's RTL digest) compile
+    against one elaborated design and share SAT sessions — but a
+    one-job-at-a-time queue sprays them across workers, each
+    re-elaborating (or LRU-thrashing) its own copy.  Batching the whole
+    group into one unit keeps one module's warm state hot on one
+    worker; stealing still balances at the granularity of modules,
+    which is exactly the granularity at which balance is free.
     """
 
     name = "module-affinity"
@@ -96,7 +95,7 @@ class ModuleAffinityScheduling(SchedulingPolicy):
         groups: Dict[str, List[CheckJob]] = {}
         order: List[str] = []
         for job in jobs:
-            key = job.workspace_key
+            key = job.module_digest
             if key not in groups:
                 groups[key] = []
                 order.append(key)

@@ -1,8 +1,8 @@
 """The versioned campaign-stats schema — one shape for every consumer.
 
 ``CampaignReport.stats`` grew one ad-hoc counter block per warm-state
-layer (compile store, SAT workspace, BDD workspace, fleet transport,
-portfolio attempts).  Each consumer — the CLI's ``--stats`` printer,
+layer (compile store, SAT workspace, fleet transport, portfolio
+attempts).  Each consumer — the CLI's ``--stats`` printer,
 the campaign benchmark's records, and now the service daemon's
 ``/metrics`` endpoint — used to hand-pick its own subset, so adding a
 counter meant touching every consumer and drifting was easy.
@@ -20,8 +20,10 @@ This module is the single contract instead:
   map are presentation detail, not schema), empty groups are dropped,
   and group order is fixed — so two runs' metrics diff line-for-line.
 
-Versioning rule: adding a *group* or a *counter* is backward
-compatible and keeps ``repro-stats/v1``; renaming or re-nesting
+Versioning rule: adding a *group* or a *counter*, or removing a
+counter, is backward compatible and keeps ``repro-stats/v1`` —
+consumers read counters with a default, and a group left with no
+counters is dropped like any empty group.  Renaming or re-nesting
 either bumps the version.
 """
 
@@ -31,7 +33,8 @@ from typing import Dict, Mapping
 
 #: the version tag stamped into ``report.stats`` and every record that
 #: embeds campaign counters (benchmark JSON, ``/metrics``, campaign
-#: status).  Bump only on incompatible reshapes — additions are free.
+#: status).  Bump only on incompatible reshapes — additions and counter
+#: removals are free.
 STATS_SCHEMA = "repro-stats/v1"
 
 #: group name -> where it lives in ``report.stats`` (a top-level key,
@@ -42,7 +45,6 @@ _GROUPS = (
     ("compile_store_run", ("compile_store", "run")),
     ("compile_store_replay", ("compile_store", "replay")),
     ("sat_workspace", ("sat_workspace",)),
-    ("bdd_workspace", ("bdd_workspace",)),
     ("fleet", ("fleet",)),
     ("coi", ("coi",)),
     ("engine_attempts", ("engine_attempts",)),

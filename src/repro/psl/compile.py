@@ -202,9 +202,7 @@ def compile_sliced_assertion(module: Module, vunit: VUnit,
     design — only the cone's registers, the full input signature (so
     input literal numbering matches a full compile and cached
     counterexample frames replay either way), and the
-    property-referenced outputs.  Store-backed callers should prefer
-    :meth:`repro.formal.problems.CompiledProblemStore.sliced_problem`,
-    which shares cone indexes and slices across jobs.
+    property-referenced outputs.
     """
     # deferred import: formal.coi sits above this front-end layer
     from ..formal.coi import ConeIndex
@@ -278,9 +276,8 @@ def compile_vunit(module: Module, vunit: VUnit,
     routes every compilation through the shared content-addressed
     layer: the vunit's assertions — and every other compilation of the
     same module content anywhere in the process — share one elaborated
-    design, and re-compiling an unchanged assertion returns the
-    retained transition system outright.  Without a store each
-    assertion elaborates and compiles cold, as before.
+    design.  Without a store each assertion elaborates and compiles
+    cold, as before.
     """
     problems = []
     for assert_name, _ in vunit.asserted():

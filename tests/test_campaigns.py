@@ -9,10 +9,9 @@ from repro.core.campaign import FormalCampaign
 from repro.core.report import (
     format_status_summary, format_table2, format_table3, render_table,
 )
-from repro.core.stereotypes import stereotype_vunits
 from repro.formal.budget import ResourceBudget
 from repro.formal.engine import FAIL, PASS
-from repro.psl.compile import compile_assertion
+from repro.orchestrate import CampaignConfig
 from repro.sim.campaign import SimulationCampaign
 
 
@@ -119,7 +118,7 @@ class TestProgressCallback:
         ]
 
     def test_order_stable_across_executors(self):
-        from repro.orchestrate import ParallelExecutor
+        from repro.orchestrate import WorkStealingExecutor
         chip = ComponentChip(only_blocks=["C"])
         blocks = [("C", chip.blocks[0][1][:3])]
         serial_lines, parallel_lines = [], []
@@ -128,7 +127,7 @@ class TestProgressCallback:
         )
         FormalCampaign(
             blocks, budget_factory=_budget,
-            executor=ParallelExecutor(processes=2),
+            executor=WorkStealingExecutor(processes=2),
         ).run(progress=parallel_lines.append)
         assert serial_lines == parallel_lines
 
@@ -147,22 +146,17 @@ class TestSimulationCampaign:
             for r in sim_report.results if r.found_bug
         }
 
+        # every assertion with `auto` on a cold solver, over a
+        # two-worker pool (verdicts and depths are executor-invariant)
+        config = CampaignConfig(engines="auto", sat_conflicts=500_000,
+                                bdd_nodes=5_000_000, sat_workspace=False,
+                                executor="workstealing:2")
+        report = FormalCampaign([("defective", defective)],
+                                config=config).run()
         formal_failures = {}
-        for module in defective:
-            fails = []
-            for unit in stereotype_vunits(module):
-                for assert_name, _ in unit.asserted():
-                    ts = compile_assertion(module, unit, assert_name)
-                    from repro.formal.engine import ModelChecker
-                    result = ModelChecker(ts, _budget()).check()
-                    if result.status == FAIL:
-                        fails.append(type("R", (), {
-                            "qualified_name":
-                                f"{unit.name}.{assert_name}",
-                            "result": result,
-                        })())
-            if fails:
-                formal_failures[module.name] = fails
+        for record in report.by_status(FAIL):
+            formal_failures.setdefault(record.module_name, []).append(
+                record)
         return classify_findings(DEFECTS, formal_failures, sim_found)
 
     def test_formal_finds_all_seven(self, findings):

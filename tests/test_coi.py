@@ -3,11 +3,10 @@
 The load-bearing property: an assertion's cone digest depends on
 exactly the logic in its support cone.  A defect *outside* the cone
 leaves the digest — hence the job fingerprint, hence the cached
-verdict — unchanged; a defect *inside* changes it.  Slice compilation
-must be invisible in outcomes: the transition system built from the
-cone slice yields the same verdict as the full-module compile, and a
-whole campaign run with cone fingerprints + slicing stays
-byte-identical to the legacy module-digest run.
+verdict — unchanged; a defect *inside* changes it.  The transition
+system built from the cone slice yields the same verdict as the
+full-module compile, and a whole campaign run with cone fingerprints
+stays byte-identical to the legacy module-digest run.
 """
 
 import os
@@ -124,17 +123,6 @@ class TestPlannerFingerprints:
         for before, after in zip(module_plan.jobs, cone_plan.jobs):
             assert before.fingerprint != after.fingerprint
 
-    def test_slice_alone_keeps_module_fingerprints(self, verifiable_leaf):
-        """``slice = true`` changes how jobs compile, never what they
-        are: fingerprints stay module-scoped, caches stay valid."""
-        blocks = [("L", [verifiable_leaf])]
-        plain = plan_campaign(blocks, _engines())
-        sliced = plan_campaign(blocks, _engines(), coi_slice=True)
-        assert [job.fingerprint for job in plain.jobs] == \
-            [job.fingerprint for job in sliced.jobs]
-        assert all(job.compile_slice for job in sliced.jobs)
-        assert all(job.cone_digest for job in sliced.jobs)
-
 
 class TestVerdictReuse:
     def test_untouched_cone_jobs_hit_the_golden_cache(
@@ -178,7 +166,7 @@ class TestVerdictReuse:
 
 class TestWarmSweep:
     def test_warm_golden_executes_fewer_jobs_same_digest(self, tmp_path):
-        config = CampaignConfig(coi_fingerprints="cone", coi_slice=True,
+        config = CampaignConfig(coi_fingerprints="cone",
                                 cache_path=str(tmp_path / "cache.json"))
         kwargs = dict(config=config, classes=["wrong-rotate"],
                       sites_per_module=1)
@@ -196,22 +184,17 @@ class TestWarmSweep:
 
 class TestCoiConfig:
     def test_toml_round_trip(self):
-        config = CampaignConfig.from_toml(
-            '[coi]\nfingerprints = "cone"\nslice = true\n')
+        config = CampaignConfig.from_toml('[coi]\nfingerprints = "cone"\n')
         assert config.coi_fingerprints == "cone"
-        assert config.coi_slice is True
         again = CampaignConfig.from_toml(config.to_toml())
         assert again.digest() == config.digest()
 
     def test_absent_section_keeps_legacy_digest(self):
         """Pre-COI configs must not change identity: ``None`` defaults
         serialize to nothing, so stamped digests stay put."""
-        assert CampaignConfig(coi_fingerprints=None,
-                              coi_slice=None).digest() == \
+        assert CampaignConfig(coi_fingerprints=None).digest() == \
             CampaignConfig().digest()
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError, match="coi_fingerprints"):
             CampaignConfig(coi_fingerprints="quantum")
-        with pytest.raises(ConfigError, match="coi_slice"):
-            CampaignConfig(coi_slice=1)

@@ -1,6 +1,6 @@
 """The content-addressed compiled-problem store and its campaign wiring.
 
-Covers the store itself (two-level LRU, digest keying, counters), the
+Covers the store itself (design LRU, digest keying, counters), the
 compile paths refactored onto it (``compile_job``, ``compile_vunit``,
 ``partition_property``), the executor wiring (per-worker stores, the
 process wire codec), and the campaign-level guarantees: byte-identical
@@ -20,8 +20,8 @@ from repro.formal.problems import (
     CompiledProblemStore, compilations_total, elaborations_total,
 )
 from repro.orchestrate import (
-    CampaignConfig, CampaignOrchestrator, EngineConfig,
-    ModuleAffinityScheduling, ParallelExecutor, SerialExecutor,
+    CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
+    ModuleAffinityScheduling, SerialExecutor,
     WorkStealingExecutor, compile_job, decode_job_result,
     encode_job_result, plan_campaign, run_check_job,
 )
@@ -63,9 +63,10 @@ class TestStore:
         assert stats["design_hits"] == 1
         assert stats["design_misses"] == 1
 
-    def test_problem_level_two_tier(self, buggy_plan):
-        """Distinct assertions of one module miss the problem level but
-        hit the design level; a repeated assertion hits outright."""
+    def test_assertions_share_one_elaboration(self, buggy_plan):
+        """Distinct assertions of one module compile against one
+        retained design; a repeated assertion compiles afresh against
+        it (compiled problems are not retained)."""
         store = CompiledProblemStore()
         jobs = [job for job in buggy_plan.jobs
                 if job.module.name == buggy_plan.jobs[0].module.name]
@@ -73,9 +74,9 @@ class TestStore:
         second = compile_job(jobs[1], store)
         assert first is not second
         assert store.stats()["design_hits"] == 1   # reused elaboration
-        assert store.stats()["problem_hits"] == 0
-        assert compile_job(jobs[0], store) is first
-        assert store.stats()["problem_hits"] == 1
+        assert compile_job(jobs[0], store) is not first
+        assert store.stats()["design_hits"] == 2
+        assert store.stats()["design_misses"] == 1
 
     def test_lru_eviction_under_max_designs_1(self, buggy_plan):
         store = CompiledProblemStore(max_designs=1)
@@ -89,15 +90,6 @@ class TestStore:
         assert stats["design_misses"] == 3
         assert stats["design_evictions"] == 2
         assert stats["designs"] == 1
-
-    def test_problem_eviction_bounded(self, buggy_plan):
-        store = CompiledProblemStore(max_problems=1)
-        jobs = buggy_plan.jobs[:3]
-        for job in jobs:
-            compile_job(job, store)
-        stats = store.stats()
-        assert stats["problems"] == 1
-        assert stats["problem_evictions"] == 2
 
     def test_digest_keying_separates_same_name_modules(self):
         """A golden and a patched module share a *name* but never a
@@ -120,22 +112,20 @@ class TestStore:
     def test_bounds_validated(self):
         with pytest.raises(ValueError, match="max_designs"):
             CompiledProblemStore(max_designs=0)
-        with pytest.raises(ValueError, match="max_problems"):
-            CompiledProblemStore(max_problems=0)
 
     def test_discard_compiles_cold_again(self, buggy_plan):
         store = CompiledProblemStore()
         compile_job(buggy_plan.jobs[0], store)
         store.discard()
         compile_job(buggy_plan.jobs[0], store)
-        assert store.stats()["problem_misses"] == 2
+        assert store.stats()["design_misses"] == 2
 
     def test_merge_stats_sums_counters(self):
         merged = CompiledProblemStore.merge_stats(
-            {"design_hits": 2, "problem_hits": 1},
+            {"design_hits": 2, "design_evictions": 1},
             {"design_hits": 3, "design_misses": 4},
         )
-        assert merged == {"design_hits": 5, "problem_hits": 1,
+        assert merged == {"design_hits": 5, "design_evictions": 1,
                           "design_misses": 4}
 
     def test_process_wide_totals_advance(self, buggy_plan):
@@ -146,9 +136,9 @@ class TestStore:
         assert compilations_total() == compilations + 1
         store = CompiledProblemStore()
         compile_job(buggy_plan.jobs[0], store)   # miss: both count
-        compile_job(buggy_plan.jobs[0], store)   # hit: neither counts
+        compile_job(buggy_plan.jobs[0], store)   # hit: compile only
         assert elaborations_total() == elaborations + 2
-        assert compilations_total() == compilations + 2
+        assert compilations_total() == compilations + 3
 
 
 # ----------------------------------------------------------------------
@@ -181,10 +171,10 @@ class TestCompilePaths:
         assert len(problems) == len(job.vunit.asserted())
         # one elaboration serves the whole vunit...
         assert store.stats()["design_misses"] == 1
-        # ...and recompiling the vunit serves every problem from store
+        # ...and recompiling the vunit reuses it again
         again = compile_vunit(job.module, job.vunit, store=store)
-        assert [ts is prior for ts, prior in zip(again, problems)] == \
-            [True] * len(problems)
+        assert len(again) == len(problems)
+        assert store.stats()["design_misses"] == 1
 
     def test_partition_checkpoints_share_one_elaboration(self):
         from repro.chip.library import fig7_cut_registers, fig7_module
@@ -199,7 +189,6 @@ class TestCompilePaths:
                                   store=store)
         stats = store.stats()
         # one checkpoint problem per cut, all sharing one elaboration
-        assert stats["problem_misses"] == len(cuts)
         assert stats["design_misses"] == 1
         assert stats["design_hits"] == len(cuts) - 1
         cold = partition_property(module, vunit, assert_name, cuts)
@@ -280,8 +269,7 @@ def _store_variants():
         pytest.param(dict(compile_store=True), id="store-on"),
         pytest.param(dict(compile_store=False), id="store-off"),
         pytest.param(dict(compile_store=True,
-                          store_options={"max_designs": 1,
-                                         "max_problems": 1}),
+                          store_options={"max_designs": 1}),
                      id="store-thrashed"),
     ]
 
@@ -297,10 +285,10 @@ class TestCampaignByteIdentity:
     @pytest.mark.parametrize("store_kwargs", _store_variants())
     @pytest.mark.parametrize("executor_factory", [
         pytest.param(SerialExecutor, id="serial"),
-        pytest.param(lambda **kw: ParallelExecutor(processes=2, **kw),
-                     id="parallel"),
         pytest.param(lambda **kw: WorkStealingExecutor(processes=2, **kw),
                      id="work-stealing"),
+        pytest.param(lambda **kw: FleetExecutor(workers=2, **kw),
+                     id="fleet"),
     ])
     def test_outcome_invariant_across_executors_and_stores(
             self, buggy_blocks, reference, executor_factory,
@@ -323,7 +311,7 @@ class TestCampaignByteIdentity:
         store_on = CampaignOrchestrator(
             blocks, engines=_engines(),
             executor=SerialExecutor(
-                store_options={"max_designs": 4, "max_problems": 64}),
+                store_options={"max_designs": 4}),
         ).run()
         store_off = CampaignOrchestrator(
             blocks, engines=_engines(),
@@ -361,7 +349,7 @@ class TestCampaignByteIdentity:
         assert report.stats["cache_hits"] == report.total_properties
         # the FAIL replays recompiled through the replay store
         replay = report.stats["compile_store"]["replay"]
-        assert replay["problem_misses"] > 0
+        assert replay["design_misses"] > 0
         resumed = CampaignOrchestrator(
             buggy_blocks, engines=_engines(),
             checkpoint=CampaignCheckpoint(journal),
@@ -377,8 +365,9 @@ class TestExecutorStoreWiring:
         list(executor.map(buggy_plan.jobs))
         second = executor.compile_stats()
         assert first["workers"] == 1
-        # the second run hits the retained problems outright
-        assert second["problem_hits"] >= first["problem_misses"]
+        # the second run elaborates nothing: every design is retained
+        assert second["design_misses"] == first["design_misses"]
+        assert second["design_hits"] > first["design_hits"]
 
     def test_store_off_reports_empty_stats(self, buggy_plan):
         executor = SerialExecutor(compile_store=False)
@@ -429,8 +418,7 @@ class TestExecutorStoreWiring:
 class TestConfigKnobs:
     def test_compile_section_round_trips(self):
         config = CampaignConfig(compile_store=True,
-                                compile_max_designs=3,
-                                compile_max_problems=7)
+                                compile_max_designs=3)
         again = CampaignConfig.from_dict(config.to_dict())
         assert again == config
         assert again.compile_max_designs == 3
@@ -439,22 +427,18 @@ class TestConfigKnobs:
 
     def test_unlimited_form_accepted(self):
         config = CampaignConfig.from_dict(
-            {"compile": {"max_designs": "unlimited",
-                         "max_problems": "unlimited"}}
+            {"compile": {"max_designs": "unlimited"}}
         )
         assert config.compile_max_designs is None
-        assert config.compile_max_problems is None
         # bounded-by-default: None must serialize back as "unlimited"
         assert config.to_dict()["compile"]["max_designs"] == "unlimited"
 
     def test_knobs_reach_the_executor(self):
         config = CampaignConfig(executor="workstealing:2",
-                                compile_max_designs=2,
-                                compile_max_problems=5)
+                                compile_max_designs=2)
         executor = config.build_executor()
         assert executor.compile_store is True
-        assert executor.store_options == {"max_designs": 2,
-                                          "max_problems": 5}
+        assert executor.store_options == {"max_designs": 2}
         off = CampaignConfig(compile_store=False).build_executor()
         assert off.store is None
 
@@ -471,7 +455,7 @@ class TestConfigKnobs:
         tuned = CampaignConfig(compile_max_designs=1)
         assert base.digest() != tuned.digest()
         # ...but job fingerprints (cache keys) stay put: the store is
-        # runtime wiring, like the BDD workspace
+        # runtime wiring, like the SAT workspace
         plan_a = CampaignOrchestrator(buggy_blocks, config=base).plan()
         plan_b = CampaignOrchestrator(buggy_blocks, config=tuned).plan()
         assert [j.fingerprint for j in plan_a.jobs] == \

@@ -16,7 +16,7 @@ from repro.chip import ComponentChip
 from repro.core.campaign import FormalCampaign
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, ConfigError, EngineConfig,
-    FleetExecutor, ParallelExecutor, SerialExecutor,
+    FleetExecutor, SerialExecutor,
     WorkStealingExecutor, parse_engines_spec, parse_executor_spec,
 )
 from repro.orchestrate.config import CONFIG_SCHEMA
@@ -43,8 +43,6 @@ def _config(**overrides):
 class TestExecutorSpec:
     def test_grammar(self):
         assert parse_executor_spec("serial") == ("serial", None)
-        assert parse_executor_spec("parallel") == ("parallel", None)
-        assert parse_executor_spec("parallel:4") == ("parallel", 4)
         assert parse_executor_spec("workstealing:2") == \
             ("work-stealing", 2)
         assert parse_executor_spec("work-stealing:2") == \
@@ -95,11 +93,8 @@ FULL = dict(
     bdd_nodes=None, max_bound=50, max_k=30, unique_states=False,
     num_window_vars=3,
     executor="workstealing:3", scheduling="module-affinity",
-    portfolio="adaptive", share_bdd=False,
-    workspace_max_managers=4, workspace_retain_memos=False,
-    workspace_max_manager_nodes=100_000,
+    portfolio="adaptive",
     compile_store=False, compile_max_designs=3,
-    compile_max_problems=9,
     cache_path="cache.json", cache_max_entries=50,
     checkpoint_path="campaign.journal",
     fleet_port=5555, fleet_lease_timeout=12.5,
@@ -140,7 +135,7 @@ class TestRoundTrip:
         data = CampaignConfig().to_dict()
         assert "cache" not in data
         assert "checkpoint" not in data
-        assert "max_manager_nodes" not in data.get("workspace", {})
+        assert "max_session_clauses" not in data["sat"]
 
 
 class TestDigest:
@@ -160,11 +155,9 @@ class TestDigest:
             FULL, blocks=("A",), lint=True, engines="portfolio",
             sat_conflicts=1, bdd_nodes=2, max_bound=51, max_k=31,
             unique_states=True, num_window_vars=4, executor="serial",
-            scheduling="fifo", portfolio="static", share_bdd=True,
-            workspace_max_managers=5, workspace_retain_memos=True,
-            workspace_max_manager_nodes=100_001,
+            scheduling="fifo", portfolio="static",
             compile_store=True, compile_max_designs=4,
-            compile_max_problems=10, cache_path="other.json",
+            cache_path="other.json",
             cache_max_entries=51, checkpoint_path="other.journal",
             fleet_port=5556, fleet_lease_timeout=13.5,
             fleet_heartbeat_interval=0.35, fleet_launcher="local",
@@ -199,7 +192,6 @@ class TestStrictness:
         (dict(scheduling="lifo"), "scheduling"),
         (dict(portfolio="oracle"), "portfolio"),
         (dict(lint=1), "lint"),
-        (dict(share_bdd="yes"), "share_bdd"),
         (dict(sat_conflicts=-1), "sat_conflicts"),
         (dict(cache_max_entries=0), "cache_max_entries"),
         (dict(max_k=0), "max_k"),
@@ -218,6 +210,24 @@ class TestStrictness:
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             CampaignConfig(**kwargs)
+
+    @pytest.mark.parametrize("toml,key", [
+        ("[execution]\nshare_bdd = true\n", "share_bdd"),
+        ("[workspace]\nmax_managers = 4\n", r"\[workspace\]"),
+        ("[workspace]\nretain_memos = false\n", r"\[workspace\]"),
+        ("[workspace]\nmax_manager_nodes = 100000\n", r"\[workspace\]"),
+        ("[coi]\nslice = true\n", "slice"),
+        ("[compile]\nmax_problems = 64\n", "max_problems"),
+        ('[execution]\nexecutor = "parallel:2"\n', "parallel"),
+        ('[execution]\nexecutor = "parallel"\n', "parallel"),
+    ], ids=["share_bdd", "workspace", "workspace-retain_memos",
+            "workspace-max_manager_nodes", "coi-slice", "max_problems",
+            "parallel", "parallel-bare"])
+    def test_removed_keys_rejected(self, toml, key):
+        """Configs using a removed mode fail loudly, naming it, instead
+        of silently running without it."""
+        with pytest.raises(ConfigError, match=key):
+            CampaignConfig.from_toml(toml)
 
     def test_schema_covers_every_field(self):
         mapped = sorted(
@@ -251,9 +261,6 @@ class TestBuilders:
 
     def test_executor_kinds(self):
         assert isinstance(_config().build_executor(), SerialExecutor)
-        parallel = _config(executor="parallel:3").build_executor()
-        assert isinstance(parallel, ParallelExecutor)
-        assert parallel.processes == 3
         stealing = _config(executor="workstealing:2",
                            scheduling="module-affinity").build_executor()
         assert isinstance(stealing, WorkStealingExecutor)
@@ -269,24 +276,6 @@ class TestBuilders:
         assert fleet.lease_timeout == 12.5
         assert fleet.heartbeat_interval == 0.25
         assert fleet.scheduling.name == "module-affinity"
-
-    def test_share_bdd_default_on_with_escape_hatch(self):
-        """The campaign default is shared BDD workspaces; the config
-        keeps an explicit off switch."""
-        assert CampaignConfig().share_bdd is True
-        assert _config().build_executor().workspace is not None
-        off = _config(share_bdd=False).build_executor()
-        assert off.workspace is None
-        pool = _config(share_bdd=False,
-                       executor="workstealing:2").build_executor()
-        assert pool.share_bdd is False
-
-    def test_workspace_valves_forwarded(self):
-        executor = _config(executor="parallel:2",
-                           workspace_max_managers=3,
-                           workspace_retain_memos=False).build_executor()
-        assert executor.workspace_options["max_managers"] == 3
-        assert executor.workspace_options["retain_memos"] is False
 
     def test_cache_and_checkpoint(self, tmp_path):
         config = _config(cache_path=str(tmp_path / "cache.json"),
@@ -306,7 +295,7 @@ class TestBuilders:
 
 class TestConfigDrivenCampaign:
     @pytest.mark.parametrize("executor_spec", [
-        "serial", "parallel:2", "workstealing:2",
+        "serial", "workstealing:2", "fleet:2",
     ])
     def test_round_tripped_config_reproduces_campaign(
             self, small_blocks, executor_spec):

@@ -1,7 +1,7 @@
 """Executor-contract conformance battery.
 
 One parametrized suite, run identically against every shipped executor
-(serial, chunked pool, work-stealing pool): plan-order streaming,
+(serial, work-stealing pool, socket fleet): plan-order streaming,
 0/1/many-job edge cases, mid-stream ``close()``, error propagation,
 effective-mode naming, and the orchestrator's detection of executors
 that under-yield, over-yield, or reorder.  A future executor (e.g. a
@@ -17,7 +17,7 @@ import pytest
 from repro.chip import ComponentChip
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
-    ModuleAffinityScheduling, ParallelExecutor, SerialExecutor,
+    ModuleAffinityScheduling, SerialExecutor,
     WorkStealingExecutor, plan_campaign,
 )
 
@@ -32,36 +32,40 @@ def _engines(**overrides):
 #: non-default tunings that change scheduling behaviour
 EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: ParallelExecutor(processes=2), id="parallel"),
-    pytest.param(lambda: ParallelExecutor(processes=2, chunksize=1),
-                 id="parallel-chunk1"),
     pytest.param(lambda: WorkStealingExecutor(processes=2),
                  id="work-stealing"),
     pytest.param(lambda: WorkStealingExecutor(
         processes=2, scheduling=ModuleAffinityScheduling()),
         id="work-stealing-affinity"),
     # compile-store variants: off entirely, and LRU-thrashed down to a
-    # single retained design/problem — per-worker stores must never
-    # leak across the boundary or move a verdict
+    # single retained design — per-worker stores must never leak across
+    # the boundary or move a verdict
+    pytest.param(lambda: SerialExecutor(compile_store=False),
+                 id="serial-nostore"),
+    pytest.param(lambda: SerialExecutor(store_options={"max_designs": 1}),
+                 id="serial-tight-store"),
     pytest.param(lambda: WorkStealingExecutor(
         processes=2, compile_store=False),
         id="work-stealing-nostore"),
     pytest.param(lambda: WorkStealingExecutor(
         processes=2, scheduling=ModuleAffinityScheduling(),
-        store_options={"max_designs": 1, "max_problems": 1}),
+        store_options={"max_designs": 1}),
         id="work-stealing-tight-store"),
-    pytest.param(lambda: ParallelExecutor(
-        processes=2, compile_store=False),
-        id="parallel-nostore"),
     # SAT-workspace variants: shared incremental solver sessions on,
     # clustering disabled, and LRU-thrashed to one live session — warm
     # solver state must never move a verdict or reorder the stream
     pytest.param(lambda: WorkStealingExecutor(
         processes=2, share_sat=True),
         id="work-stealing-satspace"),
-    pytest.param(lambda: ParallelExecutor(
+    pytest.param(lambda: WorkStealingExecutor(
         processes=2, share_sat=True, sat_options={"cluster_limit": 1}),
-        id="parallel-satspace-cluster1"),
+        id="work-stealing-satspace-cluster1"),
+    pytest.param(lambda: WorkStealingExecutor(
+        processes=2, scheduling=ModuleAffinityScheduling(),
+        share_sat=True),
+        id="work-stealing-affinity-satspace"),
+    pytest.param(lambda: SerialExecutor(share_sat=True),
+                 id="serial-satspace"),
     pytest.param(lambda: SerialExecutor(
         share_sat=True, sat_options={"max_sessions": 1}),
         id="serial-satspace-thrash"),
@@ -74,8 +78,12 @@ EXECUTORS = [
         workers=2, scheduling=ModuleAffinityScheduling()),
         id="fleet-affinity"),
     pytest.param(lambda: FleetExecutor(
-        workers=2, share_sat=True, share_bdd=True),
+        workers=2, share_sat=True),
         id="fleet-warm"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, scheduling=ModuleAffinityScheduling(),
+        store_options={"max_designs": 1}),
+        id="fleet-tight-store"),
 ]
 
 parametrized = pytest.mark.parametrize("make_executor", EXECUTORS)
@@ -194,21 +202,23 @@ class TestStreamingContract:
         assert other.canonical_bytes() == serial.canonical_bytes()
 
 
-#: cone-addressing variants: the `[coi]` knobs change job fingerprints
-#: and compilation strategy, so they must be certified report-compatible
-#: on every executor family, exactly like a new executor would be
+#: cone-addressing variants: the `[coi]` knob changes job fingerprints,
+#: so both of its settings must be certified report-compatible with the
+#: legacy (knob absent) report on every executor family, exactly like a
+#: new executor would be
 COI_EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: ParallelExecutor(processes=2), id="parallel"),
     pytest.param(lambda: WorkStealingExecutor(processes=2),
                  id="work-stealing"),
+    pytest.param(lambda: WorkStealingExecutor(
+        processes=2, scheduling=ModuleAffinityScheduling()),
+        id="work-stealing-affinity"),
+    pytest.param(lambda: FleetExecutor(workers=2), id="fleet"),
 ]
 
 COI_CONFIGS = [
     pytest.param(CampaignConfig(coi_fingerprints="cone"), id="cone"),
-    pytest.param(CampaignConfig(coi_slice=True), id="slice"),
-    pytest.param(CampaignConfig(coi_fingerprints="cone", coi_slice=True),
-                 id="cone-slice"),
+    pytest.param(CampaignConfig(coi_fingerprints="module"), id="module"),
 ]
 
 
@@ -224,10 +234,9 @@ def module_mode_bytes(tiny_blocks):
 @pytest.mark.parametrize("coi_config", COI_CONFIGS)
 @pytest.mark.parametrize("make_executor", COI_EXECUTORS)
 class TestConeAddressingContract:
-    """Cone fingerprints and slice compilation must be invisible in
-    report bytes — on/off, on any executor.  The fixture's seeded
-    defect guarantees a FAIL, so slice-mode counterexample
-    re-derivation crosses every boundary too."""
+    """Cone fingerprints must be invisible in report bytes — on/off,
+    on any executor.  The fixture's seeded defect guarantees a FAIL,
+    so counterexamples cross every boundary too."""
 
     def test_report_identical_to_module_mode_serial(
             self, make_executor, coi_config, tiny_blocks,
@@ -241,8 +250,8 @@ class TestConeAddressingContract:
 
 class TestWorkStealingSpecifics:
     """Guarantees beyond the shared battery that work-stealing makes
-    (chunked ``imap`` can lose results inside a failing chunk, so these
-    can't be asserted for every executor)."""
+    (an executor that ships jobs in chunks could lose results inside a
+    failing chunk, so these are not part of the shared contract)."""
 
     def test_every_completed_result_streams_before_late_error(
             self, tiny_plan):

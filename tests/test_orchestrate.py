@@ -18,9 +18,9 @@ from repro.formal.engine import (
 )
 from repro.formal.engine import _ENGINES  # test-only registry cleanup
 from repro.orchestrate import (
-    CampaignOrchestrator, EngineConfig, ParallelExecutor, ResultCache,
-    SerialExecutor, job_fingerprint, plan_campaign, portfolio,
-    run_check_job,
+    CampaignOrchestrator, EngineConfig, ResultCache,
+    SerialExecutor, WorkStealingExecutor, job_fingerprint, plan_campaign,
+    portfolio, run_check_job,
 )
 
 
@@ -169,15 +169,15 @@ class TestEngineRegistry:
 
 
 class TestExecutors:
-    def test_parallel_report_identical_to_serial(self, block_c):
+    def test_work_stealing_report_identical_to_serial(self, block_c):
         serial = CampaignOrchestrator(
             block_c, engines=_engines(), executor=SerialExecutor()
         ).run()
-        parallel = CampaignOrchestrator(
+        pooled = CampaignOrchestrator(
             block_c, engines=_engines(),
-            executor=ParallelExecutor(processes=2),
+            executor=WorkStealingExecutor(processes=2),
         ).run()
-        assert format_table2(serial) == format_table2(parallel)
+        assert format_table2(serial) == format_table2(pooled)
         assert [
             (r.qualified_name, r.result.status, r.result.engine,
              r.result.depth)
@@ -185,15 +185,15 @@ class TestExecutors:
         ] == [
             (r.qualified_name, r.result.status, r.result.engine,
              r.result.depth)
-            for r in parallel.results
+            for r in pooled.results
         ]
         assert serial.stats["executor"] == "serial"
-        assert parallel.stats["executor"] == "parallel"
+        assert pooled.stats["executor"] == "work-stealing"
 
-    def test_parallel_counterexamples_replay(self):
+    def test_work_stealing_counterexamples_replay(self):
         report = CampaignOrchestrator(
             _buggy_small_blocks(), engines=_engines(),
-            executor=ParallelExecutor(processes=2),
+            executor=WorkStealingExecutor(processes=2),
         ).run()
         failures = report.failures_by_module()
         assert set(failures) == {"C00_fsmctl"}
@@ -226,10 +226,10 @@ class TestExecutors:
         warm = FormalCampaign(
             _buggy_small_blocks(), budget_factory=_budget,
             cache=ResultCache(path),
-            executor=ParallelExecutor(processes=2),
+            executor=WorkStealingExecutor(processes=2),
         ).run()
         assert warm.stats["cache_misses"] == 0
-        assert warm.stats["executor"] == "parallel[serial-fallback]"
+        assert warm.stats["executor"] == "work-stealing[serial-fallback]"
 
     def test_same_name_distinct_modules_not_confused(self):
         """Two distinct module objects sharing a name (a golden and a

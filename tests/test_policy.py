@@ -63,6 +63,14 @@ class TestScheduling:
             [job.index for job in small_plan.jobs]
         assert all(len(unit) == 1 for unit in units)
 
+    def test_planner_module_groups_contiguous(self, small_plan):
+        groups = small_plan.module_groups()
+        assert sum(len(indices) for indices in groups.values()) \
+            == small_plan.total_jobs
+        for indices in groups.values():
+            assert indices == list(range(indices[0],
+                                         indices[0] + len(indices)))
+
     def test_module_affinity_matches_module_groups(self, small_plan):
         """One unit per module group, exactly the planner's grouping,
         in first-appearance order — a partition of the plan."""
@@ -269,8 +277,8 @@ class TestOutcomeInvariance:
                                 bdd_nodes=5_000_000)
         return CampaignOrchestrator(small_blocks, config=config).run()
 
-    @pytest.mark.parametrize("executor_spec", ["serial", "parallel:2",
-                                               "workstealing:2"])
+    @pytest.mark.parametrize("executor_spec", ["serial", "workstealing:2",
+                                               "fleet:2"])
     @pytest.mark.parametrize("scheduling", ["fifo", "module-affinity"])
     def test_scheduling_never_moves_the_outcome(
             self, small_blocks, reference, executor_spec, scheduling):
@@ -282,8 +290,7 @@ class TestOutcomeInvariance:
         report = CampaignOrchestrator(small_blocks, config=config).run()
         assert report.canonical_bytes() == reference.canonical_bytes()
         assert report.stats["scheduling"] == \
-            (scheduling if executor_spec.startswith("workstealing")
-             else "fifo")
+            (scheduling if executor_spec != "serial" else "fifo")
 
     def test_adaptive_portfolio_moves_only_stats(self, small_blocks,
                                                  tmp_path):

@@ -20,7 +20,7 @@ from repro.formal.satspace import (
     MODE_BMC_INIT, MODE_STEP, SatSession, SatWorkspace,
 )
 from repro.orchestrate import (
-    CampaignOrchestrator, EngineConfig, ParallelExecutor, SerialExecutor,
+    CampaignOrchestrator, EngineConfig, FleetExecutor, SerialExecutor,
     WorkStealingExecutor, plan_campaign, portfolio,
 )
 from repro.psl.compile import compile_assertion, compile_cluster
@@ -311,10 +311,10 @@ class TestCampaignByteIdentity:
     @pytest.mark.parametrize("sat_kwargs", _sat_variants())
     @pytest.mark.parametrize("executor_factory", [
         pytest.param(SerialExecutor, id="serial"),
-        pytest.param(lambda **kw: ParallelExecutor(processes=2, **kw),
-                     id="parallel"),
         pytest.param(lambda **kw: WorkStealingExecutor(processes=2, **kw),
                      id="work-stealing"),
+        pytest.param(lambda **kw: FleetExecutor(workers=2, **kw),
+                     id="fleet"),
     ])
     def test_outcome_invariant_across_executors(self, buggy_blocks,
                                                 reference,

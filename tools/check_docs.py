@@ -43,7 +43,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 #: markdown inline link: [text](target)
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-#: backticked repo path, e.g. `src/repro/formal/workspace.py`
+#: backticked repo path, e.g. `src/repro/formal/satspace.py`
 CODE_PATH = re.compile(
     r"`((?:src|tests|examples|benchmarks|docs|tools)/[\w./-]+\.\w+)`"
 )
