@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..rtl.netlist import Aig, FALSE, TRUE
+from ..rtl.netlist import Aig
 from .sat import Solver
 
 
@@ -19,78 +19,63 @@ class CnfContext:
 
     Leaves (inputs and latches) are allocated fresh solver variables on
     first use unless the caller pre-binds them via :meth:`bind`.
+
+    The encoded node set is closed under fanin: a cone is encoded whole,
+    and a bound leaf has no fanin.  So encoding a new cone only has to
+    walk down to the nodes already encoded, and the walk meets the new
+    nodes in the same order as a walk over the whole cone would.
     """
 
     def __init__(self, aig: Aig, solver: Solver) -> None:
         self.aig = aig
         self.solver = solver
-        self._map: Dict[int, int] = {}  # AIG node index -> solver lit (pos)
         var = solver.new_var()
-        self._true_lit = var << 1
-        solver.add_clause([self._true_lit])
-
-    @property
-    def true_lit(self) -> int:
-        return self._true_lit
-
-    @property
-    def false_lit(self) -> int:
-        return self._true_lit ^ 1
+        solver.add_clause([var << 1])
+        # AIG node index -> solver literal of its positive AIG literal;
+        # the constant node 0 (AIG literal FALSE) is the negated true var
+        self._map: Dict[int, int] = {0: (var << 1) ^ 1}
 
     def bind(self, aig_lit: int, solver_lit: int) -> None:
         """Pre-bind a leaf (input/latch) node to an existing solver
         literal; ``aig_lit`` must be positive."""
         assert aig_lit & 1 == 0, "bind positive literals only"
+        # a bound AND node would break the fanin closure _encode_cone
+        # relies on
+        assert self.aig.kind(aig_lit) in ("input", "latch"), \
+            "bind leaves only"
         self._map[aig_lit >> 1] = solver_lit
-
-    def is_bound(self, aig_lit: int) -> bool:
-        return (aig_lit >> 1) in self._map
 
     # ------------------------------------------------------------------
     def lit(self, aig_lit: int) -> int:
         """Solver literal computing ``aig_lit``; encodes the cone on
         demand."""
-        if aig_lit in (FALSE, TRUE):
-            return self._resolved(aig_lit)
-        if (aig_lit >> 1) not in self._map:
+        solver_lit = self._map.get(aig_lit >> 1)
+        if solver_lit is None:
             self._encode_cone(aig_lit)
-        return self._resolved(aig_lit)
+            solver_lit = self._map[aig_lit >> 1]
+        return solver_lit ^ (aig_lit & 1)
 
     def _encode_cone(self, root: int) -> None:
-        aig = self.aig
+        mapping = self._map
         solver = self.solver
-        for index in aig.cone_nodes([root]):
-            if index in self._map or index == 0:
-                continue
-            kind = aig.kind(index << 1)
-            if kind in ("input", "latch"):
-                self._map[index] = solver.new_var() << 1
-                continue
-            assert kind == "and"
-            a, b = aig.fanin(index << 1)
-            lit_a = self._resolved(a)
-            lit_b = self._resolved(b)
-            y = solver.new_var() << 1
-            solver.add_clause([y ^ 1, lit_a])
-            solver.add_clause([y ^ 1, lit_b])
-            solver.add_clause([y, lit_a ^ 1, lit_b ^ 1])
-            self._map[index] = y
-
-    def _resolved(self, aig_lit: int) -> int:
-        if aig_lit == FALSE:
-            return self.false_lit
-        if aig_lit == TRUE:
-            return self.true_lit
-        return self._map[aig_lit >> 1] ^ (aig_lit & 1)
+        new_var = solver.new_var
+        add_clause = solver.add_clause
+        for index, fanin in self.aig.cone_outside((root,), mapping):
+            y = new_var() << 1
+            mapping[index] = y
+            if fanin is None:
+                continue        # input or latch: a free variable
+            a, b = fanin
+            lit_a = mapping[a >> 1] ^ (a & 1)
+            lit_b = mapping[b >> 1] ^ (b & 1)
+            add_clause([y ^ 1, lit_a])
+            add_clause([y ^ 1, lit_b])
+            add_clause([y, lit_a ^ 1, lit_b ^ 1])
 
     def value_of(self, aig_lit: int) -> int:
         """Model value of an AIG literal after SAT; leaves that never
         entered the encoding default to 0."""
-        if aig_lit == FALSE:
-            return 0
-        if aig_lit == TRUE:
-            return 1
-        index = aig_lit >> 1
-        if index not in self._map:
+        solver_lit = self._map.get(aig_lit >> 1)
+        if solver_lit is None:
             return aig_lit & 1  # free leaf: any value works; pick 0
-        return self.solver.value_of(self._map[index]) ^ (aig_lit & 1)
+        return self.solver.value_of(solver_lit) ^ (aig_lit & 1)

@@ -1,13 +1,20 @@
 """CDCL SAT solver.
 
 A from-scratch conflict-driven clause-learning solver in the MiniSat
-lineage: two-literal watches, first-UIP learning with recursive clause
+lineage: two-literal watches, first-UIP learning with clause
 minimisation, VSIDS variable activity, phase saving, Luby restarts and
 learned-clause database reduction.  It backs the BMC and k-induction
 engines and the counterexample trace extraction.
 
 Literal encoding: variable ``v`` (0-based) has positive literal ``2 v``
 and negative literal ``2 v + 1``; ``lit ^ 1`` negates.
+
+The search is a fixed function of the call sequence, and the hot paths
+are written for the interpreter: attributes are hoisted into locals, the
+VSIDS heap's sift-up and pop are inlined where they are used, and watch
+lists are compacted in place.  None of that changes a decision or a
+propagation; ``tests/sat_reference.py`` keeps the plain formulation and
+``tests/test_sat.py`` checks that both take identical searches.
 """
 
 from __future__ import annotations
@@ -19,18 +26,6 @@ from .budget import BudgetExceeded, ResourceBudget
 UNASSIGNED = -1
 
 
-def lit_var(lit: int) -> int:
-    return lit >> 1
-
-def lit_sign(lit: int) -> int:
-    """1 for a negated literal, 0 for positive."""
-    return lit & 1
-
-
-def lit_neg(lit: int) -> int:
-    return lit ^ 1
-
-
 class _Clause:
     """Clause with activity for database reduction."""
 
@@ -40,77 +35,6 @@ class _Clause:
         self.lits = lits
         self.learned = learned
         self.activity = 0.0
-
-
-class _VarOrder:
-    """Indexed max-heap over variable activity (VSIDS order)."""
-
-    __slots__ = ("activity", "heap", "position")
-
-    def __init__(self, activity: List[float]) -> None:
-        self.activity = activity
-        self.heap: List[int] = []
-        self.position: List[int] = []
-
-    def insert(self, var: int) -> None:
-        while len(self.position) <= var:
-            self.position.append(-1)
-        if self.position[var] >= 0:
-            return
-        self.position[var] = len(self.heap)
-        self.heap.append(var)
-        self._sift_up(self.position[var])
-
-    def bump(self, var: int) -> None:
-        if var < len(self.position) and self.position[var] >= 0:
-            self._sift_up(self.position[var])
-
-    def pop(self) -> Optional[int]:
-        if not self.heap:
-            return None
-        top = self.heap[0]
-        last = self.heap.pop()
-        self.position[top] = -1
-        if self.heap:
-            self.heap[0] = last
-            self.position[last] = 0
-            self._sift_down(0)
-        return top
-
-    def _sift_up(self, index: int) -> None:
-        heap, pos, act = self.heap, self.position, self.activity
-        var = heap[index]
-        score = act[var]
-        while index > 0:
-            parent = (index - 1) >> 1
-            if act[heap[parent]] >= score:
-                break
-            heap[index] = heap[parent]
-            pos[heap[index]] = index
-            index = parent
-        heap[index] = var
-        pos[var] = index
-
-    def _sift_down(self, index: int) -> None:
-        heap, pos, act = self.heap, self.position, self.activity
-        size = len(heap)
-        var = heap[index]
-        score = act[var]
-        while True:
-            left = 2 * index + 1
-            if left >= size:
-                break
-            best = left
-            right = left + 1
-            if right < size and act[heap[right]] > act[heap[left]]:
-                best = right
-            if act[heap[best]] <= score:
-                break
-            heap[index] = heap[best]
-            pos[heap[index]] = index
-            index = best
-        heap[index] = var
-        pos[var] = index
 
 
 class Solver:
@@ -146,7 +70,11 @@ class Solver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._phase: List[int] = []
-        self._order = _VarOrder(self._activity)
+        # per-variable mark of conflict analysis, all False between calls
+        self._seen: List[bool] = []
+        # VSIDS order: indexed max-heap of variables by activity
+        self._heap: List[int] = []
+        self._heap_pos: List[int] = []   # var -> heap index, -1 if absent
         self._ok = True
         self.stats: Dict[str, int] = {
             "conflicts": 0, "decisions": 0, "propagations": 0,
@@ -190,79 +118,130 @@ class Solver:
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(0)  # default polarity: assign false first
-        self._order.insert(index)
+        self._seen.append(False)
+        # activity 0.0 is the minimum, so the heap slot at the end is final
+        self._heap_pos.append(len(self._heap))
+        self._heap.append(index)
         return index
 
     def add_clause(self, lits: Iterable[int]) -> bool:
         """Add a clause; returns False if the formula became trivially
-        unsatisfiable."""
+        unsatisfiable.  Raises :class:`ValueError` for a literal that
+        names no variable of this solver."""
         if not self._ok:
             return False
-        self._cancel_until(0)   # clause addition happens at the root level
+        if self._trail_lim:
+            self._cancel_until(0)   # clause addition happens at the root
+        assign = self._assign
+        limit = self._num_vars << 1
         seen = set()
         out: List[int] = []
         for lit in lits:
-            if lit_var(lit) >= self._num_vars:
-                raise ValueError(f"literal {lit} references unknown variable")
+            if not 0 <= lit < limit:
+                raise ValueError(
+                    f"literal {lit} names no variable of a "
+                    f"{self._num_vars}-variable solver")
             if lit in seen:
                 continue
-            if lit_neg(lit) in seen:
+            if (lit ^ 1) in seen:
                 return True  # tautology
-            value = self._value(lit)
-            if value == 1:
-                return True  # already satisfied at level 0
-            if value == 0:
-                continue     # falsified at level 0; drop literal
+            value = assign[lit >> 1]
+            if value != UNASSIGNED:
+                if value ^ (lit & 1):
+                    return True  # already satisfied at level 0
+                continue         # falsified at level 0; drop literal
             seen.add(lit)
             out.append(lit)
         if not out:
             self._ok = False
             return False
         if len(out) == 1:
-            if not self._enqueue(out[0], None):
-                self._ok = False
-                return False
-            conflict = self._propagate()
-            if conflict is not None:
+            lit = out[0]
+            var = lit >> 1
+            value = 1 ^ (lit & 1)
+            assign[var] = value
+            self._level[var] = 0
+            self._reason[var] = None
+            self._phase[var] = value
+            self._trail.append(lit)
+            if self._propagate() is not None:
                 self._ok = False
                 return False
             return True
         clause = _Clause(out, learned=False)
         self._clauses.append(clause)
-        self._attach(clause)
+        self._watches[out[0] ^ 1].append(clause)
+        self._watches[out[1] ^ 1].append(clause)
         return True
 
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
     def solve(self, assumptions: Iterable[int] = ()) -> bool:
-        """Solve under assumptions.  True = SAT, False = UNSAT."""
+        """Solve under assumptions.  True = SAT, False = UNSAT.  Raises
+        :class:`ValueError` for an assumption that names no variable of
+        this solver."""
         if not self._ok:
             return False
-        self._cancel_until(0)
         assumptions = list(assumptions)
+        limit = self._num_vars << 1
+        for lit in assumptions:
+            if not 0 <= lit < limit:
+                raise ValueError(
+                    f"assumption {lit} names no variable of a "
+                    f"{self._num_vars}-variable solver")
+        self._cancel_until(0)
+        stats = self.stats
+        budget = self.budget
+        trail = self._trail
+        trail_lim = self._trail_lim
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        watches = self._watches
+        propagate = self._propagate
         restart_index = 0
         conflict_limit = self._luby(restart_index) * 100
 
         conflicts_here = 0
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
-                self.stats["conflicts"] += 1
+                stats["conflicts"] += 1
                 conflicts_here += 1
-                if self.budget is not None:
-                    self.budget.charge_conflicts()
-                if self._decision_level() == 0:
+                if budget is not None:
+                    budget.charge_conflicts()
+                if not trail_lim:
                     self._ok = False
                     return False
                 learned, backtrack = self._analyze(conflict)
                 self._cancel_until(backtrack)
-                self._record_learned(learned)
-                self._decay_activities()
+                # assert the learned clause's first literal at the
+                # backtrack level, the clause itself as its reason
+                first = learned[0]
+                if len(learned) == 1:
+                    why = None
+                else:
+                    why = _Clause(learned, learned=True)
+                    why.activity = self._cla_inc
+                    self._learned.append(why)
+                    stats["learned"] += 1
+                    watches[first ^ 1].append(why)
+                    watches[learned[1] ^ 1].append(why)
+                var = first >> 1
+                value = 1 ^ (first & 1)
+                assign[var] = value
+                level[var] = len(trail_lim)
+                reason[var] = why
+                phase[var] = value
+                trail.append(first)
+                self._var_inc /= self._var_decay
+                self._cla_inc /= self._cla_decay
                 continue
 
             if conflicts_here >= conflict_limit:
-                self.stats["restarts"] += 1
+                stats["restarts"] += 1
                 restart_index += 1
                 conflict_limit = self._luby(restart_index) * 100
                 conflicts_here = 0
@@ -272,25 +251,31 @@ class Solver:
                 continue
 
             # place assumptions, one decision level each
-            if self._decision_level() < len(assumptions):
-                lit = assumptions[self._decision_level()]
-                value = self._value(lit)
-                if value == 1:
-                    self._new_decision_level()
+            depth = len(trail_lim)
+            if depth < len(assumptions):
+                lit = assumptions[depth]
+                value = assign[lit >> 1]
+                if value == UNASSIGNED:
+                    trail_lim.append(len(trail))
+                elif value ^ (lit & 1):
+                    trail_lim.append(len(trail))   # already true
                     continue
-                if value == 0:
+                else:
                     self._cancel_until(0)
                     return False
-                self._new_decision_level()
-                self._enqueue(lit, None)
-                continue
-
-            decision = self._pick_branch()
-            if decision is None:
-                return True  # full assignment
-            self.stats["decisions"] += 1
-            self._new_decision_level()
-            self._enqueue(decision, None)
+            else:
+                lit = self._pick_branch()
+                if lit is None:
+                    return True  # full assignment
+                stats["decisions"] += 1
+                trail_lim.append(len(trail))
+            var = lit >> 1
+            value = 1 ^ (lit & 1)
+            assign[var] = value
+            level[var] = depth + 1
+            reason[var] = None
+            phase[var] = value
+            trail.append(lit)
 
     def model(self) -> List[int]:
         """Values (0/1) per variable after a SAT answer."""
@@ -298,48 +283,19 @@ class Solver:
 
     def value_of(self, lit: int) -> int:
         """Model value of a literal after a SAT answer."""
-        value = self._assign[lit_var(lit)]
+        value = self._assign[lit >> 1]
         if value == UNASSIGNED:
             return 0
-        return value ^ lit_sign(lit)
+        return value ^ (lit & 1)
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _value(self, lit: int) -> int:
-        assigned = self._assign[lit_var(lit)]
-        if assigned == UNASSIGNED:
-            return UNASSIGNED
-        return assigned ^ lit_sign(lit)
-
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
-    def _new_decision_level(self) -> None:
-        self._trail_lim.append(len(self._trail))
-
-    def _enqueue(self, lit: int, reason: Optional[_Clause]) -> bool:
-        value = self._value(lit)
-        if value != UNASSIGNED:
-            return value == 1
-        var = lit_var(lit)
-        self._assign[var] = 1 ^ lit_sign(lit)
-        self._level[var] = self._decision_level()
-        self._reason[var] = reason
-        self._phase[var] = self._assign[var]
-        self._trail.append(lit)
-        return True
-
-    def _attach(self, clause: _Clause) -> None:
-        self._watches[lit_neg(clause.lits[0])].append(clause)
-        self._watches[lit_neg(clause.lits[1])].append(clause)
-
     def _propagate(self) -> Optional[_Clause]:
-        # The hot loop: attributes are hoisted into locals and
-        # ``_value``/``_enqueue`` are inlined.  ``assign ^ sign`` is -1
-        # or -2 for an unassigned variable, never 0 or 1, so it stands
-        # in for ``_value`` in the comparisons below.  Watch order, and
-        # with it the whole search, is unchanged.
+        # ``assign ^ sign`` is -1 or -2 for an unassigned variable, never
+        # 0 or 1, so it stands in for a literal's value in the
+        # comparisons below.  Each watch list is compacted in place:
+        # ``kept`` is the write index, ``index`` the read index.
         trail = self._trail
         watches = self._watches
         assign = self._assign
@@ -347,17 +303,15 @@ class Solver:
         reason = self._reason
         phase = self._phase
         depth = len(self._trail_lim)
-        qhead = self._qhead
-        propagated = 0
+        start = qhead = self._qhead
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
-            propagated += 1
             false_lit = lit ^ 1
             watch_list = watches[lit]
-            kept: List[_Clause] = []
-            index = 0
-            while index < len(watch_list):
+            size = len(watch_list)
+            kept = index = 0
+            while index < size:
                 clause = watch_list[index]
                 index += 1
                 lits = clause.lits
@@ -366,7 +320,8 @@ class Solver:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
                 if assign[first >> 1] ^ (first & 1) == 1:
-                    kept.append(clause)
+                    watch_list[kept] = clause
+                    kept += 1
                     continue
                 # search a new watch
                 for k in range(2, len(lits)):
@@ -376,15 +331,15 @@ class Solver:
                         watches[other ^ 1].append(clause)
                         break
                 else:
-                    kept.append(clause)
+                    watch_list[kept] = clause
+                    kept += 1
                     var = first >> 1
                     if assign[var] != UNASSIGNED:
                         # first is false: conflict — keep the remaining
                         # watches and report
-                        kept.extend(watch_list[index:])
-                        watch_list[:] = kept
+                        del watch_list[kept:index]
                         self._qhead = len(trail)
-                        self.stats["propagations"] += propagated
+                        self.stats["propagations"] += qhead - start
                         return clause
                     value = 1 ^ (first & 1)
                     assign[var] = value
@@ -392,150 +347,199 @@ class Solver:
                     reason[var] = clause
                     phase[var] = value
                     trail.append(first)
-            watch_list[:] = kept
+            del watch_list[kept:]
         self._qhead = qhead
-        self.stats["propagations"] += propagated
+        self.stats["propagations"] += qhead - start
         return None
 
     def _analyze(self, conflict: _Clause) -> "tuple[List[int], int]":
+        """First-UIP learning: the learned clause (asserting literal
+        first, a literal of the backtrack level second) and the
+        backtrack level."""
+        seen = self._seen
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        heap = self._heap
+        heap_pos = self._heap_pos
+        var_inc = self._var_inc
         learned: List[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * self._num_vars
         counter = 0
-        lit = None
         clause = conflict
-        trail_index = len(self._trail) - 1
-        current_level = self._decision_level()
+        lits = clause.lits
+        start = 0
+        trail_index = len(trail) - 1
+        current_level = len(self._trail_lim)
 
         while True:
-            self._bump_clause(clause)
-            start = 0 if lit is None else 1
-            for reason_lit in clause.lits[start:]:
-                var = lit_var(reason_lit)
-                if seen[var] or self._level[var] == 0:
+            if clause.learned:
+                clause.activity += self._cla_inc
+                if clause.activity > 1e20:
+                    for c in self._learned:
+                        c.activity *= 1e-20
+                    self._cla_inc *= 1e-20
+            for reason_lit in lits[start:]:
+                var = reason_lit >> 1
+                if seen[var] or level[var] == 0:
                     continue
                 seen[var] = True
-                self._bump_var(var)
-                if self._level[var] >= current_level:
+                # VSIDS bump, then sift the variable up the heap
+                score = activity[var] + var_inc
+                activity[var] = score
+                if score > 1e100:
+                    # rescaling preserves relative order, so the heap
+                    # stays valid
+                    for v in range(self._num_vars):
+                        activity[v] *= 1e-100
+                    self._var_inc *= 1e-100
+                    var_inc = self._var_inc
+                    score = activity[var]
+                index = heap_pos[var]
+                if index >= 0:
+                    while index > 0:
+                        parent = (index - 1) >> 1
+                        above = heap[parent]
+                        if activity[above] >= score:
+                            break
+                        heap[index] = above
+                        heap_pos[above] = index
+                        index = parent
+                    heap[index] = var
+                    heap_pos[var] = index
+                if level[var] >= current_level:
                     counter += 1
                 else:
                     learned.append(reason_lit)
             # pick next literal from trail
-            while not seen[lit_var(self._trail[trail_index])]:
+            while not seen[trail[trail_index] >> 1]:
                 trail_index -= 1
-            lit = self._trail[trail_index]
+            lit = trail[trail_index]
             trail_index -= 1
-            var = lit_var(lit)
+            var = lit >> 1
             seen[var] = False
             counter -= 1
             if counter == 0:
-                learned[0] = lit_neg(lit)
+                learned[0] = lit ^ 1
                 break
             clause = self._reason[var]
-            assert clause is not None
-            if clause.lits[0] != lit:
+            lits = clause.lits
+            if lits[0] != lit:
                 # normalise: reason clause's first literal is the implied one
-                idx = clause.lits.index(lit)
-                clause.lits[0], clause.lits[idx] = clause.lits[idx], clause.lits[0]
+                idx = lits.index(lit)
+                lits[0], lits[idx] = lits[idx], lits[0]
+            start = 1
 
-        # clause minimisation: drop literals implied by the rest
+        # clause minimisation: drop a literal whose reason consists only
+        # of other learned literals and level-0 assignments
+        reason = self._reason
+        learned_vars = {l >> 1 for l in learned}
         minimized = [learned[0]]
         for candidate in learned[1:]:
-            if not self._redundant(candidate, seen, learned):
-                minimized.append(candidate)
+            var = candidate >> 1
+            seen[var] = False   # leave the marks clear for the next call
+            why = reason[var]
+            if why is not None:
+                for other in why.lits:
+                    other_var = other >> 1
+                    if (other_var != var and level[other_var] != 0
+                            and other_var not in learned_vars):
+                        break
+                else:
+                    continue    # redundant
+            minimized.append(candidate)
 
         if len(minimized) == 1:
-            backtrack = 0
-        else:
-            # second-highest decision level
-            levels = sorted(
-                (self._level[lit_var(l)] for l in minimized[1:]), reverse=True
-            )
-            backtrack = levels[0]
-            # move a literal of the backtrack level into watch position 1
-            for k in range(1, len(minimized)):
-                if self._level[lit_var(minimized[k])] == backtrack:
-                    minimized[1], minimized[k] = minimized[k], minimized[1]
-                    break
+            return minimized, 0
+        # backtrack to the highest level among the rest; its first
+        # literal moves into watch position 1
+        best = 1
+        backtrack = level[minimized[1] >> 1]
+        for k in range(2, len(minimized)):
+            here = level[minimized[k] >> 1]
+            if here > backtrack:
+                backtrack = here
+                best = k
+        minimized[1], minimized[best] = minimized[best], minimized[1]
         return minimized, backtrack
 
-    def _redundant(self, lit: int, seen: List[bool],
-                   learned: List[int]) -> bool:
-        """Cheap non-recursive redundancy check: a literal is dropped if
-        its reason clause consists only of other learned literals or
-        level-0 assignments."""
-        reason = self._reason[lit_var(lit)]
-        if reason is None:
-            return False
-        learned_vars = {lit_var(l) for l in learned}
-        for other in reason.lits:
-            var = lit_var(other)
-            if var == lit_var(lit):
-                continue
-            if self._level[var] != 0 and var not in learned_vars:
-                return False
-        return True
-
-    def _record_learned(self, lits: List[int]) -> None:
-        if len(lits) == 1:
-            self._enqueue(lits[0], None)
-            return
-        clause = _Clause(lits, learned=True)
-        clause.activity = self._cla_inc
-        self._learned.append(clause)
-        self.stats["learned"] += 1
-        self._attach(clause)
-        self._enqueue(lits[0], clause)
-
     def _cancel_until(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for lit in reversed(self._trail[boundary:]):
-            var = lit_var(lit)
-            self._assign[var] = UNASSIGNED
-            self._reason[var] = None
-            self._order.insert(var)
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        trail = self._trail
+        assign = self._assign
+        reason = self._reason
+        activity = self._activity
+        heap = self._heap
+        heap_pos = self._heap_pos
+        boundary = trail_lim[level]
+        for lit in reversed(trail[boundary:]):
+            var = lit >> 1
+            assign[var] = UNASSIGNED
+            reason[var] = None
+            if heap_pos[var] < 0:
+                # back into the VSIDS heap: append, then sift up
+                index = len(heap)
+                heap.append(var)
+                score = activity[var]
+                while index > 0:
+                    parent = (index - 1) >> 1
+                    above = heap[parent]
+                    if activity[above] >= score:
+                        break
+                    heap[index] = above
+                    heap_pos[above] = index
+                    index = parent
+                heap[index] = var
+                heap_pos[var] = index
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     def _pick_branch(self) -> Optional[int]:
-        while True:
-            var = self._order.pop()
-            if var is None:
-                return None
-            if self._assign[var] == UNASSIGNED:
-                # phase saving
-                return (var << 1) | (1 ^ self._phase[var])
-
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            # rescaling preserves relative order, so the heap stays valid
-            for v in range(self._num_vars):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        self._order.bump(var)
-
-    def _bump_clause(self, clause: _Clause) -> None:
-        if not clause.learned:
-            return
-        clause.activity += self._cla_inc
-        if clause.activity > 1e20:
-            for c in self._learned:
-                c.activity *= 1e-20
-            self._cla_inc *= 1e-20
-
-    def _decay_activities(self) -> None:
-        self._var_inc /= self._var_decay
-        self._cla_inc /= self._cla_decay
+        """Pop the most active unassigned variable off the VSIDS heap;
+        its literal takes the saved phase."""
+        heap = self._heap
+        heap_pos = self._heap_pos
+        activity = self._activity
+        assign = self._assign
+        while heap:
+            top = heap[0]
+            last = heap.pop()
+            heap_pos[top] = -1
+            if heap:
+                # sift ``last`` down from the root
+                size = len(heap)
+                score = activity[last]
+                index = 0
+                while True:
+                    left = 2 * index + 1
+                    if left >= size:
+                        break
+                    best = left
+                    right = left + 1
+                    if (right < size
+                            and activity[heap[right]] > activity[heap[left]]):
+                        best = right
+                    below = heap[best]
+                    if activity[below] <= score:
+                        break
+                    heap[index] = below
+                    heap_pos[below] = index
+                    index = best
+                heap[index] = last
+                heap_pos[last] = index
+            if assign[top] == UNASSIGNED:
+                return (top << 1) | (1 ^ self._phase[top])
+        return None
 
     def _reduce_db(self) -> None:
         """Drop the less active half of the learned clauses (those not
         currently acting as reasons)."""
         self._learned.sort(key=lambda c: c.activity)
-        locked = {id(self._reason[lit_var(lit)]) for lit in self._trail
-                  if self._reason[lit_var(lit)] is not None}
+        reason = self._reason
+        locked = {id(reason[lit >> 1]) for lit in self._trail
+                  if reason[lit >> 1] is not None}
         keep: List[_Clause] = []
         drop: List[_Clause] = []
         half = len(self._learned) // 2
@@ -549,7 +553,7 @@ class Solver:
         self._learned = keep
 
     def _detach(self, clause: _Clause) -> None:
-        for watch_lit in (lit_neg(clause.lits[0]), lit_neg(clause.lits[1])):
+        for watch_lit in (clause.lits[0] ^ 1, clause.lits[1] ^ 1):
             watchers = self._watches[watch_lit]
             for index, watched in enumerate(watchers):
                 if watched is clause:

@@ -76,25 +76,12 @@ class TransitionSystem:
         ``extra_roots`` widens the cone to additional AIG literals —
         used by :class:`ClusterSystem` to build the union cone over all
         of a cluster's ``bad`` flags."""
-        aig = self.aig
-        relevant: set = set()
-        frontier = [self.bad, self.constraint, *extra_roots]
-        while frontier:
-            _, latch_lits = aig.support(frontier)
-            new = [lit for lit in latch_lits if lit not in relevant]
-            if not new:
-                break
-            relevant.update(new)
-            frontier = [self.next_fn[lit] for lit in new]
-
-        latches = [lit for lit in self.latches if lit in relevant]
-        roots = [self.bad, self.constraint, *extra_roots]
-        roots.extend(self.next_fn[lit] for lit in latches)
-        input_lits, _ = aig.support(roots)
-        input_set = set(input_lits)
+        input_set, latch_set = self.aig.sequential_support(
+            [self.bad, self.constraint, *extra_roots], self.next_fn)
+        latches = [lit for lit in self.latches if lit in latch_set]
         inputs = [lit for lit in self.inputs if lit in input_set]
         return TransitionSystem(
-            aig=aig,
+            aig=self.aig,
             inputs=inputs,
             latches=latches,
             init={lit: self.init[lit] for lit in latches},

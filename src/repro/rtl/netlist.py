@@ -11,7 +11,9 @@ build node functions over it.  Literals follow the AIGER convention:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from .elaborate import FlatDesign
 from .signals import Const, Expr, Input, Op, Reg, mask
@@ -68,15 +70,13 @@ class Aig:
         return lit ^ 1
 
     def and2(self, a: int, b: int) -> int:
-        if a == FALSE or b == FALSE or a == self.neg(b):
+        if a == FALSE or b == FALSE or a == b ^ 1:
             return FALSE
         if a == TRUE:
             return b
         if b == TRUE or a == b:
             return a
-        if a > b:
-            a, b = b, a
-        key = (a, b)
+        key = (a, b) if a < b else (b, a)
         found = self._strash.get(key)
         if found is not None:
             return found
@@ -84,18 +84,21 @@ class Aig:
         self._strash[key] = lit
         return lit
 
+    # The derived gates negate with ``^ 1`` (see :meth:`neg`); their
+    # and2 calls run in the order that fixes the node numbering.
     def or2(self, a: int, b: int) -> int:
-        return self.neg(self.and2(self.neg(a), self.neg(b)))
+        return self.and2(a ^ 1, b ^ 1) ^ 1
 
     def xor2(self, a: int, b: int) -> int:
-        return self.or2(self.and2(a, self.neg(b)), self.and2(self.neg(a), b))
+        and2 = self.and2
+        return and2(and2(a, b ^ 1) ^ 1, and2(a ^ 1, b) ^ 1) ^ 1
 
     def xnor2(self, a: int, b: int) -> int:
-        return self.neg(self.xor2(a, b))
+        return self.xor2(a, b) ^ 1
 
     def mux(self, sel: int, if_true: int, if_false: int) -> int:
-        return self.or2(self.and2(sel, if_true),
-                        self.and2(self.neg(sel), if_false))
+        and2 = self.and2
+        return and2(and2(sel, if_true) ^ 1, and2(sel ^ 1, if_false) ^ 1) ^ 1
 
     def and_many(self, lits: Iterable[int]) -> int:
         acc = TRUE
@@ -139,36 +142,65 @@ class Aig:
     def cone_nodes(self, roots: Sequence[int]) -> List[int]:
         """Indices of all nodes in the transitive fanin of ``roots``,
         in topological (fanin-first) order."""
+        return [index for index, _ in self.cone_outside(roots, ())]
+
+    def cone_outside(self, roots: Sequence[int], known: Container[int]
+                     ) -> List[Tuple[int, Optional[Tuple[int, int]]]]:
+        """``(index, fanin pair or None)`` of each node in the
+        transitive fanin of ``roots`` that is not in ``known``, fanin
+        first.  The walk stops at ``known`` nodes; when ``known`` is
+        closed under fanin, the nodes come in the order
+        :meth:`cone_nodes` lists them."""
+        fanins = self._fanin
         seen = set()
-        order: List[int] = []
-        stack = [(lit >> 1, False) for lit in roots]
+        order: List[Tuple[int, Optional[Tuple[int, int]]]] = []
+        stack = [lit >> 1 for lit in roots]
         while stack:
-            index, expanded = stack.pop()
-            if expanded:
-                order.append(index)
+            index = stack.pop()
+            if index < 0:           # ~index: its fanins are all listed
+                index = ~index
+                order.append((index, fanins[index]))
                 continue
+            if index in seen or index in known:
+                continue
+            seen.add(index)
+            stack.append(~index)
+            pair = fanins[index]
+            if pair is not None:
+                stack.append(pair[0] >> 1)
+                stack.append(pair[1] >> 1)
+        return order
+
+    def sequential_support(self, roots: Sequence[int],
+                           next_fn: Dict[int, int]
+                           ) -> Tuple[Set[int], Set[int]]:
+        """(input literals, latch literals) that can influence
+        ``roots`` over any number of cycles: the combinational cone,
+        continued through ``next_fn[latch]`` at every latch it reaches.
+        One walk, each node visited once."""
+        fanins = self._fanin
+        kinds = self._kind
+        inputs: Set[int] = set()
+        latches: Set[int] = set()
+        seen = set()
+        stack = [lit >> 1 for lit in roots]
+        while stack:
+            index = stack.pop()
             if index in seen:
                 continue
             seen.add(index)
-            stack.append((index, True))
-            if self._kind[index] == "and":
-                a, b = self._fanin[index]
-                stack.append((a >> 1, False))
-                stack.append((b >> 1, False))
-        return order
-
-    def support(self, roots: Sequence[int]) -> Tuple[List[int], List[int]]:
-        """(input literals, latch literals) in the combinational cone of
-        ``roots`` — cone-of-influence at the combinational level."""
-        ins: List[int] = []
-        lats: List[int] = []
-        for index in self.cone_nodes(roots):
-            kind = self._kind[index]
+            pair = fanins[index]
+            if pair is not None:
+                stack.append(pair[0] >> 1)
+                stack.append(pair[1] >> 1)
+                continue
+            kind = kinds[index]
             if kind == "input":
-                ins.append(index << 1)
+                inputs.add(index << 1)
             elif kind == "latch":
-                lats.append(index << 1)
-        return ins, lats
+                latches.add(index << 1)
+                stack.append(next_fn[index << 1] >> 1)
+        return inputs, latches
 
     # ------------------------------------------------------------------
     # evaluation (used for simulator cross-checks and trace replay)

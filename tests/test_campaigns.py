@@ -1,6 +1,8 @@
 """Formal and simulation campaigns on chip subsets (the full-chip runs
 live in the benchmark harness)."""
 
+import hashlib
+
 import pytest
 
 from repro.chip import ComponentChip, DEFECTS, DEFECTS_BY_ID
@@ -11,7 +13,7 @@ from repro.core.report import (
 )
 from repro.formal.budget import ResourceBudget
 from repro.formal.engine import FAIL, PASS
-from repro.orchestrate import CampaignConfig
+from repro.orchestrate import CampaignConfig, CampaignOrchestrator
 from repro.sim.campaign import SimulationCampaign
 
 
@@ -102,6 +104,28 @@ class TestCampaignTimeouts:
         summary = format_status_summary(starved_report)
         timeouts = len(starved_report.by_status("timeout"))
         assert f"{timeouts} timed out" in summary
+
+
+class TestSolverEffort:
+    def test_default_ac_campaign_search_pinned(self):
+        """``canonical_bytes`` leaves out ``stats``, so on this all-PASS
+        campaign the report digest cannot see a change in the solver's
+        search order.  The summed per-job SAT counters can: any change
+        to a decision, a propagation, clause learning or the restart
+        schedule moves them."""
+        blocks = ComponentChip(only_blocks=["A", "C"]).blocks
+        report = CampaignOrchestrator(blocks, config=CampaignConfig()).run()
+        digest = hashlib.sha256(report.canonical_bytes()).hexdigest()[:16]
+        assert digest == "827affdb95659447"
+        effort = dict.fromkeys(
+            ("conflicts", "decisions", "propagations", "learned",
+             "restarts"), 0)
+        for record in report.results:
+            for key in effort:
+                effort[key] += record.result.stats["sat"][key]
+        assert effort == {"conflicts": 19338, "decisions": 45775,
+                          "propagations": 849882, "learned": 18779,
+                          "restarts": 70}
 
 
 class TestProgressCallback:

@@ -41,10 +41,13 @@ class TestAigPrimitives:
         a, b = aig.add_input("a"), aig.add_input("b")
         latch = aig.add_latch("l")
         cone = aig.and2(a, latch)
-        ins, lats = aig.support([cone])
-        assert ins == [a]
-        assert lats == [latch]
+        ins, lats = aig.sequential_support([cone], {latch: a})
+        assert ins == {a}
+        assert lats == {latch}
         assert b not in ins
+        # the walk continues through the latch's next-state function
+        ins, lats = aig.sequential_support([cone], {latch: b})
+        assert ins == {a, b}
 
 
 def _random_expr(rng, leaves, depth):

@@ -1,4 +1,5 @@
-"""CDCL SAT solver: fuzz against brute force, assumptions, budget."""
+"""CDCL SAT solver: fuzz against brute force, assumptions, budget, and
+the search itself pinned against the reference formulation."""
 
 import itertools
 import random
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.formal.budget import BudgetExceeded, ResourceBudget
 from repro.formal.sat import Solver
+from sat_reference import Solver as ReferenceSolver
 
 
 def brute_force(num_vars, clauses):
@@ -89,6 +91,18 @@ class TestApi:
         s = Solver()
         with pytest.raises(ValueError):
             s.add_clause([0])
+        s.new_var()
+        # a negative literal must not index the variables from the end
+        with pytest.raises(ValueError):
+            s.add_clause([-2])
+        with pytest.raises(ValueError):
+            s.solve([-1])
+        with pytest.raises(ValueError):
+            s.solve([4])
+        # the rejected calls asserted and assumed nothing
+        assert s.solve([1]) is True
+        assert s.solve([0]) is True
+        assert s.stats_snapshot()["conflicts"] == 0
 
     def test_solve_repeatable(self):
         s = Solver()
@@ -250,3 +264,109 @@ class TestWarmStateApi:
         solver.add_clause([2 * a, 2 * b])  # stored
         solver.add_clause([2 * a])         # unit: assigned, not stored
         assert solver.num_clauses() == 1
+
+
+class TestSearchPinned:
+    """The hot paths of :class:`Solver` are written for speed, but the
+    search must stay exactly that of the plain reference formulation
+    (``tests/sat_reference.py``): every decision, propagation, learned
+    clause, restart and database reduction.  Each test drives both
+    solvers through one call sequence and, after every ``solve``,
+    compares the verdict, the model and every search counter, so any
+    change in decision or propagation order fails here."""
+
+    @staticmethod
+    def _new_vars(fast, ref, count):
+        new = [fast.new_var() for _ in range(count)]
+        assert [ref.new_var() for _ in range(count)] == new
+        return new
+
+    @staticmethod
+    def _add(fast, ref, clause):
+        assert fast.add_clause(clause) == ref.add_clause(clause)
+
+    @staticmethod
+    def _solve(fast, ref, assumptions):
+        verdict = fast.solve(assumptions)
+        assert verdict == ref.solve(assumptions)
+        assert fast.stats_snapshot() == ref.stats_snapshot()
+        assert fast.model() == ref.model()
+        return verdict
+
+    @staticmethod
+    def _clause(rng, num_vars):
+        return [2 * v + rng.randrange(2)
+                for v in rng.sample(range(num_vars), 3)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_incremental_sequence(self, seed):
+        """The unrolling pattern of BMC and k-induction: fresh gate
+        variables with their Tseitin definitions, solves under
+        assumptions, and clauses added between solves (the blocking
+        clause of an UNSAT query, or clauses the last model satisfies),
+        interleaved."""
+        rng = random.Random(seed * 7919 + 11)
+        fast, ref = Solver(), ReferenceSolver()
+        lits = [2 * var for var in
+                self._new_vars(fast, ref, rng.randint(16, 24))]
+        verdicts = []
+        for _ in range(30):
+            for _ in range(rng.randint(4, 12)):
+                a, b = (lit ^ rng.randrange(2)
+                        for lit in rng.sample(lits, 2))
+                y = 2 * self._new_vars(fast, ref, 1)[0]
+                if rng.random() < 0.4:      # y <-> a & b
+                    gate = [[y ^ 1, a], [y ^ 1, b], [y, a ^ 1, b ^ 1]]
+                else:                       # y <-> a ^ b
+                    gate = [[y ^ 1, a, b], [y ^ 1, a ^ 1, b ^ 1],
+                            [y, a ^ 1, b], [y, a, b ^ 1]]
+                for clause in gate:
+                    self._add(fast, ref, clause)
+                lits.append(y)
+            assumptions = [lit ^ rng.randrange(2)
+                           for lit in rng.sample(lits, rng.randint(2, 5))]
+            verdict = self._solve(fast, ref, assumptions)
+            verdicts.append(verdict)
+            if not verdict:
+                self._add(fast, ref, [lit ^ 1 for lit in assumptions])
+                continue
+            model = fast.model()
+            for _ in range(6):
+                clause = [lit ^ rng.randrange(2)
+                          for lit in rng.sample(lits, 3)]
+                if not any(model[lit >> 1] ^ (lit & 1) for lit in clause):
+                    clause[0] ^= 1
+                self._add(fast, ref, clause)
+        assert True in verdicts and False in verdicts
+        assert fast.stats["conflicts"] > 0
+
+    def test_restarting_search(self):
+        """A random 3-SAT instance past the threshold: over a thousand
+        conflicts, so the Luby schedule restarts several times."""
+        rng = random.Random(1)
+        fast, ref = Solver(), ReferenceSolver()
+        num_vars = 120
+        self._new_vars(fast, ref, num_vars)
+        for _ in range(int(4.26 * num_vars)):
+            self._add(fast, ref, self._clause(rng, num_vars))
+        self._solve(fast, ref, [])
+        assert fast.stats["restarts"] >= 3
+
+    def test_learned_database_reduction(self):
+        """Activation-literal rounds (the shared-session pattern): each
+        round guards a fresh random 3-SAT instance over the same
+        variables by a new activation literal and solves under it.  The
+        learned clauses pile up past the reduction threshold, and the
+        searches after the reduction must still agree."""
+        rng = random.Random(2)
+        fast, ref = Solver(), ReferenceSolver()
+        num_vars = 100
+        self._new_vars(fast, ref, num_vars)
+        for _ in range(14):
+            act = self._new_vars(fast, ref, 1)[0]
+            for _ in range(int(4.6 * num_vars)):
+                self._add(fast, ref,
+                          [2 * act + 1] + self._clause(rng, num_vars))
+            self._solve(fast, ref, [2 * act])
+        snapshot = fast.stats_snapshot()
+        assert snapshot["learned_db"] < snapshot["learned"]
