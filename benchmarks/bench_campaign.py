@@ -4,7 +4,7 @@
 Runs the same chip campaign several ways —
 
 1. serial executor, cold (the legacy baseline),
-2. work-stealing pool (``WorkStealingExecutor``), cold,
+2. the parallel pool (``FleetExecutor`` on its local launcher), cold,
 3. serial executor against a warm result cache (the ECO-rerun case),
 4. checkpointed cold run, then a resume from a half-truncated journal
    (the killed-campaign case: half the jobs replay, half execute),
@@ -22,7 +22,7 @@ Runs the same chip campaign several ways —
    conflict/propagation totals summed over every portfolio attempt,
 7. a scenario-sweep probe: the fixed tiny generated chip family
    crossed with all four defect classes (``repro.scenario``), run
-   under the serial and the work-stealing executor — recording the
+   under the serial executor and the fleet — recording the
    detection rate, the surviving-mutant list (must be empty), and
    the per-engine time-to-FAIL buckets, with outcome-identical
    canonical records across the executors,
@@ -30,16 +30,16 @@ Runs the same chip campaign several ways —
    content-addressed ``CompiledProblemStore`` on vs off, measured two
    ways — serial runs diffing the process-wide
    ``elaborations_total()`` / ``compilations_total()`` counters (the
-   deterministic savings), and module-affinity work-stealing runs
-   comparing job throughput and the pool's aggregated store hit
-   counters (the scheduled case the store was built for),
+   deterministic savings), and module-affinity fleet runs comparing
+   job throughput and the fleet's aggregated store hit counters (the
+   scheduled case the store was built for),
 9. a cone-addressing probe: a cold and a warm-golden cone-fingerprint
    sweep of the bench family, gated on 3x fewer executed jobs,
-10. a fleet-transport probe on the fixed block-C scope: the local
-   socket-fanout ``FleetExecutor`` vs serial — per-worker job counts
-   and lease bookkeeping on the healthy run, then a faulted run that
-   SIGKILLs a worker after the first result, recording the lease
-   re-issues and the recovery overhead with a byte-identical outcome,
+10. a fleet-transport probe: the pool leg (2.) again with one worker
+   SIGKILLed after the first result, recording the lease re-issues and
+   the recovery overhead against the healthy pool leg (whose
+   per-worker job counts and lease bookkeeping it also records), with
+   a byte-identical outcome,
 
 verifies every run produces a byte-identical campaign outcome
 (``CampaignReport.canonical_bytes``), and writes a perf record to
@@ -56,10 +56,10 @@ job runs exactly this, so a compile-layer or solver-layer regression
 fails the build instead of silently landing.  Every record carries the
 host topology (CPU count, platform, Python version, pool workers).
 
-The pool executor defaults to ``max(2, cpu_count)`` workers so a real
-pool is exercised even on a 1-CPU container (where CPU-count defaults
-would silently fall back to serial and measure nothing); pass ``--jobs``
-to override.
+The fleet defaults to ``max(2, cpu_count)`` workers so a real pool is
+exercised even on a 1-CPU container (where CPU-count defaults would
+silently fall back to serial and measure nothing); pass ``--jobs`` to
+override.
 
 Run:  python benchmarks/bench_campaign.py [--full] [--blocks A,C]
                                           [--jobs N] [--smoke]
@@ -81,9 +81,10 @@ sys.path.insert(
 from repro.chip import ComponentChip                      # noqa: E402
 from repro.core.campaign import FormalCampaign            # noqa: E402
 from repro.orchestrate import (                           # noqa: E402
-    CampaignCheckpoint, CampaignConfig, CampaignOrchestrator, ResultCache,
-    WorkStealingExecutor,
+    CampaignCheckpoint, CampaignConfig, CampaignOrchestrator,
+    FleetExecutor, ResultCache,
 )
+from repro.orchestrate.fleet import LocalFleetLauncher    # noqa: E402
 from repro.orchestrate.stats import (                     # noqa: E402
     STATS_SCHEMA, counter_groups,
 )
@@ -198,10 +199,10 @@ def _bench_compile_store(workers):
       compilation totals (``repro.formal.problems``): with the store
       on, a campaign pays one elaboration per distinct module instead
       of one per job;
-    - **affinity-scheduled / throughput** — module-affinity
-      work-stealing pool (one queue pull = one module's whole job
-      group, exactly the case per-worker stores are built for): job
-      throughput plus the pool's aggregated hit counters from
+    - **affinity-scheduled / throughput** — module-affinity fleet
+      (one lease = one module's whole job group, exactly the case
+      per-worker stores are built for): job throughput plus the
+      fleet's aggregated hit counters from
       ``report.stats["compile_store"]["run"]``.
 
     Returns the record plus an ``ok`` gate: nonzero hits, fewer
@@ -238,7 +239,7 @@ def _bench_compile_store(workers):
     def pool_run(store_on):
         config = dataclasses.replace(
             base, compile_store=store_on,
-            executor=f"workstealing:{workers}",
+            executor=f"fleet:{workers}",
             scheduling="module-affinity",
         )
         started = time.perf_counter()
@@ -388,7 +389,7 @@ def _bench_sat_workspace():
 def _bench_scenario(workers):
     """Scenario-sweep probe: the fixed tiny generated family crossed
     with every defect class, swept once serially and once on the
-    work-stealing pool.
+    fleet.
 
     The scope is fixed (1 block x 2 modules, datapath width 4, all
     four defect classes — the mutation-kill matrix grid from
@@ -417,19 +418,19 @@ def _bench_scenario(workers):
     serial_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    stealing_record, _ = run_sweep(
-        spec, config=CampaignConfig(executor=f"workstealing:{workers}",
+    pool_record, _ = run_sweep(
+        spec, config=CampaignConfig(executor=f"fleet:{workers}",
                                     **limits))
-    stealing_s = time.perf_counter() - started
+    pool_s = time.perf_counter() - started
 
-    identical = outcome(serial_record) == outcome(stealing_record)
+    identical = outcome(serial_record) == outcome(pool_record)
     detection = serial_record["detection"]
     engines = serial_record["timing"]["engines"]
     print(f"  sweep serial:       {serial_s:7.2f}s "
           f"({detection['total']} mutants, "
           f"{detection['detected']} detected, "
           f"rate {detection['rate']:.3f})")
-    print(f"  sweep work-steal:   {stealing_s:7.2f}s")
+    print(f"  sweep fleet:        {pool_s:7.2f}s")
     for engine, bucket in sorted(engines.items()):
         print(f"    time-to-FAIL {engine}: {bucket['fails']} fails "
               f"in {bucket['seconds']:.2f}s")
@@ -449,7 +450,7 @@ def _bench_scenario(workers):
         "detection_rate": detection["rate"],
         "survivors": detection["survivors"],
         "seconds": {"serial": round(serial_s, 3),
-                    "work_stealing": round(stealing_s, 3)},
+                    "fleet": round(pool_s, 3)},
         "time_to_fail_per_engine": engines,
         "outcomes_identical": identical,
         "ok": ok,
@@ -531,47 +532,27 @@ def _bench_coi():
     }
 
 
-def _bench_fleet(workers):
-    """Socket-fanout probe on the fixed block-C scope: the local
-    ``FleetExecutor`` vs serial — byte-identical outcome plus the
-    transport bookkeeping (per-worker job counts, leases) — and a
-    faulted leg that SIGKILLs a worker after the first result, proving
-    a lost worker costs lease re-issue and recovery time, never a
-    changed verdict."""
-    from repro.orchestrate import (
-        FleetExecutor, ModuleAffinityScheduling,
-    )
-    from repro.orchestrate.fleet import LocalFleetLauncher
+class _TrackingLauncher(LocalFleetLauncher):
+    """Local launcher that keeps every worker process handle, so the
+    fleet probe can SIGKILL a real worker."""
 
-    chip = ComponentChip(only_blocks=["C"])
-    config = CampaignConfig(sat_conflicts=1_000_000,
-                            bdd_nodes=10_000_000)
-    serial_report, serial_s = _timed_run(chip.blocks)
-    print(f"  serial baseline:    {serial_s:7.2f}s "
-          f"({serial_report.total_properties} properties)")
+    def __init__(self):
+        self.handles = []
 
-    fleet_report, fleet_s = _timed_run(
-        chip.blocks,
-        executor=FleetExecutor(workers=workers,
-                               scheduling=ModuleAffinityScheduling()),
-    )
-    healthy = fleet_report.stats["fleet"]
-    healthy_identical = (fleet_report.canonical_bytes()
-                         == serial_report.canonical_bytes())
-    print(f"  fleet cold:         {fleet_s:7.2f}s "
-          f"({healthy['workers_launched']} workers, "
-          f"jobs {healthy['jobs_per_worker']})")
+    def launch(self, *args, **kwargs):
+        handle = super().launch(*args, **kwargs)
+        self.handles.append(handle)
+        return handle
 
-    class _Tracking(LocalFleetLauncher):
-        def __init__(self):
-            self.handles = []
 
-        def launch(self, *args, **kwargs):
-            handle = super().launch(*args, **kwargs)
-            self.handles.append(handle)
-            return handle
-
-    launcher = _Tracking()
+def _bench_fleet(blocks, workers, serial_report, pool_report, pool_s):
+    """Fleet-transport probe: the pool leg run again with one worker
+    SIGKILLed after the first result, proving a lost worker costs
+    lease re-issue and recovery time, never a changed verdict.  The
+    healthy side of the comparison is the pool leg itself, whose
+    transport bookkeeping (per-worker job counts, leases) is recorded
+    next to the faulted run's."""
+    launcher = _TrackingLauncher()
     killed = []
 
     def _kill_one(line):
@@ -579,32 +560,35 @@ def _bench_fleet(workers):
             os.kill(launcher.handles[0].pid, signal.SIGKILL)
             killed.append(True)
 
+    config = CampaignConfig(sat_conflicts=1_000_000,
+                            bdd_nodes=10_000_000)
     started = time.perf_counter()
     faulted_report = CampaignOrchestrator(
-        chip.blocks, config=config,
+        blocks, config=config,
         executor=FleetExecutor(workers=workers, launcher=launcher,
-                               scheduling=ModuleAffinityScheduling()),
+                               share_sat=True),
     ).run(progress=_kill_one)
     faulted_s = time.perf_counter() - started
+    healthy = pool_report.stats["fleet"]
     faulted = faulted_report.stats["fleet"]
-    faulted_identical = (faulted_report.canonical_bytes()
-                        == serial_report.canonical_bytes())
-    print(f"  fleet + SIGKILL:    {faulted_s:7.2f}s "
+    identical = (faulted_report.canonical_bytes()
+                 == serial_report.canonical_bytes())
+    print(f"  pool (healthy):     {pool_s:7.2f}s "
+          f"({healthy['workers_launched']} workers, "
+          f"jobs {healthy['jobs_per_worker']})")
+    print(f"  pool + SIGKILL:     {faulted_s:7.2f}s "
           f"({faulted['workers_lost']} lost, "
           f"{faulted['leases_reissued']} leases re-issued, "
-          f"recovery {faulted_s - fleet_s:+.2f}s vs healthy)")
+          f"recovery {faulted_s - pool_s:+.2f}s vs healthy)")
 
     return {
         "host": _host_topology(workers),
-        "scope": "blocks C",
         "properties": serial_report.total_properties,
         "workers": workers,
         "seconds": {
-            "serial_cold": round(serial_s, 3),
-            "fleet_cold": round(fleet_s, 3),
-            "fleet_worker_sigkill": round(faulted_s, 3),
+            "pool_cold": round(pool_s, 3),
+            "pool_worker_sigkill": round(faulted_s, 3),
         },
-        "speedup_vs_serial": round(serial_s / fleet_s, 2),
         "healthy": {
             "workers_launched": healthy["workers_launched"],
             "leases_issued": healthy["leases_issued"],
@@ -618,9 +602,9 @@ def _bench_fleet(workers):
             "leases_reissued": faulted["leases_reissued"],
             "results_rejected": faulted["results_rejected"],
             "jobs_per_worker": faulted["jobs_per_worker"],
-            "recovery_overhead_seconds": round(faulted_s - fleet_s, 3),
+            "recovery_overhead_seconds": round(faulted_s - pool_s, 3),
         },
-        "outcomes_identical": healthy_identical and faulted_identical,
+        "outcomes_identical": identical,
     }
 
 
@@ -641,7 +625,7 @@ def main():
     parser.add_argument("--blocks", default="A,C",
                         help="comma-separated block subset (default A,C)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for the pool runs "
+                        help="fleet workers for the pool runs "
                              "(default: max(2, CPU count))")
     parser.add_argument("--smoke", action="store_true",
                         help="reduced CI mode: compile-store and "
@@ -686,12 +670,12 @@ def main():
     # campaigns default to shared SAT sessions, and explicit executor
     # objects bypass the config — opt the pool in so the serial/pool
     # comparison stays like-for-like on warm state
-    stealing_report, stealing_s = _timed_run(
+    pool_report, pool_s = _timed_run(
         chip.blocks,
-        executor=WorkStealingExecutor(processes=workers, share_sat=True),
+        executor=FleetExecutor(workers=workers, share_sat=True),
     )
-    print(f"  work-stealing cold: {stealing_s:7.2f}s "
-          f"({stealing_report.stats['executor']})")
+    print(f"  pool cold:          {pool_s:7.2f}s "
+          f"({pool_report.stats['executor']})")
 
     with tempfile.TemporaryDirectory(prefix="bench_cache_") as cache_dir:
         cache_path = os.path.join(cache_dir, "results.json")
@@ -723,16 +707,17 @@ def main():
     adaptive_record = _bench_adaptive()
     compile_record = _bench_compile_store(workers)
     sat_record = _bench_sat_workspace()
-    print("scenario-sweep probe (serial vs work-stealing)")
+    print("scenario-sweep probe (serial vs fleet)")
     scenario_record = _bench_scenario(workers)
     print("cone-addressing probe (cold vs warm-golden cone sweep)")
     coi_record = _bench_coi()
-    print("fleet-transport probe (serial vs local socket fleet, "
-          "healthy and worker-SIGKILL)")
-    fleet_record = _bench_fleet(workers)
+    print("fleet-transport probe (pool leg vs the same run with a "
+          "worker SIGKILLed)")
+    fleet_record = _bench_fleet(chip.blocks, workers, serial_report,
+                                pool_report, pool_s)
 
     reports = {
-        "serial": serial_report, "work_stealing": stealing_report,
+        "serial": serial_report, "pool": pool_report,
         "warm": warm_report, "checkpointed": checkpointed_report,
         "resumed": resumed_report,
     }
@@ -757,16 +742,16 @@ def main():
         "host": _host_topology(workers),
         "cpu_count": os.cpu_count(),
         "pool_workers": workers,
-        "work_stealing_mode": stealing_report.stats["executor"],
+        "pool_mode": pool_report.stats["executor"],
         "seconds": {
             "serial_cold": round(serial_s, 3),
-            "work_stealing_cold": round(stealing_s, 3),
+            "pool_cold": round(pool_s, 3),
             "warm_cache": round(warm_s, 3),
             "checkpointed_cold": round(checkpointed_s, 3),
             "resumed_half": round(resumed_s, 3),
         },
         "speedup": {
-            "work_stealing_vs_serial": round(serial_s / stealing_s, 2),
+            "pool_vs_serial": round(serial_s / pool_s, 2),
             "warm_vs_serial": round(serial_s / warm_s, 2),
             "resumed_half_vs_cold": round(
                 checkpointed_s / resumed_s, 2

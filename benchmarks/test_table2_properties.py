@@ -9,10 +9,10 @@ batch-feasibility narrative (X1: "about 20 hours on a single CPU")
 gets the measured wall-clock total on stdout and in the benchmark
 record's ``extra_info``.
 
-The campaign runs on a two-worker work-stealing pool.  Reports are
-byte-identical on every executor, so the table is the serial one; only
-the wall time shrinks (the full chip is the longest check in tier-1),
-and the record names the worker count next to it.
+The campaign runs on a two-worker fleet, the parallel executor.
+Reports are byte-identical on every executor, so the table is the
+serial one; only the wall time shrinks (the full chip is the longest
+check in tier-1), and the record names the worker count next to it.
 """
 
 import pytest
@@ -24,26 +24,26 @@ from repro.formal.engine import FAIL
 from repro.orchestrate import CampaignConfig
 
 
-#: work-stealing pool size for the full-chip campaign
+#: fleet size for the full-chip campaign
 WORKERS = 2
 
 
 def run_full_campaign():
     chip = ComponentChip.golden()
     config = CampaignConfig(sat_conflicts=1_000_000, bdd_nodes=10_000_000,
-                            executor=f"workstealing:{WORKERS}")
+                            executor=f"fleet:{WORKERS}")
     return FormalCampaign(chip.blocks, config=config).run()
 
 
 def attribute_bugs():
     """Check only the defective modules of the pre-fix chip (the rest
     of the chip is identical to the golden run): every assertion with
-    ``auto`` on a cold solver, over the same worker pool."""
+    ``auto`` on a cold solver, over the same fleet."""
     chip = ComponentChip.with_all_defects()
     modules = [chip.module_named(d.module_name) for d in DEFECTS]
     config = CampaignConfig(engines="auto", sat_conflicts=1_000_000,
                             bdd_nodes=10_000_000, sat_workspace=False,
-                            executor=f"workstealing:{WORKERS}")
+                            executor=f"fleet:{WORKERS}")
     report = FormalCampaign([("defective", modules)], config=config).run()
     defects = {d.module_name: d for d in DEFECTS}
     found = {}

@@ -27,11 +27,11 @@ def run_both_campaigns():
     defective = [chip.module_named(d.module_name) for d in DEFECTS]
 
     # every assertion of the defective modules, with `auto` on a cold
-    # solver, over a two-worker pool (verdicts, depths and the
+    # solver, over a two-worker fleet (verdicts, depths and the
     # replay-validated traces are executor-invariant)
     config = CampaignConfig(engines="auto", sat_conflicts=1_000_000,
                             bdd_nodes=10_000_000, sat_workspace=False,
-                            executor="workstealing:2")
+                            executor="fleet:2")
     report = FormalCampaign([("defective", defective)], config=config).run()
     formal_failures = {}
     for record in report.by_status(FAIL):

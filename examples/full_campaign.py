@@ -14,7 +14,7 @@ pass ``--full`` for the whole 2047-property chip, ``--defects`` to seed
 all seven bugs and watch the feedback path light up.  The campaign runs
 through the job orchestrator, parameterised by one declarative
 ``CampaignConfig`` (the same object ``python -m repro`` runs from a
-TOML file): ``--jobs N`` checks properties on N worker processes,
+TOML file): ``--jobs N`` checks properties on an N-worker fleet,
 ``--cache FILE`` replays unchanged verdicts from a previous run
 (incremental rerun).
 
@@ -37,7 +37,7 @@ def main():
     parser.add_argument("--defects", action="store_true",
                         help="seed the seven logic bugs of Table 3")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="check properties on N worker processes")
+                        help="check properties on an N-worker fleet")
     parser.add_argument("--cache", default=None, metavar="FILE",
                         help="result-cache file for incremental reruns")
     args = parser.parse_args()
@@ -53,7 +53,7 @@ def main():
     config = CampaignConfig(
         sat_conflicts=1_000_000,
         bdd_nodes=10_000_000,
-        executor=(f"workstealing:{args.jobs}" if args.jobs is not None
+        executor=(f"fleet:{args.jobs}" if args.jobs is not None
                   else "serial"),
         cache_path=args.cache,
     )

@@ -16,7 +16,7 @@ This demo does it for real:
 2. waits until the journal holds a few dozen completed checks, then
    SIGKILLs the child mid-stream — no cleanup, no atexit, the hardest
    kill there is;
-3. resumes the campaign in this process with a work-stealing executor:
+3. resumes the campaign in this process on a two-worker fleet:
    the journaled prefix replays (counterexample traces re-validated),
    only the remainder is checked;
 4. proves the resumed report's canonical bytes equal an uninterrupted
@@ -34,8 +34,7 @@ import time
 from repro.chip import ComponentChip
 from repro.core.report import format_status_summary
 from repro.orchestrate import (
-    CampaignCheckpoint, CampaignOrchestrator, EngineConfig,
-    WorkStealingExecutor,
+    CampaignCheckpoint, CampaignOrchestrator, EngineConfig, FleetExecutor,
 )
 
 ENGINES = (EngineConfig(sat_conflicts=500_000, bdd_nodes=5_000_000),)
@@ -86,7 +85,7 @@ def main():
         print("\n=== Resuming from the journal ===")
         resumed = CampaignOrchestrator(
             _blocks(), engines=ENGINES,
-            executor=WorkStealingExecutor(processes=2),
+            executor=FleetExecutor(workers=2),
             checkpoint=CampaignCheckpoint(journal_path),
         ).run(resume=True)
         stats = resumed.stats

@@ -23,8 +23,8 @@ Subpackages
 ``repro.orchestrate``
     Job-based campaign orchestration: the declarative, serializable
     ``CampaignConfig``, pluggable scheduling/portfolio policies,
-    check-job planning, serial, work-stealing and socket-fleet
-    executors, per-job engine portfolios, the fingerprint-keyed
+    check-job planning, the serial executor and the socket-fleet
+    parallel executor, per-job engine portfolios, the fingerprint-keyed
     incremental result cache (merge-safe across concurrent campaigns),
     crash-safe checkpoint/resume, and shared incremental SAT sessions.
 ``repro.cli``

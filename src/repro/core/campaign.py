@@ -8,9 +8,10 @@ engineer ran — lint the Verifiable RTL, generate the stereotype vunits
 
 - a *planner* walks the blocks once and emits one ``CheckJob`` per
   asserted property (:mod:`repro.orchestrate.planner`);
-- an *executor* runs the jobs — serially by default, or fanned out over
-  worker processes — and streams results back in plan order
-  (:mod:`repro.orchestrate.executor`);
+- an *executor* runs the jobs — serially by default, or leased out to
+  the worker processes of the fleet — and streams results back in plan
+  order (:mod:`repro.orchestrate.executor`,
+  :mod:`repro.orchestrate.fleet`);
 - an optional *result cache* keyed by a content fingerprint of
   (module RTL, vunit source, engine config) replays verdicts for
   unchanged properties, making ECO reruns incremental
@@ -199,7 +200,7 @@ class FormalCampaign:
     serializable object that also drives the ``python -m repro`` CLI
     and is stamped (as a digest) into ``report.stats``::
 
-        config = CampaignConfig(executor="workstealing:4",
+        config = CampaignConfig(executor="fleet:4",
                                 engines="portfolio:kind,bdd-combined")
         FormalCampaign(chip.blocks, config=config).run()
 

@@ -7,7 +7,7 @@ from .sat import Solver
 from .cnf import CnfContext
 from .transition import ClusterSystem, TransitionSystem
 from .trace import Trace
-from .bmc import BmcResult, Unroller, bmc, bmc_session
+from .bmc import BmcResult, Unroller, bmc
 from .induction import InductionResult, k_induction, k_induction_session
 from .satspace import SatBinding, SatSession, SatWorkspace
 from .bdd import Bdd
@@ -31,7 +31,7 @@ from .equivalence import (
 __all__ = [
     "BudgetExceeded", "ResourceBudget", "unlimited",
     "Solver", "CnfContext", "ClusterSystem", "TransitionSystem", "Trace",
-    "BmcResult", "Unroller", "bmc", "bmc_session",
+    "BmcResult", "Unroller", "bmc",
     "InductionResult", "k_induction", "k_induction_session",
     "SatBinding", "SatSession", "SatWorkspace",
     "Bdd",

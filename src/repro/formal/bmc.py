@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 from ..rtl.netlist import FALSE, TRUE
 from .budget import ResourceBudget
 from .cnf import CnfContext
-from .sat import Solver, stats_delta
+from .sat import Solver
 from .trace import Trace
 from .transition import TransitionSystem
 
@@ -111,40 +111,3 @@ def bmc(ts: TransitionSystem, max_bound: int,
         solver.add_clause([bad_lit ^ 1])
     return BmcResult(False, max_bound, None, solver.stats_snapshot())
 
-
-def bmc_session(session, assert_name: str, max_bound: int,
-                start_bound: int = 0) -> BmcResult:
-    """BMC over a shared, already-armed SAT session (see
-    :mod:`repro.formal.satspace`).
-
-    The session's solver and unroller persist across assertions and
-    jobs; this run touches them only through the assertion's activation
-    literal ``act``: the per-depth query is ``solve([act, bad@k])`` and
-    every no-counterexample fact is recorded as the *guarded* block
-    ``(¬act ∨ ¬bad@k)``, so retiring the activation later deactivates
-    exactly this assertion's facts.  Frame encodings, Tseitin
-    definitions, and the shared constraint units are activation-free and
-    stay behind for the next assertion.
-
-    On failure the result carries ``trace=None``: the shared CNF's model
-    lives in cluster-AIG literal numbering, so callers re-derive the
-    canonical counterexample with a cold :func:`bmc` on the assertion's
-    solo-compiled system at the discovered (identical) depth.
-    """
-    solver = session.solver
-    before = solver.stats_snapshot()
-    act = session.activation(assert_name)
-    bad_node = session.cluster.bads[assert_name]
-    for k in range(0, max_bound + 1):
-        session.assert_constraint(k)
-        bad_lit = session.frame(k).lit(bad_node)
-        if k < start_bound:
-            if bad_node != FALSE:
-                solver.add_clause([act ^ 1, bad_lit ^ 1])
-            continue
-        if solver.solve([act, bad_lit]):
-            return BmcResult(True, k, None,
-                             stats_delta(before, solver.stats_snapshot()))
-        solver.add_clause([act ^ 1, bad_lit ^ 1])
-    return BmcResult(False, max_bound, None,
-                     stats_delta(before, solver.stats_snapshot()))

@@ -17,20 +17,18 @@ scheduled, restartable job graph:
   check: module + vunit + assertion + engine portfolio), content
   fingerprints, the portfolio runner, and the serialization codecs
   (result entries shared with cache/checkpoint, plus the job/result
-  wire format the pool and fleet executors ship across process
-  boundaries);
+  wire format the fleet ships across process boundaries);
 - :mod:`~repro.orchestrate.planner` — one walk over the chip produces
   the flat, ordered job list;
-- :mod:`~repro.orchestrate.executor` — serial and work-stealing
-  multiprocessing executors, both bound to the results-in-plan-order
-  contract;
-- :mod:`~repro.orchestrate.fleet` — the socket-fanout
-  :class:`FleetExecutor`: a TCP coordinator leasing scheduling-policy
-  batches to launcher-started worker processes over the portable wire
-  format (length-prefixed JSON, no pickle), with heartbeats, lease
-  re-issue on worker death or stall, and at-most-once result
-  acceptance — the same streaming contract over a cross-host
-  transport;
+- :mod:`~repro.orchestrate.executor` — the results-in-plan-order
+  executor contract and the serial executor;
+- :mod:`~repro.orchestrate.fleet` — :class:`FleetExecutor`, the one
+  parallel executor: a TCP coordinator thread leasing
+  scheduling-policy batches to launcher-started worker processes (on
+  this host or over ssh) over the portable wire format
+  (length-prefixed JSON, no pickle), with heartbeats, lease re-issue
+  on worker death or stall, and at-most-once result acceptance — the
+  same streaming contract as the serial executor;
 - :mod:`~repro.orchestrate.cache` — fingerprint-keyed on-disk result
   store for incremental (ECO-regression) reruns;
 - :mod:`~repro.orchestrate.checkpoint` — crash-safe journal of
@@ -130,7 +128,7 @@ from .job import (
     encode_result, job_fingerprint, portfolio, run_check_job,
 )
 from .planner import CampaignPlan, plan_campaign
-from .executor import SerialExecutor, WorkStealingExecutor
+from .executor import SerialExecutor
 from .fleet import (
     FleetExecutor, LocalFleetLauncher, SshFleetLauncher,
     parse_launcher_spec,
@@ -153,7 +151,7 @@ __all__ = [
     "CheckJob", "DEFAULT_PORTFOLIO_METHODS", "EngineConfig", "JobResult",
     "compile_job", "job_fingerprint", "portfolio", "run_check_job",
     "CampaignPlan", "plan_campaign",
-    "SerialExecutor", "WorkStealingExecutor",
+    "SerialExecutor",
     "FleetExecutor", "LocalFleetLauncher", "SshFleetLauncher",
     "parse_launcher_spec",
     "ResultCache", "decode_result", "encode_result",

@@ -18,10 +18,9 @@ methodology its missing property: a campaign's full configuration is
 
 Compact string specs stand in for object graphs:
 
-- ``executor = "workstealing:4"`` — ``serial``, ``workstealing[:N]``
-  (``work-stealing`` accepted too), or ``fleet[:N]`` (the
-  socket-fanout coordinator of :mod:`repro.orchestrate.fleet`, tuned
-  by the ``[fleet]`` section);
+- ``executor = "fleet:4"`` — ``serial`` or ``fleet[:N]`` (the
+  parallel pool: the socket-fanout coordinator of
+  :mod:`repro.orchestrate.fleet`, tuned by the ``[fleet]`` section);
   ``N`` is the worker count, defaulting to the machine's CPU count;
 - ``engines = "portfolio:kind,bdd-combined,pobdd"`` — a single engine
   name runs one stage; ``portfolio:`` prefixes a comma-separated stage
@@ -87,32 +86,25 @@ class ConfigError(ValueError):
     broadly; the message always names the offending value."""
 
 
-#: executor spec aliases -> canonical kind
-_EXECUTOR_KINDS = {
-    "serial": "serial",
-    "workstealing": "work-stealing",
-    "work-stealing": "work-stealing",
-    "fleet": "fleet",
-}
+#: executor spec kinds
+_EXECUTOR_KINDS = ("serial", "fleet")
 
 
 def parse_executor_spec(spec: str) -> Tuple[str, Optional[int]]:
     """Parse an executor spec into ``(kind, processes)``.
 
-    Grammar: ``serial`` | ``workstealing[:N]`` | ``fleet[:N]``
-    (``work-stealing`` is accepted as an alias).  ``N`` is the worker
-    count — processes for the pool, fleet workers for the socket
-    executor — and must be a positive integer; ``serial`` takes no
+    Grammar: ``serial`` | ``fleet[:N]``.  ``N`` is the fleet's worker
+    count and must be a positive integer; ``serial`` takes no
     argument.
     """
     if not isinstance(spec, str):
         raise ConfigError(f"executor spec must be a string, got {spec!r}")
     kind_text, sep, arg = spec.partition(":")
-    kind = _EXECUTOR_KINDS.get(kind_text.strip())
-    if kind is None:
+    kind = kind_text.strip()
+    if kind not in _EXECUTOR_KINDS:
         raise ConfigError(
-            f"unknown executor {kind_text.strip()!r} in spec {spec!r}; "
-            f"expected serial, workstealing[:N], or fleet[:N]"
+            f"unknown executor {kind!r} in spec {spec!r}; "
+            f"expected serial or fleet[:N]"
         )
     if not sep:
         return kind, None
@@ -275,15 +267,15 @@ class CampaignConfig:
     #: POBDD partitioning window variables
     num_window_vars: int = 2
 
-    #: executor spec — ``serial`` | ``workstealing[:N]`` | ``fleet[:N]``
+    #: executor spec — ``serial`` | ``fleet[:N]``
     executor: str = "serial"
-    #: work-queue scheduling policy (``fifo`` | ``module-affinity``);
-    #: consulted by the work-stealing executor, a no-op elsewhere
+    #: lease scheduling policy (``fifo`` | ``module-affinity``);
+    #: consulted by the fleet, a no-op for the serial executor
     scheduling: str = "fifo"
     #: portfolio attempt-order policy (``static`` | ``adaptive``)
     portfolio: str = "static"
 
-    #: ``[fleet]`` — the socket-fanout executor's transport knobs
+    #: ``[fleet]`` — the parallel pool's transport knobs
     #: (consulted only when ``executor = "fleet[:N]"``; see
     #: :mod:`repro.orchestrate.fleet`)
     #: coordinator bind port (``0`` = ephemeral)
@@ -681,9 +673,9 @@ class CampaignConfig:
 
     def build_executor(self):
         """The executor this config describes, wired with the
-        compile-store and SAT-workspace knobs and (for the pool and
-        the fleet) the scheduling policy."""
-        from .executor import SerialExecutor, WorkStealingExecutor
+        compile-store and SAT-workspace knobs and (for the fleet) the
+        scheduling policy."""
+        from .executor import SerialExecutor
         from .fleet import FleetExecutor
         kind, processes = parse_executor_spec(self.executor)
         warm = dict(compile_store=self.compile_store,
@@ -692,18 +684,14 @@ class CampaignConfig:
                     sat_options=self.sat_workspace_options())
         if kind == "serial":
             return SerialExecutor(**warm)
-        if kind == "fleet":
-            return FleetExecutor(workers=processes,
-                                 port=self.fleet_port,
-                                 lease_timeout=self.fleet_lease_timeout,
-                                 heartbeat_interval=
-                                 self.fleet_heartbeat_interval,
-                                 launcher=self.fleet_launcher,
-                                 scheduling=self.build_scheduling(),
-                                 **warm)
-        return WorkStealingExecutor(processes=processes,
-                                    scheduling=self.build_scheduling(),
-                                    **warm)
+        return FleetExecutor(workers=processes,
+                             port=self.fleet_port,
+                             lease_timeout=self.fleet_lease_timeout,
+                             heartbeat_interval=
+                             self.fleet_heartbeat_interval,
+                             launcher=self.fleet_launcher,
+                             scheduling=self.build_scheduling(),
+                             **warm)
 
     def build_scheduling(self):
         """The scheduling policy instance (``fifo`` unless configured)."""

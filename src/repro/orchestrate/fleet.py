@@ -1,14 +1,14 @@
-"""Multi-host fleet executor: a socket-fanout coordinator over the
+"""The parallel executor: a socket-fanout coordinator over the
 portable job wire format.
 
-``FleetExecutor`` is the campaign's first cross-host executor: a
-coordinator thread in the campaign process serves the plan's jobs over
-TCP to worker processes, speaking **length-prefixed JSON** built
-entirely from the PR-5 wire codec — :meth:`CheckJob.spec` requests out,
-:func:`~repro.orchestrate.job.encode_job_result` replies back, FAIL
-counterexamples as canonical input frames revalidated by replay on the
-coordinator.  No pickle ever crosses the socket, so a worker can run on
-any host that holds the design sources.
+``FleetExecutor`` is the campaign's one parallel executor, on one host
+or many: a coordinator thread in the campaign process serves the
+plan's jobs over TCP to worker processes, speaking **length-prefixed
+JSON** built entirely from the job wire codec — :meth:`CheckJob.spec`
+requests out, :func:`~repro.orchestrate.job.encode_job_result` replies
+back, FAIL counterexamples as canonical input frames revalidated by
+replay on the coordinator.  No pickle ever crosses the socket, so a
+worker can run on any host that holds the design sources.
 
 The transport preserves the executor streaming contract exactly
 (``tests/test_executor_contract.py`` certifies it like every other
@@ -19,17 +19,31 @@ journaling therefore works unchanged — a killed coordinator resumes
 byte-identically, because resume is a property of the *orchestrator*
 loop, not of any transport.
 
+Coordinator thread
+------------------
+
+The acceptor and the per-connection reader threads only enqueue
+events.  One coordinator thread drains them and does everything else —
+frame handling, leasing, stall checks, respawns — under one
+:class:`threading.Condition`; the consumer (the orchestrator's loop)
+only waits on that condition for its next plan index or a stored
+:class:`FleetError`.  A worker that finishes its lease is re-leased at
+once, while the consumer is still journaling, caching or decoding
+earlier results.  Every connection runs with ``TCP_NODELAY`` on both
+ends: result frames go out back to back, and Nagle's algorithm would
+hold the second one until the peer's delayed ACK.
+
 Lease lifecycle
 ---------------
 
 The coordinator hands each worker one *lease* at a time: a batch of
 jobs from the configured
-:class:`~repro.orchestrate.policy.SchedulingPolicy` (module-affinity
-batches keep a worker's ``CompiledProblemStore`` / ``SatWorkspace``
-warm for a whole module group, exactly as in the work-stealing pool).
-Workers heartbeat on a fixed interval — also *during* long checks,
-from a background thread — so liveness and progress are separate
-signals:
+:class:`~repro.orchestrate.policy.SchedulingPolicy` (one job under FIFO
+scheduling for maximum balance; module-affinity batches keep a
+worker's ``CompiledProblemStore`` / ``SatWorkspace`` warm for a whole
+module group).  Workers heartbeat on a fixed interval — also *during*
+long checks, from a background thread — so liveness and progress are
+separate signals:
 
 - a worker whose socket dies (SIGKILL, OOM, network) is detected
   immediately at EOF; its lease's unanswered jobs are re-queued at the
@@ -46,6 +60,12 @@ signals:
   respawn budget; when no worker is left and the budget is spent, the
   stream raises instead of wedging.
 
+Every accepted result frame carries its worker's warm-state counter
+snapshots; the coordinator keys them by the worker name from the hello
+frame — never by pid, which two hosts (or two containers) can share —
+and ``compile_stats()`` / ``sat_stats()`` sum the freshest snapshot of
+each worker.
+
 Launchers
 ---------
 
@@ -54,7 +74,10 @@ Worker processes are started by a pluggable launcher:
 - :class:`LocalFleetLauncher` (default) forks worker processes on this
   host — under the ``fork`` start method the workers inherit the
   in-memory job list, so only job *identity* (specs, fingerprints)
-  ever crosses the socket;
+  ever crosses the socket.  Engines registered at runtime via
+  :func:`~repro.formal.engine.register_engine` reach local workers
+  only under ``fork``; on spawn-only platforms run such campaigns
+  serially;
 - :class:`SshFleetLauncher` is the multi-host stub with the same
   interface: it spawns ``ssh <host> python -m repro fleet worker
   --config ... --connect host:port`` per worker.  Remote workers
@@ -69,6 +92,7 @@ from __future__ import annotations
 import builtins
 import collections
 import json
+import multiprocessing
 import os
 import queue as queue_module
 import socket
@@ -79,10 +103,8 @@ import time
 import uuid
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .executor import (
-    SerialExecutor, _build_sat, _build_store, _merge_worker_stats,
-    _note_worker_stats, _pool_context,
-)
+from ..formal.problems import CompiledProblemStore
+from .executor import SerialExecutor, _build_sat, _build_store
 from .job import (
     CheckJob, JobResult, decode_job_result, encode_job_result,
     run_check_job,
@@ -195,6 +217,12 @@ def _hangup(conn: socket.socket) -> None:
         pass
 
 
+def _nodelay(sock: socket.socket) -> None:
+    """Disable Nagle's algorithm: frames go out back to back, and a
+    small second frame must not wait for the peer's delayed ACK."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def _rebuild_exception(exc_type: str, message: str) -> BaseException:
     """Reconstruct a worker-side exception from its wire description.
     Builtin exception types cross the socket faithfully (the contract
@@ -239,8 +267,7 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
     its fingerprint cross-checked, so a worker can never run (or
     answer for) a job its sources do not reproduce exactly.
 
-    Error semantics mirror the work-stealing pool's ``_steal_worker``:
-    a failing job answers with an error frame and poisons the rest of
+    A failing job answers with an error frame and poisons the rest of
     its lease (same error per remaining job — the stream dies at the
     first failure's plan position, but every leased job must still be
     answered); the worker then keeps serving further leases.
@@ -255,6 +282,7 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
     except OSError:
         return  # coordinator already gone — nothing to serve
     sock.settimeout(None)
+    _nodelay(sock)
     send_lock = threading.Lock()
 
     def _send(payload: dict) -> None:
@@ -373,6 +401,15 @@ def run_fleet_worker(config, connect: str, worker_id: str,
 # ----------------------------------------------------------------------
 # launchers
 # ----------------------------------------------------------------------
+
+def _pool_context():
+    """Prefer fork (no re-import, cheap job shipping); fall back to the
+    platform default where fork is unavailable."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:
+        return multiprocessing.get_context()
+
 
 class LocalFleetLauncher:
     """Fork fleet workers on this host (the test/CI launcher).
@@ -511,6 +548,30 @@ def parse_launcher_spec(spec: str, config_path: str = "campaign.toml"):
 # the coordinator
 # ----------------------------------------------------------------------
 
+def _note_worker_stats(worker_stats: Dict[str, dict], worker: str,
+                       snapshot: dict) -> None:
+    """Fold one worker's counter snapshot into the per-worker map.
+
+    Snapshots are monotonic counters but arrive in completion order
+    across leases, so the freshest snapshot per worker is the
+    element-wise maximum, not the last one seen.
+    """
+    current = worker_stats.setdefault(worker, {})
+    for key, value in snapshot.items():
+        if value > current.get(key, 0):
+            current[key] = value
+
+
+def _merge_worker_stats(worker_stats: Dict[str, dict]) -> Dict[str, int]:
+    """Sum the freshest per-worker counter snapshots (``{}`` when no
+    worker shipped any)."""
+    if not worker_stats:
+        return {}
+    merged = CompiledProblemStore.merge_stats(*worker_stats.values())
+    merged["workers"] = len(worker_stats)
+    return merged
+
+
 class _Lease:
     """One outstanding batch: its wire id, the unit's jobs, and the
     indices still unanswered."""
@@ -542,8 +603,9 @@ class _WorkerState:
 class _FleetRun:
     """All per-``map`` coordinator state: the TCP server, worker
     bookkeeping, the lease ledger, and the plan-order result buffer.
-    Runs entirely on the consumer's thread — reader threads only
-    enqueue events — so no lock guards any of it."""
+    Acceptor and reader threads only enqueue events; the coordinator
+    thread drains them, and every change to this state happens under
+    ``cond``."""
 
     def __init__(self, executor: "FleetExecutor",
                  jobs: List[CheckJob]) -> None:
@@ -554,6 +616,12 @@ class _FleetRun:
         self.settled: Dict[int, object] = {}
         self.pending_units = collections.deque()
         self.events = queue_module.Queue()
+        self.cond = threading.Condition()
+        #: an unrecoverable coordinator failure, raised to the consumer
+        #: when it next waits for an unsettled index
+        self.error: Optional[BaseException] = None
+        self.coordinator: Optional[threading.Thread] = None
+        self.halted = False
         self.workers: Dict[str, _WorkerState] = {}
         self.by_conn: Dict[socket.socket, _WorkerState] = {}
         self.handles: Dict[str, object] = {}
@@ -565,6 +633,10 @@ class _FleetRun:
         self.next_worker = 0
         self.respawns_used = 0
         self.closed = False
+        #: freshest warm-state counters per worker name, by kind
+        self.worker_stats: Dict[str, Dict[str, dict]] = {
+            "store": {}, "sat": {},
+        }
         self.stats = {
             "workers_launched": 0,
             "workers_lost": 0,
@@ -601,6 +673,9 @@ class _FleetRun:
         worker_count = min(executor.workers, len(units))
         for _ in range(worker_count):
             self._launch_one()
+        self.coordinator = threading.Thread(target=self._coordinate,
+                                            daemon=True)
+        self.coordinator.start()
 
     def _launch_one(self) -> None:
         name = f"w{self.next_worker}"
@@ -630,6 +705,10 @@ class _FleetRun:
                 continue
             except OSError:
                 return  # server closed — run is over
+            try:
+                _nodelay(conn)
+            except OSError:
+                pass  # the reader will see the dead socket
             self.events.put(("accepted", conn, None))
 
     def _reader(self, conn: socket.socket) -> None:
@@ -643,33 +722,62 @@ class _FleetRun:
         except (FrameError, OSError) as exc:
             self.events.put(("gone", conn, str(exc)))
 
-    # -- the consumer-thread pump -------------------------------------
+    # -- the coordinator thread ----------------------------------------
+    def _coordinate(self) -> None:
+        """Lease to idle workers, revoke stalled leases, replace lost
+        workers, then handle the next event — until halted.  A failure
+        is stored for the consumer instead of dying with the thread."""
+        try:
+            while True:
+                with self.cond:
+                    if self.halted:
+                        return
+                    self._dispatch()
+                    self._check_stalls()
+                    self._ensure_capacity()
+                try:
+                    event = self.events.get(timeout=self.tick)
+                except queue_module.Empty:
+                    continue
+                self._handle(event)
+        except Exception as exc:
+            with self.cond:
+                self.error = exc
+                self.cond.notify_all()
+
+    def _halt(self) -> None:
+        """Stop the coordinator thread and wait for it (idempotent)."""
+        with self.cond:
+            self.halted = True
+        self.events.put(("halt", None, None))
+        thread = self.coordinator
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=10.0)
+
     def next_payload(self, index: int):
-        """Pump events until ``index`` is settled; return its payload
-        dict (or the worker-side ``BaseException``)."""
-        while index not in self.settled:
-            self._dispatch()
-            self._check_stalls()
-            self._ensure_capacity()
-            try:
-                event = self.events.get(timeout=self.tick)
-            except queue_module.Empty:
-                continue
-            self._handle(event)
-        return self.settled.pop(index)
+        """Wait until ``index`` is settled; return its payload dict (or
+        the worker-side ``BaseException``).  Raises the coordinator's
+        stored failure instead of waiting forever."""
+        with self.cond:
+            while index not in self.settled:
+                if self.error is not None:
+                    raise self.error
+                self.cond.wait()
+            return self.settled.pop(index)
 
     def _handle(self, event) -> None:
         kind, conn, data = event
-        if kind == "accepted":
-            self.conns.append(conn)
-            threading.Thread(target=self._reader, args=(conn,),
-                             daemon=True).start()
-        elif kind == "frame":
-            self._handle_frame(conn, data)
-        elif kind == "gone":
-            state = self.by_conn.get(conn)
-            if state is not None:
-                self._lose_worker(state)
+        with self.cond:
+            if kind == "accepted":
+                self.conns.append(conn)
+                threading.Thread(target=self._reader, args=(conn,),
+                                 daemon=True).start()
+            elif kind == "frame":
+                self._handle_frame(conn, data)
+            elif kind == "gone":
+                state = self.by_conn.get(conn)
+                if state is not None:
+                    self._lose_worker(state)
 
     def _handle_frame(self, conn: socket.socket, frame: dict) -> None:
         frame_type = frame.get("type")
@@ -712,6 +820,9 @@ class _FleetRun:
             self.settled[index] = frame
             self.stats["jobs_per_worker"][state.name] = \
                 self.stats["jobs_per_worker"].get(state.name, 0) + 1
+            for kind, snapshots in self.worker_stats.items():
+                if frame.get(kind) is not None:
+                    _note_worker_stats(snapshots, state.name, frame[kind])
         else:
             self.settled[index] = _rebuild_exception(
                 str(frame.get("exc_type", "RuntimeError")),
@@ -721,6 +832,7 @@ class _FleetRun:
         lease.remaining.discard(index)
         if not lease.remaining:
             state.lease = None  # idle — next _dispatch leases again
+        self.cond.notify_all()
 
     # -- lease bookkeeping --------------------------------------------
     def _dispatch(self) -> None:
@@ -829,8 +941,10 @@ class _FleetRun:
 
     # -- shutdown ------------------------------------------------------
     def finish(self) -> None:
-        """Graceful end-of-stream: every job settled — dismiss the
-        workers and wait for local processes to exit."""
+        """Graceful end-of-stream: every job settled — stop the
+        coordinator (a dismissed worker's EOF is not a loss), dismiss
+        the workers and wait for local processes to exit."""
+        self._halt()
         for state in self.workers.values():
             if state.dead:
                 continue
@@ -846,6 +960,7 @@ class _FleetRun:
         """Tear everything down; idempotent, safe mid-stream."""
         if self.closed:
             return
+        self._halt()
         self.closed = True
         if self.server is not None:
             try:
@@ -867,7 +982,7 @@ class _FleetRun:
 
 
 class FleetExecutor:
-    """Socket-fanout executor: a TCP coordinator leasing plan jobs to
+    """The parallel executor: a TCP coordinator leasing plan jobs to
     launcher-started worker processes over the portable wire format.
 
     Same streaming contract as every other executor — results yield in
@@ -883,10 +998,12 @@ class FleetExecutor:
     re-issued; ``heartbeat_interval`` is the workers' liveness cadence;
     ``max_respawns`` bounds replacement launches (default: the fleet
     size).  The warm state (``compile_store`` / ``share_sat`` and
-    their option dicts) is per worker process, exactly as in the
-    work-stealing pool; ``scheduling`` picks the
-    lease granularity (module-affinity units keep one module's warm
-    state on one worker).
+    their option dicts) is per worker process, never shared, which
+    keeps reuse lock-free; ``scheduling`` picks the lease granularity
+    (FIFO single jobs for balance, module-affinity units to keep one
+    module's warm state on one worker) — the outcome is
+    policy-invariant, because results are reassembled into plan order
+    either way.
 
     Falls back to in-process serial execution for <=1 job or a 1-worker
     fleet, reporting ``fleet[serial-fallback]`` — a socket round-trip
@@ -940,13 +1057,11 @@ class FleetExecutor:
         self._fell_back = False
         self._fallback: Optional[SerialExecutor] = None
         self._run: Optional[_FleetRun] = None
-        self._worker_stats: Dict[object, dict] = {}
-        self._sat_worker_stats: Dict[object, dict] = {}
 
     @property
     def name(self) -> str:
-        """Reports the *effective* mode, like the work-stealing pool:
-        a 1-worker or <=1-job run never opens a socket."""
+        """Reports the *effective* mode: a 1-worker or <=1-job run
+        never opens a socket, and stats must not claim it did."""
         if self._fell_back:
             return "fleet[serial-fallback]"
         return "fleet"
@@ -980,8 +1095,8 @@ class FleetExecutor:
             return
         self._fell_back = False
         self._fallback = None
-        self._worker_stats = {}
-        self._sat_worker_stats = {}
+        # the parent's own store only pays for FAIL-trace decodes (a
+        # recompile per failing module), so the default bound is fine
         decode_store = _build_store(self.compile_store,
                                     self.store_options)
         run = _FleetRun(self, jobs)
@@ -992,7 +1107,6 @@ class FleetExecutor:
                 payload = run.next_payload(job.index)
                 if isinstance(payload, BaseException):
                     raise payload
-                self._note_payload_stats(payload)
                 yield decode_job_result(payload["result"], job,
                                         decode_store)
             # reached when the consumer drives the generator past the
@@ -1002,27 +1116,26 @@ class FleetExecutor:
         finally:
             run.close()
 
-    def _note_payload_stats(self, payload: dict) -> None:
-        pid = payload.get("pid")
-        if payload.get("store") is not None:
-            _note_worker_stats(self._worker_stats, pid, payload["store"])
-        if payload.get("sat") is not None:
-            _note_worker_stats(self._sat_worker_stats, pid,
-                               payload["sat"])
+    def _worker_totals(self, kind: str) -> Dict[str, int]:
+        """Sum of the last run's freshest per-worker snapshots."""
+        if self._run is None:
+            return {}
+        with self._run.cond:
+            return _merge_worker_stats(self._run.worker_stats[kind])
 
     def compile_stats(self) -> Dict[str, int]:
         """Aggregated per-worker store counters from the last ``map``;
         ``{}`` when the store is off."""
         if self._fallback is not None:
             return self._fallback.compile_stats()
-        return _merge_worker_stats(self._worker_stats)
+        return self._worker_totals("store")
 
     def sat_stats(self) -> Dict[str, int]:
         """Aggregated per-worker SAT-workspace counters from the last
         ``map``; ``{}`` when sharing is off."""
         if self._fallback is not None:
             return self._fallback.sat_stats()
-        return _merge_worker_stats(self._sat_worker_stats)
+        return self._worker_totals("sat")
 
     def fleet_stats(self) -> Dict[str, object]:
         """Transport bookkeeping from the last ``map`` — workers
@@ -1032,5 +1145,7 @@ class FleetExecutor:
         serial-fallback (or not-yet-run) executor reports ``{}``."""
         if self._run is None:
             return {}
-        return {key: (dict(value) if isinstance(value, dict) else value)
-                for key, value in self._run.stats.items()}
+        with self._run.cond:
+            return {key: (dict(value) if isinstance(value, dict)
+                          else value)
+                    for key, value in self._run.stats.items()}

@@ -12,8 +12,8 @@
 3. the configured :class:`~repro.orchestrate.policy.PortfolioPolicy`
    picks each remaining job's engine attempt order (the adaptive
    policy tries the cache's historical winner first), then the
-   executor (serial by default; work-stealing process pools and the
-   socket fleet are opt-in, both scheduled by the configured
+   executor (serial by default; the parallel fleet is opt-in,
+   scheduled by the configured
    :class:`~repro.orchestrate.policy.SchedulingPolicy`) streams
    :class:`JobResult`\\ s back in plan order, each fresh result
    journaled to the checkpoint as it arrives;
@@ -54,7 +54,7 @@ class CampaignOrchestrator:
     The canonical way to parameterise a campaign is one declarative
     :class:`~repro.orchestrate.config.CampaignConfig`::
 
-        config = CampaignConfig(executor="workstealing:4",
+        config = CampaignConfig(executor="fleet:4",
                                 engines="portfolio:kind,bdd-combined",
                                 scheduling="module-affinity",
                                 cache_path="campaign-cache.json")

@@ -62,8 +62,8 @@ class CampaignPlan:
         group is a contiguous index run.  Jobs in one group share an
         elaborated design and SAT sessions, and this grouping is the
         module-affinity scheduling unit: with
-        ``scheduling = "module-affinity"`` the work-stealing executor
-        hands one group per queue pull
+        ``scheduling = "module-affinity"`` the fleet leases one group
+        at a time
         (:class:`~repro.orchestrate.policy.ModuleAffinityScheduling`),
         keeping one module's warm state hot on one worker.
         """

@@ -7,13 +7,12 @@ portfolio stage a job tries first.  This module gives those decisions
 an API slot:
 
 - a :class:`SchedulingPolicy` turns the plan's job list into the
-  ordered *work units* a pull-based executor's queue hands out.  The
-  default (:class:`FifoScheduling`) is one job per unit — exactly the
-  work-stealing behaviour the executor always had.
-  :class:`ModuleAffinityScheduling` batches each module's jobs
-  (``CampaignPlan.module_groups()``) into one unit, so one worker keeps
-  one module's elaborated design and SAT sessions hot instead of the
-  pool interleaving modules across workers;
+  ordered *work units* the fleet leases to idle workers.  The default
+  (:class:`FifoScheduling`) is one job per unit — pull scheduling at
+  its finest grain.  :class:`ModuleAffinityScheduling` batches each
+  module's jobs (``CampaignPlan.module_groups()``) into one unit, so
+  one worker keeps one module's elaborated design and SAT sessions hot
+  instead of the fleet interleaving modules across workers;
 - a :class:`PortfolioPolicy` picks the *attempt order* of a job's
   engine portfolio.  The default (:class:`StaticPortfolio`) runs the
   configured order.  :class:`AdaptivePortfolio` consults the
@@ -52,12 +51,12 @@ from .job import CheckJob
 
 
 class SchedulingPolicy:
-    """Orders a pull-based executor's work queue.
+    """Orders the fleet's lease queue.
 
-    ``batches(jobs)`` partitions the job list into the units a worker
-    pulls at once, in hand-out order.  Every job must appear exactly
+    ``batches(jobs)`` partitions the job list into the units one lease
+    hands a worker, in hand-out order.  Every job must appear exactly
     once; executors stream results back in plan order regardless, so a
-    policy can only change *cost* (worker affinity, steal order), never
+    policy can only change *cost* (worker affinity, lease order), never
     the campaign outcome.
     """
 
@@ -68,8 +67,8 @@ class SchedulingPolicy:
 
 
 class FifoScheduling(SchedulingPolicy):
-    """One job per unit, in plan order — the classic work-stealing
-    queue (maximum balance, no module affinity)."""
+    """One job per unit, in plan order — the classic pull queue
+    (maximum balance, no module affinity)."""
 
     name = "fifo"
 
@@ -85,7 +84,7 @@ class ModuleAffinityScheduling(SchedulingPolicy):
     one-job-at-a-time queue sprays them across workers, each
     re-elaborating (or LRU-thrashing) its own copy.  Batching the whole
     group into one unit keeps one module's warm state hot on one
-    worker; stealing still balances at the granularity of modules,
+    worker; pull leasing still balances at the granularity of modules,
     which is exactly the granularity at which balance is free.
     """
 

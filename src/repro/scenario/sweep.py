@@ -17,7 +17,7 @@ guarantees byte-identical across executors, caches, and resume paths
 Wall-clock data lives in the record's ``timing`` section, which
 :func:`canonical_record_bytes` strips — so the same spec and config
 produce the same :func:`record_digest` whether the campaign ran
-serially or over a work-stealing pool.
+serially or on the parallel fleet.
 """
 
 from __future__ import annotations

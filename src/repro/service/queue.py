@@ -16,7 +16,7 @@ one campaign at a time through a stock
 verdict database as its cache, so any job fingerprint ever settled —
 by an earlier campaign, a different tenant, or an imported per-campaign
 cache — partitions out as an instant verdict hit, and only genuine
-misses reach the configured executor (``serial``, the pools, or
+misses reach the configured executor (``serial`` or the parallel
 ``fleet:N``; the config decides, the queue does not care).
 
 Every served campaign is checkpoint-journaled under the service data

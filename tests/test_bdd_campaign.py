@@ -18,8 +18,8 @@ from repro.formal.engine import (
 from repro.formal.reachability import SymbolicModel
 from repro.orchestrate import (
     CampaignOrchestrator, EngineConfig, FleetExecutor,
-    ModuleAffinityScheduling, SerialExecutor, WorkStealingExecutor,
-    compile_job, plan_campaign, run_check_job,
+    ModuleAffinityScheduling, SerialExecutor, compile_job,
+    plan_campaign, run_check_job,
 )
 
 BDD_METHODS = ["bdd-forward", "bdd-backward", "bdd-combined", "pobdd"]
@@ -153,12 +153,10 @@ def serial_bytes(small_blocks):
 
 
 @pytest.mark.parametrize("make_executor", [
-    pytest.param(lambda: WorkStealingExecutor(processes=2),
-                 id="work-stealing"),
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, scheduling=ModuleAffinityScheduling()),
-        id="work-stealing-affinity"),
     pytest.param(lambda: FleetExecutor(workers=2), id="fleet"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, scheduling=ModuleAffinityScheduling()),
+        id="fleet-affinity"),
 ])
 @pytest.mark.parametrize("method", ["bdd-combined", "pobdd"])
 def test_bdd_campaign_byte_identical_across_executors(

@@ -142,7 +142,7 @@ class TestProgressCallback:
         ]
 
     def test_order_stable_across_executors(self):
-        from repro.orchestrate import WorkStealingExecutor
+        from repro.orchestrate import FleetExecutor
         chip = ComponentChip(only_blocks=["C"])
         blocks = [("C", chip.blocks[0][1][:3])]
         serial_lines, parallel_lines = [], []
@@ -151,7 +151,7 @@ class TestProgressCallback:
         )
         FormalCampaign(
             blocks, budget_factory=_budget,
-            executor=WorkStealingExecutor(processes=2),
+            executor=FleetExecutor(workers=2),
         ).run(progress=parallel_lines.append)
         assert serial_lines == parallel_lines
 
@@ -171,10 +171,10 @@ class TestSimulationCampaign:
         }
 
         # every assertion with `auto` on a cold solver, over a
-        # two-worker pool (verdicts and depths are executor-invariant)
+        # two-worker fleet (verdicts and depths are executor-invariant)
         config = CampaignConfig(engines="auto", sat_conflicts=500_000,
                                 bdd_nodes=5_000_000, sat_workspace=False,
-                                executor="workstealing:2")
+                                executor="fleet:2")
         report = FormalCampaign([("defective", defective)],
                                 config=config).run()
         formal_failures = {}

@@ -20,7 +20,7 @@ from repro.chip import ComponentChip
 from repro.core.report import format_table2
 from repro.orchestrate import (
     CampaignCheckpoint, CampaignOrchestrator, EngineConfig, ResultCache,
-    SerialExecutor, WorkStealingExecutor,
+    FleetExecutor, SerialExecutor,
 )
 
 #: jobs in the tiny two-module plan; asserted against the real plan in
@@ -95,12 +95,12 @@ class TestKillAndResume:
         assert resumed.canonical_bytes() == reference.canonical_bytes()
         assert format_table2(resumed) == format_table2(reference)
 
-    def test_resume_with_work_stealing_executor(self, tiny_blocks,
-                                                reference, tmp_path):
+    def test_resume_with_fleet_executor(self, tiny_blocks, reference,
+                                        tmp_path):
         journal = tmp_path / "journal.jsonl"
         _crash_run(tiny_blocks, journal, 6)
         resumed = _resume(tiny_blocks, journal,
-                          executor=WorkStealingExecutor(processes=2))
+                          executor=FleetExecutor(workers=2))
         assert resumed.stats["journal_replayed"] == 6
         assert resumed.canonical_bytes() == reference.canonical_bytes()
 

@@ -21,8 +21,8 @@ from repro.formal.problems import (
 )
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
-    ModuleAffinityScheduling, SerialExecutor,
-    WorkStealingExecutor, compile_job, decode_job_result,
+    ModuleAffinityScheduling, SerialExecutor, compile_job,
+    decode_job_result,
     encode_job_result, plan_campaign, run_check_job,
 )
 from repro.psl.compile import compile_vunit
@@ -285,8 +285,6 @@ class TestCampaignByteIdentity:
     @pytest.mark.parametrize("store_kwargs", _store_variants())
     @pytest.mark.parametrize("executor_factory", [
         pytest.param(SerialExecutor, id="serial"),
-        pytest.param(lambda **kw: WorkStealingExecutor(processes=2, **kw),
-                     id="work-stealing"),
         pytest.param(lambda **kw: FleetExecutor(workers=2, **kw),
                      id="fleet"),
     ])
@@ -374,15 +372,14 @@ class TestExecutorStoreWiring:
         list(executor.map(buggy_plan.jobs))
         assert executor.compile_stats() == {}
 
-    def test_per_worker_stores_in_the_work_stealing_pool(
-            self, buggy_plan):
-        """Each worker owns a private store: the pool's aggregated
+    def test_per_worker_stores_in_the_fleet(self, buggy_plan):
+        """Each worker owns a private store: the fleet's aggregated
         counters account one compile per executed job, with at least
         one design miss per distinct module (no cross-process
         sharing), and module-affinity batches turn the rest into
         design hits."""
-        executor = WorkStealingExecutor(
-            processes=2, scheduling=ModuleAffinityScheduling())
+        executor = FleetExecutor(
+            workers=2, scheduling=ModuleAffinityScheduling())
         results = list(executor.map(buggy_plan.jobs))
         assert len(results) == len(buggy_plan.jobs)
         stats = executor.compile_stats()
@@ -399,7 +396,7 @@ class TestExecutorStoreWiring:
     def test_campaign_stats_surface_run_counters(self, buggy_blocks):
         config = CampaignConfig(
             engines="kind", sat_conflicts=500_000,
-            bdd_nodes=5_000_000, executor="workstealing:2",
+            bdd_nodes=5_000_000, executor="fleet:2",
             scheduling="module-affinity",
         )
         report = CampaignOrchestrator(buggy_blocks, config=config).run()
@@ -434,7 +431,7 @@ class TestConfigKnobs:
         assert config.to_dict()["compile"]["max_designs"] == "unlimited"
 
     def test_knobs_reach_the_executor(self):
-        config = CampaignConfig(executor="workstealing:2",
+        config = CampaignConfig(executor="fleet:2",
                                 compile_max_designs=2)
         executor = config.build_executor()
         assert executor.compile_store is True

@@ -16,8 +16,8 @@ from repro.chip import ComponentChip
 from repro.core.campaign import FormalCampaign
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, ConfigError, EngineConfig,
-    FleetExecutor, SerialExecutor,
-    WorkStealingExecutor, parse_engines_spec, parse_executor_spec,
+    FleetExecutor, SerialExecutor, parse_engines_spec,
+    parse_executor_spec,
 )
 from repro.orchestrate.config import CONFIG_SCHEMA
 
@@ -43,16 +43,14 @@ def _config(**overrides):
 class TestExecutorSpec:
     def test_grammar(self):
         assert parse_executor_spec("serial") == ("serial", None)
-        assert parse_executor_spec("workstealing:2") == \
-            ("work-stealing", 2)
-        assert parse_executor_spec("work-stealing:2") == \
-            ("work-stealing", 2)
+        assert parse_executor_spec(" fleet :3") == ("fleet", 3)
         assert parse_executor_spec("fleet") == ("fleet", None)
         assert parse_executor_spec("fleet:4") == ("fleet", 4)
 
     @pytest.mark.parametrize("bad", [
         "quantum", "serial:2", "parallel:0", "parallel:-1",
         "parallel:x", "workstealing:", "", ":4",
+        "fleet:0", "fleet:-1", "fleet:x", "fleet:",
     ])
     def test_malformed_specs_name_the_problem(self, bad):
         with pytest.raises(ConfigError, match="spec"):
@@ -92,7 +90,7 @@ FULL = dict(
     engines="portfolio:kind,bdd-combined", sat_conflicts=123_456,
     bdd_nodes=None, max_bound=50, max_k=30, unique_states=False,
     num_window_vars=3,
-    executor="workstealing:3", scheduling="module-affinity",
+    executor="fleet:3", scheduling="module-affinity",
     portfolio="adaptive",
     compile_store=False, compile_max_designs=3,
     cache_path="cache.json", cache_max_entries=50,
@@ -220,9 +218,14 @@ class TestStrictness:
         ("[compile]\nmax_problems = 64\n", "max_problems"),
         ('[execution]\nexecutor = "parallel:2"\n', "parallel"),
         ('[execution]\nexecutor = "parallel"\n', "parallel"),
+        ('[execution]\nexecutor = "workstealing"\n', "workstealing"),
+        ('[execution]\nexecutor = "workstealing:2"\n', "workstealing:2"),
+        ('[execution]\nexecutor = "work-stealing:2"\n',
+         "work-stealing:2"),
     ], ids=["share_bdd", "workspace", "workspace-retain_memos",
             "workspace-max_manager_nodes", "coi-slice", "max_problems",
-            "parallel", "parallel-bare"])
+            "parallel", "parallel-bare", "workstealing",
+            "workstealing-n", "work-stealing-n"])
     def test_removed_keys_rejected(self, toml, key):
         """Configs using a removed mode fail loudly, naming it, instead
         of silently running without it."""
@@ -261,11 +264,10 @@ class TestBuilders:
 
     def test_executor_kinds(self):
         assert isinstance(_config().build_executor(), SerialExecutor)
-        stealing = _config(executor="workstealing:2",
-                           scheduling="module-affinity").build_executor()
-        assert isinstance(stealing, WorkStealingExecutor)
-        assert stealing.processes == 2
-        assert stealing.scheduling.name == "module-affinity"
+        fleet = _config(executor="fleet").build_executor()
+        assert isinstance(fleet, FleetExecutor)
+        assert fleet.scheduling.name == "fifo"
+        assert fleet.launcher.name == "local"
         fleet = _config(executor="fleet:2", fleet_port=7777,
                         fleet_lease_timeout=12.5,
                         fleet_heartbeat_interval=0.25,
@@ -295,7 +297,7 @@ class TestBuilders:
 
 class TestConfigDrivenCampaign:
     @pytest.mark.parametrize("executor_spec", [
-        "serial", "workstealing:2", "fleet:2",
+        "serial", "fleet:2",
     ])
     def test_round_tripped_config_reproduces_campaign(
             self, small_blocks, executor_spec):
@@ -315,7 +317,7 @@ class TestConfigDrivenCampaign:
         assert report.stats["config_digest"] == config.digest()
 
     def test_component_override_wins_over_config(self, small_blocks):
-        config = _config(executor="workstealing:2")
+        config = _config(executor="fleet:2")
         orchestrator = CampaignOrchestrator(
             small_blocks, config=config, executor=SerialExecutor()
         )

@@ -1,7 +1,7 @@
 """Executor-contract conformance battery.
 
 One parametrized suite, run identically against every shipped executor
-(serial, work-stealing pool, socket fleet): plan-order streaming,
+(serial and the socket fleet, each in several tunings): plan-order streaming,
 0/1/many-job edge cases, mid-stream ``close()``, error propagation,
 effective-mode naming, and the orchestrator's detection of executors
 that under-yield, over-yield, or reorder.  A future executor (e.g. a
@@ -17,8 +17,7 @@ import pytest
 from repro.chip import ComponentChip
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
-    ModuleAffinityScheduling, SerialExecutor,
-    WorkStealingExecutor, plan_campaign,
+    ModuleAffinityScheduling, SerialExecutor, plan_campaign,
 )
 
 
@@ -32,11 +31,6 @@ def _engines(**overrides):
 #: non-default tunings that change scheduling behaviour
 EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: WorkStealingExecutor(processes=2),
-                 id="work-stealing"),
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, scheduling=ModuleAffinityScheduling()),
-        id="work-stealing-affinity"),
     # compile-store variants: off entirely, and LRU-thrashed down to a
     # single retained design — per-worker stores must never leak across
     # the boundary or move a verdict
@@ -44,46 +38,52 @@ EXECUTORS = [
                  id="serial-nostore"),
     pytest.param(lambda: SerialExecutor(store_options={"max_designs": 1}),
                  id="serial-tight-store"),
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, compile_store=False),
-        id="work-stealing-nostore"),
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, scheduling=ModuleAffinityScheduling(),
-        store_options={"max_designs": 1}),
-        id="work-stealing-tight-store"),
     # SAT-workspace variants: shared incremental solver sessions on,
-    # clustering disabled, and LRU-thrashed to one live session — warm
-    # solver state must never move a verdict or reorder the stream
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, share_sat=True),
-        id="work-stealing-satspace"),
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, share_sat=True, sat_options={"cluster_limit": 1}),
-        id="work-stealing-satspace-cluster1"),
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, scheduling=ModuleAffinityScheduling(),
-        share_sat=True),
-        id="work-stealing-affinity-satspace"),
+    # and LRU-thrashed to one live session — warm solver state must
+    # never move a verdict or reorder the stream
     pytest.param(lambda: SerialExecutor(share_sat=True),
                  id="serial-satspace"),
     pytest.param(lambda: SerialExecutor(
         share_sat=True, sat_options={"max_sessions": 1}),
         id="serial-satspace-thrash"),
-    # socket-fanout fleet: the same contract over a TCP transport —
-    # leases, heartbeats, and the portable job wire format instead of
-    # pickled pool queues
+    # the parallel fleet: the same contract over a TCP transport —
+    # leases, heartbeats, and the portable job wire format — under
+    # both scheduling policies and every warm-state valve
     pytest.param(lambda: FleetExecutor(workers=2),
                  id="fleet"),
     pytest.param(lambda: FleetExecutor(
         workers=2, scheduling=ModuleAffinityScheduling()),
         id="fleet-affinity"),
     pytest.param(lambda: FleetExecutor(
-        workers=2, share_sat=True),
-        id="fleet-warm"),
+        workers=2, compile_store=False),
+        id="fleet-nostore"),
     pytest.param(lambda: FleetExecutor(
         workers=2, scheduling=ModuleAffinityScheduling(),
         store_options={"max_designs": 1}),
         id="fleet-tight-store"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, store_options={"max_designs": 1}),
+        id="fleet-fifo-tight-store"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, share_sat=True),
+        id="fleet-warm"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, share_sat=True, sat_options={"cluster_limit": 1}),
+        id="fleet-satspace-cluster1"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, scheduling=ModuleAffinityScheduling(),
+        share_sat=True),
+        id="fleet-affinity-satspace"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, share_sat=True, sat_options={"max_sessions": 1}),
+        id="fleet-satspace-thrash"),
+    # more workers than CPUs, and heartbeats dense enough to interleave
+    # with every result frame: neither may disturb the stream
+    pytest.param(lambda: FleetExecutor(workers=3),
+                 id="fleet-3"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, heartbeat_interval=0.02),
+        id="fleet-chatty"),
 ]
 
 parametrized = pytest.mark.parametrize("make_executor", EXECUTORS)
@@ -208,12 +208,10 @@ class TestStreamingContract:
 #: new executor would be
 COI_EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
-    pytest.param(lambda: WorkStealingExecutor(processes=2),
-                 id="work-stealing"),
-    pytest.param(lambda: WorkStealingExecutor(
-        processes=2, scheduling=ModuleAffinityScheduling()),
-        id="work-stealing-affinity"),
     pytest.param(lambda: FleetExecutor(workers=2), id="fleet"),
+    pytest.param(lambda: FleetExecutor(
+        workers=2, scheduling=ModuleAffinityScheduling()),
+        id="fleet-affinity"),
 ]
 
 COI_CONFIGS = [
@@ -248,10 +246,11 @@ class TestConeAddressingContract:
         assert report.canonical_bytes() == module_mode_bytes
 
 
-class TestWorkStealingSpecifics:
-    """Guarantees beyond the shared battery that work-stealing makes
-    (an executor that ships jobs in chunks could lose results inside a
-    failing chunk, so these are not part of the shared contract)."""
+class TestFleetSpecifics:
+    """Guarantees beyond the shared battery that the fleet's pull
+    scheduling makes (an executor that ships jobs in chunks could lose
+    results inside a failing chunk, so these are not part of the
+    shared contract)."""
 
     def test_every_completed_result_streams_before_late_error(
             self, tiny_plan):
@@ -261,7 +260,7 @@ class TestWorkStealingSpecifics:
             tiny_plan.jobs[-1], engines=(EngineConfig(method="quantum"),)
         )
         mixed = list(tiny_plan.jobs[:-1]) + [bad_last]
-        executor = WorkStealingExecutor(processes=2)
+        executor = FleetExecutor(workers=2)
         yielded = []
         with pytest.raises(ValueError, match="unknown method"):
             for job_result in executor.map(mixed):

@@ -17,7 +17,13 @@ adds on top:
 - a peer that sends garbage frames is dropped and re-leased around —
   one bad peer never wedges the stream;
 - a launcher that cannot keep workers alive exhausts the respawn
-  budget into a loud ``FleetError`` instead of a wedge.
+  budget into a loud ``FleetError`` instead of a wedge;
+- both ends of every connection run without Nagle's algorithm, and
+  leasing runs on the coordinator thread — a parked consumer never
+  idles the workers;
+- warm-state counters are kept per worker name, so workers that share
+  a pid (threads here; containers or hosts in the field) are summed,
+  not merged.
 """
 
 import multiprocessing
@@ -27,6 +33,7 @@ import random
 import signal
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -43,8 +50,8 @@ from repro.orchestrate import (
 )
 from repro.orchestrate.config import CampaignConfig
 from repro.orchestrate.fleet import (
-    FleetError, FrameError, MAX_FRAME_BYTES, jobs_from_config,
-    recv_frame, send_frame,
+    FleetError, FrameError, MAX_FRAME_BYTES, _fleet_worker_main,
+    jobs_from_config, recv_frame, send_frame,
 )
 
 #: jobs in the tiny two-module plan (asserted in the fixture)
@@ -451,6 +458,22 @@ class StillbornLauncher:
         pass
 
 
+class DeadThenFailingLauncher(StillbornLauncher):
+    """The first workers are dead on arrival; every replacement launch
+    fails outright — so the failure is raised on the coordinator
+    thread, which must hand it to the consumer."""
+
+    def __init__(self, initial):
+        self.initial = initial
+        self.launches = 0
+
+    def launch(self, worker_id, address, token, settings, jobs):
+        self.launches += 1
+        if self.launches > self.initial:
+            raise OSError("no host left to start a worker on")
+        return _DeadHandle()
+
+
 class TestWorkerFaults:
     def test_sigkilled_worker_lease_reissued_results_identical(
             self, tiny_plan, serial_outcomes):
@@ -617,6 +640,185 @@ class TestWorkerFaults:
         )
         with pytest.raises(FleetError, match="respawn budget"):
             list(executor.map(tiny_plan.jobs))
+
+    def test_failed_respawn_reaches_the_consumer(self, tiny_plan):
+        """A replacement launch that fails on the coordinator thread
+        surfaces in the consuming thread as a FleetError naming the
+        launcher — never a silently dead coordinator and a wedge."""
+        launcher = DeadThenFailingLauncher(initial=2)
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 lease_timeout=1.0)
+        with pytest.raises(FleetError, match="failed to start worker"):
+            list(executor.map(tiny_plan.jobs))
+        assert launcher.launches == 3
+        assert not executor._run.coordinator.is_alive()
+
+
+class ThreadLauncher(LocalFleetLauncher):
+    """Runs each fleet worker in a thread of this process, so every
+    worker reports the same pid — as workers in separate containers or
+    on separate hosts can."""
+
+    name = "thread"
+
+    def launch(self, worker_id, address, token, settings, jobs):
+        thread = threading.Thread(
+            target=_fleet_worker_main,
+            args=(worker_id, address[0], address[1], token, settings,
+                  jobs),
+            daemon=True,
+        )
+        thread.start()
+        return thread
+
+    def stop(self, handle):
+        pass  # the coordinator's hangup ends a thread worker
+
+
+def _nodelay(sock):
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+class TestCoordinatorThread:
+    def test_accepted_connections_disable_nagle(self, tiny_plan):
+        """Every worker connection the coordinator accepts sends its
+        frames without waiting on Nagle's algorithm."""
+        executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
+        stream = executor.map(tiny_plan.jobs)
+        try:
+            next(stream)
+            run = executor._run
+            deadline = time.monotonic() + 30.0
+            while len(run.conns) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            conns = list(run.conns)
+            assert len(conns) == 2
+            assert all(_nodelay(conn) for conn in conns)
+        finally:
+            stream.close()
+
+    def test_worker_socket_disables_nagle(self, tiny_plan,
+                                          serial_outcomes, monkeypatch):
+        """The socket a worker dials runs without Nagle's algorithm
+        too (checked on in-process workers, whose sockets the test can
+        see)."""
+        dialed = []
+        dial = socket.create_connection
+
+        def recording_dial(*args, **kwargs):
+            sock = dial(*args, **kwargs)
+            dialed.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "create_connection", recording_dial)
+        executor = FleetExecutor(workers=2, launcher=ThreadLauncher(),
+                                 heartbeat_interval=0.1)
+        stream = executor.map(tiny_plan.jobs)
+        results = [next(stream)]
+        deadline = time.monotonic() + 30.0
+        while len(dialed) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(dialed) == 2
+        assert all(_nodelay(sock) for sock in dialed)
+        results.extend(stream)
+        assert [_outcome(r) for r in results] == serial_outcomes
+
+    def test_clean_run_loses_no_worker(self, tiny_plan, serial_outcomes):
+        """Dismissing the fleet at the end of a clean run is not a
+        loss: the coordinator stops before the workers hang up."""
+        executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
+        results = list(executor.map(tiny_plan.jobs))
+        assert [_outcome(r) for r in results] == serial_outcomes
+        stats = executor.fleet_stats()
+        assert stats["workers_launched"] == 2
+        assert stats["workers_lost"] == 0
+        assert stats["leases_reissued"] == 0
+        assert stats["results_rejected"] == 0
+        assert sum(stats["jobs_per_worker"].values()) == TOTAL_JOBS
+
+    def test_close_mid_stream_stops_the_coordinator(self, tiny_plan):
+        executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
+        stream = executor.map(tiny_plan.jobs)
+        next(stream)
+        run = executor._run
+        assert run.coordinator.is_alive()
+        stream.close()
+        assert not run.coordinator.is_alive()
+        assert run.server.fileno() == -1  # the listening socket is shut
+
+    def test_stress_more_workers_than_cores(self, tiny_plan,
+                                            serial_outcomes):
+        """More workers than cores, dense heartbeats and a tiny thread
+        switch interval: no result, lease or counter update may be lost
+        between the coordinator thread and the consumer."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            executor = FleetExecutor(workers=(os.cpu_count() or 1) + 2,
+                                     heartbeat_interval=0.02)
+            results = list(executor.map(tiny_plan.jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [_outcome(r) for r in results] == serial_outcomes
+        stats = executor.fleet_stats()
+        assert stats["leases_issued"] == TOTAL_JOBS
+        assert sum(stats["jobs_per_worker"].values()) == TOTAL_JOBS
+        assert stats["workers_lost"] == 0
+        assert stats["results_rejected"] == 0
+
+    def test_leasing_never_waits_for_the_consumer(self, tiny_plan):
+        """With the consumer parked after its first result, idle
+        workers keep getting leases until every FIFO unit is out."""
+        executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
+        stream = executor.map(tiny_plan.jobs)
+        try:
+            next(stream)
+            deadline = time.monotonic() + 30.0
+            while executor.fleet_stats()["leases_issued"] < TOTAL_JOBS \
+                    and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert executor.fleet_stats()["leases_issued"] == TOTAL_JOBS
+        finally:
+            stream.close()
+
+
+class TestWarmStateCounters:
+    def test_workers_sharing_a_pid_are_summed(self):
+        """Two workers reporting one pid still count as two workers,
+        and their compile counters add up to one compile per job."""
+        blocks = ComponentChip(only_blocks=["C"]).blocks
+        serial = CampaignOrchestrator(blocks,
+                                      executor=SerialExecutor()).run()
+        serial_run = serial.stats["compile_store"]["run"]
+        assert serial_run["design_hits"] + \
+            serial_run["design_misses"] == 101
+        report = CampaignOrchestrator(
+            blocks,
+            executor=FleetExecutor(workers=2, launcher=ThreadLauncher(),
+                                   heartbeat_interval=0.1),
+        ).run()
+        assert report.canonical_bytes() == serial.canonical_bytes()
+        per_worker = report.stats["fleet"]["jobs_per_worker"]
+        assert sorted(per_worker) == ["w0", "w1"]
+        assert sum(per_worker.values()) == 101
+        run_stats = report.stats["compile_store"]["run"]
+        assert run_stats["workers"] == 2
+        assert run_stats["design_hits"] + \
+            run_stats["design_misses"] == 101
+
+    def test_sat_counters_of_workers_sharing_a_pid_are_summed(self):
+        """The SAT-workspace counters follow the same rule: two
+        workers, and one lease per session a job takes, as in serial."""
+        blocks = ComponentChip(only_blocks=["C"]).blocks
+        serial = CampaignOrchestrator(
+            blocks, executor=SerialExecutor(share_sat=True)).run()
+        executor = FleetExecutor(workers=2, launcher=ThreadLauncher(),
+                                 share_sat=True, heartbeat_interval=0.1)
+        report = CampaignOrchestrator(blocks, executor=executor).run()
+        assert report.canonical_bytes() == serial.canonical_bytes()
+        sat = executor.sat_stats()
+        assert sat["workers"] == 2
+        assert sat["leases"] == serial.stats["sat_workspace"]["leases"]
 
 
 def _fleet_campaign(blocks, journal_path):

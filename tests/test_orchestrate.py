@@ -19,7 +19,7 @@ from repro.formal.engine import (
 from repro.formal.engine import _ENGINES  # test-only registry cleanup
 from repro.orchestrate import (
     CampaignOrchestrator, EngineConfig, ResultCache,
-    SerialExecutor, WorkStealingExecutor, job_fingerprint, plan_campaign,
+    FleetExecutor, SerialExecutor, job_fingerprint, plan_campaign,
     portfolio, run_check_job,
 )
 
@@ -169,13 +169,13 @@ class TestEngineRegistry:
 
 
 class TestExecutors:
-    def test_work_stealing_report_identical_to_serial(self, block_c):
+    def test_fleet_report_identical_to_serial(self, block_c):
         serial = CampaignOrchestrator(
             block_c, engines=_engines(), executor=SerialExecutor()
         ).run()
         pooled = CampaignOrchestrator(
             block_c, engines=_engines(),
-            executor=WorkStealingExecutor(processes=2),
+            executor=FleetExecutor(workers=2),
         ).run()
         assert format_table2(serial) == format_table2(pooled)
         assert [
@@ -188,12 +188,12 @@ class TestExecutors:
             for r in pooled.results
         ]
         assert serial.stats["executor"] == "serial"
-        assert pooled.stats["executor"] == "work-stealing"
+        assert pooled.stats["executor"] == "fleet"
 
-    def test_work_stealing_counterexamples_replay(self):
+    def test_fleet_counterexamples_replay(self):
         report = CampaignOrchestrator(
             _buggy_small_blocks(), engines=_engines(),
-            executor=WorkStealingExecutor(processes=2),
+            executor=FleetExecutor(workers=2),
         ).run()
         failures = report.failures_by_module()
         assert set(failures) == {"C00_fsmctl"}
@@ -226,10 +226,10 @@ class TestExecutors:
         warm = FormalCampaign(
             _buggy_small_blocks(), budget_factory=_budget,
             cache=ResultCache(path),
-            executor=WorkStealingExecutor(processes=2),
+            executor=FleetExecutor(workers=2),
         ).run()
         assert warm.stats["cache_misses"] == 0
-        assert warm.stats["executor"] == "work-stealing[serial-fallback]"
+        assert warm.stats["executor"] == "fleet[serial-fallback]"
 
     def test_same_name_distinct_modules_not_confused(self):
         """Two distinct module objects sharing a name (a golden and a

@@ -17,8 +17,8 @@ from repro.chip import ComponentChip
 from repro.formal.engine import CheckResult, PASS, TIMEOUT
 from repro.orchestrate import (
     AdaptivePortfolio, CampaignConfig, CampaignOrchestrator, EngineConfig,
-    FifoScheduling, ModuleAffinityScheduling, ResultCache, StaticPortfolio,
-    WorkStealingExecutor, plan_campaign, portfolio_policy,
+    FifoScheduling, FleetExecutor, ModuleAffinityScheduling, ResultCache,
+    StaticPortfolio, plan_campaign, portfolio_policy,
     run_check_job, scheduling_policy,
 )
 
@@ -86,15 +86,15 @@ class TestScheduling:
             def batches(self, jobs):
                 return super().batches(jobs)[:-1]
 
-        executor = WorkStealingExecutor(processes=2, scheduling=Lossy())
+        executor = FleetExecutor(workers=2, scheduling=Lossy())
         with pytest.raises(RuntimeError, match="lost or duplicated"):
             list(executor.map(small_plan.jobs))
 
-    @pytest.mark.parametrize("processes", [2, 3])
-    def test_work_stealing_streams_plan_order_under_affinity(
-            self, small_plan, processes):
-        executor = WorkStealingExecutor(
-            processes=processes,
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_fleet_streams_plan_order_under_affinity(
+            self, small_plan, workers):
+        executor = FleetExecutor(
+            workers=workers,
             scheduling=ModuleAffinityScheduling(),
         )
         results = list(executor.map(small_plan.jobs))
@@ -109,8 +109,8 @@ class TestScheduling:
         jobs[-1] = dataclasses.replace(
             jobs[-1], engines=(EngineConfig(method="quantum"),)
         )
-        executor = WorkStealingExecutor(
-            processes=2, scheduling=ModuleAffinityScheduling()
+        executor = FleetExecutor(
+            workers=2, scheduling=ModuleAffinityScheduling()
         )
         yielded = []
         with pytest.raises(ValueError, match="unknown method"):
@@ -277,8 +277,7 @@ class TestOutcomeInvariance:
                                 bdd_nodes=5_000_000)
         return CampaignOrchestrator(small_blocks, config=config).run()
 
-    @pytest.mark.parametrize("executor_spec", ["serial", "workstealing:2",
-                                               "fleet:2"])
+    @pytest.mark.parametrize("executor_spec", ["serial", "fleet:2"])
     @pytest.mark.parametrize("scheduling", ["fifo", "module-affinity"])
     def test_scheduling_never_moves_the_outcome(
             self, small_blocks, reference, executor_spec, scheduling):

@@ -21,7 +21,7 @@ from repro.formal.satspace import (
 )
 from repro.orchestrate import (
     CampaignOrchestrator, EngineConfig, FleetExecutor, SerialExecutor,
-    WorkStealingExecutor, plan_campaign, portfolio,
+    plan_campaign, portfolio,
 )
 from repro.psl.compile import compile_assertion, compile_cluster
 
@@ -157,39 +157,52 @@ class TestWorkspace:
         assert session_a is not session_b
         assert workspace.stats()["cluster_compiles"] == 2
 
-    def test_retire_then_recheck_same_verdict(self, a_module, a_vunit):
-        from repro.formal.bmc import bmc, bmc_session
+    def test_retire_then_recheck_same_verdict(self, a_module):
+        """Check, retire, check again: every re-check of an assertion
+        (a PASS in the first vunit, a FAIL in the soundness vunit)
+        gives the cold k-induction verdict at the cold depth."""
+        from repro.core.stereotypes import stereotype_vunits
+        from repro.formal.induction import k_induction, k_induction_session
         workspace = SatWorkspace()
-        name = next(iter(a_vunit.asserted()))[0]
-        cold = bmc(compile_assertion(a_module, a_vunit, name), 6)
-        for _ in range(3):  # check, retire, check again, ...
-            binding = _bind(workspace, a_module, a_vunit, name)
-            session = binding.lease(MODE_BMC_INIT)
-            warm = bmc_session(session, name, 6)
-            binding.retire()
-            assert warm.failed == cold.failed
-            assert warm.bound == cold.bound
+        statuses = set()
+        for vunit in stereotype_vunits(a_module):
+            name = next(iter(vunit.asserted()))[0]
+            cold = k_induction(compile_assertion(a_module, vunit, name),
+                               max_k=12)
+            statuses.add(cold.status)
+            for _ in range(3):
+                binding = _bind(workspace, a_module, vunit, name)
+                warm = k_induction_session(binding.lease(MODE_BMC_INIT),
+                                           binding.lease(MODE_STEP),
+                                           name, max_k=12)
+                binding.retire()
+                assert (warm.status, warm.k) == (cold.status, cold.k)
+        assert statuses == {"proved", "failed"}
 
     def test_budget_exhaustion_leaves_session_reusable(self, a_module,
                                                        a_vunit):
-        from repro.formal.bmc import bmc, bmc_session
+        from repro.formal.induction import k_induction, k_induction_session
         workspace = SatWorkspace()
         name = next(iter(a_vunit.asserted()))[0]
         binding = _bind(workspace, a_module, a_vunit, name)
-        session = binding.lease(MODE_BMC_INIT,
-                                ResourceBudget(sat_conflicts=0))
+        starved = ResourceBudget(sat_conflicts=0)
+        base = binding.lease(MODE_BMC_INIT, starved)
+        step = binding.lease(MODE_STEP, starved)
         with pytest.raises(BudgetExceeded):
-            bmc_session(session, name, 6)
+            k_induction_session(base, step, name, max_k=12)
         binding.retire()
-        # re-lease with a generous budget: same session, sound answer
+        # re-lease with a generous budget: same sessions, sound answer
         binding = _bind(workspace, a_module, a_vunit, name)
-        rearmed = binding.lease(MODE_BMC_INIT,
-                                ResourceBudget(sat_conflicts=500_000))
-        assert rearmed is session
-        warm = bmc_session(rearmed, name, 6)
+        budget = ResourceBudget(sat_conflicts=500_000)
+        rearmed_base = binding.lease(MODE_BMC_INIT, budget)
+        rearmed_step = binding.lease(MODE_STEP, budget)
+        assert rearmed_base is base and rearmed_step is step
+        warm = k_induction_session(rearmed_base, rearmed_step, name,
+                                   max_k=12)
         binding.retire()
-        cold = bmc(compile_assertion(a_module, a_vunit, name), 6)
-        assert warm.failed == cold.failed and warm.bound == cold.bound
+        cold = k_induction(compile_assertion(a_module, a_vunit, name),
+                           max_k=12)
+        assert (warm.status, warm.k) == (cold.status, cold.k)
 
     def test_valves_validated(self):
         with pytest.raises(ValueError):
@@ -311,8 +324,6 @@ class TestCampaignByteIdentity:
     @pytest.mark.parametrize("sat_kwargs", _sat_variants())
     @pytest.mark.parametrize("executor_factory", [
         pytest.param(SerialExecutor, id="serial"),
-        pytest.param(lambda **kw: WorkStealingExecutor(processes=2, **kw),
-                     id="work-stealing"),
         pytest.param(lambda **kw: FleetExecutor(workers=2, **kw),
                      id="fleet"),
     ])
@@ -361,7 +372,7 @@ class TestCampaignByteIdentity:
             compiles_after_first
 
     def test_per_worker_counters_aggregate(self, buggy_blocks):
-        executor = WorkStealingExecutor(processes=2, share_sat=True)
+        executor = FleetExecutor(workers=2, share_sat=True)
         CampaignOrchestrator(
             buggy_blocks, engines=_engines(), executor=executor,
         ).run()
