@@ -84,6 +84,7 @@ from repro.orchestrate import (                           # noqa: E402
     CampaignCheckpoint, CampaignConfig, CampaignOrchestrator,
     FleetExecutor, ResultCache,
 )
+from repro.orchestrate.cache import remove_store          # noqa: E402
 from repro.orchestrate.fleet import LocalFleetLauncher    # noqa: E402
 from repro.orchestrate.stats import (                     # noqa: E402
     STATS_SCHEMA, counter_groups,
@@ -481,12 +482,12 @@ def _bench_coi():
     with tempfile.TemporaryDirectory(prefix="bench_coi_") as cache_dir:
         config = CampaignConfig(
             coi_fingerprints="cone",
-            cache_path=os.path.join(cache_dir, "verdicts.json"),
+            cache_path=os.path.join(cache_dir, "verdicts.sqlite"),
             **limits)
         started = time.perf_counter()
         cold_record, _ = run_sweep(spec, classes=classes, config=config)
         cold_s = time.perf_counter() - started
-        os.remove(config.cache_path)
+        remove_store(config.cache_path)
         started = time.perf_counter()
         warm_record, _ = run_sweep(spec, classes=classes, config=config,
                                    warm_golden=True)
@@ -678,7 +679,7 @@ def main():
           f"({pool_report.stats['executor']})")
 
     with tempfile.TemporaryDirectory(prefix="bench_cache_") as cache_dir:
-        cache_path = os.path.join(cache_dir, "results.json")
+        cache_path = os.path.join(cache_dir, "results.sqlite")
         _timed_run(chip.blocks, cache=ResultCache(cache_path))
         warm_report, warm_s = _timed_run(chip.blocks,
                                          cache=ResultCache(cache_path))

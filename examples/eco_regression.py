@@ -58,7 +58,7 @@ def run_campaign(chip, cache):
 
 def main():
     with tempfile.TemporaryDirectory(prefix="eco_cache_") as cache_dir:
-        cache_path = os.path.join(cache_dir, "results.json")
+        cache_path = os.path.join(cache_dir, "results.sqlite")
 
         print("=== Release run: block C campaign, cold cache ===")
         golden = ComponentChip(only_blocks=["C"])

@@ -25,7 +25,7 @@ Subpackages
     ``CampaignConfig``, pluggable scheduling/portfolio policies,
     check-job planning, the serial executor and the socket-fleet
     parallel executor, per-job engine portfolios, the fingerprint-keyed
-    incremental result cache (merge-safe across concurrent campaigns),
+    incremental result cache (a SQLite store concurrent campaigns share),
     crash-safe checkpoint/resume, and shared incremental SAT sessions.
 ``repro.cli``
     The ``python -m repro`` command line: a whole campaign run,

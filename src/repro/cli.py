@@ -33,10 +33,10 @@ One TOML file reproduces one campaign::
   runs this command on remote hosts; it is not normally typed by hand
   (see ``docs/architecture.md``);
 - ``serve`` runs the verification-as-a-service daemon
-  (:mod:`repro.service`): an HTTP API over a shared SQLite verdict
-  database, configured by the ``[service]`` section (see
-  ``docs/service.md``).  ``--import-cache`` migrates existing
-  per-campaign ``ResultCache`` JSON files into the database first;
+  (:mod:`repro.service`): an HTTP API over the config's verdict store
+  (``[cache] path``), configured by the ``[service]`` section (see
+  ``docs/service.md``).  ``--import-cache`` migrates JSON cache files
+  written before the store moved to SQLite into it first;
 - ``submit`` posts the config to a running daemon and waits for (or
   ``--watch`` streams) the result.  Exit codes mirror ``campaign
   run``: 0 all passed, 1 any FAIL/TIMEOUT or a failed run, 2 on
@@ -118,10 +118,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print one line per checked property")
     sweep.add_argument("--warm-golden", action="store_true",
                        help="pre-run the golden modules against the "
-                            "same cache/verdict DB so cone-"
-                            "fingerprinted mutant jobs replay instead "
-                            "of re-solving (runtime wiring: the sweep "
-                            "record digest is unchanged)")
+                            "same cache so cone-fingerprinted mutant "
+                            "jobs replay instead of re-solving "
+                            "(runtime wiring: the sweep record digest "
+                            "is unchanged)")
     fleet = commands.add_parser(
         "fleet", help="fleet-executor worker processes"
     )
@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve",
         help="run the verification-as-a-service daemon "
-             "(HTTP API + shared verdict database; see docs/service.md)",
+             "(HTTP API + shared verdict store; see docs/service.md)",
     )
     serve.add_argument("--config", required=True, metavar="TOML",
                        help="campaign config with an optional "
@@ -160,9 +160,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "0 = ephemeral)")
     serve.add_argument("--import-cache", action="append", default=[],
                        metavar="JSON", dest="import_caches",
-                       help="migrate a per-campaign ResultCache JSON "
-                            "file into the verdict database before "
-                            "serving (repeatable)")
+                       help="migrate a JSON cache file (the format "
+                            "before SQLite) into the verdict store "
+                            "before serving (repeatable)")
     submit = commands.add_parser(
         "submit",
         help="submit the campaign config to a running service daemon "

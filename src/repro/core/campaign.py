@@ -19,13 +19,11 @@ engineer ran — lint the Verifiable RTL, generate the stereotype vunits
 - the *orchestrator* aggregates the stream into this module's
   :class:`CampaignReport` (:mod:`repro.orchestrate.orchestrator`).
 
-:class:`FormalCampaign` is the compatibility façade over that
-machinery: same constructor, same ``run(progress)``, same report — now
-parameterised by one declarative
+:class:`FormalCampaign` is the façade over that machinery: one
+``run(progress)``, one report, parameterised by one declarative
 :class:`~repro.orchestrate.config.CampaignConfig` (``config=``), with
-the paper-era kwargs accepted, mapped onto the config, and
-soft-deprecated, and the component objects (``executor=``, ``cache=``,
-``checkpoint=``, ``engines=``) kept as programmatic overrides.  The
+the component objects (``executor=``, ``cache=``, ``checkpoint=``,
+``engines=``) kept as programmatic overrides.  The
 report dataclasses (:class:`PropertyResult`, :class:`BlockSummary`,
 :class:`CampaignReport`) remain the public result model that report
 rendering (:mod:`repro.core.report`) and the benchmarks consume.
@@ -37,7 +35,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..formal.budget import ResourceBudget
 from ..formal.engine import CheckResult, FAIL, PASS
 from ..rtl.lint import LintIssue
 from ..rtl.module import Module
@@ -204,26 +201,13 @@ class FormalCampaign:
                                 engines="portfolio:kind,bdd-combined")
         FormalCampaign(chip.blocks, config=config).run()
 
-    Everything else on the constructor is the **legacy kwarg layer**,
-    accepted for compatibility and mapped onto the config
-    (see ``docs/configuration.md`` for the migration table):
-
-    - ``method`` / ``max_k`` / ``budget_factory`` — the paper-era
-      single-engine knobs; mapped to the config's ``engines`` spec and
-      budget fields.  Only the factory's *limits* matter — the
-      orchestrator rebuilds an equivalent budget per job so checks
-      never share spent counters, even across processes.  These three
-      are soft-deprecated: passing them emits a
-      :class:`DeprecationWarning` (existing call sites keep working).
-    - ``executor`` / ``cache`` / ``checkpoint`` / ``engines`` —
-      component-object overrides; an explicit object wins over the
-      config's corresponding spec.
+    The other constructor arguments are component-object overrides —
+    ``executor`` / ``cache`` / ``checkpoint`` / ``engines`` (and
+    ``lint``); an explicit object wins over the config's corresponding
+    spec.
     """
 
     def __init__(self, blocks: Sequence[Tuple[str, Sequence[Module]]],
-                 method: Optional[str] = None,
-                 max_k: Optional[int] = None,
-                 budget_factory: Optional[Callable[[], ResourceBudget]] = None,
                  lint: Optional[bool] = None,
                  executor=None, cache=None,
                  checkpoint=None, engines=None,
@@ -232,39 +216,12 @@ class FormalCampaign:
         if config is None:
             from ..orchestrate.config import CampaignConfig
             config = CampaignConfig()
-        config = self._map_legacy(config, method, max_k, budget_factory)
         self.config = config
         self.lint = lint
         self.executor = executor
         self.cache = cache
         self.checkpoint = checkpoint
         self.engines = tuple(engines) if engines else None
-
-    @staticmethod
-    def _map_legacy(config, method, max_k, budget_factory):
-        """Fold the paper-era kwargs into the config (with a soft
-        deprecation nudge) so the run is still described — and
-        digested — by one config object."""
-        import warnings
-        from dataclasses import replace
-        legacy = {}
-        if method is not None:
-            legacy["engines"] = method
-        if max_k is not None:
-            legacy["max_k"] = max_k
-        if budget_factory is not None:
-            budget = budget_factory()
-            legacy["sat_conflicts"] = budget.sat_conflicts
-            legacy["bdd_nodes"] = budget.bdd_nodes
-        if legacy:
-            warnings.warn(
-                "FormalCampaign(method=/max_k=/budget_factory=) is "
-                "deprecated; pass config=CampaignConfig("
-                f"{', '.join(sorted(legacy))}, ...) instead",
-                DeprecationWarning, stacklevel=3,
-            )
-            config = replace(config, **legacy)
-        return config
 
     # ------------------------------------------------------------------
     def run(self, progress: Optional[Callable[[str], None]] = None,

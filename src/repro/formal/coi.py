@@ -19,7 +19,7 @@ whatever else differs about them — which is what turns a mutation sweep
 from O(mutants x assertions) solves into O(cone-touching jobs): a
 one-site mutant shares the golden module's digest for every assertion
 whose cone the defect does not intersect, so a cone-fingerprinted
-:class:`~repro.orchestrate.job.CheckJob` becomes a cache/verdict-db hit
+:class:`~repro.orchestrate.job.CheckJob` becomes a cache hit
 by construction (see ``[coi] fingerprints = "cone"`` in
 ``docs/configuration.md``).
 

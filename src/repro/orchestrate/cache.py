@@ -11,101 +11,102 @@ touched miss the cache.
 
 Safety rules, in order of importance:
 
-1. **Never a wrong verdict.**  Anything suspicious — unreadable file,
-   unknown status, malformed trace — degrades to a cache *miss* and the
-   property is re-checked from scratch.  The store also records the
-   ``repro`` package version and is discarded wholesale on mismatch,
-   since the fingerprint covers engine *configuration* but not engine
-   *implementation*.  The one hole left open: a custom engine
-   registered at runtime that changes behaviour under the same name
-   and package version — delete the cache file after changing one.
+1. **Never a wrong verdict.**  Anything suspicious — unreadable or
+   truncated file, unknown status, malformed entry or trace — degrades
+   to a cache *miss* and the property is re-checked from scratch.  The
+   store also pins its schema version and the ``repro`` package version
+   and opens as empty on mismatch, since the fingerprint covers engine
+   *configuration* but not engine *implementation*.  The one hole left
+   open: a custom engine registered at runtime that changes behaviour
+   under the same name and package version — delete the store after
+   changing one.
 2. **Counterexamples stay validated.**  A cached FAIL stores the trace's
    input frames; on a hit the assertion is recompiled, the trace is
    rebuilt against the fresh transition system, and it must replay as a
    real violation — otherwise the entry is discarded as a miss.
-3. **Cheap hits.**  PASS/TIMEOUT/UNKNOWN hits skip compilation and the
-   engines entirely; only FAIL hits pay one compile for trace replay.
+3. **Cheap hits.**  The store is read once, into an in-memory index,
+   when the cache is opened, so a hit runs no SQL; PASS/TIMEOUT/UNKNOWN
+   hits skip compilation and the engines entirely, and only FAIL hits
+   pay one compile for trace replay.  A miss reads its row once more,
+   so a verdict another process stored since is still found.
 
-The store is a single JSON file, loaded on construction and written by
-:meth:`ResultCache.flush` (the orchestrator flushes once per run).
-Flush **merges before it writes**: the on-disk store is re-read and
-unioned with this run's entries — recency-preserving (the JSON key
-order is the LRU order on both sides), newest verdict wins per
-fingerprint (entries carry a ``stored_at`` wall-clock stamp; a missing
-stamp counts as oldest) — and the merged store is staged in a
-uniquely-named temp file (pid + random suffix) before the atomic
-rename.  The whole read-merge-rename runs under an ``fcntl.flock``
-exclusive lock on a ``<path>.lock`` sidecar, so two campaigns flushing
-*simultaneously* serialize: each one's re-read sees the other's
-completed rename, and neither can clobber the other's final round (the
-pre-lock race both renames could lose).  Two concurrent campaigns
-sharing one cache path therefore both keep their fresh verdicts
-whatever order their flushes land in; the store on disk is always one
-writer's complete, valid JSON.  The sidecar itself is removed after a
-successful flush (under the held lock, with an inode re-check on
-acquisition so rivals never trust a lock on an unlinked file) — stale
-sidecars left by a killed flush are tolerated and cleaned up by the
-next one.  (On platforms without ``fcntl`` the
-lock degrades to the unlocked merge — still safe for sequential and
-overlapped campaigns, vulnerable only to the simultaneous-rename
-race.)  The one exception to the union: entries this cache evicted as
-*unsafe* (failed replay, malformed) are tombstoned for the lifetime of
-this instance and not resurrected from disk — unless the disk entry
-was stored *after* the eviction, in which case it is a rival
-campaign's fresh re-verified verdict, not the corpse, and survives the
-merge.
+The store is one WAL-mode SQLite file at ``path`` (``-wal``/``-shm``
+companions while open): a ``meta`` table pins the two versions, and one
+``verdicts`` row per fingerprint holds the entry, its provenance
+columns (module, category, engine, status, cone, ``stored_at``) and its
+``used_at`` recency stamp.  Every :meth:`ResultCache.store` commits its
+own row — a killed campaign loses at most the verdict in flight — as an
+upsert on ``stored_at``, so campaigns and the service daemon sharing one
+path keep each other's verdicts, the newest per fingerprint winning.
+An entry found unsafe is deleted only if the row is no newer than the
+copy this cache read, so a rival's fresh re-check survives.  The first
+store creates the file (``campaign report`` writes nothing), and
+``sqlite3`` is imported only when a file is opened.  The connection
+belongs to the opening process: forked fleet workers never touch it.
 
-``max_entries`` bounds the store: entries are kept in
-least-recently-used order (a hit refreshes recency, so a nightly ECO
-rerun keeps the live design's verdicts and ages out abandoned
-revisions), and storing past the cap evicts the coldest entries.  The
-JSON object's key order *is* the LRU order, so eviction pressure
-carries across runs, and a store larger than a (newly lowered) cap is
-trimmed on load.  Neither recency refreshes nor the load-trim dirty
-the store by themselves: a hits-only campaign still writes nothing on
-flush, so a purely-reading run can never clobber a concurrent writer's
-fresh entries with its own stale snapshot (order updates and the trim
-persist whenever the run also stores something).
+``max_entries`` bounds the store in least-recently-used order (a hit
+refreshes recency, so a nightly ECO rerun keeps the live design's
+verdicts and ages out abandoned revisions); :meth:`ResultCache.flush`
+writes the hit stamps and trims the file, so the order carries across
+runs.
 
-The entry codec — :func:`~repro.orchestrate.job.encode_result` /
-:func:`~repro.orchestrate.job.decode_result`, re-exported here — is
-shared with the campaign checkpoint journal
-(:mod:`repro.orchestrate.checkpoint`) and the executors' process wire
-format: every persistence and transport layer speaks the same
-serialized-:class:`CheckResult` dialect and enforces the same
-FAIL-must-replay rule.
+The entry codec (:func:`~repro.orchestrate.job.encode_result` /
+:func:`~repro.orchestrate.job.decode_result`, re-exported here) is
+shared with the checkpoint journal and the executors' wire format, with
+the same FAIL-must-replay rule.  JSON caches (the format before SQLite)
+open as empty; :meth:`ResultCache.import_cache` migrates them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
+import threading
 import time
-import uuid
 from typing import Dict, Optional, Tuple
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: flush degrades to the unlocked merge
-    fcntl = None
 
 from .. import __version__
 from ..formal.engine import CheckResult, FAIL, PASS
 from .job import CheckJob, decode_result, encode_result  # noqa: F401
 
+#: the ``meta`` rows a readable store carries (schema v3 added the
+#: ``used_at`` recency column; older stores open as empty)
+_META = {"schema": "3", "repro_version": __version__}
+
+#: provenance columns of a ``verdicts`` row, copied from the entry
+_PROVENANCE = ("module", "category", "engine", "status", "cone")
+
+#: one row, if no other version has re-pinned the store since it was read
+_SELECT = (
+    "SELECT entry, stored_at FROM verdicts WHERE fingerprint = :fingerprint"
+    " AND (SELECT value FROM meta WHERE key = 'schema') = :schema AND"
+    " (SELECT value FROM meta WHERE key = 'repro_version') = :repro_version"
+)
+
+#: SQLITE_CORRUPT, SQLITE_NOTADB: the only primary codes that reset a store
+_CORRUPT = (11, 26)
+
+_UPSERT = (
+    "INSERT INTO verdicts (fingerprint, entry, module, category, engine,"
+    " status, cone, stored_at, used_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+    " ON CONFLICT (fingerprint) DO UPDATE SET entry = excluded.entry,"
+    " module = excluded.module, category = excluded.category,"
+    " engine = excluded.engine, status = excluded.status,"
+    " cone = excluded.cone, stored_at = excluded.stored_at,"
+    " used_at = excluded.used_at"
+    " WHERE excluded.stored_at > verdicts.stored_at"
+)
 
 
 class ResultCache:
-    """On-disk JSON store of check results keyed by content fingerprint.
+    """On-disk SQLite store of check results keyed by content fingerprint.
 
-    ``max_entries`` caps the store at that many entries, evicted in
-    least-recently-used order (``None`` = unbounded, the historical
-    behaviour).  Lookup hits refresh recency; eviction happens on
-    :meth:`store` and, when the cap shrank between runs, on load.
+    ``max_entries`` caps the store at that many rows, evicted in
+    least-recently-used order (``None`` = unbounded).  Besides the
+    orchestrator's interface it serves the service daemon: provenance
+    rows (:meth:`get`), metering counters (:meth:`stats`) and the
+    migration of JSON caches (:meth:`import_cache`).
     """
-
-    VERSION = 1
 
     def __init__(self, path: str,
                  max_entries: Optional[int] = None) -> None:
@@ -115,157 +116,172 @@ class ResultCache:
             )
         self.path = str(path)
         self.max_entries = max_entries
+        self._conn = None
+        #: serialises the connection's users (see _connect)
+        self._lock = threading.RLock()
+        #: metering counters served by the service's /metrics
+        self._counters = dict.fromkeys(
+            ("hits", "misses", "stored", "unsafe_evicted", "imported",
+             "resets"), 0)
+        #: fingerprint -> hit time on a bounded store, for flush
+        self._hits: Dict[str, float] = {}
+        #: fingerprint -> entry, in least-recently-used order
         self._entries: Dict[str, dict] = self._load()
-        self._dirty = False
-        #: fingerprint -> eviction time for entries evicted as *unsafe*
-        #: (failed replay, malformed); a flush-merge must not
-        #: resurrect the evicted entry from disk — but a rival
-        #: campaign's entry written *after* the eviction is a fresh
-        #: verdict, not the corpse, and survives
-        self._tombstones: Dict[str, float] = {}
-        # a store larger than the cap (the cap shrank between runs) is
-        # trimmed in memory only — the trim reaches disk when this run
-        # stores something, so a hits-only reader stays a reader and
-        # cannot clobber a concurrent writer's store with its snapshot
         self._evict()
 
     # ------------------------------------------------------------------
+    def _connect(self):
+        import sqlite3
+        # the service daemon opens the store on its main thread and
+        # uses it from its queue worker and HTTP threads (under _lock)
+        conn = sqlite3.connect(self.path, isolation_level=None,
+                               check_same_thread=False)
+        # every store commits on its own; NORMAL keeps that durable
+        # against a killed process without an fsync per verdict
+        conn.execute("PRAGMA synchronous=NORMAL")
+        return conn
+
     def _load(self) -> Dict[str, dict]:
-        """Read the store; any corruption degrades to an empty cache."""
+        """Read the store into the index; a missing or unreadable file,
+        or one from another schema or package version, reads as empty
+        (the first store then replaces it)."""
+        if not os.path.exists(self.path):
+            return {}
+        import sqlite3
+        conn = None
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, ValueError):
+            conn = self._connect()
+            if dict(conn.execute("SELECT key, value FROM meta")) \
+                    != _META:
+                raise sqlite3.DatabaseError("another version's store")
+            entries = {}
+            for fingerprint, payload, stored_at in conn.execute(
+                    "SELECT fingerprint, entry, stored_at FROM verdicts"
+                    " ORDER BY used_at, rowid"):
+                entries[fingerprint] = _entry(payload, stored_at)
+        except sqlite3.Error:
+            if conn is not None:
+                conn.close()
             return {}
-        if not isinstance(raw, dict) or raw.get("version") != self.VERSION \
-                or raw.get("repro_version") != __version__:
-            return {}
-        entries = raw.get("entries")
-        if not isinstance(entries, dict):
-            return {}
-        return {key: value for key, value in entries.items()
-                if isinstance(value, dict)}
+        self._conn = conn
+        return entries
+
+    def _create(self):
+        """Open the store for writing: create it, wipe one written by
+        another version, and reject one that fails its integrity check
+        (this cache could not read it, and no rival has replaced it)."""
+        import sqlite3
+        if not os.path.exists(self.path):
+            # build the file aside and link it into place: creation is
+            # atomic, and no two processes race to switch one shared
+            # file into WAL mode (the loser fails as "locked")
+            os.makedirs(os.path.dirname(os.path.abspath(self.path)),
+                        exist_ok=True)
+            staged = f"{self.path}.{os.getpid()}.new"
+            conn = sqlite3.connect(staged)
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.close()
+            try:
+                os.link(staged, self.path)
+            except FileExistsError:
+                pass  # a rival created it first
+            finally:
+                os.remove(staged)
+        conn = self._connect()
+        try:
+            if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                conn.execute("PRAGMA journal_mode=WAL")  # not our file
+            conn.execute("BEGIN IMMEDIATE")
+            conn.execute("CREATE TABLE IF NOT EXISTS meta ("
+                         " key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            meta = dict(conn.execute("SELECT key, value FROM meta"))
+            if meta != _META:
+                self._counters["resets"] += bool(meta)
+                conn.execute("DROP TABLE IF EXISTS verdicts")
+                conn.execute("DELETE FROM meta")
+                conn.executemany("INSERT INTO meta VALUES (?, ?)",
+                                 sorted(_META.items()))
+            elif conn.execute("PRAGMA quick_check").fetchone()[0] != "ok":
+                error = sqlite3.DatabaseError("store failed quick_check")
+                error.sqlite_errorcode = _CORRUPT[0]
+                raise error
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS verdicts ("
+                " fingerprint TEXT PRIMARY KEY, entry TEXT NOT NULL,"
+                " module TEXT, category TEXT, engine TEXT, status TEXT,"
+                " cone TEXT, stored_at REAL NOT NULL,"
+                " used_at REAL NOT NULL)")
+            conn.execute("COMMIT")
+        except BaseException:
+            conn.close()
+            raise
+        return conn
+
+    def _execute(self, sql: str, params: Tuple = ()):
+        """Run one write, opening the store first if need be; a store
+        SQLite finds corrupt is replaced by an empty one (degrade to
+        miss).  Any other error (locked, closed, a bad parameter) says
+        nothing about the store's content and is raised."""
+        import sqlite3
+        with self._lock:
+            try:
+                if self._conn is None:
+                    self._conn = self._create()
+                return self._conn.execute(sql, params)
+            except sqlite3.DatabaseError as error:
+                if getattr(error, "sqlite_errorcode", 0) & 255 not in _CORRUPT:
+                    raise
+                self.close()
+                remove_store(self.path)
+                self._counters["resets"] += 1
+                self._conn = self._create()
+                return self._conn.execute(sql, params)
+
+    def _read(self, fingerprint: str) -> Optional[dict]:
+        """The store's row for ``fingerprint`` (not in the index: stored
+        by another process since this cache read the store), or None."""
+        with self._lock:
+            if self._conn is None:
+                return None
+            import sqlite3
+            try:
+                row = self._conn.execute(
+                    _SELECT, dict(_META, fingerprint=fingerprint)).fetchone()
+            except sqlite3.Error:
+                return None
+        return None if row is None else _entry(*row)
 
     def flush(self) -> None:
-        """Merge with the on-disk store, then persist atomically.
+        """Persist a bounded store's hit recency and trim the file to
+        the cap, then fold the WAL into the main file so the store is
+        one self-contained file between campaigns.  The verdicts are
+        already durable: every store committed its row."""
+        with self._lock:
+            if self._conn is None:
+                return
+            if self.max_entries is not None:
+                self._execute("BEGIN IMMEDIATE")
+                with self._conn:  # commits, or rolls back on error
+                    self._conn.executemany(
+                        "UPDATE verdicts SET used_at = ?"
+                        " WHERE fingerprint = ?",
+                        [(at, fingerprint)
+                         for fingerprint, at in self._hits.items()
+                         if fingerprint in self._entries])
+                    self._conn.execute(
+                        "DELETE FROM verdicts WHERE fingerprint NOT IN"
+                        " (SELECT fingerprint FROM verdicts"
+                        "  ORDER BY used_at DESC, rowid DESC LIMIT ?)",
+                        (self.max_entries,))
+                self._hits.clear()
+            self._execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
-        A shared cache path may have been flushed by a concurrent
-        campaign since this cache loaded its snapshot; writing the
-        snapshot back verbatim would discard that campaign's fresh
-        verdicts (last-writer-wins data loss).  Flush therefore
-        re-reads the store and merges — union of both entry sets,
-        recency order preserved (disk's colder entries first, the
-        newest entry per fingerprint at its most-recent position),
-        newest ``stored_at`` winning when both sides hold the same
-        fingerprint — before the atomic rename.  Unsafe entries this
-        instance tombstoned are excluded from the union, and the LRU
-        cap is re-applied to the merged store.
-
-        The read-merge-rename runs under an exclusive ``fcntl.flock``
-        on the ``<path>.lock`` sidecar, serializing simultaneous
-        flushes: each writer's re-read happens after its rival's rename
-        completed, so neither campaign's final round can be lost.  The
-        temp file name is additionally unique per flush (pid + random
-        suffix), so even on platforms where the lock is unavailable
-        each rename atomically installs one writer's complete merged
-        store — never an interleaving of both.
-        """
-        if not self._dirty:
-            return
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        with self._flush_lock():
-            self._entries = self._merge(self._load(), self._entries)
-            self._evict()
-            payload = {"version": self.VERSION,
-                       "repro_version": __version__,
-                       "entries": self._entries}
-            tmp_path = f"{self.path}.tmp.{os.getpid()}.{uuid.uuid4().hex}"
-            try:
-                with open(tmp_path, "w", encoding="utf-8") as handle:
-                    json.dump(payload, handle, default=repr)
-                os.replace(tmp_path, self.path)
-            except BaseException:
-                try:
-                    os.remove(tmp_path)
-                except OSError:
-                    pass
-                raise
-        self._dirty = False
-
-    @contextlib.contextmanager
-    def _flush_lock(self):
-        """Exclusive advisory lock over the flush's read-merge-rename.
-
-        Taken on a ``<path>.lock`` sidecar (never the store itself —
-        the store is replaced by rename, which would leak the lock to a
-        dead inode).  ``fcntl.flock`` locks the open file description,
-        so threads sharing a process and campaigns in separate
-        processes serialize alike.  Degrades to no locking where
-        ``fcntl`` does not exist.
-
-        The sidecar is debris the campaign's owner should never have to
-        clean up, so a successful flush removes it — *while still
-        holding the lock*, which makes the unlink safe: a rival that
-        opened the old path before the unlink acquires a lock on a
-        dead inode, detects that (the on-disk stat no longer matches
-        its handle) and retries on the fresh file.  A flush that dies
-        mid-write leaves the sidecar behind; the next flush locks the
-        stale file and cleans it up in turn, so pre-existing debris is
-        tolerated, not fatal.
-        """
-        if fcntl is None:
-            yield
-            return
-        lock_path = f"{self.path}.lock"
-        while True:
-            lock_handle = open(lock_path, "a+")
-            try:
-                fcntl.flock(lock_handle.fileno(), fcntl.LOCK_EX)
-                try:
-                    on_disk = os.stat(lock_path)
-                except OSError:
-                    # unlinked by the rival we just waited on — this
-                    # lock guards a dead inode, take a fresh one
-                    lock_handle.close()
-                    continue
-                held = os.fstat(lock_handle.fileno())
-                if (on_disk.st_ino, on_disk.st_dev) != \
-                        (held.st_ino, held.st_dev):
-                    lock_handle.close()
-                    continue
-                break
-            except BaseException:
-                lock_handle.close()
-                raise
-        try:
-            yield
-            # success: remove the sidecar under the held lock (rivals
-            # blocked on this inode re-check and retry, see above); a
-            # racing unlink losing to a rival's is equally fine
-            try:
-                os.unlink(lock_path)
-            except OSError:
-                pass
-        finally:
-            fcntl.flock(lock_handle.fileno(), fcntl.LOCK_UN)
-            lock_handle.close()
-
-    def _merge(self, disk: Dict[str, dict],
-               ours: Dict[str, dict]) -> Dict[str, dict]:
-        """Union ``disk`` (a concurrent writer's store) with ``ours``,
-        recency-preserving, newest verdict winning per fingerprint."""
-        merged: Dict[str, dict] = {
-            fingerprint: entry for fingerprint, entry in disk.items()
-            if _stored_at(entry) > self._tombstones.get(fingerprint,
-                                                        -1.0)
-        }
-        for fingerprint, entry in ours.items():
-            rival = merged.pop(fingerprint, None)
-            if rival is not None and _stored_at(rival) > _stored_at(entry):
-                entry = rival
-            merged[fingerprint] = entry
-        return merged
+    def close(self) -> None:
+        """Release the connection (a later write opens it again)."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -273,25 +289,38 @@ class ResultCache:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._entries
 
-    def _evict(self) -> int:
-        """Trim the store to ``max_entries``, oldest (least recently
-        stored/hit) first; returns how many entries were dropped."""
-        if self.max_entries is None:
-            return 0
-        dropped = 0
-        while len(self._entries) > self.max_entries:
-            self._entries.pop(next(iter(self._entries)))
-            dropped += 1
-        return dropped
+    def _index(self, fingerprint: str, entry: dict) -> None:
+        """Put ``entry`` at the most-recent end of the index."""
+        self._entries.pop(fingerprint, None)
+        self._hits.pop(fingerprint, None)
+        self._entries[fingerprint] = entry
+        self._evict()
+
+    def _evict(self) -> None:
+        """Trim the index to ``max_entries``, least recently stored or
+        hit first (flush trims the file alike)."""
+        while self.max_entries is not None \
+                and len(self._entries) > self.max_entries:
+            del self._entries[next(iter(self._entries))]
+
+    def _upsert(self, fingerprint: str, entry: dict) -> bool:
+        """Write ``entry`` unless the store holds a newer verdict for
+        ``fingerprint``; returns whether the row was written."""
+        stored_at = entry["stored_at"]
+        return self._execute(_UPSERT, (
+            fingerprint, json.dumps(entry, default=repr),
+            *(entry.get(column) for column in _PROVENANCE),
+            stored_at, stored_at,
+        )).rowcount > 0
 
     # ------------------------------------------------------------------
     def store(self, fingerprint: str, result: CheckResult,
               job: Optional[CheckJob] = None) -> None:
-        """Record one result (trace frames included for FAIL) at the
-        most-recent end, evicting past ``max_entries``.
+        """Record one result (trace frames included for FAIL), committed
+        at once, at the most-recent end of the index.
 
-        Entries are stamped with a wall-clock ``stored_at`` (what
-        flush-merge arbitrates concurrent writers by) and, when the
+        Entries are stamped with a wall-clock ``stored_at`` (what the
+        upsert arbitrates concurrent writers by) and, when the
         producing ``job`` is given, with its module name and property
         category — the key the adaptive portfolio policy's engine
         history (:meth:`engine_history`) is aggregated under.
@@ -306,11 +335,9 @@ class ResultCache:
                 # (cone-fingerprinted entries are shared across
                 # cone-equal modules — see repro.formal.coi)
                 entry["cone"] = job.cone_digest
-        self._entries.pop(fingerprint, None)
-        self._tombstones.pop(fingerprint, None)
-        self._entries[fingerprint] = entry
-        self._evict()
-        self._dirty = True
+        self._upsert(fingerprint, entry)
+        self._index(fingerprint, entry)
+        self._counters["stored"] += 1
 
     # ------------------------------------------------------------------
     def engine_history(self) -> Dict[Tuple[Optional[str], str], str]:
@@ -320,12 +347,14 @@ class ResultCache:
         stage (or single engine) that most recently produced a
         definitive PASS/FAIL for that module/category — plus
         category-wide fallbacks under ``(None, category)``.  Entries
-        are scanned in recency order, so the newest verdict wins; this
-        is what :class:`~repro.orchestrate.policy.AdaptivePortfolio`
-        seeds its attempt ordering from.
+        are scanned in ``stored_at`` order, so the newest verdict wins
+        whatever a hit did to the LRU order; this is what
+        :class:`~repro.orchestrate.policy.AdaptivePortfolio` seeds its
+        attempt ordering from.
         """
         history: Dict[Tuple[Optional[str], str], str] = {}
-        for entry in self._entries.values():
+        for entry in sorted(self._entries.values(),
+                            key=lambda entry: entry["stored_at"]):
             method = _winning_method(entry)
             if method is None:
                 continue
@@ -346,37 +375,116 @@ class ResultCache:
 
         ``store`` (a :class:`~repro.formal.problems.CompiledProblemStore`)
         amortises the FAIL-replay compiles across lookups.  On a
-        bounded cache a hit refreshes the entry's recency in-memory —
-        without dirtying the store, so hits alone never cause a flush
-        to rewrite (and potentially clobber) a shared store; the
-        refreshed order is persisted whenever this run also stores
-        something.
+        bounded cache a hit refreshes the entry's recency in memory;
+        :meth:`flush` writes it.  A miss in the index reads the store
+        once, for a verdict another process stored since.
         """
         entry = self._entries.get(fingerprint)
         if entry is None:
-            return None
+            # one point read, for a rival's verdict stored since
+            entry = self._read(fingerprint)
+            if entry is None:
+                self._counters["misses"] += 1
+                return None
+            self._index(fingerprint, entry)
         try:
             result = decode_result(entry, job, store)
-            if self.max_entries is not None:
-                self._entries.pop(fingerprint)
-                self._entries[fingerprint] = entry
-            return result
         except Exception:
-            # malformed entry, unknown signal, failed replay... — all
-            # degrade to a miss and an eviction, never a wrong verdict
-            # (tombstoned so flush-merge cannot resurrect it from disk)
-            self._entries.pop(fingerprint, None)
-            self._tombstones[fingerprint] = time.time()
-            self._dirty = True
+            # unknown status, failed replay... — all degrade to a miss
+            # and an eviction, never a wrong verdict; a rival's newer
+            # row is a fresh verdict, not this one, and stays
+            del self._entries[fingerprint]
+            self._execute(
+                "DELETE FROM verdicts WHERE fingerprint = ?"
+                " AND stored_at <= ?", (fingerprint, entry["stored_at"]))
+            self._counters["unsafe_evicted"] += 1
+            self._counters["misses"] += 1
             return None
+        if self.max_entries is not None:
+            self._entries[fingerprint] = self._entries.pop(fingerprint)
+            self._hits[fingerprint] = time.time()
+        self._counters["hits"] += 1
+        return result
+
+    # -- service extensions --------------------------------------------
+    def get(self, fingerprint: str) -> Optional[dict]:
+        """The raw stored verdict with provenance, as served by
+        ``GET /v1/verdicts/<fingerprint>`` — no replay validation (the
+        payload is data about the store, not a trusted verdict; a
+        campaign consuming it goes through :meth:`lookup`)."""
+        entry = self._entries.get(fingerprint) or self._read(fingerprint)
+        if entry is None:
+            return None
+        row = {column: entry.get(column) for column in _PROVENANCE}
+        row.update(fingerprint=fingerprint, stored_at=entry["stored_at"],
+                   entry=entry)
+        return row
+
+    def import_cache(self, path: str) -> int:
+        """Migrate a JSON cache file (``{"version": 1, "repro_version",
+        "entries": {fingerprint: entry}}``) into this store, newest
+        ``stored_at`` winning per fingerprint.  Returns how many entries
+        were imported; an unreadable file, or one from another format or
+        package version, imports nothing, and so does an entry whose
+        provenance fields are not strings."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except (OSError, ValueError):
+            return 0
+        if not isinstance(raw, dict) \
+                or raw.get("version") != 1 \
+                or raw.get("repro_version") != __version__ \
+                or not isinstance(raw.get("entries"), dict):
+            return 0
+        imported = 0
+        for fingerprint, entry in raw["entries"].items():
+            if not isinstance(entry, dict) or not all(
+                    isinstance(entry.get(column), (str, type(None)))
+                    for column in _PROVENANCE):
+                continue
+            entry = dict(entry, stored_at=_stored_at(entry))
+            if self._upsert(fingerprint, entry):
+                self._index(fingerprint, entry)
+                imported += 1
+        self._counters["imported"] += imported
+        return imported
+
+    def stats(self) -> Dict[str, int]:
+        """Metering counters plus the live entry count, for /metrics."""
+        return dict(self._counters, entries=len(self))
+
+
+def remove_store(path: str) -> None:
+    """Delete a store file with its ``-wal``/``-shm`` companions (a
+    WAL left beside a new file at the same path would be read into
+    it)."""
+    for suffix in ("", "-wal", "-shm"):
+        try:
+            os.remove(path + suffix)
+        except FileNotFoundError:
+            pass
+
+
+def _entry(payload, stored_at: float) -> dict:
+    """A row's entry stamped with its ``stored_at``; an undecodable or
+    non-object entry is the bare stamp, which :meth:`lookup` evicts."""
+    try:
+        entry = json.loads(payload)
+    except (TypeError, ValueError):
+        entry = None
+    entry = entry if isinstance(entry, dict) else {}
+    entry["stored_at"] = stored_at
+    return entry
 
 
 def _stored_at(entry: dict) -> float:
-    """An entry's write timestamp; entries from before the stamp was
-    introduced (or mangled ones) count as oldest."""
+    """A JSON entry's write timestamp; entries from before the stamp
+    was introduced (or mangled ones: NaN, which SQLite stores as NULL,
+    infinities, non-numbers) count as oldest."""
     value = entry.get("stored_at")
-    return float(value) if isinstance(value, (int, float)) \
-        and not isinstance(value, bool) else 0.0
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return float(value) if number and abs(value) < 1e300 else 0.0
 
 
 def _winning_method(entry: dict) -> Optional[str]:

@@ -219,7 +219,6 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
     "service": {
         "host": "service_host",
         "port": "service_port",
-        "db": "service_db",
         "data_dir": "service_data_dir",
     },
     "cache": {
@@ -359,13 +358,12 @@ class CampaignConfig:
     service_host: Optional[str] = None
     #: daemon bind port (service default: 8357; 0 = ephemeral)
     service_port: Optional[int] = None
-    #: verdict-database path (service default: <data_dir>/verdicts.sqlite)
-    service_db: Optional[str] = None
     #: served-campaign state directory — journals live here
     #: (service default: out/service)
     service_data_dir: Optional[str] = None
 
-    #: result-cache path (``None`` = no cache)
+    #: result-cache path (``None`` = no cache); also the store the
+    #: service daemon opens (default: <data_dir>/verdicts.sqlite)
     cache_path: Optional[str] = None
     #: result-cache LRU bound (``None`` = unbounded)
     cache_max_entries: Optional[int] = None
@@ -502,7 +500,7 @@ class CampaignConfig:
                 f"scenario_triage must be a boolean or absent, "
                 f"got {self.scenario_triage!r}"
             )
-        for name in ("service_host", "service_db", "service_data_dir"):
+        for name in ("service_host", "service_data_dir"):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, str)
                                           and value):

@@ -74,16 +74,6 @@ class EngineConfig:
     sat_conflicts: Optional[int] = None
     bdd_nodes: Optional[int] = None
 
-    @classmethod
-    def from_budget(cls, budget: Optional[ResourceBudget],
-                    **overrides) -> "EngineConfig":
-        """Build a config carrying ``budget``'s limits (not its spent
-        counters) — the bridge from the legacy ``budget_factory`` API."""
-        if budget is not None:
-            overrides.setdefault("sat_conflicts", budget.sat_conflicts)
-            overrides.setdefault("bdd_nodes", budget.bdd_nodes)
-        return cls(**overrides)
-
     def make_budget(self) -> ResourceBudget:
         """A fresh budget carrying this config's limits — built once
         per check so stages and retries never share spent counters."""
@@ -169,7 +159,7 @@ class CheckJob:
     section asks for cone fingerprints (empty otherwise).  It then
     replaces the module digest as the fingerprint's scope component,
     so two modules that agree on this assertion's cone share the job's
-    cache/verdict-db key.
+    cache key.
 
     ``engine_order`` is execution-time wiring set by a portfolio
     policy (:mod:`repro.orchestrate.policy`): a permutation of

@@ -57,7 +57,7 @@ class CampaignOrchestrator:
         config = CampaignConfig(executor="fleet:4",
                                 engines="portfolio:kind,bdd-combined",
                                 scheduling="module-affinity",
-                                cache_path="campaign-cache.json")
+                                cache_path="campaign-cache.sqlite")
         CampaignOrchestrator(blocks, config=config).run()
 
     Every component — engine portfolio, executor (with its scheduling
@@ -206,9 +206,8 @@ class CampaignOrchestrator:
                     # this campaign's own completed work, restored —
                     # indistinguishable in the report from having just
                     # run it (``cached`` stays False); backfill the
-                    # cache, which a hard kill may never have flushed
-                    # (skipped when already present: a resume must not
-                    # dirty a warm shared store into a full rewrite)
+                    # cache with any verdict it lacks (one a kill cut
+                    # off, or all of them for a newly attached cache)
                     result = journal_results[job.index]
                     if self.cache is not None and \
                             job.fingerprint not in self.cache:

@@ -61,7 +61,7 @@ def run_sweep(spec: FamilySpec,
 
     ``warm_golden=True`` pre-runs the *golden* (unmutated) modules the
     sampled sites live in as their own campaign against the same
-    ``config`` — hence the same result cache / verdict database — so
+    ``config`` — hence the same result cache — so
     that with ``[coi] fingerprints = "cone"`` every mutant job whose
     cone the defect does not touch is a cache hit by construction and
     the mutant campaign executes only the cone-intersecting subset.

@@ -9,11 +9,10 @@ instant cached verdict instead of a re-check.
 
 The pieces, bottom up:
 
-- :mod:`repro.service.db` — :class:`VerdictDatabase`, the WAL-mode
-  SQLite verdict store.  Interface-compatible with the per-campaign
-  :class:`~repro.orchestrate.cache.ResultCache` (it *is* the
-  orchestrator's cache when the daemon runs a campaign), plus raw
-  provenance reads, metering counters, and a JSON-cache importer.
+- :class:`~repro.orchestrate.cache.ResultCache` — the WAL-mode
+  SQLite verdict store every campaign uses; the daemon opens one and
+  hands it to each campaign it runs, and serves its provenance rows
+  and metering counters.
 - :mod:`repro.service.queue` — :class:`CampaignQueue`, the async
   submission path: config-digest dedup of in-flight campaigns, one
   checkpoint-journaled orchestrator run per unique config, per-tenant
@@ -26,13 +25,12 @@ The pieces, bottom up:
   smoke job drive.
 
 See ``docs/service.md`` for the endpoint table, deployment notes, and
-the verdict-database migration path.
+the migration path for JSON caches.
 """
 
 from .api import DEFAULT_HOST, DEFAULT_PORT, SERVICE_ENDPOINTS, \
     ServiceDaemon
 from .client import ServiceClient, ServiceError
-from .db import VerdictDatabase
 from .queue import CampaignQueue, CampaignRun
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "ServiceDaemon",
     "ServiceClient",
     "ServiceError",
-    "VerdictDatabase",
     "CampaignQueue",
     "CampaignRun",
 ]

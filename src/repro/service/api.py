@@ -1,8 +1,8 @@
 """The verification-as-a-service HTTP boundary.
 
 :class:`ServiceDaemon` hosts the whole service on a stdlib
-``ThreadingHTTPServer``: one shared
-:class:`~repro.service.db.VerdictDatabase`, one
+``ThreadingHTTPServer``: one shared verdict store (a
+:class:`~repro.orchestrate.cache.ResultCache`), one
 :class:`~repro.service.queue.CampaignQueue`, and a JSON API.  The
 endpoint surface (the table :data:`SERVICE_ENDPOINTS` is what
 ``docs/service.md`` is drift-checked against):
@@ -24,14 +24,13 @@ endpoint surface (the table :data:`SERVICE_ENDPOINTS` is what
 - ``GET /healthz`` — liveness: ok, uptime, verdict count.
 - ``GET /metrics`` — the versioned counter schema
   (:data:`~repro.orchestrate.stats.STATS_SCHEMA`): per-tenant
-  metering from the queue plus the database's hit/miss/evict
-  counters.
+  metering from the queue plus the store's hit/miss/evict counters.
 
 The daemon is embeddable (``ServiceDaemon(config).start()`` in tests)
 and standalone (``python -m repro serve``, which calls
-:meth:`serve_forever`).  Bind address, port, database path, and data
-directory resolve from the config's ``[service]`` section, with
-defaults chosen for a localhost deployment.
+:meth:`serve_forever`).  Bind address, port, and data directory resolve
+from the config's ``[service]`` section, the store path from
+``[cache] path``, with defaults chosen for a localhost deployment.
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ from typing import Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
+from ..orchestrate.cache import ResultCache
 from ..orchestrate.config import CampaignConfig, ConfigError
 from ..orchestrate.stats import STATS_SCHEMA
-from .db import VerdictDatabase
 from .queue import DONE, ERROR, CampaignQueue
 
 DEFAULT_HOST = "127.0.0.1"
@@ -70,8 +69,11 @@ SERVICE_ENDPOINTS = (
 
 
 class ServiceDaemon:
-    """The long-running service: verdict database + submission queue +
-    HTTP server, owned together and shut down together."""
+    """The long-running service: verdict store + submission queue +
+    HTTP server, owned together and shut down together.  The store is
+    ``db_path`` if given, else the config's ``[cache] path``, else
+    ``<data_dir>/verdicts.sqlite`` — so a daemon started on a campaign's
+    config serves that campaign's verdicts."""
 
     def __init__(self, config: Optional[CampaignConfig] = None, *,
                  host: Optional[str] = None,
@@ -85,9 +87,10 @@ class ServiceDaemon:
         self.config = config
         self.data_dir = data_dir or config.service_data_dir \
             or DEFAULT_DATA_DIR
-        resolved_db = db_path or config.service_db \
-            or os.path.join(self.data_dir, "verdicts.sqlite")
-        self.db = VerdictDatabase(resolved_db)
+        self.db = ResultCache(
+            db_path or config.cache_path
+            or os.path.join(self.data_dir, "verdicts.sqlite"),
+            max_entries=config.cache_max_entries)
         self.queue = CampaignQueue(self.db, self.data_dir,
                                    blocks_provider=blocks_provider,
                                    throttle=throttle)
@@ -133,17 +136,17 @@ class ServiceDaemon:
         if self._serving:
             # shutdown() handshakes with a serve loop and would block
             # forever if none ever ran (a constructed-but-never-served
-            # daemon still owns its socket, queue, and database)
+            # daemon still owns its socket, queue, and store)
             self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
-        self.queue.close()
-        self.db.close()
+        if self.queue.close():  # a worker still running keeps the store
+            self.db.close()
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Route table over the daemon's queue and database.  One handler
+    """Route table over the daemon's queue and verdict store.  One handler
     thread per connection (ThreadingHTTPServer), so a ``?watch=1``
     stream blocking on a running campaign never starves the other
     endpoints."""

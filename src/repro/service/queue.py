@@ -9,13 +9,13 @@ first is queued or running is attached to the same
 :class:`CampaignRun` instead of scheduling a duplicate — one
 underlying job run, every subscriber sees the same report bytes.
 
-Job-level dedup falls out of the shared
-:class:`~repro.service.db.VerdictDatabase`: the queue's worker runs
+Job-level dedup falls out of the shared verdict store (a
+:class:`~repro.orchestrate.cache.ResultCache`): the queue's worker runs
 one campaign at a time through a stock
-:class:`~repro.orchestrate.CampaignOrchestrator` wired with the
-verdict database as its cache, so any job fingerprint ever settled —
-by an earlier campaign, a different tenant, or an imported per-campaign
-cache — partitions out as an instant verdict hit, and only genuine
+:class:`~repro.orchestrate.CampaignOrchestrator` wired with that store
+as its cache, so any job fingerprint ever settled — by an earlier
+campaign, a different tenant, or an imported JSON cache — partitions
+out as an instant verdict hit, and only genuine
 misses reach the configured executor (``serial`` or the parallel
 ``fleet:N``; the config decides, the queue does not care).
 
@@ -25,7 +25,7 @@ a daemon SIGKILL mid-run leaves a valid journal prefix, and
 re-submitting the same config to a restarted daemon resumes from it
 (``run(resume=True)``) into byte-identical report bytes.  The journal
 is removed once its campaign completes — a completed campaign's
-verdicts live in the database, so a re-submission is served as a 100%
+verdicts live in the store, so a re-submission is served as a 100%
 verdict-cache hit with zero jobs executed, which is the service's
 whole point.
 
@@ -42,10 +42,10 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..orchestrate import CampaignCheckpoint, CampaignOrchestrator
+from ..orchestrate import CampaignCheckpoint, CampaignOrchestrator, \
+    ResultCache
 from ..orchestrate.config import CampaignConfig
 from ..orchestrate.stats import STATS_SCHEMA, counter_groups
-from .db import VerdictDatabase
 
 #: submission states, in lifecycle order
 QUEUED, RUNNING, DONE, ERROR = "queued", "running", "done", "error"
@@ -129,7 +129,7 @@ class CampaignRun:
 
 
 class CampaignQueue:
-    """Single-worker submission queue over a shared verdict database.
+    """Single-worker submission queue over a shared verdict store.
 
     ``blocks_provider`` maps a config to the blocks to campaign over
     (defaults to the component chip — tests substitute tiny scopes);
@@ -137,7 +137,7 @@ class CampaignQueue:
     injection hook that widens the window for kill-mid-run tests.
     """
 
-    def __init__(self, db: VerdictDatabase, data_dir: str,
+    def __init__(self, db: ResultCache, data_dir: str,
                  blocks_provider: Optional[Callable] = None,
                  throttle: float = 0.0) -> None:
         self.db = db
@@ -256,7 +256,7 @@ class CampaignQueue:
             meter["completed"] += 1
             meter["jobs_executed"] += run.executed
             meter["verdict_hits"] += run.verdict_hits
-        # the campaign's verdicts are in the database now — drop the
+        # the campaign's verdicts are in the store now — drop the
         # journal so a re-submission is served from verdicts (zero
         # jobs executed), not replayed from a stale journal
         try:
@@ -282,10 +282,11 @@ class CampaignQueue:
                 "in_flight": len(self._in_flight),
             }
 
-    def close(self, timeout: float = 10.0) -> None:
+    def close(self, timeout: float = 10.0) -> bool:
         """Stop accepting submissions and let the worker finish the
-        backlog (bounded by ``timeout``)."""
+        backlog (bounded by ``timeout``); returns whether it did."""
         with self._lock:
             self._closed = True
             self._wakeup.notify_all()
         self._worker.join(timeout)
+        return not self._worker.is_alive()

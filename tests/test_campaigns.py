@@ -11,21 +11,20 @@ from repro.core.campaign import FormalCampaign
 from repro.core.report import (
     format_status_summary, format_table2, format_table3, render_table,
 )
-from repro.formal.budget import ResourceBudget
 from repro.formal.engine import FAIL, PASS
 from repro.orchestrate import CampaignConfig, CampaignOrchestrator
 from repro.sim.campaign import SimulationCampaign
 
 
-def _budget():
-    return ResourceBudget(sat_conflicts=500_000, bdd_nodes=5_000_000)
+#: the budgets the block-C campaigns here run with
+CONFIG = CampaignConfig(sat_conflicts=500_000, bdd_nodes=5_000_000)
 
 
 @pytest.fixture(scope="module")
 def block_c_report():
     """Golden block C campaign (small: 101 properties)."""
     chip = ComponentChip(only_blocks=["C"])
-    campaign = FormalCampaign(chip.blocks, budget_factory=_budget)
+    campaign = FormalCampaign(chip.blocks, config=CONFIG)
     return campaign.run()
 
 
@@ -44,7 +43,7 @@ class TestFormalCampaign:
 
     def test_defective_block_flags_bug(self):
         chip = ComponentChip(defects={"B2"}, only_blocks=["C"])
-        campaign = FormalCampaign(chip.blocks, budget_factory=_budget)
+        campaign = FormalCampaign(chip.blocks, config=CONFIG)
         report = campaign.run()
         assert not report.all_passed
         assert report.blocks["C"].bugs == 1
@@ -71,10 +70,7 @@ class TestCampaignTimeouts:
         chip = ComponentChip(only_blocks=["C"])
         blocks = [("C", chip.blocks[0][1][:3])]
         campaign = FormalCampaign(
-            blocks,
-            budget_factory=lambda: ResourceBudget(sat_conflicts=0,
-                                                  bdd_nodes=0),
-        )
+            blocks, config=CampaignConfig(sat_conflicts=0, bdd_nodes=0))
         return campaign.run()
 
     def test_timeouts_reported_not_failed(self, starved_report):
@@ -132,7 +128,7 @@ class TestProgressCallback:
     def test_one_call_per_property_in_plan_order(self):
         chip = ComponentChip(only_blocks=["C"])
         blocks = [("C", chip.blocks[0][1][:3])]
-        campaign = FormalCampaign(blocks, budget_factory=_budget)
+        campaign = FormalCampaign(blocks, config=CONFIG)
         lines = []
         report = campaign.run(progress=lines.append)
         assert len(lines) == report.total_properties
@@ -146,11 +142,11 @@ class TestProgressCallback:
         chip = ComponentChip(only_blocks=["C"])
         blocks = [("C", chip.blocks[0][1][:3])]
         serial_lines, parallel_lines = [], []
-        FormalCampaign(blocks, budget_factory=_budget).run(
+        FormalCampaign(blocks, config=CONFIG).run(
             progress=serial_lines.append
         )
         FormalCampaign(
-            blocks, budget_factory=_budget,
+            blocks, config=CONFIG,
             executor=FleetExecutor(workers=2),
         ).run(progress=parallel_lines.append)
         assert serial_lines == parallel_lines

@@ -137,7 +137,7 @@ class TestKillAndResume:
         """Journal replays take precedence; the cache serves later
         campaigns, backfilled from the journal."""
         journal = tmp_path / "journal.jsonl"
-        cache_path = tmp_path / "cache.json"
+        cache_path = tmp_path / "cache.sqlite"
         _crash_run(tiny_blocks, journal, 8,
                    cache=ResultCache(cache_path))
         resumed = _resume(tiny_blocks, journal,

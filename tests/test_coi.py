@@ -9,7 +9,6 @@ full-module compile, and a whole campaign run with cone fingerprints
 stays byte-identical to the legacy module-digest run.
 """
 
-import os
 
 import pytest
 
@@ -21,6 +20,7 @@ from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, ConfigError, EngineConfig,
     plan_campaign,
 )
+from repro.orchestrate.cache import remove_store
 from repro.orchestrate.planner import COI_FINGERPRINT_MODES
 from repro.psl.compile import compile_assertion, compile_sliced_assertion
 from repro.rtl.inject import make_verifiable
@@ -137,7 +137,7 @@ class TestVerdictReuse:
             if _assertion_digests(mutant)[key] != digest
         }
         config = CampaignConfig(coi_fingerprints="cone",
-                                cache_path=str(tmp_path / "cache.json"))
+                                cache_path=str(tmp_path / "cache.sqlite"))
         CampaignOrchestrator([("G", [golden])], engines=_engines(),
                              config=config).run()
         report = CampaignOrchestrator([("G", [mutant])],
@@ -152,7 +152,7 @@ class TestVerdictReuse:
     def test_module_mode_reports_zero_cone_hits(self, verifiable_leaf,
                                                 tmp_path):
         config = CampaignConfig(
-            cache_path=str(tmp_path / "cache.json"))
+            cache_path=str(tmp_path / "cache.sqlite"))
         blocks = [("L", [verifiable_leaf])]
         CampaignOrchestrator(blocks, engines=_engines(),
                              config=config).run()
@@ -167,11 +167,11 @@ class TestVerdictReuse:
 class TestWarmSweep:
     def test_warm_golden_executes_fewer_jobs_same_digest(self, tmp_path):
         config = CampaignConfig(coi_fingerprints="cone",
-                                cache_path=str(tmp_path / "cache.json"))
+                                cache_path=str(tmp_path / "cache.sqlite"))
         kwargs = dict(config=config, classes=["wrong-rotate"],
                       sites_per_module=1)
         cold_record, _ = run_sweep(SPEC, **kwargs)
-        os.remove(config.cache_path)
+        remove_store(config.cache_path)
         warm_record, _ = run_sweep(SPEC, warm_golden=True, **kwargs)
 
         assert record_digest(warm_record) == record_digest(cold_record)

@@ -330,7 +330,7 @@ class TestCampaignByteIdentity:
         """Warm-cache and journal-resume replays decode through the
         orchestrator's replay store and stay byte-identical."""
         from repro.orchestrate import CampaignCheckpoint, ResultCache
-        cache_path = str(tmp_path / "cache.json")
+        cache_path = str(tmp_path / "cache.sqlite")
         journal = str(tmp_path / "run.journal")
         cold = CampaignOrchestrator(
             buggy_blocks, engines=_engines(),

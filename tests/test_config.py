@@ -222,10 +222,11 @@ class TestStrictness:
         ('[execution]\nexecutor = "workstealing:2"\n', "workstealing:2"),
         ('[execution]\nexecutor = "work-stealing:2"\n',
          "work-stealing:2"),
+        ('[service]\ndb = "verdicts.sqlite"\n', "'db'"),
     ], ids=["share_bdd", "workspace", "workspace-retain_memos",
             "workspace-max_manager_nodes", "coi-slice", "max_problems",
             "parallel", "parallel-bare", "workstealing",
-            "workstealing-n", "work-stealing-n"])
+            "workstealing-n", "work-stealing-n", "service-db"])
     def test_removed_keys_rejected(self, toml, key):
         """Configs using a removed mode fail loudly, naming it, instead
         of silently running without it."""
@@ -280,7 +281,7 @@ class TestBuilders:
         assert fleet.scheduling.name == "module-affinity"
 
     def test_cache_and_checkpoint(self, tmp_path):
-        config = _config(cache_path=str(tmp_path / "cache.json"),
+        config = _config(cache_path=str(tmp_path / "cache.sqlite"),
                          cache_max_entries=9,
                          checkpoint_path=str(tmp_path / "j.journal"))
         cache = config.build_cache()
@@ -351,23 +352,15 @@ class TestConfigDrivenCampaign:
 # ----------------------------------------------------------------------
 
 class TestLegacyMapping:
-    def test_legacy_kwargs_equal_config_campaign(self, small_blocks):
-        from repro.formal.budget import ResourceBudget
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = FormalCampaign(
-                small_blocks, method="kind", max_k=30,
-                budget_factory=lambda: ResourceBudget(
-                    sat_conflicts=500_000, bdd_nodes=5_000_000),
-            )
-        configured = FormalCampaign(
-            small_blocks,
-            config=CampaignConfig(engines="kind", max_k=30,
-                                  sat_conflicts=500_000,
-                                  bdd_nodes=5_000_000),
-        )
-        assert legacy.config == configured.config
-        assert legacy.run().canonical_bytes() == \
-            configured.run().canonical_bytes()
+    @pytest.mark.parametrize("kwargs", [
+        dict(method="kind"), dict(max_k=30),
+        dict(budget_factory=lambda: None),
+    ], ids=["method", "max_k", "budget_factory"])
+    def test_removed_kwargs_raise(self, small_blocks, kwargs):
+        """The paper-era kwargs are gone: their budgets and engines
+        live in ``config=CampaignConfig(...)``."""
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            FormalCampaign(small_blocks, **kwargs)
 
     def test_facade_defaults_share_config_defaults(self, small_blocks):
         campaign = FormalCampaign(small_blocks)

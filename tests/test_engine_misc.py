@@ -8,6 +8,7 @@ from repro.formal.budget import ResourceBudget
 from repro.formal.engine import (
     FAIL, PASS, TIMEOUT, UNKNOWN, CheckResult, ModelChecker,
 )
+from repro.orchestrate import CampaignConfig
 from repro.psl.compile import compile_assertion
 from repro.psl.parser import parse_vunit
 from repro.rtl.module import Module
@@ -85,8 +86,7 @@ class TestCampaignTimeouts:
         module = make_verifiable(canonical_leaf())
         campaign = FormalCampaign(
             [("X", [module])],
-            budget_factory=lambda: ResourceBudget(sat_conflicts=0,
-                                                  bdd_nodes=50),
+            config=CampaignConfig(sat_conflicts=0, bdd_nodes=50),
         )
         report = campaign.run()
         assert report.total_properties == 5

@@ -1,31 +1,39 @@
 """The campaign orchestrator: planner, executors, engine portfolios,
 and the incremental result cache."""
 
+import dataclasses
 import json
 import multiprocessing
-import pathlib
+import os
+import shutil
+import signal
+import sqlite3
+import subprocess
+import sys
+import threading
+import types
 
 import pytest
 
+import repro
 from repro import __version__ as repro_version
 from repro.chip import ComponentChip
 from repro.core.campaign import BlockSummary, FormalCampaign
 from repro.core.report import format_table2
-from repro.formal.budget import ResourceBudget
 from repro.formal.engine import (
     CheckResult, ModelChecker, PASS, TIMEOUT, register_engine,
     registered_engines,
 )
 from repro.formal.engine import _ENGINES  # test-only registry cleanup
 from repro.orchestrate import (
-    CampaignOrchestrator, EngineConfig, ResultCache,
+    CampaignConfig, CampaignOrchestrator, EngineConfig, ResultCache,
     FleetExecutor, SerialExecutor, job_fingerprint, plan_campaign,
     portfolio, run_check_job,
 )
+from repro.orchestrate.cache import remove_store
 
-
-def _budget():
-    return ResourceBudget(sat_conflicts=500_000, bdd_nodes=5_000_000)
+#: the budgets every campaign here runs with
+CONFIG = CampaignConfig(sat_conflicts=500_000, bdd_nodes=5_000_000)
 
 
 def _engines(**overrides):
@@ -153,7 +161,8 @@ class TestEngineRegistry:
         try:
             assert "always-green" in ModelChecker.METHODS
             report = FormalCampaign(
-                small_blocks, method="always-green", budget_factory=_budget
+                small_blocks,
+                config=dataclasses.replace(CONFIG, engines="always-green"),
             ).run()
             assert report.all_passed
             assert all(r.result.engine == "always-green"
@@ -219,12 +228,12 @@ class TestExecutors:
     def test_all_hits_run_reports_effective_mode(self, tmp_path):
         """A warm rerun where every job is cached never builds a pool;
         the stats must say so rather than claim a parallel run."""
-        path = tmp_path / "results.json"
+        path = tmp_path / "results.sqlite"
         blocks = _buggy_small_blocks()
-        FormalCampaign(blocks, budget_factory=_budget,
+        FormalCampaign(blocks, config=CONFIG,
                        cache=ResultCache(path)).run()
         warm = FormalCampaign(
-            _buggy_small_blocks(), budget_factory=_budget,
+            _buggy_small_blocks(), config=CONFIG,
             cache=ResultCache(path),
             executor=FleetExecutor(workers=2),
         ).run()
@@ -304,16 +313,61 @@ class TestEnginePortfolio:
         assert report.stats["engines"] == ["kind", "bdd-combined"]
 
 
-class TestResultCache:
-    def _run(self, blocks, cache_path, **kwargs):
-        campaign = FormalCampaign(blocks, budget_factory=_budget,
-                                  cache=ResultCache(cache_path), **kwargs)
-        return campaign.run()
+def _sql(path, statement, params=()):
+    """Run one statement on a store file from outside the cache."""
+    conn = sqlite3.connect(str(path))
+    try:
+        rows = conn.execute(statement, params).fetchall()
+        conn.commit()
+    finally:
+        conn.close()
+    return rows
 
+
+def _edit_entries(path, edit, where="1"):
+    """Rewrite the payload of the rows matching ``where`` through
+    ``edit(entry)``; returns how many rows were edited."""
+    rows = _sql(path, f"SELECT fingerprint, entry FROM verdicts "
+                      f"WHERE {where}")
+    for fingerprint, payload in rows:
+        entry = json.loads(payload)
+        edit(entry)
+        _sql(path, "UPDATE verdicts SET entry = ? WHERE fingerprint = ?",
+             (json.dumps(entry), fingerprint))
+    return len(rows)
+
+
+def _fingerprints(path):
+    return {row[0] for row in _sql(path, "SELECT fingerprint FROM verdicts")}
+
+
+#: the row with the smallest fingerprint, for one-entry damage
+FIRST_ROW = "fingerprint = (SELECT MIN(fingerprint) FROM verdicts)"
+
+
+def _campaign(blocks, path, config=CONFIG, **cache_kwargs):
+    """One campaign over a cache at ``path``, closed afterwards so the
+    file is whole and unshared."""
+    cache = ResultCache(path, **cache_kwargs)
+    try:
+        return FormalCampaign(blocks, config=config, cache=cache).run()
+    finally:
+        cache.close()
+
+
+def _pass(engine="kind"):
+    return CheckResult(name="p", status=PASS, engine=engine, depth=1)
+
+
+#: what a PASS lookup needs of its job
+STUB_JOB = types.SimpleNamespace(qualified_name="p")
+
+
+class TestResultCache:
     def test_cold_then_warm(self, small_blocks, tmp_path):
-        path = tmp_path / "results.json"
-        cold = self._run(small_blocks, path)
-        warm = self._run(small_blocks, path)
+        path = tmp_path / "results.sqlite"
+        cold = _campaign(small_blocks, path)
+        warm = _campaign(small_blocks, path)
         assert cold.stats["cache_hits"] == 0
         assert cold.stats["cache_misses"] == cold.total_properties
         assert warm.stats["cache_hits"] == warm.total_properties
@@ -323,26 +377,27 @@ class TestResultCache:
 
     def test_rtl_edit_misses_only_touched_module(self, small_blocks,
                                                  tmp_path):
-        path = tmp_path / "results.json"
-        self._run(small_blocks, path)
-        eco = self._run(_buggy_small_blocks(), path)
+        path = tmp_path / "results.sqlite"
+        _campaign(small_blocks, path)
+        eco = _campaign(_buggy_small_blocks(), path)
         assert eco.stats["modules_checked"] == ["C00_fsmctl"]
         assert len(eco.stats["modules_replayed"]) == 3
         assert eco.stats["cache_hits"] > 0
         assert set(eco.failures_by_module()) == {"C00_fsmctl"}
 
     def test_engine_config_change_misses(self, small_blocks, tmp_path):
-        path = tmp_path / "results.json"
-        self._run(small_blocks, path)
-        rerun = self._run(small_blocks, path, method="bdd-combined")
+        path = tmp_path / "results.sqlite"
+        _campaign(small_blocks, path)
+        rerun = _campaign(small_blocks, path, config=dataclasses.replace(
+            CONFIG, engines="bdd-combined"))
         assert rerun.stats["cache_hits"] == 0
         assert rerun.stats["cache_misses"] == rerun.total_properties
         assert rerun.all_passed
 
     def test_cached_fail_replays_counterexample(self, tmp_path):
-        path = tmp_path / "results.json"
-        self._run(_buggy_small_blocks(), path)
-        warm = self._run(_buggy_small_blocks(), path)
+        path = tmp_path / "results.sqlite"
+        _campaign(_buggy_small_blocks(), path)
+        warm = _campaign(_buggy_small_blocks(), path)
         assert warm.stats["cache_misses"] == 0
         failures = warm.failures_by_module()
         assert set(failures) == {"C00_fsmctl"}
@@ -352,37 +407,34 @@ class TestResultCache:
             assert record.result.trace.replay()
 
     def test_corrupted_file_degrades_to_miss(self, small_blocks, tmp_path):
-        path = tmp_path / "results.json"
-        cold = self._run(small_blocks, path)
+        path = tmp_path / "results.sqlite"
+        cold = _campaign(small_blocks, path)
         path.write_text("{ not json at all")
-        rerun = self._run(small_blocks, path)
+        rerun = _campaign(small_blocks, path)
         assert rerun.stats["cache_hits"] == 0
         assert rerun.stats["cache_misses"] == rerun.total_properties
         assert format_table2(rerun) == format_table2(cold)
         # the rerun rewrote a valid store
-        warm = self._run(small_blocks, path)
+        warm = _campaign(small_blocks, path)
         assert warm.stats["cache_misses"] == 0
 
     def test_tampered_entry_never_flips_verdict(self, small_blocks,
                                                 tmp_path):
-        path = tmp_path / "results.json"
-        cold = self._run(small_blocks, path)
-        store = json.loads(path.read_text())
-        entries = store["entries"]
-        victim = next(iter(entries))
-        entries[victim]["status"] = "definitely-bogus"
-        path.write_text(json.dumps(store))
-        rerun = self._run(small_blocks, path)
+        path = tmp_path / "results.sqlite"
+        cold = _campaign(small_blocks, path)
+        _edit_entries(path, lambda entry: entry.update(
+            status="definitely-bogus"), where=FIRST_ROW)
+        rerun = _campaign(small_blocks, path)
         assert rerun.stats["cache_misses"] == 1
         assert rerun.stats["cache_hits"] == rerun.total_properties - 1
         assert format_table2(rerun) == format_table2(cold)
         assert rerun.all_passed
 
-    def test_completed_work_flushed_on_mid_run_failure(self, small_blocks,
-                                                       tmp_path):
+    def test_completed_work_stored_on_mid_run_failure(self, small_blocks,
+                                                      tmp_path):
         """A crash mid-campaign must not discard verdicts already
         computed — the incremental retry reuses them."""
-        path = tmp_path / "results.json"
+        path = tmp_path / "results.sqlite"
         # the crashing run and the retry must share fingerprints, so
         # build the same engines the retry's default config builds
         engines = portfolio("kind", "bdd-combined",
@@ -393,7 +445,8 @@ class TestResultCache:
         )
         with pytest.raises(RuntimeError, match="ordering contract"):
             orchestrator.run()
-        retry = self._run(small_blocks, path)
+        orchestrator.cache.close()
+        retry = _campaign(small_blocks, path)
         assert retry.stats["cache_hits"] == retry.total_properties - 1
         assert retry.stats["cache_misses"] == 1
         assert retry.all_passed
@@ -401,17 +454,12 @@ class TestResultCache:
     def test_fail_without_trace_is_a_miss(self, small_blocks, tmp_path):
         """A cached FAIL whose trace is missing cannot be validated, so
         it must be re-checked — never replayed."""
-        path = tmp_path / "results.json"
-        self._run(_buggy_small_blocks(), path)
-        store = json.loads(path.read_text())
-        tampered = 0
-        for entry in store["entries"].values():
-            if entry["status"] == "fail":
-                entry["trace"] = None
-                tampered += 1
+        path = tmp_path / "results.sqlite"
+        _campaign(_buggy_small_blocks(), path)
+        tampered = _edit_entries(path, lambda entry: entry.update(
+            trace=None), where="status = 'fail'")
         assert tampered > 0
-        path.write_text(json.dumps(store))
-        rerun = self._run(_buggy_small_blocks(), path)
+        rerun = _campaign(_buggy_small_blocks(), path)
         assert rerun.stats["cache_misses"] == tampered
         assert set(rerun.failures_by_module()) == {"C00_fsmctl"}
         for record in rerun.failures_by_module()["C00_fsmctl"]:
@@ -422,23 +470,18 @@ class TestResultCache:
 class TestCacheEviction:
     """Size-bounded LRU eviction (``max_entries``)."""
 
-    def _passing_result(self, name="p"):
-        return CheckResult(name=name, status=PASS, engine="kind", depth=1)
-
     def test_store_evicts_least_recently_used(self, tmp_path):
-        cache = ResultCache(tmp_path / "r.json", max_entries=2)
-        cache.store("a", self._passing_result())
-        cache.store("b", self._passing_result())
-        cache.store("c", self._passing_result())
+        cache = ResultCache(tmp_path / "r.sqlite", max_entries=2)
+        cache.store("a", _pass())
+        cache.store("b", _pass())
+        cache.store("c", _pass())
         assert "a" not in cache
         assert "b" in cache and "c" in cache
         assert len(cache) == 2
 
     def test_lookup_hit_refreshes_recency(self, small_blocks, tmp_path):
-        path = tmp_path / "r.json"
-        campaign = FormalCampaign(small_blocks, budget_factory=_budget,
-                                  cache=ResultCache(path))
-        cold = campaign.run()
+        path = tmp_path / "r.sqlite"
+        cold = _campaign(small_blocks, path)
         # replan with the same engines the campaign's default config
         # built, so fingerprints line up with the cached entries
         plan = CampaignOrchestrator(
@@ -452,145 +495,132 @@ class TestCacheEviction:
         assert cache.lookup(oldest.fingerprint, oldest) is not None
         # the hit moved job 0 to the most-recent end: storing one new
         # entry now evicts some *other* (coldest) fingerprint
-        cache.store("fresh", self._passing_result())
+        cache.store("fresh", _pass())
         assert oldest.fingerprint in cache
         assert "fresh" in cache
 
-    def test_cap_shrink_trims_on_load(self, tmp_path):
-        path = tmp_path / "r.json"
+    def test_cap_shrink_trims_index_then_file(self, tmp_path):
+        path = tmp_path / "r.sqlite"
         cache = ResultCache(path)
         for key in ("a", "b", "c", "d"):
-            cache.store(key, self._passing_result())
-        cache.flush()
-        on_disk = path.read_bytes()
+            cache.store(key, _pass())
+        cache.close()
         trimmed = ResultCache(path, max_entries=2)
         assert len(trimmed) == 2
         assert "c" in trimmed and "d" in trimmed
-        # the trim alone is in-memory: a hits-only run stays a reader
-        trimmed.flush()
-        assert path.read_bytes() == on_disk
-        # ...and persists once the run actually stores something
-        trimmed.store("e", self._passing_result())
-        trimmed.flush()
-        persisted = ResultCache(path)
-        assert len(persisted) == 2
-        assert "d" in persisted and "e" in persisted
+        assert _fingerprints(path) == {"a", "b", "c", "d"}
+        trimmed.flush()  # the file follows the cap
+        assert _fingerprints(path) == {"c", "d"}
 
-    def test_hits_only_run_never_rewrites_store(self, small_blocks,
-                                                tmp_path):
-        """Recency refreshes alone must not dirty a bounded store: a
-        purely-reading campaign flushing nothing is what stops it from
-        clobbering a concurrent writer's fresh entries with its own
-        stale snapshot."""
-        path = tmp_path / "r.json"
-        campaign = FormalCampaign(small_blocks, budget_factory=_budget,
-                                  cache=ResultCache(path))
-        cold = campaign.run()
-        before = path.read_bytes()
-        warm = FormalCampaign(
-            small_blocks, budget_factory=_budget,
-            cache=ResultCache(path, max_entries=cold.total_properties),
-        ).run()
-        assert warm.stats["cache_misses"] == 0
-        assert path.read_bytes() == before  # flush was a no-op
+    def test_hit_recency_carries_across_runs(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        cache = ResultCache(path, max_entries=3)
+        for key in ("a", "b", "c"):
+            cache.store(key, _pass())
+        cache.close()
+        reader = ResultCache(path, max_entries=3)
+        assert reader.lookup("a", STUB_JOB) is not None
+        reader.flush()  # writes the hit's recency
+        reader.close()
+        writer = ResultCache(path, max_entries=3)
+        writer.store("d", _pass())
+        writer.flush()
+        # "a" was hit after "b" was stored, so "b" is the coldest
+        assert _fingerprints(path) == {"a", "c", "d"}
 
     def test_unbounded_cache_unchanged(self, tmp_path):
-        cache = ResultCache(tmp_path / "r.json")
+        cache = ResultCache(tmp_path / "r.sqlite")
         for index in range(50):
-            cache.store(f"k{index}", self._passing_result())
+            cache.store(f"k{index}", _pass())
         assert len(cache) == 50
 
     def test_bad_cap_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            ResultCache(tmp_path / "r.json", max_entries=0)
+            ResultCache(tmp_path / "r.sqlite", max_entries=0)
 
     def test_bounded_campaign_still_correct(self, small_blocks, tmp_path):
         """A cache too small for the campaign evicts but never corrupts:
         reruns recheck the evicted properties and agree with cold."""
-        path = tmp_path / "r.json"
-        cold = FormalCampaign(small_blocks, budget_factory=_budget).run()
-        capped = lambda: ResultCache(path, max_entries=5)
-        FormalCampaign(small_blocks, budget_factory=_budget,
-                       cache=capped()).run()
-        warm = FormalCampaign(small_blocks, budget_factory=_budget,
-                              cache=capped()).run()
+        path = tmp_path / "r.sqlite"
+        cold = FormalCampaign(small_blocks, config=CONFIG).run()
+        _campaign(small_blocks, path, max_entries=5)
+        warm = _campaign(small_blocks, path, max_entries=5)
         assert warm.stats["cache_hits"] == 5
         assert warm.stats["cache_misses"] == warm.total_properties - 5
         assert warm.canonical_bytes() == cold.canonical_bytes()
 
 
-def _mutate_truncate_half(path):
-    data = path.read_text()
-    path.write_text(data[: len(data) // 2])
+def _truncate_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
 
 
-def _mutate_wrong_repro_version(path):
-    store = json.loads(path.read_text())
-    store["repro_version"] = "0.0.0-not-this-build"
-    path.write_text(json.dumps(store))
+def _old_json_cache(path):
+    """The store replaced by a JSON cache in the format before SQLite,
+    holding the same verdicts — garbage to SQLite."""
+    entries = {fingerprint: json.loads(payload) for fingerprint, payload
+               in _sql(path, "SELECT fingerprint, entry FROM verdicts")}
+    path.write_text(json.dumps({"version": 1,
+                                "repro_version": repro_version,
+                                "entries": entries}))
 
 
-def _mutate_wrong_store_version(path):
-    store = json.loads(path.read_text())
-    store["version"] = 999
-    path.write_text(json.dumps(store))
+def _wrong_repro_version(path):
+    _sql(path, "UPDATE meta SET value = '0.0.0-not-this-build' "
+               "WHERE key = 'repro_version'")
 
 
-def _mutate_entries_not_a_dict(path):
-    store = json.loads(path.read_text())
-    store["entries"] = "bogus"
-    path.write_text(json.dumps(store))
+def _wrong_schema_version(path):
+    _sql(path, "UPDATE meta SET value = '999' WHERE key = 'schema'")
 
 
-def _mutate_fail_entries_empty_trace(path):
-    store = json.loads(path.read_text())
-    for entry in store["entries"].values():
-        if entry["status"] == "fail":
-            entry["trace"] = []
-    path.write_text(json.dumps(store))
+def _fail_entries_empty_trace(path):
+    _edit_entries(path, lambda entry: entry.update(trace=[]),
+                  where="status = 'fail'")
 
 
-def _mutate_one_entry_non_dict(path):
-    store = json.loads(path.read_text())
-    victim = sorted(store["entries"])[0]
-    store["entries"][victim] = ["not", "a", "dict"]
-    path.write_text(json.dumps(store))
+def _one_entry_non_json(path):
+    _sql(path, f"UPDATE verdicts SET entry = 'Zzz not json' "
+               f"WHERE {FIRST_ROW}")
+
+
+def _one_entry_non_object(path):
+    _sql(path, f"UPDATE verdicts SET entry = '[\"not\", \"an\", "
+               f"\"object\"]' WHERE {FIRST_ROW}")
 
 
 #: (mutator, which entries must degrade to misses)
 CACHE_CORRUPTIONS = [
-    pytest.param(_mutate_truncate_half, "all", id="truncated-json"),
-    pytest.param(_mutate_wrong_repro_version, "all",
-                 id="wrong-repro-version"),
-    pytest.param(_mutate_wrong_store_version, "all",
-                 id="wrong-store-version"),
-    pytest.param(_mutate_entries_not_a_dict, "all",
-                 id="entries-not-a-dict"),
-    pytest.param(_mutate_fail_entries_empty_trace, "fails",
+    pytest.param(_truncate_half, "all", id="truncated-file"),
+    pytest.param(_old_json_cache, "all", id="garbage-file"),
+    pytest.param(_wrong_repro_version, "all", id="wrong-repro-version"),
+    pytest.param(_wrong_schema_version, "all",
+                 id="wrong-schema-version"),
+    pytest.param(_fail_entries_empty_trace, "fails",
                  id="fail-empty-trace"),
-    pytest.param(_mutate_one_entry_non_dict, "one", id="non-dict-entry"),
+    pytest.param(_one_entry_non_json, "one", id="non-json-entry"),
+    pytest.param(_one_entry_non_object, "one", id="non-object-entry"),
 ]
 
 
 class TestCacheCorruptionMatrix:
-    """Every way a cache file can rot degrades to a miss (scoped as
-    tightly as the damage allows) and never changes a single verdict."""
+    """Every way a store can rot degrades to a miss (scoped as tightly
+    as the damage allows), never changes a single verdict, and the
+    re-check heals the store."""
 
     @pytest.mark.parametrize("mutate,scope", CACHE_CORRUPTIONS)
     def test_corruption_degrades_to_miss_never_flips_verdict(
             self, mutate, scope, tmp_path):
-        path = tmp_path / "results.json"
-        blocks = _buggy_small_blocks()
-        cold = FormalCampaign(blocks, budget_factory=_budget,
-                              cache=ResultCache(path)).run()
-        store = json.loads(path.read_text())
-        fails = sum(1 for entry in store["entries"].values()
-                    if entry["status"] == "fail")
+        path = tmp_path / "results.sqlite"
+        cold = _campaign(_buggy_small_blocks(), path)
+        fails = len(_sql(path, "SELECT 1 FROM verdicts "
+                               "WHERE status = 'fail'"))
         assert fails > 0, "fixture must cache FAIL entries"
         mutate(path)
-        rerun = FormalCampaign(_buggy_small_blocks(),
-                               budget_factory=_budget,
-                               cache=ResultCache(path)).run()
+        cache = ResultCache(path)
+        rerun = FormalCampaign(_buggy_small_blocks(), config=CONFIG,
+                               cache=cache).run()
+        cache.close()
         expected_misses = {
             "all": cold.total_properties, "fails": fails, "one": 1,
         }[scope]
@@ -601,175 +631,87 @@ class TestCacheCorruptionMatrix:
             [r.result.status for r in cold.results]
         assert format_table2(rerun) == format_table2(cold)
         assert set(rerun.failures_by_module()) == {"C00_fsmctl"}
+        if scope != "all":
+            # each damaged row was read, evicted as unsafe and counted
+            assert cache.stats()["unsafe_evicted"] == expected_misses
         # the rerun healed the store: a further rerun is all hits
-        healed = FormalCampaign(_buggy_small_blocks(),
-                                budget_factory=_budget,
-                                cache=ResultCache(path)).run()
+        healed = _campaign(_buggy_small_blocks(), path)
         assert healed.stats["cache_misses"] == 0
 
 
-def _flush_worker(path, worker_id, barrier, rounds):
-    """Hammer one shared cache path: every worker flushes its own view
-    at the same instant, ``rounds`` times over."""
+def _store_worker(path, worker_id, barrier, count):
+    """Store ``count`` verdicts into one shared path, starting at the
+    same instant as every other worker."""
     cache = ResultCache(path)
-    for round_no in range(rounds):
-        for j in range(10):
-            cache.store(f"w{worker_id}-r{round_no}-{j}",
-                        CheckResult(f"prop{j}", PASS, "test"))
-        barrier.wait()
-        cache.flush()
+    barrier.wait()
+    for index in range(count):
+        cache.store(f"w{worker_id}-{index}",
+                    CheckResult(f"prop{index}", PASS, "test"))
+    cache.flush()
 
 
-class TestConcurrentFlush:
-    def test_parallel_flushes_never_corrupt_the_store(self, tmp_path):
-        """Campaigns sharing one cache path may flush at the same
-        moment; the store on disk must always be one writer's complete
-        merged valid JSON, with no temp-file litter.  (Simultaneous
-        renames may still each miss the other's very latest round —
-        the deterministic union guarantee for flushes that *land* in
-        some order is TestCacheMerge's subject — but every installed
-        store carries at least its writer's full entry set.)"""
-        path = tmp_path / "shared.json"
+class TestSharedStore:
+    """Campaigns (and the service daemon) sharing one store path keep
+    each other's verdicts: every store commits its own row, newest
+    ``stored_at`` winning."""
+
+    def test_parallel_stores_lose_no_row(self, tmp_path):
+        path = str(tmp_path / "shared.sqlite")
         context = multiprocessing.get_context("fork")
-        workers, rounds = 4, 5
+        workers, count = 4, 250
         barrier = context.Barrier(workers)
         processes = [
-            context.Process(target=_flush_worker,
-                            args=(str(path), i, barrier, rounds))
-            for i in range(workers)
+            context.Process(target=_store_worker,
+                            args=(path, worker, barrier, count))
+            for worker in range(workers)
         ]
         for process in processes:
             process.start()
         for process in processes:
-            process.join()
-        assert all(process.exitcode == 0 for process in processes)
-        store = json.loads(path.read_text())  # parses: rename was atomic
-        assert store["version"] == ResultCache.VERSION
-        entries = store["entries"]
-        assert entries and len(entries) % 10 == 0
-        # the final writer had all its own entries in memory, so they
-        # all survive — under pre-merge last-writer-wins this was also
-        # the *maximum*; now it is the floor
-        owner_counts = {}
-        for key in entries:
-            owner = key.split("-")[0]
-            owner_counts[owner] = owner_counts.get(owner, 0) + 1
-        assert max(owner_counts.values()) == rounds * 10
-        assert len(ResultCache(path)) == len(entries)
-        # no litter: temp files never survive, and the flock sidecar
-        # is removed by whichever flush finishes last (a racing
-        # straggler may recreate it momentarily, but the final flush's
-        # unlink-under-lock wins — see ResultCache._flush_lock)
-        leftovers = [p.name for p in tmp_path.iterdir()
-                     if p.name != "shared.json"]
-        assert leftovers == []
+            process.join(timeout=120)
+        assert not any(process.is_alive() for process in processes)
+        assert [process.exitcode for process in processes] == \
+            [0] * workers
+        assert len(ResultCache(path)) == workers * count
 
-
-class TestFlushLockCleanup:
-    """The flush's flock sidecar must not accumulate as debris: a
-    successful flush removes it, and pre-existing (stale) sidecars are
-    tolerated and cleaned up in turn."""
-
-    def test_successful_flush_removes_the_lock_sidecar(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(path)
-        cache.store("fp", CheckResult("p", PASS, "kind"))
-        cache.flush()
-        assert pathlib.Path(path).exists()
-        assert not pathlib.Path(f"{path}.lock").exists()
-
-    def test_hits_only_flush_leaves_nothing_behind(self, tmp_path):
-        # a clean (not dirty) flush is a no-op: no store write, and no
-        # sidecar ever created
-        path = str(tmp_path / "cache.json")
-        ResultCache(path).flush()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_stale_lock_from_a_killed_flush_is_tolerated(self, tmp_path):
-        # a flush that died mid-write leaves the sidecar behind; the
-        # next flush must lock it, do its work, and clean it up
-        path = str(tmp_path / "cache.json")
-        stale = pathlib.Path(f"{path}.lock")
-        stale.write_text("")  # the debris a killed flush leaves
-        cache = ResultCache(path)
-        cache.store("fp", CheckResult("p", PASS, "kind"))
-        cache.flush()
-        assert not stale.exists()
-        assert "fp" in ResultCache(path)
-
-    def test_sequential_campaigns_never_accumulate_sidecars(self, tmp_path):
-        path = str(tmp_path / "cache.json")
-        for round_no in range(3):
-            cache = ResultCache(path)
-            cache.store(f"fp-{round_no}",
-                        CheckResult("p", PASS, "kind"))
-            cache.flush()
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["cache.json"]
-        assert len(ResultCache(path)) == 3
-
-
-class TestCacheMerge:
-    """Flush-merge closes the last-writer-wins hole: two campaigns
-    sharing one store both keep their fresh verdicts."""
-
-    def test_two_campaigns_union_on_flush(self, tmp_path):
-        path = str(tmp_path / "shared.json")
+    def test_two_campaigns_opened_before_either_stores(self, tmp_path):
+        path = tmp_path / "shared.sqlite"
         first = ResultCache(path)
-        second = ResultCache(path)  # loaded before first's flush
-        first.store("fp-first", CheckResult("p", PASS, "kind"))
-        second.store("fp-second", CheckResult("p", PASS, "bmc"))
+        second = ResultCache(path)
+        first.store("fp-first", _pass())
+        second.store("fp-second", _pass(engine="bmc"))
         first.flush()
-        second.flush()  # used to clobber fp-first; must merge now
-        merged = json.loads(pathlib.Path(path).read_text())["entries"]
-        assert set(merged) == {"fp-first", "fp-second"}
-        # recency order: disk's entry (older) first, ours last
-        assert list(merged) == ["fp-first", "fp-second"]
+        second.flush()
+        assert _fingerprints(path) == {"fp-first", "fp-second"}
 
-    def test_newest_verdict_wins_per_fingerprint(self, tmp_path):
-        path = str(tmp_path / "shared.json")
+    def test_newest_verdict_wins_both_ways(self, tmp_path):
+        path = tmp_path / "shared.sqlite"
         first = ResultCache(path)
         second = ResultCache(path)
         first.store("fp", CheckResult("p", TIMEOUT, "kind"))
-        first.flush()
-        second.store("fp", CheckResult("p", PASS, "pobdd"))  # newer
-        second.flush()
-        entries = json.loads(pathlib.Path(path).read_text())["entries"]
-        assert entries["fp"]["status"] == PASS
-        assert entries["fp"]["engine"] == "pobdd"
-        # and the other way around: an *older* in-memory entry does not
-        # overwrite a fresher one already on disk
-        third = ResultCache(path)
-        third.store("fp", CheckResult("p", TIMEOUT, "kind"))
-        stale = json.loads(pathlib.Path(path).read_text())["entries"]
-        entry = dict(stale["fp"])
-        entry["stored_at"] = third._entries["fp"]["stored_at"] + 60.0
-        entry["engine"] = "fresher"
-        stale["fp"] = entry
-        payload = {"version": ResultCache.VERSION,
-                   "repro_version": repro_version,
-                   "entries": stale}
-        pathlib.Path(path).write_text(json.dumps(payload))
-        third.flush()
-        final = json.loads(pathlib.Path(path).read_text())["entries"]
-        assert final["fp"]["engine"] == "fresher"
+        second.store("fp", _pass(engine="pobdd"))  # newer
+        assert ResultCache(path).get("fp")["engine"] == "pobdd"
+        # ...and an older write never replaces a fresher row: stamp the
+        # row as a rival's write a minute from now
+        _sql(path, "UPDATE verdicts SET stored_at = stored_at + 60, "
+                   "engine = 'fresher'")
+        first.store("fp", CheckResult("p", TIMEOUT, "kind"))
+        assert _sql(path, "SELECT engine FROM verdicts") == [("fresher",)]
 
-    def test_concurrent_campaign_runs_merge_their_verdicts(
+    def test_concurrent_campaign_runs_keep_their_verdicts(
             self, tmp_path, small_blocks):
-        """The end-to-end satellite scenario: two campaigns over
-        different scopes share one cache path, run 'concurrently'
-        (both open the store before either flushes), and *both*
-        campaigns' verdicts survive — a third run over the union scope
-        is all cache hits."""
-        path = str(tmp_path / "shared.json")
+        """Two campaigns over different scopes share one cache path,
+        both opened before either runs; a third run over the union
+        scope is all cache hits."""
+        path = str(tmp_path / "shared.sqlite")
         blocks_a = [("C", [small_blocks[0][1][0]])]
         blocks_b = [("C", [small_blocks[0][1][1]])]
         campaign_a = CampaignOrchestrator(
             blocks_a, engines=_engines(), cache=ResultCache(path))
         campaign_b = CampaignOrchestrator(
             blocks_b, engines=_engines(), cache=ResultCache(path))
-        campaign_a.run()  # flushes inside run()
-        campaign_b.run()  # its cache predates a's flush: must merge
+        campaign_a.run()
+        campaign_b.run()
         union = CampaignOrchestrator(
             [("C", small_blocks[0][1][:2])], engines=_engines(),
             cache=ResultCache(path))
@@ -777,138 +719,311 @@ class TestCacheMerge:
         assert report.stats["cache_hits"] == report.stats["jobs"]
         assert report.stats["cache_misses"] == 0
 
-    def test_unsafe_entries_stay_tombstoned_through_merge(
-            self, tmp_path, small_blocks):
-        """An entry evicted as unsafe (failed replay) must not be
-        resurrected from disk by the flush-merge."""
-        path = str(tmp_path / "shared.json")
+    def test_unsafe_entry_is_deleted(self, tmp_path, small_blocks):
+        """An entry evicted as unsafe (failed replay) leaves the file
+        too, not just this cache's index."""
+        path = tmp_path / "shared.sqlite"
         orchestrator = CampaignOrchestrator(
             small_blocks, engines=_engines(), cache=ResultCache(path))
         orchestrator.run()
-        store = json.loads(pathlib.Path(path).read_text())
-        fingerprint = next(iter(store["entries"]))
-        store["entries"][fingerprint]["status"] = "definitely-not"
-        pathlib.Path(path).write_text(json.dumps(store))
+        orchestrator.cache.close()
+        fingerprint = _sql(path, "SELECT MIN(fingerprint) "
+                                 "FROM verdicts")[0][0]
+        _edit_entries(path, lambda entry: entry.update(
+            status="definitely-not"), where=FIRST_ROW)
         cache = ResultCache(path)
-        plan = orchestrator.plan()
-        job = next(j for j in plan.jobs if j.fingerprint == fingerprint)
-        assert cache.lookup(fingerprint, job) is None  # tombstones it
-        cache.store("fp-new", CheckResult("p", PASS, "kind"))
-        cache.flush()
-        final = json.loads(pathlib.Path(path).read_text())["entries"]
-        assert fingerprint not in final
-        assert "fp-new" in final
+        job = next(job for job in orchestrator.plan().jobs
+                   if job.fingerprint == fingerprint)
+        assert cache.lookup(fingerprint, job) is None
+        assert fingerprint not in cache
+        assert cache.stats()["unsafe_evicted"] == 1
+        assert fingerprint not in _fingerprints(path)
 
-    def test_rival_entry_newer_than_tombstone_survives(self, tmp_path):
-        """A tombstone kills the corrupt entry it was raised for — not
-        a rival campaign's *fresh* re-verified verdict written after
-        the eviction."""
-        path = str(tmp_path / "shared.json")
-        seed = ResultCache(path)
-        seed.store("fp", CheckResult("p", PASS, "kind"))
-        seed._entries["fp"]["status"] = "garbage"  # corrupt on disk
-        seed.flush()
-        victim = ResultCache(path)
+    def test_unsafe_eviction_spares_a_rivals_newer_row(self, tmp_path):
+        """The eviction deletes the corrupt copy this cache read — not
+        a rival campaign's fresh re-verified verdict stored since."""
+        path = tmp_path / "shared.sqlite"
+        ResultCache(path).store("fp", _pass())
+        _edit_entries(path, lambda entry: entry.update(status="garbage"))
+        victim = ResultCache(path)  # reads the corrupt copy
+        ResultCache(path).store("fp", _pass(engine="pobdd"))
         job = object()  # lookup fails long before touching the job
-        assert victim.lookup("fp", job) is None  # tombstoned
-        # a rival re-checks fp and flushes a fresh, newer entry
-        rival = ResultCache(path)
-        rival.store("fp", CheckResult("p", PASS, "pobdd"))
-        rival.flush()
-        # the victim's flush must keep the rival's fresh verdict
-        victim.store("fp-own", CheckResult("q", PASS, "kind"))
-        victim.flush()
-        final = json.loads(pathlib.Path(path).read_text())["entries"]
-        assert final["fp"]["engine"] == "pobdd"
-        assert "fp-own" in final
+        assert victim.lookup("fp", job) is None
+        assert ResultCache(path).get("fp")["engine"] == "pobdd"
 
-
-class TestLockedFlushMerge:
-    """The flock sidecar closes the last merge hole: two *simultaneous*
-    read-merge-rename sequences used to be able to each miss the
-    other's final round.  The choreography below drives exactly that
-    interleaving — cache A re-reads the store, then pauses while cache
-    B flushes, then A renames — and shows the entry loss without the
-    lock and the full union with it."""
-
-    @staticmethod
-    def _choreographed_race(path, locked, monkeypatch):
-        """Run the lost-update interleaving; returns the final store's
-        fingerprints.  ``locked=False`` disables the sidecar lock to
-        reproduce the historical behaviour."""
-        import contextlib
-        import threading
-        from unittest import mock
-
-        if not locked:
-            monkeypatch.setattr(
-                ResultCache, "_flush_lock",
-                lambda self: contextlib.nullcontext(),
-            )
-        cache_a = ResultCache(path)
-        cache_b = ResultCache(path)
-        cache_a.store("fp-a", CheckResult("a", PASS, "kind"))
-        cache_b.store("fp-b", CheckResult("b", PASS, "kind"))
-
-        a_merged = threading.Event()
-        release_a = threading.Event()
-        original_merge = ResultCache._merge
-
-        def pausing_merge(self, disk, ours):
-            merged = original_merge(self, disk, ours)
-            if self is cache_a:
-                # A has re-read the store (no fp-b yet) and merged;
-                # hold its rename open while B races
-                a_merged.set()
-                release_a.wait(timeout=30)
-            return merged
-
-        with mock.patch.object(ResultCache, "_merge", pausing_merge):
-            thread_a = threading.Thread(target=cache_a.flush)
-            thread_a.start()
-            assert a_merged.wait(timeout=30)
-            thread_b = threading.Thread(target=cache_b.flush)
-            thread_b.start()
-            # without the lock B completes here; with it B blocks on
-            # the sidecar until A's rename lands
-            thread_b.join(timeout=1.0)
-            release_a.set()
-            thread_a.join(timeout=30)
-            thread_b.join(timeout=30)
-            assert not thread_a.is_alive() and not thread_b.is_alive()
-        return set(json.loads(pathlib.Path(path).read_text())["entries"])
-
-    def test_simultaneous_flushes_union_under_the_lock(self, tmp_path,
-                                                       monkeypatch):
-        final = self._choreographed_race(
-            str(tmp_path / "shared.json"), locked=True,
-            monkeypatch=monkeypatch,
-        )
-        assert final == {"fp-a", "fp-b"}
-
-    def test_control_experiment_loses_an_entry_without_the_lock(
-            self, tmp_path, monkeypatch):
-        """The same choreography with the lock disabled drops B's
-        entry — proving the test above exercises the real race, not a
-        benign ordering."""
-        final = self._choreographed_race(
-            str(tmp_path / "shared.json"), locked=False,
-            monkeypatch=monkeypatch,
-        )
-        assert final == {"fp-a"}
-
-    def test_lock_degrades_gracefully_without_fcntl(self, tmp_path,
-                                                    monkeypatch):
-        """Platforms without fcntl still flush (merge semantics keep
-        sequential/overlapped safety; only the simultaneous race
-        reopens)."""
-        from repro.orchestrate import cache as cache_module
-        monkeypatch.setattr(cache_module, "fcntl", None)
-        path = str(tmp_path / "shared.json")
+    def test_run_that_stores_nothing_creates_no_file(self, tmp_path):
+        path = tmp_path / "cache.sqlite"
         cache = ResultCache(path)
-        cache.store("fp", CheckResult("p", PASS, "kind"))
+        assert cache.lookup("fp", STUB_JOB) is None
         cache.flush()
-        assert "fp" in ResultCache(path)
+        cache.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_hits_only_run_changes_no_verdict_row(self, small_blocks,
+                                                  tmp_path):
+        """A purely reading campaign writes nothing to an unbounded
+        store, and only recency stamps to a bounded one."""
+        path = tmp_path / "r.sqlite"
+        cold = _campaign(small_blocks, path)
+        verdicts = "SELECT fingerprint, entry, stored_at FROM verdicts"
+        rows, image = sorted(_sql(path, verdicts)), path.read_bytes()
+        warm = _campaign(small_blocks, path)
+        assert warm.stats["cache_misses"] == 0
+        assert path.read_bytes() == image
+        bounded = _campaign(small_blocks, path,
+                            max_entries=cold.total_properties)
+        assert bounded.stats["cache_misses"] == 0
+        assert sorted(_sql(path, verdicts)) == rows
+
+
+
+def _store_then_die(path, count):
+    """Store ``count`` verdicts, then die by SIGKILL: no flush, no
+    close, no interpreter exit."""
+    cache = ResultCache(path)
+    for index in range(count):
+        cache.store(f"k{index}", _pass())
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _killed_writer(path, count):
+    process = multiprocessing.get_context("fork").Process(
+        target=_store_then_die, args=(str(path), count))
+    process.start()
+    process.join(timeout=60)
+    assert process.exitcode == -signal.SIGKILL
+
+
+#: checks that importing the package, and opening a store that has no
+#: file yet, leave ``sqlite3`` unimported until the first store
+_LAZY_SQLITE = """
+import sys
+import repro.cli, repro.core.campaign, repro.orchestrate, repro.service
+from repro.formal.engine import CheckResult, PASS
+from repro.orchestrate.cache import ResultCache
+cache = ResultCache(sys.argv[1])
+assert cache.lookup("fp", None) is None
+cache.flush()
+assert "sqlite3" not in sys.modules, "imported before any store"
+cache.store("fp", CheckResult("p", PASS, "kind"))
+assert "sqlite3" in sys.modules
+"""
+
+
+class TestStoreFile:
+    """The store on disk: durable per verdict, one self-contained file
+    between campaigns, and read once into the index, so hits run no
+    SQL."""
+
+    def test_killed_writer_keeps_every_committed_verdict(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        _killed_writer(path, count=20)
+        cache = ResultCache(path)
+        assert len(cache) == 20
+        for index in range(20):
+            assert cache.lookup(f"k{index}", STUB_JOB) is not None
+
+    def test_remove_store_takes_its_companions(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        _killed_writer(path, count=5)
+        # the killed writer's verdicts live in its -wal file
+        assert (tmp_path / "r.sqlite-wal").exists()
+        remove_store(str(path))
+        assert list(tmp_path.iterdir()) == []
+        assert len(ResultCache(path)) == 0
+
+    def test_flush_leaves_one_self_contained_file(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        cache = ResultCache(path)
+        for key in ("a", "b", "c"):
+            cache.store(key, _pass())
+        cache.flush()
+        # the main file alone, copied while the cache is still open,
+        # holds every verdict
+        copy = tmp_path / "copy" / "r.sqlite"
+        copy.parent.mkdir()
+        shutil.copyfile(path, copy)
+        reader = ResultCache(copy)
+        assert len(reader) == 3
+        reader.close()
+        cache.close()
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == \
+            ["copy", "r.sqlite"]
+
+    def test_racing_creators_leave_no_staged_file(self, tmp_path):
+        path = str(tmp_path / "shared.sqlite")
+        context = multiprocessing.get_context("fork")
+        workers = 4
+        barrier = context.Barrier(workers)
+        processes = [
+            context.Process(target=_store_worker,
+                            args=(path, worker, barrier, 1))
+            for worker in range(workers)
+        ]
+        for process in processes:
+            process.start()
+        for process in processes:
+            process.join(timeout=60)
+        assert [process.exitcode for process in processes] == \
+            [0] * workers
+        # each creator built its file aside; one was linked into place
+        # and every staged copy is gone
+        assert {entry.name for entry in tmp_path.iterdir()} <= {
+            "shared.sqlite", "shared.sqlite-wal", "shared.sqlite-shm"}
+        assert len(ResultCache(path)) == workers
+
+    def test_unbounded_hit_runs_no_sql(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        writer = ResultCache(path)
+        for key in ("a", "b"):
+            writer.store(key, _pass())
+        writer.close()
+        cache = ResultCache(path)
+        statements = []
+        cache._conn.set_trace_callback(statements.append)
+        assert cache.lookup("a", STUB_JOB) is not None
+        assert cache.lookup("b", STUB_JOB) is not None
+        assert statements == []
+        assert cache.stats()["hits"] == 2
+        # a miss reads its one row, for a rival's newer verdict
+        assert cache.lookup("missing", STUB_JOB) is None
+        assert len(statements) == 1
+        assert statements[0].startswith("SELECT entry, stored_at")
+
+    def test_miss_finds_a_verdict_stored_since_open(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        cache = ResultCache(path)
+        cache.store("a", _pass())
+        rival = ResultCache(path)
+        rival.store("b", _pass(engine="pobdd"))
+        rival.close()
+        assert cache.get("b")["engine"] == "pobdd"
+        assert cache.lookup("b", STUB_JOB).engine == "pobdd"
+        assert cache.stats()["hits"] == 1 and "b" in cache
+        # ...but never from a store another version has re-pinned
+        ResultCache(path).store("c", _pass())
+        _wrong_repro_version(path)
+        assert cache.lookup("c", STUB_JOB) is None
+        assert cache.get("c") is None
+
+    def test_threads_share_the_connection(self, tmp_path):
+        """The service daemon's queue worker stores while its HTTP
+        threads read misses through the same connection and another
+        thread closes it: no write fails, every row lands, and a read
+        finds its row (or nothing, while the store is closed)."""
+        path = tmp_path / "r.sqlite"
+        rival = ResultCache(path)
+        rival.store("seed", _pass())
+        cache = ResultCache(path)  # indexes "seed" only
+        for index in range(40):
+            rival.store(f"rival{index}", _pass(engine="pobdd"))
+        errors = []
+
+        def writer():
+            try:
+                for index in range(200):
+                    cache.store(f"own{index}", _pass())
+            except Exception as error:  # reported by the assert below
+                errors.append(error)
+
+        def reader():
+            try:
+                for _ in range(5):
+                    for index in range(40):
+                        row = cache.get(f"rival{index}")
+                        assert row is None or row["engine"] == "pobdd"
+            except Exception as error:
+                errors.append(error)
+
+        def closer():
+            for _ in range(100):
+                cache.close()  # the next write opens the store again
+
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=closer)] + [
+            threading.Thread(target=reader) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        cache.close()
+        assert len(_fingerprints(path)) == 1 + 40 + 200
+
+    def test_write_after_close_keeps_the_store(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        cache = ResultCache(path)
+        for key in ("a", "b"):
+            cache.store(key, _pass())
+        cache.close()
+        cache.store("c", _pass())  # opens the store again
+        cache.close()
+        assert _fingerprints(path) == {"a", "b", "c"}
+        assert cache.stats()["resets"] == 0
+
+    def test_errors_other_than_corruption_keep_the_store(self, tmp_path):
+        """Only SQLite's corrupt / not-a-database errors reset a store:
+        a write on a connection closed under it, or a parameter SQLite
+        cannot bind, is raised and leaves every row in place."""
+        path = tmp_path / "r.sqlite"
+        cache = ResultCache(path)
+        for key in ("a", "b"):
+            cache.store(key, _pass())
+        cache._conn.close()  # closed behind the cache's back
+        with pytest.raises(sqlite3.ProgrammingError):
+            cache.store("c", _pass())
+        cache._conn = None
+        with pytest.raises(sqlite3.ProgrammingError):
+            cache._upsert("d", {"stored_at": 1.0, "module": ["bad"]})
+        cache.close()
+        assert _fingerprints(path) == {"a", "b"}
+        assert cache.stats()["resets"] == 0
+
+    def test_bounded_hit_writes_its_recency_at_flush(self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        cache = ResultCache(path, max_entries=3)
+        for key in ("a", "b"):
+            cache.store(key, _pass())
+        statements = []
+        cache._conn.set_trace_callback(statements.append)
+        assert cache.lookup("a", STUB_JOB) is not None
+        assert statements == []
+        cache.flush()
+        assert any(statement.startswith("UPDATE verdicts SET used_at")
+                   for statement in statements)
+        assert _sql(path, "SELECT fingerprint FROM verdicts "
+                          "ORDER BY used_at DESC LIMIT 1") == [("a",)]
+
+    def test_sqlite3_waits_for_the_first_store(self, tmp_path):
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-c", _LAZY_SQLITE,
+             str(tmp_path / "r.sqlite")],
+            env=dict(os.environ, PYTHONPATH=source),
+            capture_output=True, text=True, timeout=120)
+        assert completed.returncode == 0, completed.stderr
+
+    def test_store_from_another_version_is_reset_on_first_store(
+            self, tmp_path):
+        path = tmp_path / "r.sqlite"
+        old = ResultCache(path)
+        old.store("old", _pass())
+        old.close()
+        _wrong_repro_version(path)
+        cache = ResultCache(path)
+        assert len(cache) == 0
+        cache.store("new", _pass())
+        cache.close()
+        assert cache.stats()["resets"] == 1
+        assert _fingerprints(path) == {"new"}
+        assert dict(_sql(path, "SELECT key, value FROM meta")) == {
+            "schema": "3", "repro_version": repro_version}
 
 
 class TestBlockSummaryAdd:

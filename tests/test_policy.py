@@ -145,7 +145,7 @@ class TestPortfolioOrdering:
         plan = plan_campaign(
             small_blocks, _engines("pobdd", "bdd-combined", "kind"))
         job = plan.jobs[0]
-        cache = ResultCache(str(tmp_path / "cache.json"))
+        cache = ResultCache(str(tmp_path / "cache.sqlite"))
         cache.store("some-old-fingerprint",
                     CheckResult("p", PASS, winner), job=job)
         return job, cache
@@ -176,14 +176,14 @@ class TestPortfolioOrdering:
         other = next(job for job in plan.jobs
                      if job.module.name != seed.module.name
                      and job.category == seed.category)
-        cache = ResultCache(str(tmp_path / "cache.json"))
+        cache = ResultCache(str(tmp_path / "cache.sqlite"))
         cache.store("fp", CheckResult("p", PASS, "kind"), job=seed)
         assert AdaptivePortfolio(cache).order(other) == (2, 0, 1)
 
 
 class TestEngineHistory:
     def _cache(self, tmp_path):
-        return ResultCache(str(tmp_path / "cache.json"))
+        return ResultCache(str(tmp_path / "cache.sqlite"))
 
     def _store(self, cache, job, **result_kwargs):
         result_kwargs.setdefault("name", "p")
@@ -232,6 +232,24 @@ class TestEngineHistory:
         self._store(cache, job, engine="pobdd")
         assert cache.engine_history()[(job.module.name, job.category)] \
             == "pobdd"
+
+    def test_hit_on_a_bounded_cache_does_not_make_a_verdict_newer(
+            self, small_plan, tmp_path):
+        """A hit refreshes LRU recency, not a verdict's age: the
+        history still names the engine that most recently *settled* a
+        check."""
+        first = small_plan.jobs[0]
+        second = next(job for job in small_plan.jobs
+                      if job.module.name != first.module.name
+                      and job.category == first.category)
+        cache = ResultCache(str(tmp_path / "cache.sqlite"),
+                            max_entries=10)
+        cache.store("fp-first", CheckResult("p", PASS, "kind"), job=first)
+        cache.store("fp-second", CheckResult("p", PASS, "bdd-combined"),
+                    job=second)
+        assert cache.lookup("fp-first", first) is not None
+        assert cache.engine_history()[(None, first.category)] == \
+            "bdd-combined"
 
 
 class TestEngineOrderExecution:
@@ -297,15 +315,15 @@ class TestOutcomeInvariance:
         ladder tries `pobdd` first.  The adaptive run must attempt
         different engines (stats move) yet land the byte-identical
         outcome."""
-        warm_path = str(tmp_path / "warm.json")
+        warm_path = str(tmp_path / "warm.sqlite")
         warm = CampaignConfig(engines="portfolio:kind,bdd-combined,pobdd",
                               sat_conflicts=500_000,
                               bdd_nodes=5_000_000, cache_path=warm_path)
         CampaignOrchestrator(small_blocks, config=warm).run()
 
         # budgets changed -> every fingerprint misses, history remains
-        static_path = str(tmp_path / "static.json")
-        adaptive_path = str(tmp_path / "adaptive.json")
+        static_path = str(tmp_path / "static.sqlite")
+        adaptive_path = str(tmp_path / "adaptive.sqlite")
         shutil.copy(warm_path, static_path)
         shutil.copy(warm_path, adaptive_path)
         eco = CampaignConfig(engines="portfolio:pobdd,bdd-combined,kind",
@@ -335,7 +353,7 @@ class TestOutcomeInvariance:
                                 sat_conflicts=500_000,
                                 bdd_nodes=5_000_000,
                                 portfolio="adaptive",
-                                cache_path=str(tmp_path / "cold.json"))
+                                cache_path=str(tmp_path / "cold.sqlite"))
         report = CampaignOrchestrator(small_blocks, config=config).run()
         assert report.stats["portfolio_reordered"] == 0
         assert report.canonical_bytes() == reference.canonical_bytes()

@@ -1,34 +1,34 @@
-"""Service-layer certification: verdict database, submission queue,
-HTTP API, and the daemon's crash story.
+"""Service-layer certification: the verdict store's service extras,
+submission queue, HTTP API, and the daemon's crash story.
 
 The acceptance bar mirrors the executor/checkpoint suites: a campaign
 served through the daemon — cold, as a fully cache-hit re-submission,
 and with a mid-run daemon SIGKILL + restart resume — must produce
 ``CampaignReport.canonical_bytes`` identical to a serial in-process
-run, the verdict database must degrade every kind of rot to a miss
-(never a wrong verdict), and two clients posting the same config must
-get one underlying job run.
+run, and two clients posting the same config must get one underlying
+job run.  The store's corruption matrix and shared-path behaviour are
+``tests/test_orchestrate.py``'s subject.
 """
 
+import dataclasses
 import json
 import multiprocessing
 import os
 import signal
 import socket
-import sqlite3
 import threading
 import time
 
 import pytest
 
+from repro import __version__ as repro_version
 from repro.chip import ComponentChip
-from repro.core.report import format_table2
+from repro.formal.engine import PASS, CheckResult
 from repro.orchestrate import CampaignOrchestrator, ResultCache
 from repro.orchestrate.config import CampaignConfig, ConfigError
 from repro.orchestrate.stats import STATS_SCHEMA, counter_groups
 from repro.service import (
     CampaignQueue, ServiceClient, ServiceDaemon, ServiceError,
-    VerdictDatabase,
 )
 
 #: jobs in the tiny two-module plan; pinned by the reference fixture
@@ -69,14 +69,23 @@ def _db_campaign(blocks, db):
                                 cache=db).run()
 
 
+def _json_cache(path, entries, **header):
+    """Write a JSON cache in the format before the SQLite store."""
+    payload = {"version": 1, "repro_version": repro_version,
+               "entries": entries}
+    payload.update(header)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle)
+
+
 # ======================================================================
-# VerdictDatabase: the ResultCache contract against SQLite
+# The verdict store's service extras: counters, provenance, migration
 # ======================================================================
 
-class TestVerdictDatabase:
-    def test_campaign_through_db_is_byte_identical_and_then_all_hits(
+class TestVerdictStore:
+    def test_campaign_through_store_is_byte_identical_and_then_all_hits(
             self, tiny_blocks, reference, tmp_path):
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
         cold = _db_campaign(tiny_blocks, db)
         assert cold.canonical_bytes() == reference.canonical_bytes()
         assert cold.stats["cache_misses"] == TOTAL_JOBS
@@ -89,19 +98,19 @@ class TestVerdictDatabase:
         assert stats["stored"] == TOTAL_JOBS
         assert stats["hits"] == TOTAL_JOBS
         assert stats["unsafe_evicted"] == 0
+        assert stats["entries"] == TOTAL_JOBS
 
     def test_survives_reopen(self, tiny_blocks, reference, tmp_path):
         path = str(tmp_path / "verdicts.sqlite")
-        db = VerdictDatabase(path)
+        db = ResultCache(path)
         _db_campaign(tiny_blocks, db)
-        db.flush()
         db.close()
-        warm = _db_campaign(tiny_blocks, VerdictDatabase(path))
+        warm = _db_campaign(tiny_blocks, ResultCache(path))
         assert warm.stats["cache_misses"] == 0
         assert warm.canonical_bytes() == reference.canonical_bytes()
 
     def test_provenance_row(self, tiny_blocks, tmp_path):
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
         _db_campaign(tiny_blocks, db)
         plan = CampaignOrchestrator(tiny_blocks,
                                     config=CampaignConfig()).plan()
@@ -115,151 +124,72 @@ class TestVerdictDatabase:
         assert isinstance(row["entry"], dict)
         assert db.get("no-such-fingerprint") is None
 
-    def test_engine_history_matches_the_json_cache(self, tiny_blocks,
-                                                   tmp_path):
+    def test_engine_history_survives_reopen(self, tiny_blocks, tmp_path):
         """The adaptive portfolio policy must see the same historical
-        winners whichever store backs it."""
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
-        cache = ResultCache(str(tmp_path / "cache.json"))
+        winners from a reopened store as from the one that stored
+        them."""
+        path = str(tmp_path / "verdicts.sqlite")
+        db = ResultCache(path)
         _db_campaign(tiny_blocks, db)
-        CampaignOrchestrator(tiny_blocks, config=CampaignConfig(),
-                             cache=cache).run()
         history = db.engine_history()
-        assert history == cache.engine_history()
+        db.close()
+        assert ResultCache(path).engine_history() == history
         assert history, "fixture must produce definitive verdicts"
 
     def test_import_cache_migrates_and_second_run_hits(
             self, tiny_blocks, reference, tmp_path):
+        source = ResultCache(str(tmp_path / "source.sqlite"))
+        _db_campaign(tiny_blocks, source)
+        plan = CampaignOrchestrator(tiny_blocks,
+                                    config=CampaignConfig()).plan()
         cache_path = str(tmp_path / "legacy-cache.json")
-        cache = ResultCache(cache_path)
-        CampaignOrchestrator(tiny_blocks, config=CampaignConfig(),
-                             cache=cache).run()
-        cache.flush()
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
+        _json_cache(cache_path, {
+            job.fingerprint: source.get(job.fingerprint)["entry"]
+            for job in plan.jobs})
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
         assert db.import_cache(cache_path) == TOTAL_JOBS
         assert len(db) == TOTAL_JOBS
         served = _db_campaign(tiny_blocks, db)
         assert served.stats["cache_misses"] == 0
         assert served.canonical_bytes() == reference.canonical_bytes()
-        # importing again is idempotent: nothing on disk is newer
+        assert db.stats()["imported"] == TOTAL_JOBS
+        # importing again is idempotent: nothing in the file is newer
         assert db.import_cache(cache_path) == 0
 
     def test_import_rejects_rotten_or_foreign_caches(self, tmp_path):
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
         missing = str(tmp_path / "nope.json")
         assert db.import_cache(missing) == 0
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{not json")
         assert db.import_cache(str(garbage)) == 0
-        foreign = tmp_path / "foreign.json"
-        foreign.write_text(json.dumps({
-            "version": ResultCache.VERSION,
-            "repro_version": "0.0.0-not-this-build",
-            "entries": {"fp": {"status": "pass"}},
-        }))
-        assert db.import_cache(str(foreign)) == 0
+        foreign = str(tmp_path / "foreign.json")
+        _json_cache(foreign, {"fp": {"status": "pass"}},
+                    repro_version="0.0.0-not-this-build")
+        assert db.import_cache(foreign) == 0
         assert len(db) == 0
+        assert not os.path.exists(db.path)  # nothing stored, no file
 
-
-# ======================================================================
-# Corruption matrix: every way the database can rot degrades to a
-# miss, scoped as tightly as the damage allows — mirroring the JSON
-# cache's matrix in test_orchestrate.py
-# ======================================================================
-
-def _db_truncate_half(path):
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-
-
-def _db_garbage_file(path):
-    path.write_bytes(b"this is not a sqlite database at all")
-
-
-def _db_wrong_repro_version(path):
-    conn = sqlite3.connect(str(path))
-    conn.execute("UPDATE meta SET value = '0.0.0-not-this-build' "
-                 "WHERE key = 'repro_version'")
-    conn.commit()
-    conn.close()
-
-
-def _db_wrong_schema_version(path):
-    conn = sqlite3.connect(str(path))
-    conn.execute("UPDATE meta SET value = '999' WHERE key = 'schema'")
-    conn.commit()
-    conn.close()
-
-
-def _db_fail_entries_empty_trace(path):
-    conn = sqlite3.connect(str(path))
-    rows = conn.execute(
-        "SELECT fingerprint, entry FROM verdicts WHERE status = 'fail'"
-    ).fetchall()
-    for fingerprint, payload in rows:
-        entry = json.loads(payload)
-        entry["trace"] = []
-        conn.execute("UPDATE verdicts SET entry = ? "
-                     "WHERE fingerprint = ?",
-                     (json.dumps(entry), fingerprint))
-    conn.commit()
-    conn.close()
-
-
-def _db_one_entry_garbage(path):
-    conn = sqlite3.connect(str(path))
-    conn.execute(
-        "UPDATE verdicts SET entry = 'Zzz not json' WHERE fingerprint ="
-        " (SELECT fingerprint FROM verdicts ORDER BY fingerprint"
-        "  LIMIT 1)")
-    conn.commit()
-    conn.close()
-
-
-#: (mutator, which entries must degrade to misses)
-DB_CORRUPTIONS = [
-    pytest.param(_db_truncate_half, "all", id="truncated-file"),
-    pytest.param(_db_garbage_file, "all", id="garbage-file"),
-    pytest.param(_db_wrong_repro_version, "all",
-                 id="wrong-repro-version"),
-    pytest.param(_db_wrong_schema_version, "all",
-                 id="wrong-schema-version"),
-    pytest.param(_db_fail_entries_empty_trace, "fails",
-                 id="fail-empty-trace"),
-    pytest.param(_db_one_entry_garbage, "one", id="non-json-entry"),
-]
-
-
-class TestVerdictDbCorruptionMatrix:
-    @pytest.mark.parametrize("mutate,scope", DB_CORRUPTIONS)
-    def test_corruption_degrades_to_miss_never_flips_verdict(
-            self, mutate, scope, tiny_blocks, tmp_path):
-        path = tmp_path / "verdicts.sqlite"
-        db = VerdictDatabase(str(path))
-        cold = _db_campaign(tiny_blocks, db)
-        db.flush()  # fold the WAL so mutators see one whole file
+    def test_import_skips_malformed_provenance(self, tmp_path):
+        """An entry whose provenance SQLite cannot bind is skipped, and
+        a stamp it cannot store counts as oldest; the rest import and
+        the store keeps its rows."""
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
+        db.store("kept", CheckResult("p", PASS, "kind"))
+        legacy = str(tmp_path / "legacy.json")
+        _json_cache(legacy, {
+            "list-module": {"status": "pass", "module": ["a", "b"]},
+            "dict-engine": {"status": "pass", "engine": {"x": 1}},
+            "good": {"status": "pass", "engine": "kind", "stored_at": 1.0},
+            "nan-stamp": {"status": "pass", "stored_at": float("nan")},
+        })
+        assert db.import_cache(legacy) == 2
         db.close()
-        conn = sqlite3.connect(str(path))
-        fails = conn.execute("SELECT COUNT(*) FROM verdicts "
-                             "WHERE status = 'fail'").fetchone()[0]
-        conn.close()
-        assert fails > 0, "fixture must store FAIL verdicts"
-        mutate(path)
-        rerun_db = VerdictDatabase(str(path))
-        rerun = _db_campaign(tiny_blocks, rerun_db)
-        expected_misses = {
-            "all": TOTAL_JOBS, "fails": fails, "one": 1,
-        }[scope]
-        assert rerun.stats["cache_misses"] == expected_misses
-        assert rerun.stats["cache_hits"] == TOTAL_JOBS - expected_misses
-        assert [r.result.status for r in rerun.results] == \
-            [r.result.status for r in cold.results]
-        assert format_table2(rerun) == format_table2(cold)
-        if scope != "all":
-            assert rerun_db.stats()["unsafe_evicted"] == expected_misses
-        # the rerun healed the store: a further run is all hits
-        healed = _db_campaign(tiny_blocks, VerdictDatabase(str(path)))
-        assert healed.stats["cache_misses"] == 0
+        reopened = ResultCache(db.path)
+        assert len(reopened) == 3
+        assert reopened.get("nan-stamp")["stored_at"] == 0.0
+        assert "kept" in reopened and "good" in reopened
+        assert db.stats()["resets"] == 0
 
 
 # ======================================================================
@@ -269,7 +199,7 @@ class TestVerdictDbCorruptionMatrix:
 class TestCampaignQueue:
     def test_duplicate_inflight_submissions_share_one_run(
             self, reference, tmp_path):
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
         queue = CampaignQueue(db, str(tmp_path / "svc"),
                               blocks_provider=_service_blocks,
                               throttle=0.05)
@@ -296,7 +226,7 @@ class TestCampaignQueue:
             db.close()
 
     def test_distinct_configs_queue_separately(self, tmp_path):
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
         queue = CampaignQueue(db, str(tmp_path / "svc"),
                               blocks_provider=_service_blocks,
                               throttle=0.05)
@@ -315,7 +245,7 @@ class TestCampaignQueue:
 
     def test_completed_run_resubmission_is_all_verdict_hits(
             self, reference, tmp_path):
-        db = VerdictDatabase(str(tmp_path / "verdicts.sqlite"))
+        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
         queue = CampaignQueue(db, str(tmp_path / "svc"),
                               blocks_provider=_service_blocks)
         try:
@@ -595,7 +525,6 @@ class TestServiceConfigSection:
         config = CampaignConfig()
         assert config.service_host is None
         assert config.service_port is None
-        assert config.service_db is None
         assert config.service_data_dir is None
         # absent fields serialize to nothing: pre-service configs
         # keep their digests
@@ -604,12 +533,10 @@ class TestServiceConfigSection:
     def test_round_trip_and_digest(self):
         config = CampaignConfig(service_host="0.0.0.0",
                                 service_port=9000,
-                                service_db="out/v.sqlite",
                                 service_data_dir="out/svc")
         data = config.to_dict()
         assert data["service"] == {
-            "host": "0.0.0.0", "port": 9000, "db": "out/v.sqlite",
-            "data_dir": "out/svc",
+            "host": "0.0.0.0", "port": 9000, "data_dir": "out/svc",
         }
         clone = CampaignConfig.from_toml(config.to_toml())
         assert clone == config
@@ -622,7 +549,7 @@ class TestServiceConfigSection:
         {"service_port": "8357"},
         {"service_host": ""},
         {"service_host": 17},
-        {"service_db": 17},
+        {"service_data_dir": ""},
         {"service_data_dir": b"x"},
     ])
     def test_bad_values_rejected(self, kwargs):
@@ -632,16 +559,70 @@ class TestServiceConfigSection:
     def test_daemon_resolves_section(self, tmp_path):
         config = CampaignConfig(
             service_host="127.0.0.1", service_port=0,
-            service_db=str(tmp_path / "custom.sqlite"),
             service_data_dir=str(tmp_path / "state"),
         )
         daemon = ServiceDaemon(config,
                                blocks_provider=_service_blocks)
         try:
-            assert daemon.db.path == str(tmp_path / "custom.sqlite")
+            assert daemon.db.path == \
+                os.path.join(str(tmp_path / "state"), "verdicts.sqlite")
             assert daemon.queue.data_dir == str(tmp_path / "state")
             assert daemon.address[0] == "127.0.0.1"
             assert daemon.address[1] > 0  # ephemeral port resolved
+        finally:
+            daemon.close()
+
+    def test_daemon_serves_the_campaign_cache(self, tmp_path):
+        """One path for the one store: a verdict settled by a campaign
+        run from the example config is a hit for a daemon started on
+        the same config."""
+        config = dataclasses.replace(
+            CampaignConfig.load(os.path.join(
+                os.path.dirname(__file__), "..", "examples",
+                "campaign.toml")),
+            cache_path=str(tmp_path / "campaign-cache.sqlite"),
+            checkpoint_path=str(tmp_path / "campaign.journal"),
+            service_port=0, service_data_dir=str(tmp_path / "svc"))
+        ran = CampaignOrchestrator(_tiny_blocks(), config=config).run()
+        assert ran.stats["cache_misses"] == TOTAL_JOBS
+        daemon = ServiceDaemon(config,
+                               blocks_provider=_service_blocks).start()
+        try:
+            assert daemon.db.path == config.cache_path
+            client = ServiceClient(daemon.url)
+            ticket = client.submit(config)
+            status = client.wait(ticket["id"], timeout=120.0)
+            assert status["state"] == "done"
+            assert status["executed"] == 0
+            assert status["verdict_hits"] == TOTAL_JOBS
+            assert status["canonical"] == \
+                ran.canonical_bytes().decode("utf-8")
+        finally:
+            daemon.close()
+
+    def test_daemon_serves_verdicts_stored_while_it_runs(self, tmp_path):
+        """A campaign that settles its verdicts after the daemon opened
+        the shared store is still served: a miss in the daemon's index
+        reads the row."""
+        path = str(tmp_path / "shared.sqlite")
+        ResultCache(path).store("seed", CheckResult("p", PASS, "kind"))
+        config = CampaignConfig(cache_path=path, service_port=0,
+                                service_data_dir=str(tmp_path / "svc"))
+        daemon = ServiceDaemon(config,
+                               blocks_provider=_service_blocks).start()
+        try:
+            ran = CampaignOrchestrator(_tiny_blocks(),
+                                       config=config).run()
+            assert ran.stats["cache_misses"] == TOTAL_JOBS
+            client = ServiceClient(daemon.url)
+            job = CampaignOrchestrator(_tiny_blocks(),
+                                       config=config).plan().jobs[0]
+            assert client.verdict(job.fingerprint)["module"] == \
+                job.module.name
+            status = client.wait(client.submit(config)["id"],
+                                 timeout=120.0)
+            assert status["executed"] == 0
+            assert status["verdict_hits"] == TOTAL_JOBS
         finally:
             daemon.close()
 
