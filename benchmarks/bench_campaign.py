@@ -540,8 +540,9 @@ class _TrackingLauncher(LocalFleetLauncher):
     def __init__(self):
         self.handles = []
 
-    def launch(self, *args, **kwargs):
-        handle = super().launch(*args, **kwargs)
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
+        handle = super().launch(worker_id, conn, settings, jobs,
+                                coordinator_ends)
         self.handles.append(handle)
         return handle
 

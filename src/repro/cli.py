@@ -6,8 +6,6 @@ One TOML file reproduces one campaign::
     python -m repro campaign resume --config campaign.toml
     python -m repro campaign report --config campaign.toml
     python -m repro scenario sweep  --config scenario.toml
-    python -m repro fleet worker    --config campaign.toml \\
-        --connect HOST:PORT --token TOKEN
     python -m repro serve           --config campaign.toml
     python -m repro submit          --config campaign.toml --watch
 
@@ -27,11 +25,6 @@ One TOML file reproduces one campaign::
   ``docs/scenarios.md``) and prints the versioned detection-rate
   record.  Exit 0 means zero surviving mutants (and sim->formal
   agreement in triage mode), 1 otherwise;
-- ``fleet worker`` is the remote half of the ``fleet[:N]`` executor:
-  it re-derives the plan from the (identical) config file, dials the
-  coordinator, and serves leases until shutdown.  The ssh launcher
-  runs this command on remote hosts; it is not normally typed by hand
-  (see ``docs/architecture.md``);
 - ``serve`` runs the verification-as-a-service daemon
   (:mod:`repro.service`): an HTTP API over the config's verdict store
   (``[cache] path``), configured by the ``[service]`` section (see
@@ -46,9 +39,9 @@ Every ``--config`` accepts a TOML path or ``preset:NAME``, resolving
 to the preset library ``examples/presets/NAME.toml`` (``smoke`` |
 ``nightly`` | ``full`` — see ``docs/configuration.md``).
 
-Every command takes ``--stats`` to additionally print the warm-state
-counter blocks — compile-store hit/miss/evict, SAT-workspace session
-reuse, BDD-workspace manager reuse — from ``report.stats`` (``run`` /
+The ``campaign`` commands take ``--stats`` to additionally print the
+warm-state counter blocks — compile-store hit/miss/evict and
+SAT-workspace session reuse — from ``report.stats`` (``run`` /
 ``resume``) or aggregated from the journal's per-result solver
 telemetry (``report``, still without running an engine).
 
@@ -122,29 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "jobs replay instead of re-solving "
                             "(runtime wiring: the sweep record digest "
                             "is unchanged)")
-    fleet = commands.add_parser(
-        "fleet", help="fleet-executor worker processes"
-    )
-    fleet_actions = fleet.add_subparsers(dest="action", required=True)
-    worker = fleet_actions.add_parser(
-        "worker",
-        help="serve check jobs to a fleet coordinator: replan from the "
-             "config, dial --connect, run leases until shutdown "
-             "(started by the ssh launcher; see "
-             "docs/architecture.md#transports)",
-    )
-    worker.add_argument("--config", required=True, metavar="TOML",
-                        help="campaign config file — must match the "
-                             "coordinator's (fingerprints are "
-                             "cross-checked per lease)")
-    worker.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="the coordinator's address")
-    worker.add_argument("--worker-id", default=None, metavar="ID",
-                        help="worker name in the coordinator's stats "
-                             "(default: fleet-<pid>)")
-    worker.add_argument("--token", required=True, metavar="TOKEN",
-                        help="the coordinator's session token "
-                             "(stray connections are refused)")
     serve = commands.add_parser(
         "serve",
         help="run the verification-as-a-service daemon "
@@ -468,19 +438,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "submit":
         return _submit(config, url=args.url, tenant=args.tenant,
                        watch=args.watch, timeout=args.timeout)
-    if args.command == "fleet":
-        import os
-
-        from .orchestrate.fleet import run_fleet_worker
-        try:
-            return run_fleet_worker(
-                config, connect=args.connect,
-                worker_id=args.worker_id or f"fleet-{os.getpid()}",
-                token=args.token,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     if args.command == "scenario":
         return _sweep(config, record_path=args.record,
                       progress=args.progress,

@@ -23,12 +23,12 @@ scheduled, restartable job graph:
 - :mod:`~repro.orchestrate.executor` — the results-in-plan-order
   executor contract and the serial executor;
 - :mod:`~repro.orchestrate.fleet` — :class:`FleetExecutor`, the one
-  parallel executor: a TCP coordinator thread leasing
-  scheduling-policy batches to launcher-started worker processes (on
-  this host or over ssh) over the portable wire format
-  (length-prefixed JSON, no pickle), with heartbeats, lease re-issue
-  on worker death or stall, and at-most-once result acceptance — the
-  same streaming contract as the serial executor;
+  parallel executor: a coordinator thread leasing scheduling-policy
+  batches to worker processes forked on this host, each over its own
+  socket pair, in the portable wire format (length-prefixed JSON, no
+  pickle), with heartbeats, lease re-issue on worker death or stall,
+  and at-most-once result acceptance — the same streaming contract as
+  the serial executor;
 - :mod:`~repro.orchestrate.cache` — fingerprint-keyed on-disk result
   store for incremental (ECO-regression) reruns;
 - :mod:`~repro.orchestrate.checkpoint` — crash-safe journal of
@@ -129,10 +129,7 @@ from .job import (
 )
 from .planner import CampaignPlan, plan_campaign
 from .executor import SerialExecutor
-from .fleet import (
-    FleetExecutor, LocalFleetLauncher, SshFleetLauncher,
-    parse_launcher_spec,
-)
+from .fleet import FleetExecutor, LocalFleetLauncher
 from .cache import ResultCache
 from .checkpoint import CampaignCheckpoint, plan_digest
 from .config import (
@@ -152,8 +149,7 @@ __all__ = [
     "compile_job", "job_fingerprint", "portfolio", "run_check_job",
     "CampaignPlan", "plan_campaign",
     "SerialExecutor",
-    "FleetExecutor", "LocalFleetLauncher", "SshFleetLauncher",
-    "parse_launcher_spec",
+    "FleetExecutor", "LocalFleetLauncher",
     "ResultCache", "decode_result", "encode_result",
     "decode_job_result", "encode_job_result",
     "CampaignCheckpoint", "plan_digest",

@@ -19,9 +19,9 @@ methodology its missing property: a campaign's full configuration is
 Compact string specs stand in for object graphs:
 
 - ``executor = "fleet:4"`` — ``serial`` or ``fleet[:N]`` (the
-  parallel pool: the socket-fanout coordinator of
-  :mod:`repro.orchestrate.fleet`, tuned by the ``[fleet]`` section);
-  ``N`` is the worker count, defaulting to the machine's CPU count;
+  parallel pool of :mod:`repro.orchestrate.fleet`: forked worker
+  processes fed by one coordinator thread); ``N`` is the worker
+  count, defaulting to the machine's CPU count;
 - ``engines = "portfolio:kind,bdd-combined,pobdd"`` — a single engine
   name runs one stage; ``portfolio:`` prefixes a comma-separated stage
   ladder; bare ``portfolio`` is the default ladder
@@ -185,12 +185,6 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
         "scheduling": "scheduling",
         "portfolio": "portfolio",
     },
-    "fleet": {
-        "port": "fleet_port",
-        "lease_timeout": "fleet_lease_timeout",
-        "heartbeat_interval": "fleet_heartbeat_interval",
-        "launcher": "fleet_launcher",
-    },
     "sat": {
         "workspace": "sat_workspace",
         "cluster_limit": "sat_cluster_limit",
@@ -273,19 +267,6 @@ class CampaignConfig:
     scheduling: str = "fifo"
     #: portfolio attempt-order policy (``static`` | ``adaptive``)
     portfolio: str = "static"
-
-    #: ``[fleet]`` — the parallel pool's transport knobs
-    #: (consulted only when ``executor = "fleet[:N]"``; see
-    #: :mod:`repro.orchestrate.fleet`)
-    #: coordinator bind port (``0`` = ephemeral)
-    fleet_port: int = 0
-    #: seconds without a heartbeat/result before a worker's lease is
-    #: revoked and re-issued
-    fleet_lease_timeout: float = 30.0
-    #: worker liveness cadence in seconds
-    fleet_heartbeat_interval: float = 0.5
-    #: worker launcher spec — ``local`` | ``ssh:host1,host2,...``
-    fleet_launcher: str = "local"
 
     #: shared incremental SAT workspaces (per worker): clustered
     #: per-(module, vunit) CNFs with learned-clause retention across
@@ -454,24 +435,6 @@ class CampaignConfig:
                     f"{name} must be a path string or absent, "
                     f"got {value!r}"
                 )
-        if not _is_int(self.fleet_port) \
-                or not 0 <= self.fleet_port <= 65535:
-            raise ConfigError(
-                f"fleet_port must be an integer in 0..65535 "
-                f"(0 = ephemeral), got {self.fleet_port!r}"
-            )
-        for name in ("fleet_lease_timeout", "fleet_heartbeat_interval"):
-            value = getattr(self, name)
-            if not _is_number(value) or value <= 0:
-                raise ConfigError(
-                    f"{name} must be a positive number of seconds, "
-                    f"got {value!r}"
-                )
-        from .fleet import parse_launcher_spec
-        try:
-            parse_launcher_spec(self.fleet_launcher)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if self.coi_fingerprints is not None \
                 and self.coi_fingerprints not in ("module", "cone"):
             raise ConfigError(
@@ -683,11 +646,6 @@ class CampaignConfig:
         if kind == "serial":
             return SerialExecutor(**warm)
         return FleetExecutor(workers=processes,
-                             port=self.fleet_port,
-                             lease_timeout=self.fleet_lease_timeout,
-                             heartbeat_interval=
-                             self.fleet_heartbeat_interval,
-                             launcher=self.fleet_launcher,
                              scheduling=self.build_scheduling(),
                              **warm)
 
@@ -722,12 +680,6 @@ def _is_int(value: object) -> bool:
     """True for real integers (bool is excluded — TOML and JSON both
     distinguish them, and ``lint = 1`` should be an error)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    """True for real ints and floats (bool excluded) — the fleet
-    timeout knobs accept either, like TOML does."""
-    return _is_int(value) or isinstance(value, float)
 
 
 def _toml_value(value: object) -> str:

@@ -9,7 +9,7 @@ aggregation or report rendering.  (``tests/test_executor_contract.py``
 is the executable form of the contract — any new executor must pass
 that battery unchanged.)  Two executors ship: :class:`SerialExecutor`
 here, and the parallel :class:`~repro.orchestrate.fleet.FleetExecutor`,
-which leases jobs to worker processes on this host or others.
+which leases jobs to worker processes it forks on this host.
 
 Warm state per worker
 ---------------------

@@ -1,14 +1,14 @@
-"""The parallel executor: a socket-fanout coordinator over the
+"""The parallel executor: forked workers fed over socket pairs in the
 portable job wire format.
 
-``FleetExecutor`` is the campaign's one parallel executor, on one host
-or many: a coordinator thread in the campaign process serves the
-plan's jobs over TCP to worker processes, speaking **length-prefixed
-JSON** built entirely from the job wire codec — :meth:`CheckJob.spec`
-requests out, :func:`~repro.orchestrate.job.encode_job_result` replies
-back, FAIL counterexamples as canonical input frames revalidated by
-replay on the coordinator.  No pickle ever crosses the socket, so a
-worker can run on any host that holds the design sources.
+``FleetExecutor`` is the campaign's one parallel executor: a
+coordinator thread in the campaign process serves the plan's jobs to
+worker processes forked on this host, each over its own
+``socket.socketpair()``, speaking **length-prefixed JSON** built
+entirely from the job wire codec — :meth:`CheckJob.spec` requests out,
+:func:`~repro.orchestrate.job.encode_job_result` replies back, FAIL
+counterexamples as canonical input frames revalidated by replay on the
+coordinator.  No pickle ever crosses the socket.
 
 The transport preserves the executor streaming contract exactly
 (``tests/test_executor_contract.py`` certifies it like every other
@@ -22,16 +22,13 @@ loop, not of any transport.
 Coordinator thread
 ------------------
 
-The acceptor and the per-connection reader threads only enqueue
-events.  One coordinator thread drains them and does everything else —
-frame handling, leasing, stall checks, respawns — under one
-:class:`threading.Condition`; the consumer (the orchestrator's loop)
-only waits on that condition for its next plan index or a stored
-:class:`FleetError`.  A worker that finishes its lease is re-leased at
-once, while the consumer is still journaling, caching or decoding
-earlier results.  Every connection runs with ``TCP_NODELAY`` on both
-ends: result frames go out back to back, and Nagle's algorithm would
-hold the second one until the peer's delayed ACK.
+The per-worker reader threads only enqueue events.  One coordinator
+thread drains them and does everything else — frame handling, leasing,
+stall checks, respawns — under one :class:`threading.Condition`; the
+consumer (the orchestrator's loop) only waits on that condition for its
+next plan index or a stored :class:`FleetError`.  A worker that
+finishes its lease is re-leased at once, while the consumer is still
+journaling, caching or decoding earlier results.
 
 Lease lifecycle
 ---------------
@@ -45,9 +42,10 @@ module group).  Workers heartbeat on a fixed interval — also *during*
 long checks, from a background thread — so liveness and progress are
 separate signals:
 
-- a worker whose socket dies (SIGKILL, OOM, network) is detected
-  immediately at EOF; its lease's unanswered jobs are re-queued at the
-  front of the pending deque (``leases_reissued``);
+- a worker whose socket dies (SIGKILL, OOM, an exit before its first
+  frame) is detected immediately at EOF; its lease's unanswered jobs
+  are re-queued at the front of the pending deque
+  (``leases_reissued``);
 - a worker that stops heartbeating for ``lease_timeout`` seconds is
   declared a *zombie*: its lease is revoked and re-queued, and any
   frame it sends later — a late result, a duplicate — is rejected
@@ -58,33 +56,31 @@ separate signals:
   job.
 - lost workers are replaced through the launcher up to a bounded
   respawn budget; when no worker is left and the budget is spent, the
-  stream raises instead of wedging.
+  stream raises instead of wedging.  At the end of the stream zombie
+  and dead workers are killed, not waited for.
 
 Every accepted result frame carries its worker's warm-state counter
-snapshots; the coordinator keys them by the worker name from the hello
-frame — never by pid, which two hosts (or two containers) can share —
-and ``compile_stats()`` / ``sat_stats()`` sum the freshest snapshot of
-each worker.
+snapshots; the coordinator keys them by the name it gave the worker at
+launch (``w0``, ``w1``, …) — never by pid — and ``compile_stats()`` /
+``sat_stats()`` sum the freshest snapshot of each worker.
 
-Launchers
----------
+Workers
+-------
 
-Worker processes are started by a pluggable launcher:
-
-- :class:`LocalFleetLauncher` (default) forks worker processes on this
-  host — under the ``fork`` start method the workers inherit the
-  in-memory job list, so only job *identity* (specs, fingerprints)
-  ever crosses the socket.  Engines registered at runtime via
-  :func:`~repro.formal.engine.register_engine` reach local workers
-  only under ``fork``; on spawn-only platforms run such campaigns
-  serially;
-- :class:`SshFleetLauncher` is the multi-host stub with the same
-  interface: it spawns ``ssh <host> python -m repro fleet worker
-  --config ... --connect host:port`` per worker.  Remote workers
-  re-derive the plan from the config file
-  (:func:`jobs_from_config` — planning is deterministic) and refuse
-  any leased spec whose fingerprint does not match their local plan,
-  so a drifted checkout can never return a verdict for the wrong RTL.
+:class:`LocalFleetLauncher` forks each worker with one end of its
+socket pair; the coordinator keeps the other.  Under the ``fork``
+start method workers inherit the in-memory job list, so only job
+*identity* (specs, fingerprints) ever crosses the socket.  Engines
+registered at runtime via :func:`~repro.formal.engine.register_engine`
+reach workers only under ``fork``; on spawn-only platforms run such
+campaigns serially.  A forked child also inherits the coordinator's
+end of its own pair and of every earlier worker's pair: it closes them
+all before serving, so that its socket reaches EOF when the
+coordinator dies and no worker outlives it.  The launcher closes its
+own copy of the child's end after the fork, so a worker that dies is
+seen at once as EOF on the coordinator's end.  The launcher is also
+the test seam: the fault suite launches scripted or thread-backed
+workers through the same interface.
 """
 
 from __future__ import annotations
@@ -97,10 +93,8 @@ import os
 import queue as queue_module
 import socket
 import struct
-import subprocess
 import threading
 import time
-import uuid
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..formal.problems import CompiledProblemStore
@@ -204,9 +198,9 @@ def _hangup(conn: socket.socket) -> None:
     A bare ``close()`` is not enough when another thread is blocked in
     ``recv()`` on the same socket — the kernel keeps the open file
     description alive for the duration of that in-flight syscall, so
-    no FIN is sent and the peer (and our reader thread) block forever.
-    ``shutdown(SHUT_RDWR)`` wakes the blocked reader with EOF and sends
-    the FIN immediately."""
+    the peer (and our reader thread) would block forever.
+    ``shutdown(SHUT_RDWR)`` wakes the blocked reader with EOF and ends
+    the peer's stream immediately."""
     try:
         conn.shutdown(socket.SHUT_RDWR)
     except OSError:
@@ -215,12 +209,6 @@ def _hangup(conn: socket.socket) -> None:
         conn.close()
     except OSError:
         pass
-
-
-def _nodelay(sock: socket.socket) -> None:
-    """Disable Nagle's algorithm: frames go out back to back, and a
-    small second frame must not wait for the peer's delayed ACK."""
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def _rebuild_exception(exc_type: str, message: str) -> BaseException:
@@ -254,51 +242,40 @@ def _heartbeat_loop(send, interval: float, stop: threading.Event) -> None:
             return
 
 
-def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
-                       settings: dict,
-                       jobs: Optional[List[CheckJob]]) -> None:
-    """One fleet worker's whole life: connect, say hello, serve leases
-    until shutdown (or the coordinator's socket dies).
+def _fleet_worker_main(worker_id: str, conn: socket.socket,
+                       settings: dict, jobs: List[CheckJob]) -> None:
+    """One fleet worker's whole life: serve leases on ``conn`` until
+    shutdown (or the coordinator's end closes).
 
-    ``jobs`` is the local job universe — inherited in-memory from the
-    forking :class:`LocalFleetLauncher`, or re-derived from the config
-    file by ``python -m repro fleet worker``.  A lease carries job
-    *specs* only; each spec is matched to the local job by index and
-    its fingerprint cross-checked, so a worker can never run (or
-    answer for) a job its sources do not reproduce exactly.
+    ``jobs`` is the plan's job list, inherited in memory.  A lease
+    carries job *specs* only; each spec is matched to the local job by
+    index and its fingerprint cross-checked, so a worker never answers
+    for a job it does not hold.
 
     A failing job answers with an error frame and poisons the rest of
     its lease (same error per remaining job — the stream dies at the
     first failure's plan position, but every leased job must still be
     answered); the worker then keeps serving further leases.
     """
-    jobs_by_index = {job.index: job for job in (jobs or [])}
+    jobs_by_index = {job.index: job for job in jobs}
     store = _build_store(settings.get("compile_store", True),
                          settings.get("store_options"))
     sat = _build_sat(settings.get("share_sat", False),
                      settings.get("sat_options"))
-    try:
-        sock = socket.create_connection((host, port), timeout=10.0)
-    except OSError:
-        return  # coordinator already gone — nothing to serve
-    sock.settimeout(None)
-    _nodelay(sock)
     send_lock = threading.Lock()
 
     def _send(payload: dict) -> None:
         with send_lock:
-            send_frame(sock, payload)
+            send_frame(conn, payload)
 
     stop = threading.Event()
     interval = float(settings.get("heartbeat_interval", 0.5))
     try:
-        _send({"type": "hello", "worker": worker_id,
-               "pid": os.getpid(), "token": token})
         threading.Thread(target=_heartbeat_loop,
                          args=(_send, interval, stop),
                          daemon=True).start()
         while True:
-            frame = recv_frame(sock)
+            frame = recv_frame(conn)
             if frame is None or frame.get("type") == "shutdown":
                 return
             if frame.get("type") != "lease":
@@ -332,7 +309,6 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
                                 "index": index,
                                 "fingerprint": job.fingerprint,
                                 "result": encode_job_result(job_result),
-                                "pid": os.getpid(),
                                 "store": store.stats()
                                 if store is not None else None,
                                 "sat": sat.stats()
@@ -347,59 +323,24 @@ def _fleet_worker_main(worker_id: str, host: str, port: int, token: str,
     finally:
         stop.set()
         try:
-            sock.close()
+            conn.close()
         except OSError:
             pass
 
 
-def jobs_from_config(config) -> List[CheckJob]:
-    """Re-derive the campaign's job list from a
-    :class:`~repro.orchestrate.config.CampaignConfig` — the replan
-    path a remote (ssh-launched) worker takes.  Planning is
-    deterministic (same blocks, same engines ⇒ same jobs, indices, and
-    fingerprints), so the coordinator's lease specs match by
-    construction; any drift is caught by the worker's per-lease
-    fingerprint cross-check."""
-    from ..chip import ComponentChip
-    from .planner import plan_campaign
-    only = list(config.blocks) if config.blocks is not None else None
-    blocks = ComponentChip(only_blocks=only).blocks
-    plan = plan_campaign(
-        blocks, config.build_engines(), lint=config.lint,
-        coi_fingerprints=config.coi_fingerprints or "module",
-    )
-    return list(plan.jobs)
-
-
-def run_fleet_worker(config, connect: str, worker_id: str,
-                     token: str) -> int:
-    """``python -m repro fleet worker`` entry: replan from the config,
-    dial the coordinator, serve leases until shutdown."""
-    host, sep, port_text = connect.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"--connect must be HOST:PORT, got {connect!r}"
-        )
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(
-            f"--connect must be HOST:PORT, got {connect!r}"
-        ) from None
-    settings = {
-        "compile_store": config.compile_store,
-        "store_options": config.compile_store_options(),
-        "share_sat": config.sat_workspace,
-        "sat_options": config.sat_workspace_options(),
-        "heartbeat_interval": config.fleet_heartbeat_interval,
-    }
-    _fleet_worker_main(worker_id, host, port, token, settings,
-                       jobs_from_config(config))
-    return 0
+def _forked_worker(worker_id: str, conn: socket.socket, settings: dict,
+                   jobs: List[CheckJob],
+                   coordinator_ends: List[socket.socket]) -> None:
+    """Process entry of a forked worker: drop the coordinator's socket
+    ends inherited through the fork — holding one would keep a dead
+    coordinator's socket open, and the worker with it — then serve."""
+    for end in coordinator_ends:
+        end.close()
+    _fleet_worker_main(worker_id, conn, settings, jobs)
 
 
 # ----------------------------------------------------------------------
-# launchers
+# the launcher
 # ----------------------------------------------------------------------
 
 def _pool_context():
@@ -412,136 +353,37 @@ def _pool_context():
 
 
 class LocalFleetLauncher:
-    """Fork fleet workers on this host (the test/CI launcher).
+    """Fork fleet workers on this host.
 
-    The launch context prefers the ``fork`` start method, so workers
-    inherit the coordinator's in-memory job list — job bodies never
-    cross the socket, only :meth:`CheckJob.spec` identities do.
+    ``launch`` hands the child its end of the worker's socket pair and
+    closes the parent's copy; ``coordinator_ends`` are the sockets the
+    coordinator holds, which the child closes before serving.  ``stop``
+    sends SIGKILL: a SIGSTOPped worker would never act on SIGTERM, and
+    a worker holds nothing worth a graceful exit.
     """
 
     name = "local"
 
-    def launch(self, worker_id: str, address: Tuple[str, int],
-               token: str, settings: dict,
-               jobs: Optional[List[CheckJob]]):
-        context = _pool_context()
-        process = context.Process(
-            target=_fleet_worker_main,
-            args=(worker_id, address[0], address[1], token, settings,
-                  jobs),
+    def launch(self, worker_id: str, conn: socket.socket,
+               settings: dict, jobs: List[CheckJob],
+               coordinator_ends: List[socket.socket]):
+        process = _pool_context().Process(
+            target=_forked_worker,
+            args=(worker_id, conn, settings, jobs, coordinator_ends),
             daemon=True,
         )
-        process.start()
+        try:
+            process.start()
+        finally:
+            conn.close()  # the child holds the worker's end now
         return process
-
-    def alive(self, handle) -> bool:
-        return handle.is_alive()
 
     def stop(self, handle) -> None:
         if handle.is_alive():
-            handle.terminate()
+            handle.kill()
 
     def join(self, handle, timeout: Optional[float] = None) -> None:
         handle.join(timeout)
-
-
-class SshFleetLauncher:
-    """Multi-host launcher stub: one ``ssh`` subprocess per worker,
-    running ``python -m repro fleet worker`` on a round-robin host.
-
-    Same interface as :class:`LocalFleetLauncher`, so the coordinator
-    is launcher-agnostic.  Remote workers replan from ``config_path``
-    (which must resolve on the remote host) and dial back to
-    ``connect_host`` (the address remote hosts reach the coordinator
-    at — bind the executor to ``host="0.0.0.0"`` and advertise a real
-    interface here).  This is deliberately a *stub*: command
-    construction and the interface are unit-tested, but CI certifies
-    the fleet transport through the local launcher — the wire protocol
-    is identical either way.
-    """
-
-    name = "ssh"
-
-    def __init__(self, hosts: Iterable[str],
-                 config_path: str = "campaign.toml",
-                 python: str = "python3",
-                 ssh_command: Tuple[str, ...] = ("ssh",),
-                 connect_host: Optional[str] = None) -> None:
-        self.hosts = tuple(hosts)
-        if not self.hosts:
-            raise ValueError(
-                "ssh launcher needs at least one host "
-                "(spec: ssh:host1,host2,...)"
-            )
-        self.config_path = config_path
-        self.python = python
-        self.ssh_command = tuple(ssh_command)
-        self.connect_host = connect_host
-        self._next_host = 0
-
-    def command(self, host: str, worker_id: str,
-                address: Tuple[str, int], token: str) -> Tuple[str, ...]:
-        """The exact argv one worker launch runs (pure — unit-testable
-        without an ssh daemon)."""
-        connect = f"{self.connect_host or address[0]}:{address[1]}"
-        return (*self.ssh_command, host,
-                self.python, "-m", "repro", "fleet", "worker",
-                "--config", self.config_path,
-                "--connect", connect,
-                "--worker-id", worker_id,
-                "--token", token)
-
-    def launch(self, worker_id: str, address: Tuple[str, int],
-               token: str, settings: dict,
-               jobs: Optional[List[CheckJob]]):
-        host = self.hosts[self._next_host % len(self.hosts)]
-        self._next_host += 1
-        return subprocess.Popen(
-            self.command(host, worker_id, address, token)
-        )
-
-    def alive(self, handle) -> bool:
-        return handle.poll() is None
-
-    def stop(self, handle) -> None:
-        if handle.poll() is None:
-            handle.terminate()
-
-    def join(self, handle, timeout: Optional[float] = None) -> None:
-        try:
-            handle.wait(timeout)
-        except subprocess.TimeoutExpired:
-            pass
-
-
-#: launcher spec vocabulary for ``[fleet] launcher`` — ``local`` or
-#: ``ssh:host1,host2,...``
-FLEET_LAUNCHERS = ("local", "ssh")
-
-
-def parse_launcher_spec(spec: str, config_path: str = "campaign.toml"):
-    """Resolve a launcher spec string into a launcher instance.
-    Grammar: ``local`` | ``ssh:host1,host2,...``."""
-    if not isinstance(spec, str):
-        raise ValueError(
-            f"fleet launcher spec must be a string, got {spec!r}"
-        )
-    text = spec.strip()
-    if text == "local":
-        return LocalFleetLauncher()
-    kind, sep, arg = text.partition(":")
-    if kind.strip() == "ssh":
-        hosts = tuple(h.strip() for h in arg.split(",") if h.strip())
-        if not sep or not hosts:
-            raise ValueError(
-                f"fleet launcher spec {spec!r}: ssh needs hosts, "
-                f"e.g. ssh:host1,host2"
-            )
-        return SshFleetLauncher(hosts, config_path=config_path)
-    raise ValueError(
-        f"unknown fleet launcher {spec!r}; expected 'local' or "
-        f"'ssh:host1,host2,...'"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -585,27 +427,27 @@ class _Lease:
 
 
 class _WorkerState:
-    """Coordinator-side view of one worker connection."""
+    """Coordinator-side view of one worker: its name, the
+    coordinator's end of its socket pair, and its launcher handle."""
 
-    __slots__ = ("name", "conn", "lease", "last_seen", "pid",
+    __slots__ = ("name", "conn", "handle", "lease", "last_seen",
                  "zombie", "dead")
 
-    def __init__(self, name: str, conn: socket.socket) -> None:
+    def __init__(self, name: str, conn: socket.socket, handle) -> None:
         self.name = name
         self.conn = conn
+        self.handle = handle
         self.lease: Optional[_Lease] = None
         self.last_seen = time.monotonic()
-        self.pid: Optional[int] = None
         self.zombie = False  # stalled: lease revoked, frames rejected
         self.dead = False    # connection gone
 
 
 class _FleetRun:
-    """All per-``map`` coordinator state: the TCP server, worker
-    bookkeeping, the lease ledger, and the plan-order result buffer.
-    Acceptor and reader threads only enqueue events; the coordinator
-    thread drains them, and every change to this state happens under
-    ``cond``."""
+    """All per-``map`` coordinator state: the workers, the lease
+    ledger, and the plan-order result buffer.  Reader threads only
+    enqueue events; the coordinator thread drains them, and every
+    change to this state happens under ``cond``."""
 
     def __init__(self, executor: "FleetExecutor",
                  jobs: List[CheckJob]) -> None:
@@ -623,14 +465,7 @@ class _FleetRun:
         self.coordinator: Optional[threading.Thread] = None
         self.halted = False
         self.workers: Dict[str, _WorkerState] = {}
-        self.by_conn: Dict[socket.socket, _WorkerState] = {}
-        self.handles: Dict[str, object] = {}
-        self.launch_times: Dict[str, float] = {}
-        self.conns: List[socket.socket] = []
-        self.server: Optional[socket.socket] = None
-        self.token = uuid.uuid4().hex
         self.next_lease_id = 0
-        self.next_worker = 0
         self.respawns_used = 0
         self.closed = False
         #: freshest warm-state counters per worker name, by kind
@@ -648,10 +483,6 @@ class _FleetRun:
         timeout = executor.lease_timeout
         self.tick = max(0.02, min(executor.heartbeat_interval,
                                   timeout / 4.0, 0.25))
-        # a launched worker that never says hello within this window is
-        # written off (and replaced), so a wedged launch cannot hang
-        # the stream
-        self.hello_timeout = max(executor.lease_timeout, 10.0)
 
     # -- startup -------------------------------------------------------
     def start(self) -> None:
@@ -664,63 +495,47 @@ class _FleetRun:
                 f"or duplicated jobs while batching"
             )
         self.pending_units.extend(units)
-        self.server = socket.create_server(
-            (executor.host, executor.port)
-        )
-        self.server.settimeout(1.0)
-        self.address = (executor.host, self.server.getsockname()[1])
-        threading.Thread(target=self._acceptor, daemon=True).start()
-        worker_count = min(executor.workers, len(units))
-        for _ in range(worker_count):
+        for _ in range(min(executor.workers, len(units))):
             self._launch_one()
         self.coordinator = threading.Thread(target=self._coordinate,
                                             daemon=True)
         self.coordinator.start()
 
     def _launch_one(self) -> None:
-        name = f"w{self.next_worker}"
-        self.next_worker += 1
+        name = f"w{len(self.workers)}"
+        conn, worker_end = socket.socketpair()
+        ends = [state.conn for state in self.workers.values()] + [conn]
+        launcher = self.executor.launcher
         try:
-            handle = self.executor.launcher.launch(
-                name, self.address, self.token,
-                self.executor._worker_settings(), self.jobs,
+            handle = launcher.launch(
+                name, worker_end, self.executor._worker_settings(),
+                self.jobs, ends,
             )
         except Exception as exc:
+            conn.close()
+            worker_end.close()
             raise FleetError(
-                f"fleet launcher {self.executor.launcher.name!r} "
-                f"failed to start worker {name}: {exc}"
+                f"fleet launcher {launcher.name!r} failed to start "
+                f"worker {name}: {exc}"
             ) from exc
-        self.handles[name] = handle
-        self.launch_times[name] = time.monotonic()
+        state = _WorkerState(name, conn, handle)
+        self.workers[name] = state
         self.stats["workers_launched"] += 1
+        self.stats["jobs_per_worker"][name] = 0
+        threading.Thread(target=self._reader, args=(state,),
+                         daemon=True).start()
 
-    # -- reader/acceptor threads --------------------------------------
-    def _acceptor(self) -> None:
-        while True:
-            try:
-                conn, _addr = self.server.accept()
-            except socket.timeout:
-                if self.closed:
-                    return
-                continue
-            except OSError:
-                return  # server closed — run is over
-            try:
-                _nodelay(conn)
-            except OSError:
-                pass  # the reader will see the dead socket
-            self.events.put(("accepted", conn, None))
-
-    def _reader(self, conn: socket.socket) -> None:
+    # -- reader threads ------------------------------------------------
+    def _reader(self, state: _WorkerState) -> None:
         try:
             while True:
-                frame = recv_frame(conn)
+                frame = recv_frame(state.conn)
                 if frame is None:
-                    self.events.put(("gone", conn, "connection closed"))
+                    self.events.put(("gone", state, "connection closed"))
                     return
-                self.events.put(("frame", conn, frame))
+                self.events.put(("frame", state, frame))
         except (FrameError, OSError) as exc:
-            self.events.put(("gone", conn, str(exc)))
+            self.events.put(("gone", state, str(exc)))
 
     # -- the coordinator thread ----------------------------------------
     def _coordinate(self) -> None:
@@ -766,41 +581,18 @@ class _FleetRun:
             return self.settled.pop(index)
 
     def _handle(self, event) -> None:
-        kind, conn, data = event
+        kind, state, data = event
         with self.cond:
-            if kind == "accepted":
-                self.conns.append(conn)
-                threading.Thread(target=self._reader, args=(conn,),
-                                 daemon=True).start()
-            elif kind == "frame":
-                self._handle_frame(conn, data)
+            if kind == "frame":
+                self._handle_frame(state, data)
             elif kind == "gone":
-                state = self.by_conn.get(conn)
-                if state is not None:
-                    self._lose_worker(state)
+                self._lose_worker(state)
 
-    def _handle_frame(self, conn: socket.socket, frame: dict) -> None:
-        frame_type = frame.get("type")
-        state = self.by_conn.get(conn)
-        if frame_type == "hello":
-            if frame.get("token") != self.token:
-                # a stray connection to our port: drop it, never lease
-                _hangup(conn)
-                return
-            name = str(frame.get("worker") or f"anon{len(self.workers)}")
-            state = _WorkerState(name, conn)
-            state.pid = frame.get("pid")
-            self.workers[name] = state
-            self.by_conn[conn] = state
-            self.stats["jobs_per_worker"].setdefault(name, 0)
-            return
-        if state is None:
-            return  # frames before hello (or after a token reject)
+    def _handle_frame(self, state: _WorkerState, frame: dict) -> None:
         state.last_seen = time.monotonic()
-        if frame_type == "heartbeat":
-            return
+        frame_type = frame.get("type")
         if frame_type not in ("result", "error"):
-            return
+            return  # a heartbeat: liveness only
         lease = state.lease
         index = frame.get("index")
         if state.zombie or state.dead or lease is None \
@@ -818,8 +610,7 @@ class _FleetRun:
                 self._lose_worker(state)
                 return
             self.settled[index] = frame
-            self.stats["jobs_per_worker"][state.name] = \
-                self.stats["jobs_per_worker"].get(state.name, 0) + 1
+            self.stats["jobs_per_worker"][state.name] += 1
             for kind, snapshots in self.worker_stats.items():
                 if frame.get(kind) is not None:
                     _note_worker_stats(snapshots, state.name, frame[kind])
@@ -902,37 +693,18 @@ class _FleetRun:
         instead of wedging when nobody is left to make progress."""
         if not self.unsettled:
             return
-        now = time.monotonic()
-        for name in list(self.handles):
-            if name in self.workers:
-                continue
-            handle = self.handles[name]
-            launched = self.launch_times.get(name, now)
-            if not self.executor.launcher.alive(handle):
-                # died before hello
-                del self.handles[name]
-                self.stats["workers_lost"] += 1
-            elif now - launched > self.hello_timeout:
-                # wedged before hello: write it off and replace
-                self.executor.launcher.stop(handle)
-                del self.handles[name]
-                self.stats["workers_lost"] += 1
         live = sum(1 for state in self.workers.values()
                    if not state.dead and not state.zombie)
-        coming = sum(1 for name in self.handles
-                     if name not in self.workers)
-        capacity = live + coming
-        if capacity >= min(self.executor.workers,
-                           max(1, len(self.pending_units) + 1)) \
-                and capacity > 0:
+        if live >= min(self.executor.workers,
+                       len(self.pending_units) + 1) and live > 0:
             return
-        if capacity > 0 and not self.pending_units:
+        if live > 0 and not self.pending_units:
             return  # remaining work is leased to live workers
         if self.respawns_used < self.executor.max_respawns:
             self.respawns_used += 1
             self._launch_one()
             return
-        if capacity == 0:
+        if live == 0:
             raise FleetError(
                 f"fleet: all workers lost with "
                 f"{len(self.unsettled)} jobs unfinished and the "
@@ -943,17 +715,20 @@ class _FleetRun:
     def finish(self) -> None:
         """Graceful end-of-stream: every job settled — stop the
         coordinator (a dismissed worker's EOF is not a loss), dismiss
-        the workers and wait for local processes to exit."""
+        the live workers, kill the zombie and dead ones (a stalled
+        process may never read its dismissal) and wait for them all."""
         self._halt()
+        launcher = self.executor.launcher
         for state in self.workers.values():
-            if state.dead:
-                continue
-            try:
-                send_frame(state.conn, {"type": "shutdown"})
-            except (OSError, FrameError):
-                pass
-        for handle in self.handles.values():
-            self.executor.launcher.join(handle, timeout=5.0)
+            if not (state.dead or state.zombie):
+                try:
+                    send_frame(state.conn, {"type": "shutdown"})
+                    continue
+                except (OSError, FrameError):
+                    pass
+            launcher.stop(state.handle)
+        for state in self.workers.values():
+            launcher.join(state.handle, timeout=5.0)
         self.close()
 
     def close(self) -> None:
@@ -962,28 +737,24 @@ class _FleetRun:
             return
         self._halt()
         self.closed = True
-        if self.server is not None:
+        launcher = self.executor.launcher
+        for state in self.workers.values():
             try:
-                self.server.close()
-            except OSError:
-                pass
-        for handle in self.handles.values():
-            try:
-                self.executor.launcher.stop(handle)
+                launcher.stop(state.handle)
             except Exception:
                 pass
-        for handle in self.handles.values():
+            _hangup(state.conn)
+        for state in self.workers.values():
             try:
-                self.executor.launcher.join(handle, timeout=2.0)
+                launcher.join(state.handle, timeout=2.0)
             except Exception:
                 pass
-        for conn in self.conns:
-            _hangup(conn)
 
 
 class FleetExecutor:
-    """The parallel executor: a TCP coordinator leasing plan jobs to
-    launcher-started worker processes over the portable wire format.
+    """The parallel executor: a coordinator thread leasing plan jobs to
+    forked worker processes over socket pairs in the portable wire
+    format.
 
     Same streaming contract as every other executor — results yield in
     plan order, errors re-raise at their plan turn, ``close()``
@@ -991,28 +762,24 @@ class FleetExecutor:
     checkpoints, caches, and report aggregation work unchanged.
 
     ``workers`` is the fleet size (default: CPU count).  ``launcher``
-    is a launcher instance or spec string (``"local"`` — the default —
-    or ``"ssh:host1,host2"``); ``host``/``port`` are the coordinator's
-    bind address (port 0 = ephemeral).  ``lease_timeout`` is the
-    no-heartbeat window after which a worker's lease is revoked and
-    re-issued; ``heartbeat_interval`` is the workers' liveness cadence;
-    ``max_respawns`` bounds replacement launches (default: the fleet
-    size).  The warm state (``compile_store`` / ``share_sat`` and
-    their option dicts) is per worker process, never shared, which
-    keeps reuse lock-free; ``scheduling`` picks the lease granularity
-    (FIFO single jobs for balance, module-affinity units to keep one
-    module's warm state on one worker) — the outcome is
-    policy-invariant, because results are reassembled into plan order
-    either way.
+    starts the worker processes (default: :class:`LocalFleetLauncher`).
+    ``lease_timeout`` is the no-heartbeat window after which a worker's
+    lease is revoked and re-issued; ``heartbeat_interval`` is the
+    workers' liveness cadence; ``max_respawns`` bounds replacement
+    launches (default: the fleet size).  The warm state
+    (``compile_store`` / ``share_sat`` and their option dicts) is per
+    worker process, never shared, which keeps reuse lock-free;
+    ``scheduling`` picks the lease granularity (FIFO single jobs for
+    balance, module-affinity units to keep one module's warm state on
+    one worker) — the outcome is policy-invariant, because results are
+    reassembled into plan order either way.
 
     Falls back to in-process serial execution for <=1 job or a 1-worker
     fleet, reporting ``fleet[serial-fallback]`` — a socket round-trip
-    to one local worker could only add overhead.
+    to one worker could only add overhead.
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 host: str = "127.0.0.1",
-                 port: int = 0,
                  lease_timeout: float = 30.0,
                  heartbeat_interval: float = 0.5,
                  launcher=None,
@@ -1032,18 +799,11 @@ class FleetExecutor:
             raise ValueError(
                 f"heartbeat_interval must be > 0, got {heartbeat_interval}"
             )
-        if not 0 <= port <= 65535:
-            raise ValueError(f"port must be 0..65535, got {port}")
         self.workers = workers or os.cpu_count() or 1
-        self.host = host
-        self.port = port
         self.lease_timeout = float(lease_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
-        if launcher is None:
-            launcher = LocalFleetLauncher()
-        elif isinstance(launcher, str):
-            launcher = parse_launcher_spec(launcher)
-        self.launcher = launcher
+        self.launcher = launcher if launcher is not None \
+            else LocalFleetLauncher()
         if scheduling is None:
             from .policy import FifoScheduling
             scheduling = FifoScheduling()

@@ -191,9 +191,9 @@ class CheckJob:
         JSON-able data, no module/vunit object graphs.
 
         This is the *request* half of the job wire format (the reply
-        half is :func:`encode_job_result`): everything a remote
-        executor host that already holds the design sources needs to
-        identify, schedule, and key the check — content fingerprint,
+        half is :func:`encode_job_result`): everything a fleet worker
+        that already holds the plan's jobs needs to identify,
+        schedule, and key the check — content fingerprint,
         per-component digests, and the engine portfolio description —
         without pickling RTL across the socket.
         """
@@ -473,9 +473,8 @@ def encode_job_result(job_result: JobResult) -> dict:
     :func:`encode_result`'s entry — for a FAIL that means the trace's
     canonical input frames, **not** the compiled transition system the
     in-process ``Trace`` object drags along.  A worker's result pickle
-    therefore shrinks from the whole AIG to a few hundred bytes, and
-    the same dict is ready to cross a socket for a future multi-host
-    executor.
+    therefore shrinks from the whole AIG to a few hundred bytes; the
+    same dict is what a fleet worker sends over its socket.
     """
     return {
         "index": job_result.index,

@@ -71,14 +71,13 @@ SERVICE_ENDPOINTS = (
 class ServiceDaemon:
     """The long-running service: verdict store + submission queue +
     HTTP server, owned together and shut down together.  The store is
-    ``db_path`` if given, else the config's ``[cache] path``, else
-    ``<data_dir>/verdicts.sqlite`` — so a daemon started on a campaign's
-    config serves that campaign's verdicts."""
+    the config's ``[cache] path``, else ``<data_dir>/verdicts.sqlite``
+    — so a daemon started on a campaign's config serves that
+    campaign's verdicts."""
 
     def __init__(self, config: Optional[CampaignConfig] = None, *,
                  host: Optional[str] = None,
                  port: Optional[int] = None,
-                 db_path: Optional[str] = None,
                  data_dir: Optional[str] = None,
                  blocks_provider=None,
                  throttle: float = 0.0) -> None:
@@ -88,7 +87,7 @@ class ServiceDaemon:
         self.data_dir = data_dir or config.service_data_dir \
             or DEFAULT_DATA_DIR
         self.db = ResultCache(
-            db_path or config.cache_path
+            config.cache_path
             or os.path.join(self.data_dir, "verdicts.sqlite"),
             max_entries=config.cache_max_entries)
         self.queue = CampaignQueue(self.db, self.data_dir,

@@ -19,8 +19,8 @@ import pytest
 from repro.chip import ComponentChip
 from repro.core.report import format_table2
 from repro.orchestrate import (
-    CampaignCheckpoint, CampaignOrchestrator, EngineConfig, ResultCache,
-    FleetExecutor, SerialExecutor,
+    CampaignCheckpoint, CampaignConfig, CampaignOrchestrator,
+    EngineConfig, ResultCache, FleetExecutor, SerialExecutor,
 )
 
 #: jobs in the tiny two-module plan; asserted against the real plan in
@@ -150,6 +150,21 @@ class TestKillAndResume:
             cache=ResultCache(cache_path),
         ).run()
         assert warm.stats["cache_hits"] == TOTAL_JOBS
+
+    def test_replan_from_config_is_deterministic(self):
+        """Resume matches journal entries against a fresh plan, so two
+        orchestrators built from one config over fresh chips must plan
+        identical indices and fingerprints."""
+        config = CampaignConfig(blocks=["C"])
+        first, second = (
+            CampaignOrchestrator(ComponentChip(only_blocks=["C"]).blocks,
+                                 config=config).plan().jobs
+            for _ in range(2)
+        )
+        assert len(first) > 0
+        assert [j.index for j in first] == list(range(len(first)))
+        assert [j.fingerprint for j in first] == \
+            [j.fingerprint for j in second]
 
     def test_resume_without_checkpoint_raises(self, tiny_blocks):
         orchestrator = CampaignOrchestrator(tiny_blocks,

@@ -95,8 +95,6 @@ FULL = dict(
     compile_store=False, compile_max_designs=3,
     cache_path="cache.json", cache_max_entries=50,
     checkpoint_path="campaign.journal",
-    fleet_port=5555, fleet_lease_timeout=12.5,
-    fleet_heartbeat_interval=0.25, fleet_launcher="ssh:riga,tallinn",
 )
 
 
@@ -157,8 +155,6 @@ class TestDigest:
             compile_store=True, compile_max_designs=4,
             cache_path="other.json",
             cache_max_entries=51, checkpoint_path="other.journal",
-            fleet_port=5556, fleet_lease_timeout=13.5,
-            fleet_heartbeat_interval=0.35, fleet_launcher="local",
         )
         for field in FULL:
             variant = dataclasses.replace(base, **{field: changed[field]})
@@ -196,14 +192,6 @@ class TestStrictness:
         (dict(cache_path=7), "cache_path"),
         (dict(blocks=("A", 3)), "blocks"),
         (dict(blocks="CE"), "bare string"),
-        (dict(fleet_port=-1), "fleet_port"),
-        (dict(fleet_port=70_000), "fleet_port"),
-        (dict(fleet_port="x"), "fleet_port"),
-        (dict(fleet_lease_timeout=0), "fleet_lease_timeout"),
-        (dict(fleet_heartbeat_interval=-1.0),
-         "fleet_heartbeat_interval"),
-        (dict(fleet_launcher="rsh:a"), "launcher"),
-        (dict(fleet_launcher="ssh:"), "launcher"),
     ])
     def test_bad_values_rejected(self, kwargs, match):
         with pytest.raises(ConfigError, match=match):
@@ -223,15 +211,31 @@ class TestStrictness:
         ('[execution]\nexecutor = "work-stealing:2"\n',
          "work-stealing:2"),
         ('[service]\ndb = "verdicts.sqlite"\n', "'db'"),
+        ("[fleet]\nport = 5555\n", r"\[fleet\]"),
+        ("[fleet]\nlease_timeout = 12.5\n", r"\[fleet\]"),
+        ("[fleet]\nheartbeat_interval = 0.25\n", r"\[fleet\]"),
+        ('[fleet]\nlauncher = "ssh:riga,tallinn"\n', r"\[fleet\]"),
     ], ids=["share_bdd", "workspace", "workspace-retain_memos",
             "workspace-max_manager_nodes", "coi-slice", "max_problems",
             "parallel", "parallel-bare", "workstealing",
-            "workstealing-n", "work-stealing-n", "service-db"])
+            "workstealing-n", "work-stealing-n", "service-db",
+            "fleet-port", "fleet-lease_timeout",
+            "fleet-heartbeat_interval", "fleet-launcher"])
     def test_removed_keys_rejected(self, toml, key):
         """Configs using a removed mode fail loudly, naming it, instead
         of silently running without it."""
         with pytest.raises(ConfigError, match=key):
             CampaignConfig.from_toml(toml)
+
+    def test_fleet_worker_command_removed(self, tmp_path, capsys):
+        """``python -m repro fleet worker`` is gone: a usage error."""
+        from repro.cli import main
+        path = tmp_path / "campaign.toml"
+        path.write_text(CampaignConfig().to_toml())
+        with pytest.raises(SystemExit) as exited:
+            main(["fleet", "worker", "--config", str(path)])
+        assert exited.value.code == 2
+        assert "invalid choice: 'fleet'" in capsys.readouterr().err
 
     def test_schema_covers_every_field(self):
         mapped = sorted(
@@ -269,16 +273,30 @@ class TestBuilders:
         assert isinstance(fleet, FleetExecutor)
         assert fleet.scheduling.name == "fifo"
         assert fleet.launcher.name == "local"
-        fleet = _config(executor="fleet:2", fleet_port=7777,
-                        fleet_lease_timeout=12.5,
-                        fleet_heartbeat_interval=0.25,
+        fleet = _config(executor="fleet:2",
                         scheduling="module-affinity").build_executor()
         assert isinstance(fleet, FleetExecutor)
         assert fleet.workers == 2
-        assert fleet.port == 7777
-        assert fleet.lease_timeout == 12.5
-        assert fleet.heartbeat_interval == 0.25
         assert fleet.scheduling.name == "module-affinity"
+
+    @pytest.mark.parametrize("preset,executor,workers,scheduling", [
+        ("smoke", SerialExecutor, None, None),
+        ("nightly", FleetExecutor, 2, "module-affinity"),
+        ("full", FleetExecutor, 4, "module-affinity"),
+    ])
+    def test_preset_executors(self, preset, executor, workers,
+                              scheduling):
+        """Every preset builds the executor it names: serial for
+        smoke, a forked fleet of its size with its scheduling for the
+        others."""
+        from repro.cli import resolve_config_path
+        config = CampaignConfig.load(resolve_config_path(f"preset:{preset}"))
+        built = config.build_executor()
+        assert type(built) is executor
+        if executor is FleetExecutor:
+            assert built.workers == workers
+            assert built.scheduling.name == scheduling
+            assert built.launcher.name == "local"
 
     def test_cache_and_checkpoint(self, tmp_path):
         config = _config(cache_path=str(tmp_path / "cache.sqlite"),

@@ -9,23 +9,28 @@ adds on top:
   reads and fails loudly (``FrameError``) on truncated, corrupt, or
   non-object frames — never hangs, never mistakes damage for data;
 - a SIGKILLed worker's lease is re-issued and the final report is
-  byte-identical to a serial run;
+  byte-identical to a serial run; so is a worker that exits before
+  its first frame;
 - a SIGKILLed *coordinator* resumes from the checkpoint journal into a
-  byte-identical report;
+  byte-identical report, and none of its workers outlives it;
 - a zombie worker (silent past the lease timeout) loses its lease, and
   its late/duplicate results are rejected by at-most-once acceptance;
+  a SIGSTOPped one is killed when the stream ends, so the campaign
+  process exits; a long check that keeps heartbeating keeps its lease;
 - a peer that sends garbage frames is dropped and re-leased around —
   one bad peer never wedges the stream;
-- a launcher that cannot keep workers alive exhausts the respawn
-  budget into a loud ``FleetError`` instead of a wedge;
-- both ends of every connection run without Nagle's algorithm, and
-  leasing runs on the coordinator thread — a parked consumer never
-  idles the workers;
+- a launcher that cannot keep workers alive, or a job that kills every
+  worker that takes it, exhausts the respawn budget into a loud
+  ``FleetError`` instead of a wedge;
+- workers talk over socket pairs — the fleet never listens on a port —
+  and leasing runs on the coordinator thread, so a parked consumer
+  never idles the workers;
 - warm-state counters are kept per worker name, so workers that share
-  a pid (threads here; containers or hosts in the field) are summed,
-  not merged.
+  a pid (threads here) are summed, not merged.
 """
 
+import dataclasses
+import json
 import multiprocessing
 import os
 import queue
@@ -41,17 +46,17 @@ import pytest
 
 from repro.chip import ComponentChip
 from repro.core.report import format_table2
+from repro.formal.engine import CheckResult, PASS, register_engine
+from repro.formal.engine import _ENGINES  # test-only registry cleanup
 from repro.orchestrate import (
     CampaignCheckpoint, CampaignOrchestrator, CompiledProblemStore,
     EngineConfig, FleetExecutor, LocalFleetLauncher,
-    ModuleAffinityScheduling, SerialExecutor, SshFleetLauncher,
-    decode_job_result, encode_job_result, parse_launcher_spec,
-    plan_campaign,
+    ModuleAffinityScheduling, SerialExecutor, decode_job_result,
+    encode_job_result, plan_campaign,
 )
-from repro.orchestrate.config import CampaignConfig
 from repro.orchestrate.fleet import (
     FleetError, FrameError, MAX_FRAME_BYTES, _fleet_worker_main,
-    jobs_from_config, recv_frame, send_frame,
+    recv_frame, send_frame,
 )
 
 #: jobs in the tiny two-module plan (asserted in the fixture)
@@ -161,8 +166,8 @@ def _random_payload(rng, depth=0):
 class TestFraming:
     def test_roundtrip_byte_at_a_time(self):
         sock = _ChunkSocket(max_chunk=1)
-        payload = {"type": "hello", "worker": "w0", "pid": 123,
-                   "token": "t" * 32}
+        payload = {"type": "result", "lease": 3, "index": 7,
+                   "fingerprint": "f" * 64}
         send_frame(sock, payload)
         assert recv_frame(sock) == payload
         assert recv_frame(sock) is None  # clean EOF at frame boundary
@@ -270,114 +275,76 @@ class TestFraming:
 
 
 # ----------------------------------------------------------------------
-# launchers and the replan path
-# ----------------------------------------------------------------------
-
-class TestLaunchers:
-    def test_ssh_command_argv(self):
-        launcher = SshFleetLauncher(("hostA", "hostB"),
-                                    config_path="cfg.toml")
-        argv = launcher.command("hostA", "w0", ("0.0.0.0", 5555), "tok")
-        assert argv == ("ssh", "hostA",
-                        "python3", "-m", "repro", "fleet", "worker",
-                        "--config", "cfg.toml",
-                        "--connect", "0.0.0.0:5555",
-                        "--worker-id", "w0",
-                        "--token", "tok")
-
-    def test_ssh_connect_host_override(self):
-        launcher = SshFleetLauncher(("h",),
-                                    connect_host="coord.example")
-        argv = launcher.command("h", "w1", ("0.0.0.0", 1234), "t")
-        assert "--connect" in argv
-        assert argv[argv.index("--connect") + 1] == "coord.example:1234"
-
-    def test_ssh_round_robin_hosts(self, monkeypatch):
-        launched = []
-        import repro.orchestrate.fleet as fleet_module
-        monkeypatch.setattr(
-            fleet_module.subprocess, "Popen",
-            lambda argv: launched.append(argv) or object(),
-        )
-        launcher = SshFleetLauncher(("a", "b"))
-        for worker_id in ("w0", "w1", "w2"):
-            launcher.launch(worker_id, ("127.0.0.1", 1), "t", {}, None)
-        assert [argv[1] for argv in launched] == ["a", "b", "a"]
-
-    def test_ssh_requires_hosts(self):
-        with pytest.raises(ValueError, match="at least one host"):
-            SshFleetLauncher(())
-
-    def test_parse_launcher_spec(self):
-        assert isinstance(parse_launcher_spec("local"),
-                          LocalFleetLauncher)
-        ssh = parse_launcher_spec("ssh:a, b", config_path="x.toml")
-        assert isinstance(ssh, SshFleetLauncher)
-        assert ssh.hosts == ("a", "b")
-        assert ssh.config_path == "x.toml"
-
-    @pytest.mark.parametrize("bad", ["", "ssh", "ssh:", "rsh:a",
-                                     "local:extra"])
-    def test_parse_launcher_spec_rejects(self, bad):
-        with pytest.raises(ValueError):
-            parse_launcher_spec(bad)
-
-    def test_replan_from_config_is_deterministic(self):
-        """The ssh-worker path: planning from the config twice must
-        give identical indices and fingerprints (the coordinator's
-        lease specs match a remote replan by construction)."""
-        config = CampaignConfig(blocks=["C"])
-        first = jobs_from_config(config)
-        second = jobs_from_config(config)
-        assert len(first) > 0
-        assert [j.index for j in first] == list(range(len(first)))
-        assert [j.fingerprint for j in first] == \
-            [j.fingerprint for j in second]
-
-
-# ----------------------------------------------------------------------
 # fault injection
 # ----------------------------------------------------------------------
 
 class TrackingLauncher(LocalFleetLauncher):
     """Local launcher that keeps every process handle so the test can
-    land a SIGKILL on a real worker pid."""
+    land a signal on a real worker pid."""
 
     def __init__(self):
         self.handles = []
 
-    def launch(self, worker_id, address, token, settings, jobs):
-        handle = super().launch(worker_id, address, token, settings,
-                                jobs)
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
+        handle = super().launch(worker_id, conn, settings, jobs,
+                                coordinator_ends)
         self.handles.append(handle)
         return handle
 
 
-class _ScriptedWorker(threading.Thread):
-    """In-process fake worker: speaks just enough protocol (hello with
-    the real token, accept one lease) to misbehave on cue."""
+class PidFileLauncher(LocalFleetLauncher):
+    """Local launcher that writes each worker's pid to a file, for a
+    test process that is not the coordinator and cannot see its
+    handles."""
 
-    def __init__(self, worker_id, address, token, script):
+    def __init__(self, directory):
+        self.directory = directory
+
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
+        handle = super().launch(worker_id, conn, settings, jobs,
+                                coordinator_ends)
+        with open(os.path.join(self.directory, worker_id), "w") as out:
+            out.write(str(handle.pid))
+        return handle
+
+
+class ExitingFirstLauncher(LocalFleetLauncher):
+    """The first worker is a real forked process that exits before it
+    sends a single frame; every later launch is a real worker."""
+
+    def __init__(self):
+        self.first = None
+
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
+        if self.first is not None:
+            return super().launch(worker_id, conn, settings, jobs,
+                                  coordinator_ends)
+        self.first = multiprocessing.get_context("fork").Process(
+            target=os._exit, args=(0,), daemon=True)
+        try:
+            self.first.start()
+        finally:
+            conn.close()
+        return self.first
+
+
+class _ScriptedWorker(threading.Thread):
+    """In-process fake worker on the worker's end of the socket pair:
+    takes one lease, then misbehaves on cue."""
+
+    def __init__(self, sock, script):
         super().__init__(daemon=True)
-        self.worker_id = worker_id
-        self.address = address
-        self.token = token
+        self.sock = sock
         self.script = script
         self.lease_frame = None
         self.leased = threading.Event()
         self.go = threading.Event()
         self.sent = threading.Event()
         self._aborted = threading.Event()
-        self.sock = None
 
     def run(self):
         try:
-            self.sock = socket.create_connection(self.address,
-                                                 timeout=10.0)
             self.sock.settimeout(60.0)
-            send_frame(self.sock, {"type": "hello",
-                                   "worker": self.worker_id,
-                                   "pid": 0, "token": self.token})
             frame = recv_frame(self.sock)
             if frame is not None and frame.get("type") == "lease":
                 self.lease_frame = frame
@@ -389,19 +356,11 @@ class _ScriptedWorker(threading.Thread):
         except (OSError, FrameError):
             pass
         finally:
-            if self.sock is not None:
-                try:
-                    self.sock.close()
-                except OSError:
-                    pass
+            self.sock.close()
 
     def abort(self):
         self._aborted.set()
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+        self.sock.close()
 
 
 class ScriptedFirstLauncher(LocalFleetLauncher):
@@ -412,17 +371,13 @@ class ScriptedFirstLauncher(LocalFleetLauncher):
         self.script = script
         self.fake = None
 
-    def launch(self, worker_id, address, token, settings, jobs):
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
         if self.fake is None:
-            self.fake = _ScriptedWorker(worker_id, address, token,
-                                        self.script)
+            self.fake = _ScriptedWorker(conn, self.script)
             self.fake.start()
             return self.fake
-        return super().launch(worker_id, address, token, settings,
-                              jobs)
-
-    def alive(self, handle):
-        return handle.is_alive()
+        return super().launch(worker_id, conn, settings, jobs,
+                              coordinator_ends)
 
     def stop(self, handle):
         if isinstance(handle, _ScriptedWorker):
@@ -430,26 +385,17 @@ class ScriptedFirstLauncher(LocalFleetLauncher):
         else:
             super().stop(handle)
 
-    def join(self, handle, timeout=None):
-        handle.join(timeout)
-
-
-class _DeadHandle:
-    def is_alive(self):
-        return False
-
 
 class StillbornLauncher:
-    """Launcher whose workers are dead on arrival — the no-wedge path
-    must burn the respawn budget and then raise."""
+    """Launcher whose workers are dead on arrival (their end of the
+    socket pair closes at once) — the no-wedge path must burn the
+    respawn budget and then raise."""
 
     name = "stillborn"
 
-    def launch(self, worker_id, address, token, settings, jobs):
-        return _DeadHandle()
-
-    def alive(self, handle):
-        return False
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
+        conn.close()
+        return None
 
     def stop(self, handle):
         pass
@@ -467,11 +413,73 @@ class DeadThenFailingLauncher(StillbornLauncher):
         self.initial = initial
         self.launches = 0
 
-    def launch(self, worker_id, address, token, settings, jobs):
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
         self.launches += 1
         if self.launches > self.initial:
             raise OSError("no host left to start a worker on")
-        return _DeadHandle()
+        return super().launch(worker_id, conn, settings, jobs,
+                              coordinator_ends)
+
+
+#: the test process: fault engines below act only inside fleet workers
+_TEST_PID = os.getpid()
+
+
+class _WorkerFault(Exception):
+    """A non-builtin exception raised inside a worker."""
+
+
+def _spin_engine(checker, options):
+    """A CPU-bound check: two seconds of pure-Python work."""
+    deadline = time.process_time() + 2.0
+    while time.process_time() < deadline:
+        pass
+    return CheckResult(checker.ts.name, PASS, "test-spin")
+
+
+def _exit_engine(checker, options):
+    """Kills the worker that runs it."""
+    if os.getpid() != _TEST_PID:
+        os._exit(3)
+    raise RuntimeError("test-exit ran outside a fleet worker")
+
+
+def _raise_engine(checker, options):
+    raise _WorkerFault("injected worker fault")
+
+
+@pytest.fixture()
+def fault_engines():
+    """Registers the fault engines for one test (workers fork after
+    registration, so they inherit them)."""
+    engines = {"test-spin": _spin_engine, "test-exit": _exit_engine,
+               "test-raise": _raise_engine}
+    for name, engine in engines.items():
+        register_engine(name, engine)
+    try:
+        yield
+    finally:
+        for name in engines:
+            _ENGINES.pop(name, None)
+
+
+def _with_engine(job, method):
+    return dataclasses.replace(job, engines=(EngineConfig(method=method),))
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (an unreaped zombie is not)."""
+    if os.path.isdir("/proc"):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestWorkerFaults:
@@ -595,42 +603,66 @@ class TestWorkerFaults:
         assert stats["workers_lost"] >= 1
         assert stats["leases_reissued"] >= 1
 
-    def test_stray_connection_never_joins_the_fleet(self, tiny_plan,
-                                                    serial_outcomes):
-        """A connection that cannot present the run token must never be
-        leased or counted — port knowledge alone buys nothing."""
-        executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
-        stream = executor.map(tiny_plan.jobs)
-        results = [next(stream)]
-        run = executor._run
-        sock = socket.create_connection(run.address, timeout=5.0)
-        try:
-            send_frame(sock, {"type": "hello", "worker": "intruder",
-                              "pid": 0, "token": "wrong-token"})
-            # pump events on the consumer thread (the generator is
-            # parked between next() calls) until the coordinator has
-            # processed our bogus hello and hung up
-            sock.settimeout(0.05)
-            deadline = time.monotonic() + 10.0
-            hung_up = False
-            while not hung_up and time.monotonic() < deadline:
-                try:
-                    run._handle(run.events.get_nowait())
-                except queue.Empty:
-                    pass
-                try:
-                    hung_up = sock.recv(1) == b""
-                except socket.timeout:
-                    continue
-                except OSError:
-                    hung_up = True
-            assert hung_up, "coordinator never dropped the stray"
-            results.extend(stream)
-        finally:
-            sock.close()
+    def test_worker_exiting_before_its_first_frame_is_replaced(
+            self, tiny_plan, serial_outcomes):
+        """A real forked worker that exits before it sends anything is
+        seen as EOF on the coordinator's end of its socket pair and
+        replaced; the results still match serial."""
+        launcher = ExitingFirstLauncher()
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 heartbeat_interval=0.1)
+        results = list(executor.map(tiny_plan.jobs))
         assert [_outcome(r) for r in results] == serial_outcomes
+        assert launcher.first.exitcode == 0
         stats = executor.fleet_stats()
-        assert "intruder" not in stats["jobs_per_worker"]
+        assert stats["workers_lost"] >= 1
+        assert stats["workers_launched"] >= 3
+        assert stats["jobs_per_worker"]["w0"] == 0
+
+    def test_long_check_keeps_its_lease(self, tiny_plan, fault_engines):
+        """A check that computes for 2 s under a 0.5 s lease timeout
+        keeps its lease: the worker's heartbeat thread speaks for it."""
+        jobs = [_with_engine(job, "test-spin")
+                for job in tiny_plan.jobs[:2]]
+        executor = FleetExecutor(workers=2, lease_timeout=0.5,
+                                 heartbeat_interval=0.1)
+        results = list(executor.map(jobs))
+        assert [(r.result.status, r.result.engine) for r in results] == \
+            [("pass", "test-spin")] * 2
+        stats = executor.fleet_stats()
+        assert stats["workers_lost"] == 0
+        assert stats["leases_reissued"] == 0
+        assert stats["results_rejected"] == 0
+
+    def test_job_killing_every_worker_spends_the_respawn_budget(
+            self, tiny_plan, fault_engines):
+        """A job that kills whichever worker takes it goes back to the
+        front of the queue each time, until the respawn budget is
+        spent: a FleetError, never a wedge."""
+        jobs = [_with_engine(tiny_plan.jobs[0], "test-exit")] \
+            + list(tiny_plan.jobs[1:])
+        executor = FleetExecutor(workers=2, max_respawns=3,
+                                 heartbeat_interval=0.1)
+        with pytest.raises(FleetError, match="respawn budget"):
+            list(executor.map(jobs))
+        stats = executor.fleet_stats()
+        assert stats["workers_launched"] == 5
+        assert stats["workers_lost"] == 5
+
+    def test_non_builtin_worker_error_arrives_as_runtime_error(
+            self, tiny_plan, fault_engines):
+        """A worker exception of a type the coordinator cannot rebuild
+        arrives as a RuntimeError naming that type, at its plan turn."""
+        jobs = list(tiny_plan.jobs[:2]) \
+            + [_with_engine(tiny_plan.jobs[2], "test-raise")]
+        executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
+        yielded = []
+        with pytest.raises(RuntimeError) as raised:
+            for job_result in executor.map(jobs):
+                yielded.append(job_result.index)
+        assert type(raised.value) is RuntimeError
+        assert str(raised.value) == "_WorkerFault: injected worker fault"
+        assert yielded == [0, 1]
 
     def test_all_workers_lost_raises_instead_of_wedging(self,
                                                         tiny_plan):
@@ -648,7 +680,8 @@ class TestWorkerFaults:
         launcher = DeadThenFailingLauncher(initial=2)
         executor = FleetExecutor(workers=2, launcher=launcher,
                                  lease_timeout=1.0)
-        with pytest.raises(FleetError, match="failed to start worker"):
+        with pytest.raises(FleetError, match="fleet launcher 'stillborn' "
+                                             "failed to start worker w2"):
             list(executor.map(tiny_plan.jobs))
         assert launcher.launches == 3
         assert not executor._run.coordinator.is_alive()
@@ -656,16 +689,14 @@ class TestWorkerFaults:
 
 class ThreadLauncher(LocalFleetLauncher):
     """Runs each fleet worker in a thread of this process, so every
-    worker reports the same pid — as workers in separate containers or
-    on separate hosts can."""
+    worker reports the same pid."""
 
     name = "thread"
 
-    def launch(self, worker_id, address, token, settings, jobs):
+    def launch(self, worker_id, conn, settings, jobs, coordinator_ends):
         thread = threading.Thread(
             target=_fleet_worker_main,
-            args=(worker_id, address[0], address[1], token, settings,
-                  jobs),
+            args=(worker_id, conn, settings, jobs),
             daemon=True,
         )
         thread.start()
@@ -675,53 +706,23 @@ class ThreadLauncher(LocalFleetLauncher):
         pass  # the coordinator's hangup ends a thread worker
 
 
-def _nodelay(sock):
-    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
-
-
 class TestCoordinatorThread:
-    def test_accepted_connections_disable_nagle(self, tiny_plan):
-        """Every worker connection the coordinator accepts sends its
-        frames without waiting on Nagle's algorithm."""
+    def test_fleet_never_listens_on_a_port(self, tiny_plan,
+                                           serial_outcomes, monkeypatch):
+        """Workers get socket pairs: a fleet run opens no listening
+        socket anyone else could connect to."""
+        listened = []
+        listen = socket.socket.listen
+
+        def recording_listen(sock, *args):
+            listened.append(sock)
+            return listen(sock, *args)
+
+        monkeypatch.setattr(socket.socket, "listen", recording_listen)
         executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
-        stream = executor.map(tiny_plan.jobs)
-        try:
-            next(stream)
-            run = executor._run
-            deadline = time.monotonic() + 30.0
-            while len(run.conns) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            conns = list(run.conns)
-            assert len(conns) == 2
-            assert all(_nodelay(conn) for conn in conns)
-        finally:
-            stream.close()
-
-    def test_worker_socket_disables_nagle(self, tiny_plan,
-                                          serial_outcomes, monkeypatch):
-        """The socket a worker dials runs without Nagle's algorithm
-        too (checked on in-process workers, whose sockets the test can
-        see)."""
-        dialed = []
-        dial = socket.create_connection
-
-        def recording_dial(*args, **kwargs):
-            sock = dial(*args, **kwargs)
-            dialed.append(sock)
-            return sock
-
-        monkeypatch.setattr(socket, "create_connection", recording_dial)
-        executor = FleetExecutor(workers=2, launcher=ThreadLauncher(),
-                                 heartbeat_interval=0.1)
-        stream = executor.map(tiny_plan.jobs)
-        results = [next(stream)]
-        deadline = time.monotonic() + 30.0
-        while len(dialed) < 2 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert len(dialed) == 2
-        assert all(_nodelay(sock) for sock in dialed)
-        results.extend(stream)
+        results = list(executor.map(tiny_plan.jobs))
         assert [_outcome(r) for r in results] == serial_outcomes
+        assert listened == []
 
     def test_clean_run_loses_no_worker(self, tiny_plan, serial_outcomes):
         """Dismissing the fleet at the end of a clean run is not a
@@ -744,7 +745,9 @@ class TestCoordinatorThread:
         assert run.coordinator.is_alive()
         stream.close()
         assert not run.coordinator.is_alive()
-        assert run.server.fileno() == -1  # the listening socket is shut
+        assert len(run.workers) == 2
+        assert all(state.conn.fileno() == -1
+                   for state in run.workers.values())
 
     def test_stress_more_workers_than_cores(self, tiny_plan,
                                             serial_outcomes):
@@ -821,14 +824,109 @@ class TestWarmStateCounters:
         assert sat["leases"] == serial.stats["sat_workspace"]["leases"]
 
 
-def _fleet_campaign(blocks, journal_path):
+class TestConstructor:
+    @pytest.mark.parametrize("kwargs", [
+        dict(workers=0), dict(lease_timeout=0),
+        dict(heartbeat_interval=0),
+    ], ids=["workers", "lease_timeout", "heartbeat_interval"])
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            FleetExecutor(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(host="127.0.0.1"), dict(port=0),
+    ], ids=["host", "port"])
+    def test_removed_bind_arguments(self, kwargs):
+        """Workers get socket pairs, so there is no address to bind."""
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            FleetExecutor(workers=2, **kwargs)
+
+
+def _stopped_worker_run(jobs, expected, report_path):
+    """Child-process body: SIGSTOP one worker of a 2-worker fleet after
+    the first result, finish the stream, and write what it saw.  The
+    process then exits through multiprocessing's exit handler, which
+    joins every child it still knows of."""
+    launcher = TrackingLauncher()
+    executor = FleetExecutor(workers=2, launcher=launcher,
+                             lease_timeout=1.0, heartbeat_interval=0.1)
+    stream = executor.map(jobs)
+    results = [next(stream)]
+    stopped = launcher.handles[0].pid
+    with open(report_path + ".pid", "w") as out:
+        out.write(str(stopped))
+    os.kill(stopped, signal.SIGSTOP)
+    results.extend(stream)
+    with open(report_path, "w") as out:
+        json.dump({
+            "identical": [_outcome(r) for r in results] == expected,
+            "stopped_running": _running(stopped),
+            "children": len(multiprocessing.active_children()),
+            "stats": executor.fleet_stats(),
+        }, out)
+
+
+class TestStoppedWorker:
+    def test_stopped_worker_is_killed_and_the_process_exits(
+            self, tiny_plan, serial_outcomes, tmp_path):
+        """A SIGSTOPped worker becomes a zombie and its lease is
+        re-issued; when the stream ends it is killed, not waited for,
+        so the campaign process exits instead of blocking forever in
+        its exit handler."""
+        report = tmp_path / "report.json"
+        child = multiprocessing.get_context("fork").Process(
+            target=_stopped_worker_run,
+            args=(tiny_plan.jobs, serial_outcomes, str(report)))
+        child.start()
+        child.join(30.0)
+        if child.is_alive():
+            stopped = tmp_path / "report.json.pid"
+            if stopped.exists():
+                os.kill(int(stopped.read_text()), signal.SIGKILL)
+            child.kill()
+            child.join()
+            pytest.fail("campaign process still running after 30 s")
+        assert child.exitcode == 0
+        seen = json.loads(report.read_text())
+        assert seen["identical"]
+        assert not seen["stopped_running"]
+        assert seen["children"] == 0
+        assert seen["stats"]["workers_lost"] >= 1
+        assert seen["stats"]["leases_reissued"] >= 1
+
+
+def _fleet_campaign(blocks, journal_path, pid_dir=None):
     """Child-process campaign on a 2-worker fleet, throttled so the
     parent can land a SIGKILL mid-stream."""
+    launcher = PidFileLauncher(pid_dir) if pid_dir else None
     CampaignOrchestrator(
         blocks, engines=_engines(),
-        executor=FleetExecutor(workers=2, heartbeat_interval=0.1),
+        executor=FleetExecutor(workers=2, heartbeat_interval=0.1,
+                               launcher=launcher),
         checkpoint=CampaignCheckpoint(journal_path),
     ).run(progress=lambda line: time.sleep(0.03))
+
+
+def _kill_coordinator_midway(tiny_blocks, journal, pid_dir=None):
+    """Run :func:`_fleet_campaign` in a forked child and SIGKILL it
+    once five results are journaled."""
+    context = multiprocessing.get_context("fork")
+    child = context.Process(target=_fleet_campaign,
+                            args=(tiny_blocks, str(journal), pid_dir))
+    child.start()
+    try:
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            if journal.exists() and \
+                    len(journal.read_text().splitlines()) >= 6:
+                break
+            time.sleep(0.005)
+        else:
+            pytest.fail("child fleet campaign never journaled "
+                        "5 entries")
+        os.kill(child.pid, signal.SIGKILL)
+    finally:
+        child.join()
 
 
 class TestCoordinatorKill:
@@ -838,23 +936,7 @@ class TestCoordinatorKill:
         resume from the journal — on a fresh fleet — into a report
         byte-identical to the uninterrupted serial run."""
         journal = tmp_path / "journal.jsonl"
-        context = multiprocessing.get_context("fork")
-        child = context.Process(target=_fleet_campaign,
-                                args=(tiny_blocks, str(journal)))
-        child.start()
-        try:
-            deadline = time.monotonic() + 60.0
-            while time.monotonic() < deadline:
-                if journal.exists() and \
-                        len(journal.read_text().splitlines()) >= 6:
-                    break
-                time.sleep(0.005)
-            else:
-                pytest.fail("child fleet campaign never journaled "
-                            "5 entries")
-            os.kill(child.pid, signal.SIGKILL)
-        finally:
-            child.join()
+        _kill_coordinator_midway(tiny_blocks, journal)
         resumed = CampaignOrchestrator(
             tiny_blocks, engines=_engines(),
             executor=FleetExecutor(workers=2, heartbeat_interval=0.1),
@@ -864,3 +946,23 @@ class TestCoordinatorKill:
         assert 0 < replayed < TOTAL_JOBS
         assert resumed.canonical_bytes() == reference.canonical_bytes()
         assert format_table2(resumed) == format_table2(reference)
+
+    def test_workers_exit_when_their_coordinator_is_killed(
+            self, tiny_blocks, tmp_path):
+        """No worker outlives a SIGKILLed coordinator: each one drops
+        the coordinator's socket ends it inherited through the fork,
+        so its own socket reaches EOF when the coordinator dies."""
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        _kill_coordinator_midway(tiny_blocks, tmp_path / "journal.jsonl",
+                                 str(pid_dir))
+        pids = [int(path.read_text()) for path in pid_dir.iterdir()]
+        assert len(pids) >= 2
+        deadline = time.monotonic() + 30.0
+        while any(_running(pid) for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if _running(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)  # leave no orphan behind
+        assert survivors == []

@@ -273,9 +273,8 @@ class TestCampaignQueue:
 @pytest.fixture()
 def daemon(tmp_path):
     daemon = ServiceDaemon(
-        CampaignConfig(), port=0,
-        db_path=str(tmp_path / "verdicts.sqlite"),
-        data_dir=str(tmp_path / "svc"),
+        CampaignConfig(cache_path=str(tmp_path / "verdicts.sqlite")),
+        port=0, data_dir=str(tmp_path / "svc"),
         blocks_provider=_service_blocks,
     ).start()
     yield daemon
@@ -431,9 +430,9 @@ def _daemon_child(db_path, data_dir, port):
     """Child process: a throttled daemon (~50 ms per property) so the
     parent can land a SIGKILL mid-campaign."""
     daemon = ServiceDaemon(
-        CampaignConfig(), host="127.0.0.1", port=port,
-        db_path=db_path, data_dir=data_dir,
-        blocks_provider=_service_blocks, throttle=0.05,
+        CampaignConfig(cache_path=db_path), host="127.0.0.1", port=port,
+        data_dir=data_dir, blocks_provider=_service_blocks,
+        throttle=0.05,
     )
     daemon.serve_forever()
 
@@ -487,7 +486,7 @@ class TestDaemonKillResume:
 
         # restart on the same state, re-submit the same config
         daemon = ServiceDaemon(
-            CampaignConfig(), port=0, db_path=db_path,
+            CampaignConfig(cache_path=db_path), port=0,
             data_dir=data_dir, blocks_provider=_service_blocks,
         ).start()
         try:
@@ -571,6 +570,12 @@ class TestServiceConfigSection:
             assert daemon.address[1] > 0  # ephemeral port resolved
         finally:
             daemon.close()
+
+    def test_db_path_argument_removed(self, tmp_path):
+        """The store is named by the config's ``[cache] path`` only."""
+        with pytest.raises(TypeError, match="db_path"):
+            ServiceDaemon(CampaignConfig(), port=0,
+                          db_path=str(tmp_path / "verdicts.sqlite"))
 
     def test_daemon_serves_the_campaign_cache(self, tmp_path):
         """One path for the one store: a verdict settled by a campaign
