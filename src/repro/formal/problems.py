@@ -36,8 +36,10 @@ worker owns its own, which keeps reuse lock-free; module-affinity
 scheduling (one worker runs one module's whole job group) is what
 turns the per-worker store into near-perfect design reuse.
 
-``max_designs`` bounds the store (least recently used evicted first;
-``None`` = unbounded).  Lifetime hit/miss/eviction counters surface in
+:attr:`CompiledProblemStore.MAX_DESIGNS` bounds the store (least
+recently used evicted first); it is a class constant, not a knob, since
+the default campaign reaches it and no workload measured a better
+value.  Lifetime hit/miss/eviction counters surface in
 ``CampaignReport.stats["compile_store"]``.
 
 The module also keeps process-wide totals —
@@ -108,20 +110,12 @@ class CompiledProblemStore:
     already know the digests (the campaign planner computes them once
     per module) pass them in; otherwise the store derives them from
     the emitted sources.
-
-    Parameters
-    ----------
-    max_designs:
-        Retain at most this many elaborated designs (least recently
-        used evicted first).  ``None`` = unbounded.
     """
 
-    def __init__(self, max_designs: Optional[int] = 8) -> None:
-        if max_designs is not None and max_designs < 1:
-            raise ValueError(
-                f"max_designs must be >= 1 or None, got {max_designs}"
-            )
-        self.max_designs = max_designs
+    #: elaborated designs retained (least recently used evicted first)
+    MAX_DESIGNS = 8
+
+    def __init__(self) -> None:
         #: module digest -> elaborated design, LRU order (oldest first)
         self._designs: Dict[str, FlatDesign] = {}
         self._design_hits = 0
@@ -134,8 +128,8 @@ class CompiledProblemStore:
         """The elaborated design for ``module``, served by content.
 
         A hit refreshes the entry's recency; a miss elaborates, retains
-        (evicting the least recently used design past ``max_designs``),
-        and returns the fresh design.
+        (evicting the least recently used design past
+        :attr:`MAX_DESIGNS`), and returns the fresh design.
         """
         key = module_digest or content_digest(emit_module(module))
         design = self._designs.pop(key, None)
@@ -145,8 +139,7 @@ class CompiledProblemStore:
             self._design_misses += 1
             note_elaboration()
             design = elaborate(module)
-            while self.max_designs is not None \
-                    and len(self._designs) >= self.max_designs:
+            while len(self._designs) >= self.MAX_DESIGNS:
                 self._designs.pop(next(iter(self._designs)))
                 self._design_evictions += 1
         self._designs[key] = design  # (re)insert at most-recent end

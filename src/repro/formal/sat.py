@@ -100,8 +100,7 @@ class Solver:
         return {**self.stats, "learned_db": len(self._learned)}
 
     def num_clauses(self) -> int:
-        """Problem plus learned clauses currently attached (the memory
-        valve the SAT workspace's oversize discard checks)."""
+        """Problem plus learned clauses currently attached."""
         return len(self._clauses) + len(self._learned)
 
     # ------------------------------------------------------------------

@@ -12,7 +12,8 @@ Clustering and sessions
 -----------------------
 
 Assertions are grouped into *clusters* — chunks of one (module, vunit)'s
-asserted properties, at most ``cluster_limit`` per chunk, compiled by
+asserted properties, at most :attr:`SatWorkspace.CLUSTER_LIMIT` per
+chunk, compiled by
 :func:`~repro.psl.compile.compile_cluster` into a single shared-AIG
 multi-bad :class:`~repro.formal.transition.ClusterSystem`.  Each cluster
 owns up to two sessions, keyed by
@@ -53,8 +54,8 @@ failing traces with a cold run on the solo-compiled system at the
 discovered depth — deterministic, hence byte-identical to the cold
 trace — paying the extra solve only on the FAIL minority.
 
-Budgets and memory valves
--------------------------
+Budgets and capacity
+--------------------
 
 Sessions are re-armed with the current check's budget at lease time;
 a :class:`~repro.formal.budget.BudgetExceeded` mid-solve leaves the
@@ -62,11 +63,10 @@ solver consistent and the session reusable.  Warm CDCL search is *not*
 monotonically cheaper — retained clauses usually save conflicts but can
 steer the heuristics either way — so under a binding budget a warm run
 may TIMEOUT where a cold run finished (and vice versa); campaign
-defaults keep budgets non-binding.  ``max_sessions`` bounds live
-sessions LRU-fashion and ``max_session_clauses`` discards any session
-whose clause database outgrew the valve.  Workspaces are plain
-per-process objects: executors build one per worker, exactly like
-compile stores.
+defaults keep budgets non-binding.  :attr:`SatWorkspace.MAX_SESSIONS`
+bounds live sessions (and compiled clusters) LRU-fashion.  Workspaces
+are plain per-process objects: executors build one per worker, exactly
+like compile stores.
 """
 
 from __future__ import annotations
@@ -227,30 +227,23 @@ class SatWorkspace:
     """Process-local pool of shared SAT sessions, LRU-bounded.
 
     Pure acceleration state, never part of job fingerprints, with
-    ``stats()`` counters for telemetry and memory valves
-    (``max_sessions`` LRU, ``max_session_clauses`` oversize discard).
-    ``cluster_limit`` caps how many assertions of one (module, vunit)
-    share a cluster; 1 disables clustering while keeping per-assertion
-    frame/clause reuse across depths, stages, and repeat checks.
+    ``stats()`` counters for telemetry.  The capacities are class
+    constants, not knobs: the default campaign reaches the session
+    bound, and no workload measured a better value.
     """
 
-    def __init__(self, max_sessions: Optional[int] = 8,
-                 cluster_limit: int = 16,
-                 max_session_clauses: Optional[int] = None) -> None:
-        if max_sessions is not None and max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1 (or None)")
-        if cluster_limit < 1:
-            raise ValueError("cluster_limit must be >= 1")
-        if max_session_clauses is not None and max_session_clauses < 1:
-            raise ValueError("max_session_clauses must be >= 1 (or None)")
-        self.max_sessions = max_sessions
-        self.cluster_limit = cluster_limit
-        self.max_session_clauses = max_session_clauses
+    #: live sessions retained, and compiled clusters kept (LRU each)
+    MAX_SESSIONS = 8
+    #: assertions of one (module, vunit) per shared cluster (the
+    #: paper's clustering ablation plateaus by 16)
+    CLUSTER_LIMIT = 16
+
+    def __init__(self) -> None:
         self._sessions: Dict[Tuple[str, str, int, str], SatSession] = {}
         self._clusters: Dict[Tuple[str, str, int], ClusterSystem] = {}
         self.counters: Dict[str, int] = {
             "leases": 0, "reuses": 0, "evictions": 0,
-            "oversize_discards": 0, "activations": 0, "retirements": 0,
+            "activations": 0, "retirements": 0,
             "frames_built": 0, "frames_reused": 0, "clauses_retained": 0,
             "cluster_compiles": 0,
         }
@@ -283,19 +276,18 @@ class SatWorkspace:
                 f"assertion {assert_name!r} is not asserted in vunit "
                 f"{vunit.name!r}"
             ) from None
-        chunk = index // self.cluster_limit
+        limit = self.CLUSTER_LIMIT
+        chunk = index // limit
         key = (module_key, vunit_key, chunk)
         cluster = self._clusters.pop(key, None)
         if cluster is None:
-            members = names[chunk * self.cluster_limit:
-                            (chunk + 1) * self.cluster_limit]
+            members = names[chunk * limit:(chunk + 1) * limit]
             design = None
             if store is not None:
                 design = store.design(module, module_digest=module_key)
             cluster = compile_cluster(module, vunit, members, design=design)
             self.counters["cluster_compiles"] += 1
-            limit = self.max_sessions
-            while limit is not None and len(self._clusters) >= limit:
+            while len(self._clusters) >= self.MAX_SESSIONS:
                 self._clusters.pop(next(iter(self._clusters)))
         self._clusters[key] = cluster
         return key, cluster
@@ -306,16 +298,11 @@ class SatWorkspace:
         key = (*cluster_key, mode)
         self.counters["leases"] += 1
         session = self._sessions.pop(key, None)
-        if (session is not None and self.max_session_clauses is not None
-                and session.solver.num_clauses() > self.max_session_clauses):
-            self.counters["oversize_discards"] += 1
-            session = None
         if session is not None:
             self.counters["reuses"] += 1
             self.counters["clauses_retained"] += len(session.solver._learned)
         else:
-            while (self.max_sessions is not None
-                   and len(self._sessions) >= self.max_sessions):
+            while len(self._sessions) >= self.MAX_SESSIONS:
                 self._sessions.pop(next(iter(self._sessions)))
                 self.counters["evictions"] += 1
             session = SatSession(cluster, mode, workspace=self)

@@ -65,11 +65,11 @@ through a per-worker
 design per module RTL digest, against which each assertion compiles.
 Digest keying makes the golden-vs-patched same-name case safe by
 construction, campaign outcomes are byte-identical with the store on,
-off, or LRU-bounded (tests enforce it across every executor), and the
+off, or LRU-thrashed (tests enforce it across every executor), and the
 hit/miss/evict counters surface in ``report.stats["compile_store"]``.
-The knobs live in ``CampaignConfig`` (``compile_store`` /
-``compile_max_designs``) and, like the SAT valves, stay out of job
-fingerprints.
+The on/off switch lives in ``CampaignConfig`` (``compile_store``) and,
+like the SAT switch, stays out of job fingerprints; the capacity is the
+class constant ``CompiledProblemStore.MAX_DESIGNS``.
 
 Shared SAT workspaces
 ---------------------
@@ -92,9 +92,10 @@ it across every executor).  The one documented exception is a
 search either way, so pin conflict budgets generously (the defaults
 are non-binding) or run sharing off where strict equality under
 binding budgets matters.  Counters surface in
-``report.stats["sat_workspace"]``; valves (``sat_cluster_limit``,
-``sat_max_sessions``, ``sat_max_session_clauses``) live in
-``CampaignConfig`` and stay out of job fingerprints.
+``report.stats["sat_workspace"]``; the on/off switch
+(``sat_workspace``) lives in ``CampaignConfig`` and stays out of job
+fingerprints, and the capacities are the class constants
+``SatWorkspace.MAX_SESSIONS`` and ``SatWorkspace.CLUSTER_LIMIT``.
 
 Checkpoint/resume
 -----------------

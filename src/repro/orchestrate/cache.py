@@ -32,23 +32,19 @@ Safety rules, in order of importance:
 
 The store is one WAL-mode SQLite file at ``path`` (``-wal``/``-shm``
 companions while open): a ``meta`` table pins the two versions, and one
-``verdicts`` row per fingerprint holds the entry, its provenance
-columns (module, category, engine, status, cone, ``stored_at``) and its
-``used_at`` recency stamp.  Every :meth:`ResultCache.store` commits its
-own row — a killed campaign loses at most the verdict in flight — as an
-upsert on ``stored_at``, so campaigns and the service daemon sharing one
-path keep each other's verdicts, the newest per fingerprint winning.
+``verdicts`` row per fingerprint holds the entry and its provenance
+columns (module, category, engine, status, cone, ``stored_at``).
+Every :meth:`ResultCache.store` commits its own row — a killed campaign
+loses at most the verdict in flight — as an upsert on ``stored_at``, so
+campaigns and the service daemon sharing one path keep each other's
+verdicts, the newest per fingerprint winning.
 An entry found unsafe is deleted only if the row is no newer than the
 copy this cache read, so a rival's fresh re-check survives.  The first
 store creates the file (``campaign report`` writes nothing), and
 ``sqlite3`` is imported only when a file is opened.  The connection
 belongs to the opening process: forked fleet workers never touch it.
-
-``max_entries`` bounds the store in least-recently-used order (a hit
-refreshes recency, so a nightly ECO rerun keeps the live design's
-verdicts and ages out abandoned revisions); :meth:`ResultCache.flush`
-writes the hit stamps and trims the file, so the order carries across
-runs.
+The store has no size bound: it keeps every verdict it is given, one
+row per fingerprint (2047 for the full chip), and a hit writes nothing.
 
 The entry codec (:func:`~repro.orchestrate.job.encode_result` /
 :func:`~repro.orchestrate.job.decode_result`, re-exported here) is
@@ -69,9 +65,9 @@ from .. import __version__
 from ..formal.engine import CheckResult, FAIL, PASS
 from .job import CheckJob, decode_result, encode_result  # noqa: F401
 
-#: the ``meta`` rows a readable store carries (schema v3 added the
+#: the ``meta`` rows a readable store carries (schema v4 dropped v3's
 #: ``used_at`` recency column; older stores open as empty)
-_META = {"schema": "3", "repro_version": __version__}
+_META = {"schema": "4", "repro_version": __version__}
 
 #: provenance columns of a ``verdicts`` row, copied from the entry
 _PROVENANCE = ("module", "category", "engine", "status", "cone")
@@ -88,12 +84,11 @@ _CORRUPT = (11, 26)
 
 _UPSERT = (
     "INSERT INTO verdicts (fingerprint, entry, module, category, engine,"
-    " status, cone, stored_at, used_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)"
+    " status, cone, stored_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?)"
     " ON CONFLICT (fingerprint) DO UPDATE SET entry = excluded.entry,"
     " module = excluded.module, category = excluded.category,"
     " engine = excluded.engine, status = excluded.status,"
-    " cone = excluded.cone, stored_at = excluded.stored_at,"
-    " used_at = excluded.used_at"
+    " cone = excluded.cone, stored_at = excluded.stored_at"
     " WHERE excluded.stored_at > verdicts.stored_at"
 )
 
@@ -101,21 +96,13 @@ _UPSERT = (
 class ResultCache:
     """On-disk SQLite store of check results keyed by content fingerprint.
 
-    ``max_entries`` caps the store at that many rows, evicted in
-    least-recently-used order (``None`` = unbounded).  Besides the
-    orchestrator's interface it serves the service daemon: provenance
-    rows (:meth:`get`), metering counters (:meth:`stats`) and the
-    migration of JSON caches (:meth:`import_cache`).
+    Besides the orchestrator's interface it serves the service daemon:
+    provenance rows (:meth:`get`), metering counters (:meth:`stats`)
+    and the migration of JSON caches (:meth:`import_cache`).
     """
 
-    def __init__(self, path: str,
-                 max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1 or None, got {max_entries}"
-            )
+    def __init__(self, path: str) -> None:
         self.path = str(path)
-        self.max_entries = max_entries
         self._conn = None
         #: serialises the connection's users (see _connect)
         self._lock = threading.RLock()
@@ -123,11 +110,8 @@ class ResultCache:
         self._counters = dict.fromkeys(
             ("hits", "misses", "stored", "unsafe_evicted", "imported",
              "resets"), 0)
-        #: fingerprint -> hit time on a bounded store, for flush
-        self._hits: Dict[str, float] = {}
-        #: fingerprint -> entry, in least-recently-used order
+        #: fingerprint -> entry
         self._entries: Dict[str, dict] = self._load()
-        self._evict()
 
     # ------------------------------------------------------------------
     def _connect(self):
@@ -156,8 +140,7 @@ class ResultCache:
                 raise sqlite3.DatabaseError("another version's store")
             entries = {}
             for fingerprint, payload, stored_at in conn.execute(
-                    "SELECT fingerprint, entry, stored_at FROM verdicts"
-                    " ORDER BY used_at, rowid"):
+                    "SELECT fingerprint, entry, stored_at FROM verdicts"):
                 entries[fingerprint] = _entry(payload, stored_at)
         except sqlite3.Error:
             if conn is not None:
@@ -209,8 +192,7 @@ class ResultCache:
                 "CREATE TABLE IF NOT EXISTS verdicts ("
                 " fingerprint TEXT PRIMARY KEY, entry TEXT NOT NULL,"
                 " module TEXT, category TEXT, engine TEXT, status TEXT,"
-                " cone TEXT, stored_at REAL NOT NULL,"
-                " used_at REAL NOT NULL)")
+                " cone TEXT, stored_at REAL NOT NULL)")
             conn.execute("COMMIT")
         except BaseException:
             conn.close()
@@ -252,28 +234,12 @@ class ResultCache:
         return None if row is None else _entry(*row)
 
     def flush(self) -> None:
-        """Persist a bounded store's hit recency and trim the file to
-        the cap, then fold the WAL into the main file so the store is
-        one self-contained file between campaigns.  The verdicts are
+        """Fold the WAL into the main file so the store is one
+        self-contained file between campaigns.  The verdicts are
         already durable: every store committed its row."""
         with self._lock:
             if self._conn is None:
                 return
-            if self.max_entries is not None:
-                self._execute("BEGIN IMMEDIATE")
-                with self._conn:  # commits, or rolls back on error
-                    self._conn.executemany(
-                        "UPDATE verdicts SET used_at = ?"
-                        " WHERE fingerprint = ?",
-                        [(at, fingerprint)
-                         for fingerprint, at in self._hits.items()
-                         if fingerprint in self._entries])
-                    self._conn.execute(
-                        "DELETE FROM verdicts WHERE fingerprint NOT IN"
-                        " (SELECT fingerprint FROM verdicts"
-                        "  ORDER BY used_at DESC, rowid DESC LIMIT ?)",
-                        (self.max_entries,))
-                self._hits.clear()
             self._execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     def close(self) -> None:
@@ -289,35 +255,20 @@ class ResultCache:
     def __contains__(self, fingerprint: str) -> bool:
         return fingerprint in self._entries
 
-    def _index(self, fingerprint: str, entry: dict) -> None:
-        """Put ``entry`` at the most-recent end of the index."""
-        self._entries.pop(fingerprint, None)
-        self._hits.pop(fingerprint, None)
-        self._entries[fingerprint] = entry
-        self._evict()
-
-    def _evict(self) -> None:
-        """Trim the index to ``max_entries``, least recently stored or
-        hit first (flush trims the file alike)."""
-        while self.max_entries is not None \
-                and len(self._entries) > self.max_entries:
-            del self._entries[next(iter(self._entries))]
-
     def _upsert(self, fingerprint: str, entry: dict) -> bool:
         """Write ``entry`` unless the store holds a newer verdict for
         ``fingerprint``; returns whether the row was written."""
-        stored_at = entry["stored_at"]
         return self._execute(_UPSERT, (
             fingerprint, json.dumps(entry, default=repr),
             *(entry.get(column) for column in _PROVENANCE),
-            stored_at, stored_at,
+            entry["stored_at"],
         )).rowcount > 0
 
     # ------------------------------------------------------------------
     def store(self, fingerprint: str, result: CheckResult,
               job: Optional[CheckJob] = None) -> None:
         """Record one result (trace frames included for FAIL), committed
-        at once, at the most-recent end of the index.
+        at once.
 
         Entries are stamped with a wall-clock ``stored_at`` (what the
         upsert arbitrates concurrent writers by) and, when the
@@ -336,7 +287,7 @@ class ResultCache:
                 # cone-equal modules — see repro.formal.coi)
                 entry["cone"] = job.cone_digest
         self._upsert(fingerprint, entry)
-        self._index(fingerprint, entry)
+        self._entries[fingerprint] = entry
         self._counters["stored"] += 1
 
     # ------------------------------------------------------------------
@@ -347,10 +298,9 @@ class ResultCache:
         stage (or single engine) that most recently produced a
         definitive PASS/FAIL for that module/category — plus
         category-wide fallbacks under ``(None, category)``.  Entries
-        are scanned in ``stored_at`` order, so the newest verdict wins
-        whatever a hit did to the LRU order; this is what
-        :class:`~repro.orchestrate.policy.AdaptivePortfolio` seeds its
-        attempt ordering from.
+        are scanned in ``stored_at`` order, so the newest verdict wins;
+        this is what :class:`~repro.orchestrate.policy.AdaptivePortfolio`
+        seeds its attempt ordering from.
         """
         history: Dict[Tuple[Optional[str], str], str] = {}
         for entry in sorted(self._entries.values(),
@@ -374,10 +324,9 @@ class ResultCache:
         or ``None`` (a miss) when absent or not provably sound.
 
         ``store`` (a :class:`~repro.formal.problems.CompiledProblemStore`)
-        amortises the FAIL-replay compiles across lookups.  On a
-        bounded cache a hit refreshes the entry's recency in memory;
-        :meth:`flush` writes it.  A miss in the index reads the store
-        once, for a verdict another process stored since.
+        amortises the FAIL-replay compiles across lookups.  A miss in
+        the index reads the store once, for a verdict another process
+        stored since.
         """
         entry = self._entries.get(fingerprint)
         if entry is None:
@@ -386,7 +335,7 @@ class ResultCache:
             if entry is None:
                 self._counters["misses"] += 1
                 return None
-            self._index(fingerprint, entry)
+            self._entries[fingerprint] = entry
         try:
             result = decode_result(entry, job, store)
         except Exception:
@@ -400,9 +349,6 @@ class ResultCache:
             self._counters["unsafe_evicted"] += 1
             self._counters["misses"] += 1
             return None
-        if self.max_entries is not None:
-            self._entries[fingerprint] = self._entries.pop(fingerprint)
-            self._hits[fingerprint] = time.time()
         self._counters["hits"] += 1
         return result
 
@@ -445,7 +391,7 @@ class ResultCache:
                 continue
             entry = dict(entry, stored_at=_stored_at(entry))
             if self._upsert(fingerprint, entry):
-                self._index(fingerprint, entry)
+                self._entries[fingerprint] = entry
                 imported += 1
         self._counters["imported"] += imported
         return imported

@@ -2,7 +2,7 @@
 
 A :class:`CampaignConfig` captures *everything* that parameterises a
 formal campaign — engine portfolio, executor, scheduling and portfolio
-policies, result cache, checkpoint journal, warm-state valves,
+policies, result cache, checkpoint journal, warm-state switches,
 resource budgets, scope — as plain frozen data.  That buys the
 methodology its missing property: a campaign's full configuration is
 
@@ -46,23 +46,22 @@ participates in job fingerprints, so the flip invalidates result
 caches written under the old default — ``engines = "auto"`` is the
 one-line opt-out (see ``docs/configuration.md``).
 
-``[sat]`` exposes the shared incremental SAT workspace
-(:class:`~repro.formal.satspace.SatWorkspace`): ``workspace`` on/off,
-``cluster_limit`` (assertions per shared CNF cluster),
-``max_sessions`` / ``max_session_clauses`` memory valves.  On by
+``[sat] workspace`` switches the shared incremental SAT workspace
+(:class:`~repro.formal.satspace.SatWorkspace`) on or off.  On by
 default: verdicts, depths, and counterexample bytes are
 sharing-invariant (binding ``sat_conflicts`` budgets are the
 documented exception), and warm sessions are measurably cheaper on
 the default campaign.
 
-``[compile]`` exposes the content-addressed
+``[compile] store`` switches the content-addressed
 :class:`~repro.formal.problems.CompiledProblemStore` every compile
-path runs through (``store`` on/off, ``max_designs`` LRU bound).  Like
-the SAT valves, the compile knobs are runtime wiring: they participate
+path runs through.  Both switches are runtime wiring: they participate
 in the *config* digest (the report names the configuration that
-produced it) but never in job fingerprints — a store changes the cost
-of a check, not its verdict, so warmed and cold runs replay each
-other's cached results.
+produced it) but never in job fingerprints — warm state changes the
+cost of a check, not its verdict, so warmed and cold runs replay each
+other's cached results.  Their capacities are class constants of the
+layers they bound (``SatWorkspace.MAX_SESSIONS`` / ``CLUSTER_LIMIT``,
+``CompiledProblemStore.MAX_DESIGNS``), not config knobs.
 """
 
 from __future__ import annotations
@@ -187,13 +186,9 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
     },
     "sat": {
         "workspace": "sat_workspace",
-        "cluster_limit": "sat_cluster_limit",
-        "max_sessions": "sat_max_sessions",
-        "max_session_clauses": "sat_max_session_clauses",
     },
     "compile": {
         "store": "compile_store",
-        "max_designs": "compile_max_designs",
     },
     "coi": {
         "fingerprints": "coi_fingerprints",
@@ -217,7 +212,6 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
     },
     "cache": {
         "path": "cache_path",
-        "max_entries": "cache_max_entries",
     },
     "checkpoint": {
         "path": "checkpoint_path",
@@ -275,21 +269,10 @@ class CampaignConfig:
     #: ``sat_conflicts`` budget, where retained clauses can shift the
     #: conflict count either way
     sat_workspace: bool = True
-    #: assertions per shared CNF cluster (the paper's clustering ablation
-    #: plateaus by 16; ``1`` degenerates to one session per assertion)
-    sat_cluster_limit: int = 16
-    #: SAT valve: live solver sessions retained per worker
-    #: (``None`` = all)
-    sat_max_sessions: Optional[int] = 8
-    #: SAT valve: discard sessions whose clause DB outgrows this
-    #: (``None`` = unlimited)
-    sat_max_session_clauses: Optional[int] = None
 
     #: content-addressed compiled-problem store (per worker; off = every
     #: check elaborates its design cold)
     compile_store: bool = True
-    #: compile-store valve: retained elaborated designs (``None`` = all)
-    compile_max_designs: Optional[int] = 8
 
     #: ``[coi]`` — cone-of-influence content addressing
     #: (:mod:`repro.formal.coi`).  Defaults to ``None`` ("absent":
@@ -339,35 +322,24 @@ class CampaignConfig:
     service_host: Optional[str] = None
     #: daemon bind port (service default: 8357; 0 = ephemeral)
     service_port: Optional[int] = None
-    #: served-campaign state directory — journals live here
-    #: (service default: out/service)
+    #: daemon state directory — the default home of its verdict
+    #: store (service default: out/service)
     service_data_dir: Optional[str] = None
 
     #: result-cache path (``None`` = no cache); also the store the
     #: service daemon opens (default: <data_dir>/verdicts.sqlite)
     cache_path: Optional[str] = None
-    #: result-cache LRU bound (``None`` = unbounded)
-    cache_max_entries: Optional[int] = None
 
     #: checkpoint-journal path (``None`` = no checkpoint)
     checkpoint_path: Optional[str] = None
 
-    #: optional-int knobs that accept the explicit string
-    #: ``"unlimited"`` (TOML has no null); the subset whose *default*
-    #: is bounded must also serialize ``None`` that way, or a
-    #: round-trip would silently restore the bound
-    _UNLIMITED_FIELDS = frozenset({
-        "sat_conflicts", "bdd_nodes", "cache_max_entries",
-        "compile_max_designs",
-        "sat_max_sessions", "sat_max_session_clauses",
-    })
-    _BOUNDED_BY_DEFAULT = frozenset({
-        "sat_conflicts", "bdd_nodes", "compile_max_designs",
-        "sat_max_sessions",
-    })
+    #: the budgets: bounded by default, and lifted by the explicit
+    #: string ``"unlimited"`` (TOML has no null), which is also how
+    #: ``None`` serializes, or a round-trip would restore the bound
+    _BUDGETS = ("sat_conflicts", "bdd_nodes")
 
     def __post_init__(self) -> None:
-        for name in self._UNLIMITED_FIELDS:
+        for name in self._BUDGETS:
             if getattr(self, name) == "unlimited":
                 object.__setattr__(self, name, None)
         if self.blocks is not None:
@@ -396,7 +368,7 @@ class CampaignConfig:
                 f"unknown portfolio policy {self.portfolio!r}; "
                 f"pick one of {tuple(PORTFOLIO_POLICIES)}"
             )
-        for name in ("sat_conflicts", "bdd_nodes"):
+        for name in self._BUDGETS:
             # 0 is legal: a budget that trips immediately (every stage
             # TIMEOUTs) — used to exercise exhaustion paths
             value = getattr(self, name)
@@ -405,16 +377,7 @@ class CampaignConfig:
                     f"{name} must be a non-negative integer or absent, "
                     f"got {value!r}"
                 )
-        for name in ("cache_max_entries", "compile_max_designs",
-                     "sat_max_sessions", "sat_max_session_clauses"):
-            value = getattr(self, name)
-            if value is not None and (not _is_int(value) or value < 1):
-                raise ConfigError(
-                    f"{name} must be a positive integer or absent, "
-                    f"got {value!r}"
-                )
-        for name in ("max_bound", "max_k", "num_window_vars",
-                     "sat_cluster_limit"):
+        for name in ("max_bound", "max_k", "num_window_vars"):
             if not _is_int(getattr(self, name)) \
                     or getattr(self, name) < 1:
                 raise ConfigError(
@@ -499,10 +462,10 @@ class CampaignConfig:
     def to_dict(self) -> Dict[str, Dict[str, object]]:
         """Nested plain-data form (TOML layout): section -> key ->
         value.  ``None`` fields are omitted (TOML has no null) — except
-        the budget/valve knobs whose *default* is bounded, where
-        ``None`` means "explicitly unlimited" and is serialized as the
-        string ``"unlimited"`` so the round-trip cannot silently
-        restore the bound.  The inverse of :meth:`from_dict` —
+        the budgets, whose *default* is bounded, where ``None`` means
+        "explicitly unlimited" and is serialized as the string
+        ``"unlimited"`` so the round-trip cannot silently restore the
+        bound.  The inverse of :meth:`from_dict` —
         round-tripping is the identity."""
         data: Dict[str, Dict[str, object]] = {}
         for section, keys in CONFIG_SCHEMA.items():
@@ -510,7 +473,7 @@ class CampaignConfig:
             for key, field_name in keys.items():
                 value = getattr(self, field_name)
                 if value is None:
-                    if field_name not in self._BOUNDED_BY_DEFAULT:
+                    if field_name not in self._BUDGETS:
                         continue
                     value = "unlimited"
                 values[key] = list(value) if isinstance(value, tuple) \
@@ -615,34 +578,15 @@ class CampaignConfig:
             for method in methods
         )
 
-    def sat_workspace_options(self) -> Dict[str, object]:
-        """Kwargs for the :class:`~repro.formal.satspace.SatWorkspace`
-        constructor (the executor builds one per worker when
-        ``sat_workspace`` is on)."""
-        return {
-            "cluster_limit": self.sat_cluster_limit,
-            "max_sessions": self.sat_max_sessions,
-            "max_session_clauses": self.sat_max_session_clauses,
-        }
-
-    def compile_store_options(self) -> Dict[str, object]:
-        """Kwargs for the
-        :class:`~repro.formal.problems.CompiledProblemStore`
-        constructor (each executor worker builds one when
-        ``compile_store`` is on)."""
-        return {"max_designs": self.compile_max_designs}
-
     def build_executor(self):
         """The executor this config describes, wired with the
-        compile-store and SAT-workspace knobs and (for the fleet) the
-        scheduling policy."""
+        compile-store and SAT-workspace switches and (for the fleet)
+        the scheduling policy."""
         from .executor import SerialExecutor
         from .fleet import FleetExecutor
         kind, processes = parse_executor_spec(self.executor)
         warm = dict(compile_store=self.compile_store,
-                    store_options=self.compile_store_options(),
-                    share_sat=self.sat_workspace,
-                    sat_options=self.sat_workspace_options())
+                    share_sat=self.sat_workspace)
         if kind == "serial":
             return SerialExecutor(**warm)
         return FleetExecutor(workers=processes,
@@ -664,8 +608,7 @@ class CampaignConfig:
         if self.cache_path is None:
             return None
         from .cache import ResultCache
-        return ResultCache(self.cache_path,
-                           max_entries=self.cache_max_entries)
+        return ResultCache(self.cache_path)
 
     def build_checkpoint(self):
         """The :class:`~repro.orchestrate.checkpoint.CampaignCheckpoint`,

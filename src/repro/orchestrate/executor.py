@@ -20,20 +20,17 @@ lock-free):
 
 - a content-addressed
   :class:`~repro.formal.problems.CompiledProblemStore` (on by default,
-  ``compile_store=False`` to opt out; ``store_options`` forwards the
-  ``max_designs`` LRU bound): a module's many jobs share one
+  ``compile_store=False`` to opt out): a module's many jobs share one
   elaborated design keyed by the module's RTL digest, which makes
   module-affinity batches (one lease = one module's whole job group)
   hit a warm design for every job after the group's first — and makes
   the golden-vs-patched same-name case safe by construction, since two
   modules with different RTL can never share a digest;
-- with ``share_sat=True``, a :class:`~repro.formal.satspace.SatWorkspace`
-  (``sat_options`` forwards the constructor kwargs: ``cluster_limit``,
-  ``max_sessions``, ``max_session_clauses``): ``kind`` stages query
-  shared incremental solver sessions — clustered per-(module, vunit)
-  CNFs, retained time-frame encodings, learned clauses surviving
-  across assertions under per-assertion activation literals — instead
-  of building cold solvers.  Verdicts, depths, and counterexample
+- with ``share_sat=True``, a :class:`~repro.formal.satspace.SatWorkspace`:
+  ``kind`` stages query shared incremental solver sessions — clustered
+  per-(module, vunit) CNFs, retained time-frame encodings, learned
+  clauses surviving across assertions under per-assertion activation
+  literals — instead of building cold solvers.  Verdicts, depths, and counterexample
   bytes are sharing-invariant (failing traces are re-derived cold on
   the solo compile), so ``CampaignReport.canonical_bytes`` is
   identical with sharing on or off; the one exception is a *binding*
@@ -70,43 +67,28 @@ from ..formal.satspace import SatWorkspace
 from .job import CheckJob, JobResult, run_check_job
 
 
-def _build_store(compile_store: bool,
-                 store_options: Optional[dict]
-                 ) -> Optional[CompiledProblemStore]:
-    return CompiledProblemStore(**(store_options or {})) \
-        if compile_store else None
-
-
-def _build_sat(share_sat: bool,
-               sat_options: Optional[dict]) -> Optional[SatWorkspace]:
-    return SatWorkspace(**(sat_options or {})) if share_sat else None
-
-
 class SerialExecutor:
     """Run every job in-process, in plan order (the default).
 
     The compiled-problem store is on by default (``compile_store=False``
-    opts out, ``store_options`` tunes the LRU bound), or pass an
-    explicit ``store`` to keep elaborated designs warm across runs.
-    SAT-session sharing follows the same shape: ``share_sat=True``
-    builds a :class:`~repro.formal.satspace.SatWorkspace` (with
-    ``sat_options``), or pass an explicit ``sat_workspace`` to keep
-    solver sessions warm across runs.
+    opts out), or pass an explicit ``store`` to keep elaborated designs
+    warm across runs.  SAT-session sharing follows the same shape:
+    ``share_sat=True`` builds a
+    :class:`~repro.formal.satspace.SatWorkspace`, or pass an explicit
+    ``sat_workspace`` to keep solver sessions warm across runs.
     """
 
     name = "serial"
 
     def __init__(self, store: Optional[CompiledProblemStore] = None,
                  compile_store: bool = True,
-                 store_options: Optional[dict] = None,
                  sat_workspace: Optional[SatWorkspace] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
-        if store is None:
-            store = _build_store(compile_store, store_options)
+                 share_sat: bool = False) -> None:
+        if store is None and compile_store:
+            store = CompiledProblemStore()
         self.store = store
-        if sat_workspace is None:
-            sat_workspace = _build_sat(share_sat, sat_options)
+        if sat_workspace is None and share_sat:
+            sat_workspace = SatWorkspace()
         self.sat_workspace = sat_workspace
 
     def map(self, jobs: Iterable[CheckJob]) -> Iterator[JobResult]:

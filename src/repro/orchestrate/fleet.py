@@ -98,7 +98,8 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..formal.problems import CompiledProblemStore
-from .executor import SerialExecutor, _build_sat, _build_store
+from ..formal.satspace import SatWorkspace
+from .executor import SerialExecutor
 from .job import (
     CheckJob, JobResult, decode_job_result, encode_job_result,
     run_check_job,
@@ -258,10 +259,9 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
     answered); the worker then keeps serving further leases.
     """
     jobs_by_index = {job.index: job for job in jobs}
-    store = _build_store(settings.get("compile_store", True),
-                         settings.get("store_options"))
-    sat = _build_sat(settings.get("share_sat", False),
-                     settings.get("sat_options"))
+    store = CompiledProblemStore() \
+        if settings.get("compile_store", True) else None
+    sat = SatWorkspace() if settings.get("share_sat", False) else None
     send_lock = threading.Lock()
 
     def _send(payload: dict) -> None:
@@ -767,8 +767,8 @@ class FleetExecutor:
     lease is revoked and re-issued; ``heartbeat_interval`` is the
     workers' liveness cadence; ``max_respawns`` bounds replacement
     launches (default: the fleet size).  The warm state
-    (``compile_store`` / ``share_sat`` and their option dicts) is per
-    worker process, never shared, which keeps reuse lock-free;
+    (``compile_store`` / ``share_sat``) is per worker process, never
+    shared, which keeps reuse lock-free;
     ``scheduling`` picks the lease granularity (FIFO single jobs for
     balance, module-affinity units to keep one module's warm state on
     one worker) — the outcome is policy-invariant, because results are
@@ -786,9 +786,7 @@ class FleetExecutor:
                  scheduling=None,
                  max_respawns: Optional[int] = None,
                  compile_store: bool = True,
-                 store_options: Optional[dict] = None,
-                 share_sat: bool = False,
-                 sat_options: Optional[dict] = None) -> None:
+                 share_sat: bool = False) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if lease_timeout <= 0:
@@ -811,9 +809,7 @@ class FleetExecutor:
         self.max_respawns = max_respawns if max_respawns is not None \
             else self.workers
         self.compile_store = compile_store
-        self.store_options = store_options
         self.share_sat = share_sat
-        self.sat_options = sat_options
         self._fell_back = False
         self._fallback: Optional[SerialExecutor] = None
         self._run: Optional[_FleetRun] = None
@@ -829,9 +825,7 @@ class FleetExecutor:
     def _worker_settings(self) -> dict:
         return {
             "compile_store": self.compile_store,
-            "store_options": self.store_options,
             "share_sat": self.share_sat,
-            "sat_options": self.sat_options,
             "heartbeat_interval": self.heartbeat_interval,
         }
 
@@ -847,18 +841,16 @@ class FleetExecutor:
             self._run = None
             self._fallback = SerialExecutor(
                 compile_store=self.compile_store,
-                store_options=self.store_options,
                 share_sat=self.share_sat,
-                sat_options=self.sat_options,
             )
             yield from self._fallback.map(jobs)
             return
         self._fell_back = False
         self._fallback = None
         # the parent's own store only pays for FAIL-trace decodes (a
-        # recompile per failing module), so the default bound is fine
-        decode_store = _build_store(self.compile_store,
-                                    self.store_options)
+        # recompile per failing module)
+        decode_store = CompiledProblemStore() if self.compile_store \
+            else None
         run = _FleetRun(self, jobs)
         self._run = run
         try:

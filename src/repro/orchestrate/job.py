@@ -28,12 +28,12 @@ The module also owns the two serialization codecs of the job layer:
 - :func:`encode_job_result` / :func:`decode_job_result` — a whole
   :class:`JobResult` to/from a plain dict: the process-boundary wire
   format.  A FAIL's counterexample travels as its canonical input
-  frames only (what report consumers render) instead of dragging the
-  compiled transition system through the pickle; the receiving side
-  recompiles through its :class:`CompiledProblemStore` and revalidates
-  the trace by replay.  The same dict shape — alongside
-  :meth:`CheckJob.spec` on the request side — is the wire format a
-  future socket/SSH executor speaks.
+  frames only (what report consumers render), not as the compiled
+  transition system it replays on; the receiving side recompiles
+  through its :class:`CompiledProblemStore` and revalidates the trace
+  by replay.  The same dict shape — alongside :meth:`CheckJob.spec` on
+  the request side — is what the fleet's coordinator and its forked
+  workers exchange, as length-prefixed JSON frames over socket pairs.
 """
 
 from __future__ import annotations

@@ -145,8 +145,7 @@ class CampaignOrchestrator:
         #: stores separately.  Persistent across run() calls, so a
         #: resume replays against warm designs.
         self._replay_store: Optional[CompiledProblemStore] = \
-            CompiledProblemStore(**config.compile_store_options()) \
-            if config.compile_store else None
+            CompiledProblemStore() if config.compile_store else None
 
     # ------------------------------------------------------------------
     def plan(self) -> CampaignPlan:

@@ -15,7 +15,7 @@ The pieces, bottom up:
   and metering counters.
 - :mod:`repro.service.queue` — :class:`CampaignQueue`, the async
   submission path: config-digest dedup of in-flight campaigns, one
-  checkpoint-journaled orchestrator run per unique config, per-tenant
+  orchestrator run per unique config into the shared store, per-tenant
   metering.
 - :mod:`repro.service.api` — :class:`ServiceDaemon`, the
   ``ThreadingHTTPServer`` JSON boundary (``/v1/campaigns``,

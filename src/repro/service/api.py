@@ -88,8 +88,7 @@ class ServiceDaemon:
             or DEFAULT_DATA_DIR
         self.db = ResultCache(
             config.cache_path
-            or os.path.join(self.data_dir, "verdicts.sqlite"),
-            max_entries=config.cache_max_entries)
+            or os.path.join(self.data_dir, "verdicts.sqlite"))
         self.queue = CampaignQueue(self.db, self.data_dir,
                                    blocks_provider=blocks_provider,
                                    throttle=throttle)

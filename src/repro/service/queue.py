@@ -1,5 +1,5 @@
 """The service submission queue — dedup in flight, drain through the
-configured executor, journal every served campaign.
+configured executor into the shared verdict store.
 
 :class:`CampaignQueue` is the daemon's async request path.  Clients
 submit a full :class:`~repro.orchestrate.config.CampaignConfig`; the
@@ -19,13 +19,13 @@ out as an instant verdict hit, and only genuine
 misses reach the configured executor (``serial`` or the parallel
 ``fleet:N``; the config decides, the queue does not care).
 
-Every served campaign is checkpoint-journaled under the service data
-directory (``journal-<digest>.jsonl``), exactly like a CLI campaign:
-a daemon SIGKILL mid-run leaves a valid journal prefix, and
-re-submitting the same config to a restarted daemon resumes from it
-(``run(resume=True)``) into byte-identical report bytes.  The journal
-is removed once its campaign completes — a completed campaign's
-verdicts live in the store, so a re-submission is served as a 100%
+The store is the served campaign's one persistence path: the queue
+keeps no checkpoint journal, whatever the submitted config says.
+Every verdict commits to the store the moment it is settled, so a
+daemon SIGKILL mid-run loses at most the verdict in flight, and
+re-submitting the same config to a restarted daemon serves the
+settled verdicts as hits and runs only the rest, into byte-identical
+report bytes.  A completed campaign's re-submission is a 100%
 verdict-cache hit with zero jobs executed, which is the service's
 whole point.
 
@@ -37,13 +37,13 @@ served by ``GET /metrics``.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..orchestrate import CampaignCheckpoint, CampaignOrchestrator, \
-    ResultCache
+from ..orchestrate import CampaignOrchestrator, ResultCache
 from ..orchestrate.config import CampaignConfig
 from ..orchestrate.stats import STATS_SCHEMA, counter_groups
 
@@ -195,13 +195,6 @@ class CampaignQueue:
         with self._lock:
             return self._runs.get(run_id)
 
-    def journal_path(self, config: CampaignConfig) -> str:
-        """Where a config's served campaign journals — keyed by config
-        digest, so a restarted daemon resumes exactly the campaign the
-        killed one was running."""
-        return os.path.join(self.data_dir,
-                            f"journal-{config.digest()}.jsonl")
-
     # -- the worker ----------------------------------------------------
     def _drain(self) -> None:
         while True:
@@ -226,17 +219,15 @@ class CampaignQueue:
 
         try:
             blocks = self._blocks(run.config)
+            # the store, not a journal, is what a re-submission resumes
+            # from: every verdict is committed there as it settles
             orchestrator = CampaignOrchestrator(
-                blocks, config=run.config,
-                cache=self.db,
-                checkpoint=CampaignCheckpoint(
-                    self.journal_path(run.config)),
+                blocks, cache=self.db,
+                config=dataclasses.replace(run.config,
+                                           checkpoint_path=None),
             )
-            # resume=True always: a journal left by a killed daemon
-            # replays its valid prefix; no journal (the normal case)
-            # degrades to a plain full run
-            report = orchestrator.run(progress=progress, resume=True)
-        except Exception as exc:  # the journal stays for the resume
+            report = orchestrator.run(progress=progress)
+        except Exception as exc:
             run.error = f"{type(exc).__name__}: {exc}"
             with self._lock:
                 self._tenants[run.tenant]["failed"] += 1
@@ -256,13 +247,6 @@ class CampaignQueue:
             meter["completed"] += 1
             meter["jobs_executed"] += run.executed
             meter["verdict_hits"] += run.verdict_hits
-        # the campaign's verdicts are in the store now — drop the
-        # journal so a re-submission is served from verdicts (zero
-        # jobs executed), not replayed from a stale journal
-        try:
-            os.remove(self.journal_path(run.config))
-        except OSError:
-            pass
         run._transition(DONE)
 
     # -- introspection -------------------------------------------------

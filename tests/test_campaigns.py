@@ -103,25 +103,49 @@ class TestCampaignTimeouts:
 
 
 class TestSolverEffort:
-    def test_default_ac_campaign_search_pinned(self):
+    @pytest.fixture(scope="class")
+    def ac_report(self):
+        """The default A,C campaign, run once for every pin below."""
+        blocks = ComponentChip(only_blocks=["A", "C"]).blocks
+        return CampaignOrchestrator(blocks, config=CampaignConfig()).run()
+
+    def test_default_ac_campaign_search_pinned(self, ac_report):
         """``canonical_bytes`` leaves out ``stats``, so on this all-PASS
         campaign the report digest cannot see a change in the solver's
         search order.  The summed per-job SAT counters can: any change
         to a decision, a propagation, clause learning or the restart
         schedule moves them."""
-        blocks = ComponentChip(only_blocks=["A", "C"]).blocks
-        report = CampaignOrchestrator(blocks, config=CampaignConfig()).run()
-        digest = hashlib.sha256(report.canonical_bytes()).hexdigest()[:16]
+        digest = hashlib.sha256(ac_report.canonical_bytes()).hexdigest()[:16]
         assert digest == "827affdb95659447"
         effort = dict.fromkeys(
             ("conflicts", "decisions", "propagations", "learned",
              "restarts"), 0)
-        for record in report.results:
+        for record in ac_report.results:
             for key in effort:
                 effort[key] += record.result.stats["sat"][key]
         assert effort == {"conflicts": 19338, "decisions": 45775,
                           "propagations": 849882, "learned": 18779,
                           "restarts": 70}
+
+    def test_default_ac_campaign_warm_state_pinned(self, ac_report):
+        """The warm-state capacities are class constants of the layers
+        they bound (``SatWorkspace.MAX_SESSIONS`` / ``CLUSTER_LIMIT``,
+        ``CompiledProblemStore.MAX_DESIGNS``).  The default campaign
+        reaches both LRU bounds, so any change to a capacity, to the
+        eviction order or to what one lease reuses moves these
+        counters."""
+        sat = ac_report.stats["sat_workspace"]
+        assert {key: sat[key] for key in (
+            "leases", "reuses", "evictions", "cluster_compiles",
+            "frames_built", "frames_reused", "clauses_retained",
+        )} == {"leases": 912, "reuses": 690, "evictions": 214,
+               "cluster_compiles": 111, "frames_built": 373,
+               "frames_reused": 1067, "clauses_retained": 35679}
+        run = ac_report.stats["compile_store"]["run"]
+        assert {key: run[key] for key in (
+            "design_hits", "design_misses", "design_evictions",
+        )} == {"design_hits": 535, "design_misses": 32,
+               "design_evictions": 24}
 
 
 class TestProgressCallback:

@@ -78,8 +78,9 @@ class TestStore:
         assert store.stats()["design_hits"] == 2
         assert store.stats()["design_misses"] == 1
 
-    def test_lru_eviction_under_max_designs_1(self, buggy_plan):
-        store = CompiledProblemStore(max_designs=1)
+    def test_lru_eviction_at_one_design(self, buggy_plan, monkeypatch):
+        monkeypatch.setattr(CompiledProblemStore, "MAX_DESIGNS", 1)
+        store = CompiledProblemStore()
         module_a = buggy_plan.jobs[0].module
         module_b = next(job.module for job in buggy_plan.jobs
                         if job.module.name != module_a.name)
@@ -109,9 +110,12 @@ class TestStore:
         assert store.design(golden) is golden_design
         assert store.design(patched) is patched_design
 
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError, match="max_designs"):
-            CompiledProblemStore(max_designs=0)
+    def test_capacity_is_a_constant(self):
+        """The capacity is a class constant at the old default; the
+        constructor takes no bound."""
+        assert CompiledProblemStore.MAX_DESIGNS == 8
+        with pytest.raises(TypeError, match="max_designs"):
+            CompiledProblemStore(max_designs=1)
 
     def test_discard_compiles_cold_again(self, buggy_plan):
         store = CompiledProblemStore()
@@ -265,12 +269,12 @@ class TestWireCodec:
 # ----------------------------------------------------------------------
 
 def _store_variants():
+    """``(executor kwargs, MAX_DESIGNS patch or None)``; the patch is
+    on the class, so forked fleet workers inherit it."""
     return [
-        pytest.param(dict(compile_store=True), id="store-on"),
-        pytest.param(dict(compile_store=False), id="store-off"),
-        pytest.param(dict(compile_store=True,
-                          store_options={"max_designs": 1}),
-                     id="store-thrashed"),
+        pytest.param((dict(compile_store=True), None), id="store-on"),
+        pytest.param((dict(compile_store=False), None), id="store-off"),
+        pytest.param((dict(compile_store=True), 1), id="store-thrashed"),
     ]
 
 
@@ -282,7 +286,7 @@ class TestCampaignByteIdentity:
             executor=SerialExecutor(),
         ).run().canonical_bytes()
 
-    @pytest.mark.parametrize("store_kwargs", _store_variants())
+    @pytest.mark.parametrize("variant", _store_variants())
     @pytest.mark.parametrize("executor_factory", [
         pytest.param(SerialExecutor, id="serial"),
         pytest.param(lambda **kw: FleetExecutor(workers=2, **kw),
@@ -290,7 +294,11 @@ class TestCampaignByteIdentity:
     ])
     def test_outcome_invariant_across_executors_and_stores(
             self, buggy_blocks, reference, executor_factory,
-            store_kwargs):
+            variant, monkeypatch):
+        store_kwargs, max_designs = variant
+        if max_designs is not None:
+            monkeypatch.setattr(CompiledProblemStore, "MAX_DESIGNS",
+                                max_designs)
         report = CampaignOrchestrator(
             buggy_blocks, engines=_engines(),
             executor=executor_factory(**store_kwargs),
@@ -308,8 +316,7 @@ class TestCampaignByteIdentity:
         blocks = [("GOLD", [golden]), ("PATCH", [patched])]
         store_on = CampaignOrchestrator(
             blocks, engines=_engines(),
-            executor=SerialExecutor(
-                store_options={"max_designs": 4}),
+            executor=SerialExecutor(),
         ).run()
         store_off = CampaignOrchestrator(
             blocks, engines=_engines(),
@@ -414,42 +421,29 @@ class TestExecutorStoreWiring:
 
 class TestConfigKnobs:
     def test_compile_section_round_trips(self):
-        config = CampaignConfig(compile_store=True,
-                                compile_max_designs=3)
+        config = CampaignConfig(compile_store=False)
+        assert config.to_dict()["compile"] == {"store": False}
         again = CampaignConfig.from_dict(config.to_dict())
         assert again == config
-        assert again.compile_max_designs == 3
         toml_round = CampaignConfig.from_toml(config.to_toml())
         assert toml_round == config
 
-    def test_unlimited_form_accepted(self):
-        config = CampaignConfig.from_dict(
-            {"compile": {"max_designs": "unlimited"}}
-        )
-        assert config.compile_max_designs is None
-        # bounded-by-default: None must serialize back as "unlimited"
-        assert config.to_dict()["compile"]["max_designs"] == "unlimited"
-
     def test_knobs_reach_the_executor(self):
-        config = CampaignConfig(executor="fleet:2",
-                                compile_max_designs=2)
+        config = CampaignConfig(executor="fleet:2")
         executor = config.build_executor()
         assert executor.compile_store is True
-        assert executor.store_options == {"max_designs": 2}
         off = CampaignConfig(compile_store=False).build_executor()
         assert off.store is None
 
     def test_bad_values_rejected(self):
         from repro.orchestrate import ConfigError
-        with pytest.raises(ConfigError, match="compile_max_designs"):
-            CampaignConfig(compile_max_designs=0)
         with pytest.raises(ConfigError, match="compile_store"):
             CampaignConfig(compile_store="yes")
 
     def test_knobs_move_the_config_digest_not_fingerprints(
             self, buggy_blocks):
         base = CampaignConfig()
-        tuned = CampaignConfig(compile_max_designs=1)
+        tuned = CampaignConfig(compile_store=False)
         assert base.digest() != tuned.digest()
         # ...but job fingerprints (cache keys) stay put: the store is
         # runtime wiring, like the SAT workspace

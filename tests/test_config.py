@@ -9,6 +9,8 @@ outcome) as the config that replaces it.
 """
 
 import dataclasses
+import pathlib
+import tomllib
 
 import pytest
 
@@ -28,6 +30,11 @@ def small_blocks():
     and FAIL mixed."""
     chip = ComponentChip(defects={"B2"}, only_blocks=["C"])
     return [("C", chip.blocks[0][1][:2])]
+
+
+#: every shipped example config
+EXAMPLES = sorted((pathlib.Path(__file__).parent.parent / "examples")
+                  .glob("*.toml"))
 
 
 def _config(**overrides):
@@ -92,8 +99,8 @@ FULL = dict(
     num_window_vars=3,
     executor="fleet:3", scheduling="module-affinity",
     portfolio="adaptive",
-    compile_store=False, compile_max_designs=3,
-    cache_path="cache.json", cache_max_entries=50,
+    sat_workspace=False, compile_store=False,
+    cache_path="cache.json",
     checkpoint_path="campaign.journal",
 )
 
@@ -116,13 +123,17 @@ class TestRoundTrip:
         path.write_text(config.to_toml())
         assert CampaignConfig.load(str(path)) == config
 
-    def test_example_config_parses(self):
-        import pathlib
-        example = pathlib.Path(__file__).parent.parent / "examples" \
-            / "campaign.toml"
+    @pytest.mark.parametrize("example", EXAMPLES,
+                             ids=[path.name for path in EXAMPLES])
+    def test_example_config_parses(self, example):
+        """Every shipped example loads, and every key it sets is read
+        back unchanged — none is dropped or defaulted."""
         config = CampaignConfig.load(str(example))
-        assert config.blocks == ("C",)
-        assert config.scheduling == "module-affinity"
+        written = tomllib.loads(example.read_text())
+        parsed = config.to_dict()
+        for section, values in written.items():
+            for key, value in values.items():
+                assert parsed[section][key] == value, (section, key)
 
     def test_blocks_list_coerced_to_tuple(self):
         assert CampaignConfig(blocks=["A", "B"]).blocks == ("A", "B")
@@ -131,7 +142,7 @@ class TestRoundTrip:
         data = CampaignConfig().to_dict()
         assert "cache" not in data
         assert "checkpoint" not in data
-        assert "max_session_clauses" not in data["sat"]
+        assert "coi" not in data
 
 
 class TestDigest:
@@ -152,9 +163,8 @@ class TestDigest:
             sat_conflicts=1, bdd_nodes=2, max_bound=51, max_k=31,
             unique_states=True, num_window_vars=4, executor="serial",
             scheduling="fifo", portfolio="static",
-            compile_store=True, compile_max_designs=4,
-            cache_path="other.json",
-            cache_max_entries=51, checkpoint_path="other.journal",
+            sat_workspace=True, compile_store=True,
+            cache_path="other.json", checkpoint_path="other.journal",
         )
         for field in FULL:
             variant = dataclasses.replace(base, **{field: changed[field]})
@@ -187,7 +197,7 @@ class TestStrictness:
         (dict(portfolio="oracle"), "portfolio"),
         (dict(lint=1), "lint"),
         (dict(sat_conflicts=-1), "sat_conflicts"),
-        (dict(cache_max_entries=0), "cache_max_entries"),
+        (dict(sat_workspace=1), "sat_workspace"),
         (dict(max_k=0), "max_k"),
         (dict(cache_path=7), "cache_path"),
         (dict(blocks=("A", 3)), "blocks"),
@@ -211,6 +221,12 @@ class TestStrictness:
         ('[execution]\nexecutor = "work-stealing:2"\n',
          "work-stealing:2"),
         ('[service]\ndb = "verdicts.sqlite"\n', "'db'"),
+        ("[sat]\ncluster_limit = 16\n", "cluster_limit"),
+        ("[sat]\nmax_sessions = 8\n", "max_sessions"),
+        ("[sat]\nmax_session_clauses = 100000\n",
+         "max_session_clauses"),
+        ("[compile]\nmax_designs = 8\n", "max_designs"),
+        ("[cache]\nmax_entries = 10000\n", "max_entries"),
         ("[fleet]\nport = 5555\n", r"\[fleet\]"),
         ("[fleet]\nlease_timeout = 12.5\n", r"\[fleet\]"),
         ("[fleet]\nheartbeat_interval = 0.25\n", r"\[fleet\]"),
@@ -219,6 +235,9 @@ class TestStrictness:
             "workspace-max_manager_nodes", "coi-slice", "max_problems",
             "parallel", "parallel-bare", "workstealing",
             "workstealing-n", "work-stealing-n", "service-db",
+            "sat-cluster_limit", "sat-max_sessions",
+            "sat-max_session_clauses", "compile-max_designs",
+            "cache-max_entries",
             "fleet-port", "fleet-lease_timeout",
             "fleet-heartbeat_interval", "fleet-launcher"])
     def test_removed_keys_rejected(self, toml, key):
@@ -300,10 +319,9 @@ class TestBuilders:
 
     def test_cache_and_checkpoint(self, tmp_path):
         config = _config(cache_path=str(tmp_path / "cache.sqlite"),
-                         cache_max_entries=9,
                          checkpoint_path=str(tmp_path / "j.journal"))
         cache = config.build_cache()
-        assert cache is not None and cache.max_entries == 9
+        assert cache is not None and cache.path == config.cache_path
         assert config.build_checkpoint() is not None
         assert CampaignConfig().build_cache() is None
         assert CampaignConfig().build_checkpoint() is None

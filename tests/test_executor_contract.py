@@ -15,6 +15,8 @@ import dataclasses
 import pytest
 
 from repro.chip import ComponentChip
+from repro.formal.problems import CompiledProblemStore
+from repro.formal.satspace import SatWorkspace
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
     ModuleAffinityScheduling, SerialExecutor, plan_campaign,
@@ -27,66 +29,74 @@ def _engines(**overrides):
     return (EngineConfig(**overrides),)
 
 
+#: warm-state capacities the tight variants shrink to 1: one retained
+#: design, one live solver session, one assertion per SAT cluster
+ONE_DESIGN = (CompiledProblemStore, "MAX_DESIGNS")
+ONE_SESSION = (SatWorkspace, "MAX_SESSIONS")
+ONE_PER_CLUSTER = (SatWorkspace, "CLUSTER_LIMIT")
+
+
+def _case(case_id, factory, *capacities):
+    """One roster entry: an executor factory, run with each named
+    ``(class, constant)`` capacity shrunk to 1."""
+    return pytest.param((factory, capacities), id=case_id)
+
+
 #: the conformance roster: every executor the package ships, including
 #: non-default tunings that change scheduling behaviour
 EXECUTORS = [
-    pytest.param(lambda: SerialExecutor(), id="serial"),
+    _case("serial", lambda: SerialExecutor()),
     # compile-store variants: off entirely, and LRU-thrashed down to a
     # single retained design — per-worker stores must never leak across
     # the boundary or move a verdict
-    pytest.param(lambda: SerialExecutor(compile_store=False),
-                 id="serial-nostore"),
-    pytest.param(lambda: SerialExecutor(store_options={"max_designs": 1}),
-                 id="serial-tight-store"),
+    _case("serial-nostore", lambda: SerialExecutor(compile_store=False)),
+    _case("serial-tight-store", lambda: SerialExecutor(), ONE_DESIGN),
     # SAT-workspace variants: shared incremental solver sessions on,
     # and LRU-thrashed to one live session — warm solver state must
     # never move a verdict or reorder the stream
-    pytest.param(lambda: SerialExecutor(share_sat=True),
-                 id="serial-satspace"),
-    pytest.param(lambda: SerialExecutor(
-        share_sat=True, sat_options={"max_sessions": 1}),
-        id="serial-satspace-thrash"),
-    # the parallel fleet: the same contract over a TCP transport —
+    _case("serial-satspace", lambda: SerialExecutor(share_sat=True)),
+    _case("serial-satspace-thrash",
+          lambda: SerialExecutor(share_sat=True), ONE_SESSION),
+    # the parallel fleet: the same contract over socket pairs —
     # leases, heartbeats, and the portable job wire format — under
-    # both scheduling policies and every warm-state valve
-    pytest.param(lambda: FleetExecutor(workers=2),
-                 id="fleet"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, scheduling=ModuleAffinityScheduling()),
-        id="fleet-affinity"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, compile_store=False),
-        id="fleet-nostore"),
-    pytest.param(lambda: FleetExecutor(
+    # both scheduling policies and every warm-state capacity
+    _case("fleet", lambda: FleetExecutor(workers=2)),
+    _case("fleet-affinity", lambda: FleetExecutor(
+        workers=2, scheduling=ModuleAffinityScheduling())),
+    _case("fleet-nostore",
+          lambda: FleetExecutor(workers=2, compile_store=False)),
+    _case("fleet-tight-store", lambda: FleetExecutor(
+        workers=2, scheduling=ModuleAffinityScheduling()), ONE_DESIGN),
+    _case("fleet-fifo-tight-store",
+          lambda: FleetExecutor(workers=2), ONE_DESIGN),
+    _case("fleet-warm", lambda: FleetExecutor(workers=2, share_sat=True)),
+    _case("fleet-satspace-cluster1",
+          lambda: FleetExecutor(workers=2, share_sat=True),
+          ONE_PER_CLUSTER),
+    _case("fleet-affinity-satspace", lambda: FleetExecutor(
         workers=2, scheduling=ModuleAffinityScheduling(),
-        store_options={"max_designs": 1}),
-        id="fleet-tight-store"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, store_options={"max_designs": 1}),
-        id="fleet-fifo-tight-store"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, share_sat=True),
-        id="fleet-warm"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, share_sat=True, sat_options={"cluster_limit": 1}),
-        id="fleet-satspace-cluster1"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, scheduling=ModuleAffinityScheduling(),
-        share_sat=True),
-        id="fleet-affinity-satspace"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, share_sat=True, sat_options={"max_sessions": 1}),
-        id="fleet-satspace-thrash"),
+        share_sat=True)),
+    _case("fleet-satspace-thrash",
+          lambda: FleetExecutor(workers=2, share_sat=True), ONE_SESSION),
     # more workers than CPUs, and heartbeats dense enough to interleave
     # with every result frame: neither may disturb the stream
-    pytest.param(lambda: FleetExecutor(workers=3),
-                 id="fleet-3"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, heartbeat_interval=0.02),
-        id="fleet-chatty"),
+    _case("fleet-3", lambda: FleetExecutor(workers=3)),
+    _case("fleet-chatty", lambda: FleetExecutor(
+        workers=2, heartbeat_interval=0.02)),
 ]
 
-parametrized = pytest.mark.parametrize("make_executor", EXECUTORS)
+parametrized = pytest.mark.parametrize("make_executor", EXECUTORS,
+                                       indirect=True)
+
+
+@pytest.fixture
+def make_executor(request, monkeypatch):
+    """The roster entry's factory, its capacities patched on the class
+    for the whole test — forked fleet workers inherit the patch."""
+    factory, capacities = request.param
+    for cls, name in capacities:
+        monkeypatch.setattr(cls, name, 1)
+    return factory
 
 
 @pytest.fixture(scope="module")

@@ -27,8 +27,8 @@ from repro.formal.engine import (
 from repro.formal.engine import _ENGINES  # test-only registry cleanup
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, ResultCache,
-    FleetExecutor, SerialExecutor, job_fingerprint, plan_campaign,
-    portfolio, run_check_job,
+    FleetExecutor, SerialExecutor, encode_result, job_fingerprint,
+    plan_campaign, portfolio, run_check_job,
 )
 from repro.orchestrate.cache import remove_store
 
@@ -345,10 +345,10 @@ def _fingerprints(path):
 FIRST_ROW = "fingerprint = (SELECT MIN(fingerprint) FROM verdicts)"
 
 
-def _campaign(blocks, path, config=CONFIG, **cache_kwargs):
+def _campaign(blocks, path, config=CONFIG):
     """One campaign over a cache at ``path``, closed afterwards so the
     file is whole and unshared."""
-    cache = ResultCache(path, **cache_kwargs)
+    cache = ResultCache(path)
     try:
         return FormalCampaign(blocks, config=config, cache=cache).run()
     finally:
@@ -467,87 +467,40 @@ class TestResultCache:
             assert record.result.trace is not None
 
 
-class TestCacheEviction:
-    """Size-bounded LRU eviction (``max_entries``)."""
+class TestUnboundedStore:
+    """No size bound: the store keeps every verdict it is given, and a
+    hit writes nothing back."""
 
-    def test_store_evicts_least_recently_used(self, tmp_path):
-        cache = ResultCache(tmp_path / "r.sqlite", max_entries=2)
-        cache.store("a", _pass())
-        cache.store("b", _pass())
-        cache.store("c", _pass())
-        assert "a" not in cache
-        assert "b" in cache and "c" in cache
-        assert len(cache) == 2
-
-    def test_lookup_hit_refreshes_recency(self, small_blocks, tmp_path):
+    def test_hits_keep_every_verdict(self, small_blocks, tmp_path):
+        """Hits reorder nothing and evict nothing: after a warm rerun
+        and one more store, every verdict is still in the index and
+        the file."""
         path = tmp_path / "r.sqlite"
         cold = _campaign(small_blocks, path)
-        # replan with the same engines the campaign's default config
-        # built, so fingerprints line up with the cached entries
-        plan = CampaignOrchestrator(
-            small_blocks,
-            engines=portfolio("kind", "bdd-combined",
-                              sat_conflicts=500_000,
-                              bdd_nodes=5_000_000),
-        ).plan()
-        cache = ResultCache(path, max_entries=cold.total_properties)
-        oldest = plan.jobs[0]
-        assert cache.lookup(oldest.fingerprint, oldest) is not None
-        # the hit moved job 0 to the most-recent end: storing one new
-        # entry now evicts some *other* (coldest) fingerprint
-        cache.store("fresh", _pass())
-        assert oldest.fingerprint in cache
-        assert "fresh" in cache
-
-    def test_cap_shrink_trims_index_then_file(self, tmp_path):
-        path = tmp_path / "r.sqlite"
+        warm = _campaign(small_blocks, path)
+        assert warm.stats["cache_hits"] == cold.total_properties
         cache = ResultCache(path)
-        for key in ("a", "b", "c", "d"):
-            cache.store(key, _pass())
-        cache.close()
-        trimmed = ResultCache(path, max_entries=2)
-        assert len(trimmed) == 2
-        assert "c" in trimmed and "d" in trimmed
-        assert _fingerprints(path) == {"a", "b", "c", "d"}
-        trimmed.flush()  # the file follows the cap
-        assert _fingerprints(path) == {"c", "d"}
-
-    def test_hit_recency_carries_across_runs(self, tmp_path):
-        path = tmp_path / "r.sqlite"
-        cache = ResultCache(path, max_entries=3)
-        for key in ("a", "b", "c"):
-            cache.store(key, _pass())
-        cache.close()
-        reader = ResultCache(path, max_entries=3)
-        assert reader.lookup("a", STUB_JOB) is not None
-        reader.flush()  # writes the hit's recency
-        reader.close()
-        writer = ResultCache(path, max_entries=3)
-        writer.store("d", _pass())
-        writer.flush()
-        # "a" was hit after "b" was stored, so "b" is the coldest
-        assert _fingerprints(path) == {"a", "c", "d"}
+        cache.store("fresh", _pass())
+        cache.flush()
+        assert len(cache) == cold.total_properties + 1
+        assert len(_fingerprints(path)) == cold.total_properties + 1
 
     def test_unbounded_cache_unchanged(self, tmp_path):
-        cache = ResultCache(tmp_path / "r.sqlite")
-        for index in range(50):
-            cache.store(f"k{index}", _pass())
-        assert len(cache) == 50
-
-    def test_bad_cap_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(tmp_path / "r.sqlite", max_entries=0)
-
-    def test_bounded_campaign_still_correct(self, small_blocks, tmp_path):
-        """A cache too small for the campaign evicts but never corrupts:
-        reruns recheck the evicted properties and agree with cold."""
         path = tmp_path / "r.sqlite"
-        cold = FormalCampaign(small_blocks, config=CONFIG).run()
-        _campaign(small_blocks, path, max_entries=5)
-        warm = _campaign(small_blocks, path, max_entries=5)
-        assert warm.stats["cache_hits"] == 5
-        assert warm.stats["cache_misses"] == warm.total_properties - 5
-        assert warm.canonical_bytes() == cold.canonical_bytes()
+        cache = ResultCache(path)
+        keys = {f"k{index}" for index in range(50)}
+        for key in sorted(keys):
+            cache.store(key, _pass())
+        assert len(cache) == 50
+        cache.close()
+        again = ResultCache(path)
+        assert len(again) == 50
+        again.flush()
+        assert _fingerprints(path) == keys
+
+    def test_max_entries_argument_removed(self, tmp_path):
+        with pytest.raises(TypeError, match="max_entries"):
+            ResultCache(tmp_path / "r.sqlite", max_entries=2)
 
 
 def _truncate_half(path):
@@ -761,19 +714,13 @@ class TestSharedStore:
 
     def test_hits_only_run_changes_no_verdict_row(self, small_blocks,
                                                   tmp_path):
-        """A purely reading campaign writes nothing to an unbounded
-        store, and only recency stamps to a bounded one."""
+        """A purely reading campaign writes nothing to the store."""
         path = tmp_path / "r.sqlite"
-        cold = _campaign(small_blocks, path)
-        verdicts = "SELECT fingerprint, entry, stored_at FROM verdicts"
-        rows, image = sorted(_sql(path, verdicts)), path.read_bytes()
+        _campaign(small_blocks, path)
+        image = path.read_bytes()
         warm = _campaign(small_blocks, path)
         assert warm.stats["cache_misses"] == 0
         assert path.read_bytes() == image
-        bounded = _campaign(small_blocks, path,
-                            max_entries=cold.total_properties)
-        assert bounded.stats["cache_misses"] == 0
-        assert sorted(_sql(path, verdicts)) == rows
 
 
 
@@ -985,9 +932,10 @@ class TestStoreFile:
         assert _fingerprints(path) == {"a", "b"}
         assert cache.stats()["resets"] == 0
 
-    def test_bounded_hit_writes_its_recency_at_flush(self, tmp_path):
+    def test_hit_and_flush_write_no_row(self, tmp_path):
+        """A hit runs no SQL, and flush only folds the WAL."""
         path = tmp_path / "r.sqlite"
-        cache = ResultCache(path, max_entries=3)
+        cache = ResultCache(path)
         for key in ("a", "b"):
             cache.store(key, _pass())
         statements = []
@@ -995,10 +943,7 @@ class TestStoreFile:
         assert cache.lookup("a", STUB_JOB) is not None
         assert statements == []
         cache.flush()
-        assert any(statement.startswith("UPDATE verdicts SET used_at")
-                   for statement in statements)
-        assert _sql(path, "SELECT fingerprint FROM verdicts "
-                          "ORDER BY used_at DESC LIMIT 1") == [("a",)]
+        assert statements == ["PRAGMA wal_checkpoint(TRUNCATE)"]
 
     def test_sqlite3_waits_for_the_first_store(self, tmp_path):
         source = os.path.dirname(os.path.dirname(repro.__file__))
@@ -1023,7 +968,36 @@ class TestStoreFile:
         assert cache.stats()["resets"] == 1
         assert _fingerprints(path) == {"new"}
         assert dict(_sql(path, "SELECT key, value FROM meta")) == {
-            "schema": "3", "repro_version": repro_version}
+            "schema": "4", "repro_version": repro_version}
+
+    def test_schema_3_store_opens_empty_and_is_replaced(self, tmp_path):
+        """A store written before schema 4 (it carried a ``used_at``
+        recency column) reads as empty, and the first store replaces
+        it with the schema-4 layout."""
+        path = tmp_path / "r.sqlite"
+        _sql(path, "CREATE TABLE meta (key TEXT PRIMARY KEY,"
+                   " value TEXT NOT NULL)")
+        _sql(path, "INSERT INTO meta VALUES ('schema', '3'),"
+                   " ('repro_version', ?)", (repro_version,))
+        _sql(path, "CREATE TABLE verdicts (fingerprint TEXT PRIMARY KEY,"
+                   " entry TEXT NOT NULL, module TEXT, category TEXT,"
+                   " engine TEXT, status TEXT, cone TEXT,"
+                   " stored_at REAL NOT NULL, used_at REAL NOT NULL)")
+        _sql(path, "INSERT INTO verdicts (fingerprint, entry, stored_at,"
+                   " used_at) VALUES ('old', ?, 1.0, 1.0)",
+             (json.dumps(encode_result(_pass())),))
+        cache = ResultCache(path)
+        assert len(cache) == 0
+        assert cache.lookup("old", STUB_JOB) is None
+        cache.store("new", _pass())
+        cache.close()
+        assert cache.stats()["resets"] == 1
+        assert _fingerprints(path) == {"new"}
+        columns = [row[1] for row in _sql(path,
+                                          "PRAGMA table_info(verdicts)")]
+        assert "used_at" not in columns
+        assert dict(_sql(path, "SELECT key, value FROM meta"))["schema"] \
+            == "4"
 
 
 class TestBlockSummaryAdd:

@@ -233,17 +233,15 @@ class TestEngineHistory:
         assert cache.engine_history()[(job.module.name, job.category)] \
             == "pobdd"
 
-    def test_hit_on_a_bounded_cache_does_not_make_a_verdict_newer(
-            self, small_plan, tmp_path):
-        """A hit refreshes LRU recency, not a verdict's age: the
-        history still names the engine that most recently *settled* a
-        check."""
+    def test_hit_does_not_make_a_verdict_newer(self, small_plan,
+                                               tmp_path):
+        """A hit is not a verdict: the history still names the engine
+        that most recently *settled* a check."""
         first = small_plan.jobs[0]
         second = next(job for job in small_plan.jobs
                       if job.module.name != first.module.name
                       and job.category == first.category)
-        cache = ResultCache(str(tmp_path / "cache.sqlite"),
-                            max_entries=10)
+        cache = ResultCache(str(tmp_path / "cache.sqlite"))
         cache.store("fp-first", CheckResult("p", PASS, "kind"), job=first)
         cache.store("fp-second", CheckResult("p", PASS, "bdd-combined"),
                     job=second)

@@ -2,13 +2,14 @@
 
 Covers the clustering layer (one shared-AIG multi-bad system per
 (module, vunit) chunk, with per-assertion cone-of-influence views),
-the workspace itself (session reuse, activation/retire soundness, LRU
-and oversize valves, budget re-arming), the engine integration (warm
+the workspace itself (session reuse, activation/retire soundness, the
+LRU capacity, budget re-arming), the engine integration (warm
 ``bmc``/``kind`` results — verdicts, depths, *and* counterexample
 bytes — identical to cold runs), and the campaign-level certification
 bar: byte-identical ``CampaignReport.canonical_bytes`` with the
 workspace on, off, clustering disabled, or LRU-thrashed, across every
-executor.
+executor.  The thrashed and unclustered variants patch the capacity
+constants on the class; forked fleet workers inherit the patch.
 """
 
 import pytest
@@ -119,8 +120,10 @@ class TestWorkspace:
         assert not step.unroller.constrain_init
         binding.retire()
 
-    def test_lru_eviction_under_max_sessions_1(self, a_module, a_vunit):
-        workspace = SatWorkspace(max_sessions=1)
+    def test_lru_eviction_at_one_session(self, a_module, a_vunit,
+                                         monkeypatch):
+        monkeypatch.setattr(SatWorkspace, "MAX_SESSIONS", 1)
+        workspace = SatWorkspace()
         name = next(iter(a_vunit.asserted()))[0]
         binding = _bind(workspace, a_module, a_vunit, name)
         binding.lease(MODE_BMC_INIT)
@@ -130,24 +133,29 @@ class TestWorkspace:
         assert stats["sessions"] == 1
         assert stats["evictions"] >= 1
 
-    def test_oversize_discard(self, a_module, a_vunit):
-        workspace = SatWorkspace(max_session_clauses=1)
+    def test_grown_session_is_kept(self, a_module, a_vunit):
+        """No clause-count bound: a session keeps its whole clause
+        database across leases, however far it grew."""
+        workspace = SatWorkspace()
         name = next(iter(a_vunit.asserted()))[0]
         binding = _bind(workspace, a_module, a_vunit, name)
         session = binding.lease(MODE_BMC_INIT)
-        session.frame(2)  # grow the clause DB past the valve
+        session.frame(2)
+        clauses = session.solver.num_clauses()
         binding.retire()
         again = _bind(workspace, a_module, a_vunit, name)
-        fresh = again.lease(MODE_BMC_INIT)
+        assert again.lease(MODE_BMC_INIT) is session
         again.retire()
-        assert fresh is not session
-        assert workspace.stats()["oversize_discards"] == 1
+        assert session.solver.num_clauses() == clauses
+        assert workspace.stats()["reuses"] == 1
 
-    def test_cluster_limit_1_separates_assertions(self, a_module, a_vunit):
+    def test_one_assertion_per_cluster(self, a_module, a_vunit,
+                                       monkeypatch):
         names = [name for name, _ in a_vunit.asserted()]
         if len(names) < 2:
             pytest.skip("vunit with a single assertion")
-        workspace = SatWorkspace(cluster_limit=1)
+        monkeypatch.setattr(SatWorkspace, "CLUSTER_LIMIT", 1)
+        workspace = SatWorkspace()
         first = _bind(workspace, a_module, a_vunit, names[0])
         second = _bind(workspace, a_module, a_vunit, names[1])
         session_a = first.lease(MODE_BMC_INIT)
@@ -204,18 +212,21 @@ class TestWorkspace:
                            max_k=12)
         assert (warm.status, warm.k) == (cold.status, cold.k)
 
-    def test_valves_validated(self):
-        with pytest.raises(ValueError):
-            SatWorkspace(max_sessions=0)
-        with pytest.raises(ValueError):
-            SatWorkspace(cluster_limit=0)
-        with pytest.raises(ValueError):
-            SatWorkspace(max_session_clauses=0)
+    def test_capacities_are_constants(self):
+        """Capacities are class constants at the old defaults; the
+        constructor takes no valve."""
+        assert (SatWorkspace.MAX_SESSIONS, SatWorkspace.CLUSTER_LIMIT) \
+            == (8, 16)
+        for valve in ("max_sessions", "cluster_limit",
+                      "max_session_clauses"):
+            with pytest.raises(TypeError, match=valve):
+                SatWorkspace(**{valve: 1})
 
     def test_stats_keys(self):
         stats = SatWorkspace().stats()
+        assert "oversize_discards" not in stats
         for key in ("sessions", "clusters", "leases", "reuses",
-                    "evictions", "oversize_discards", "activations",
+                    "evictions", "activations",
                     "retirements", "frames_built", "frames_reused",
                     "clauses_retained", "cluster_compiles"):
             assert key in stats
@@ -301,14 +312,13 @@ class TestEngineWarmCold:
 # ----------------------------------------------------------------------
 
 def _sat_variants():
+    """``(executor kwargs, SatWorkspace constant shrunk to 1)``."""
     return [
-        pytest.param(dict(share_sat=True), id="sat-on"),
-        pytest.param(dict(share_sat=False), id="sat-off"),
-        pytest.param(dict(share_sat=True,
-                          sat_options={"cluster_limit": 1}),
+        pytest.param((dict(share_sat=True), None), id="sat-on"),
+        pytest.param((dict(share_sat=False), None), id="sat-off"),
+        pytest.param((dict(share_sat=True), "CLUSTER_LIMIT"),
                      id="sat-nocluster"),
-        pytest.param(dict(share_sat=True,
-                          sat_options={"max_sessions": 1}),
+        pytest.param((dict(share_sat=True), "MAX_SESSIONS"),
                      id="sat-thrashed"),
     ]
 
@@ -321,7 +331,7 @@ class TestCampaignByteIdentity:
             executor=SerialExecutor(),
         ).run().canonical_bytes()
 
-    @pytest.mark.parametrize("sat_kwargs", _sat_variants())
+    @pytest.mark.parametrize("variant", _sat_variants())
     @pytest.mark.parametrize("executor_factory", [
         pytest.param(SerialExecutor, id="serial"),
         pytest.param(lambda **kw: FleetExecutor(workers=2, **kw),
@@ -330,7 +340,10 @@ class TestCampaignByteIdentity:
     def test_outcome_invariant_across_executors(self, buggy_blocks,
                                                 reference,
                                                 executor_factory,
-                                                sat_kwargs):
+                                                variant, monkeypatch):
+        sat_kwargs, capacity = variant
+        if capacity is not None:
+            monkeypatch.setattr(SatWorkspace, capacity, 1)
         report = CampaignOrchestrator(
             buggy_blocks, engines=_engines(),
             executor=executor_factory(**sat_kwargs),

@@ -3,10 +3,11 @@ submission queue, HTTP API, and the daemon's crash story.
 
 The acceptance bar mirrors the executor/checkpoint suites: a campaign
 served through the daemon — cold, as a fully cache-hit re-submission,
-and with a mid-run daemon SIGKILL + restart resume — must produce
+and re-submitted after a mid-run daemon SIGKILL, resuming from the
+verdicts the store committed — must produce
 ``CampaignReport.canonical_bytes`` identical to a serial in-process
 run, and two clients posting the same config must get one underlying
-job run.  The store's corruption matrix and shared-path behaviour are
+job run.  The daemon keeps no journal of its own.  The store's corruption matrix and shared-path behaviour are
 ``tests/test_orchestrate.py``'s subject.
 """
 
@@ -67,6 +68,30 @@ def reference(tiny_blocks):
 def _db_campaign(blocks, db):
     return CampaignOrchestrator(blocks, config=CampaignConfig(),
                                 cache=db).run()
+
+
+def _journals(data_dir):
+    """The checkpoint journals in a daemon's data directory (the daemon
+    writes none: its store is the one persistence path)."""
+    if not os.path.isdir(data_dir):
+        return []
+    return [name for name in os.listdir(data_dir)
+            if name.startswith("journal-") and name.endswith(".jsonl")]
+
+
+def _stored_rows(path):
+    """Committed verdict rows in a store file, read from outside (0
+    until the writer has created the table)."""
+    import sqlite3
+    if not os.path.exists(path):
+        return 0
+    conn = sqlite3.connect(path, timeout=1.0)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM verdicts").fetchone()[0]
+    except sqlite3.Error:
+        return 0
+    finally:
+        conn.close()
 
 
 def _json_cache(path, entries, **header):
@@ -217,6 +242,8 @@ class TestCampaignQueue:
             # one underlying job run — not one per client
             assert first.executed == TOTAL_JOBS
             assert db.stats()["stored"] == TOTAL_JOBS
+            assert first.journal_replayed == 0
+            assert _journals(queue.data_dir) == []
             metrics = queue.metrics()
             assert metrics["totals"]["submissions"] == 2
             assert metrics["totals"]["deduped"] == 1
@@ -239,6 +266,7 @@ class TestCampaignQueue:
             assert first.finished.wait(timeout=120.0)
             assert second.finished.wait(timeout=120.0)
             assert {first.state, second.state} == {"done"}
+            assert _journals(queue.data_dir) == []
         finally:
             queue.close()
             db.close()
@@ -252,8 +280,8 @@ class TestCampaignQueue:
             config = CampaignConfig()
             first, _ = queue.submit(config)
             assert first.finished.wait(timeout=120.0)
-            # journal cleaned up: the campaign's truth lives in the db
-            assert not os.path.exists(queue.journal_path(config))
+            # the campaign's truth lives in the db, never in a journal
+            assert _journals(queue.data_dir) == []
             again, deduped = queue.submit(config)
             assert not deduped  # first run already finished
             assert again.finished.wait(timeout=120.0)
@@ -261,6 +289,7 @@ class TestCampaignQueue:
             assert again.verdict_hits == TOTAL_JOBS
             assert again.canonical == first.canonical == \
                 reference.canonical_bytes().decode("utf-8")
+            assert _journals(queue.data_dir) == []
         finally:
             queue.close()
             db.close()
@@ -448,8 +477,9 @@ class TestDaemonKillResume:
             self, reference, tmp_path):
         """Kill the whole daemon process mid-campaign; a restarted
         daemon on the same database and data dir, handed the same
-        config, must resume from the journal into the same bytes —
-        and a third submission must be a pure verdict-cache hit."""
+        config, must resume from the verdicts the store committed
+        into the same bytes — and a third submission must be a pure
+        verdict-cache hit."""
         db_path = str(tmp_path / "verdicts.sqlite")
         data_dir = str(tmp_path / "svc")
         port = _free_port()
@@ -469,17 +499,14 @@ class TestDaemonKillResume:
                     time.sleep(0.05)
             else:
                 pytest.fail("daemon child never came up")
-            ticket = client.submit(config)
-            journal = os.path.join(
-                data_dir, f"journal-{ticket['config_digest']}.jsonl")
+            client.submit(config)
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if os.path.exists(journal) and \
-                        len(open(journal).read().splitlines()) >= 5:
+                if _stored_rows(db_path) >= 5:
                     break
                 time.sleep(0.01)
             else:
-                pytest.fail("served campaign never journaled entries")
+                pytest.fail("served campaign never committed verdicts")
             os.kill(child.pid, signal.SIGKILL)
         finally:
             child.join()
@@ -494,12 +521,12 @@ class TestDaemonKillResume:
             resumed = survivor.submit(config)
             status = survivor.wait(resumed["id"], timeout=120.0)
             assert status["state"] == "done"
-            replayed = status["journal_replayed"]
-            assert 0 < replayed < TOTAL_JOBS
+            assert 0 < status["verdict_hits"] < TOTAL_JOBS
+            assert status["journal_replayed"] == 0
             assert status["canonical"] == \
                 reference.canonical_bytes().decode("utf-8")
-            assert replayed + status["verdict_hits"] \
-                + status["executed"] == TOTAL_JOBS
+            assert status["verdict_hits"] + status["executed"] \
+                == TOTAL_JOBS
 
             # third submission: everything is in the verdict db now
             third = survivor.submit(config)
@@ -511,6 +538,7 @@ class TestDaemonKillResume:
             metrics = survivor.metrics()
             assert metrics["queue"]["totals"]["verdict_hits"] >= \
                 TOTAL_JOBS
+            assert _journals(data_dir) == []
         finally:
             daemon.close()
 
@@ -590,6 +618,8 @@ class TestServiceConfigSection:
             service_port=0, service_data_dir=str(tmp_path / "svc"))
         ran = CampaignOrchestrator(_tiny_blocks(), config=config).run()
         assert ran.stats["cache_misses"] == TOTAL_JOBS
+        with open(config.checkpoint_path, "rb") as handle:
+            journal = handle.read()
         daemon = ServiceDaemon(config,
                                blocks_provider=_service_blocks).start()
         try:
@@ -604,6 +634,11 @@ class TestServiceConfigSection:
                 ran.canonical_bytes().decode("utf-8")
         finally:
             daemon.close()
+        # the daemon ignores the config's journal: the CLI run's
+        # journal is untouched, and none appears in the data dir
+        with open(config.checkpoint_path, "rb") as handle:
+            assert handle.read() == journal
+        assert _journals(config.service_data_dir) == []
 
     def test_daemon_serves_verdicts_stored_while_it_runs(self, tmp_path):
         """A campaign that settles its verdicts after the daemon opened
