@@ -243,9 +243,9 @@ class ConeIndex:
         match a full compile's; keeps only the cone's registers (in
         declaration order — a slice compile and a full compile list
         the shared latches in the same relative order) and only the
-        property-referenced outputs.  Compiling against the slice may
-        append monitor registers to it — same shared-design contract
-        as any store-cached design; the original is never mutated.
+        property-referenced outputs.  A compile against the slice adds
+        its monitors for that compile only, as against any shared
+        design; the original is never mutated.
         """
         design = self.design
         sliced = FlatDesign(design.name)

@@ -35,13 +35,17 @@ learned clauses, per-assertion activation literals — instead of cold
 solvers; failing traces are re-derived cold on the solo-compiled
 system so counterexamples stay byte-canonical (see
 :mod:`repro.formal.satspace`).  ``bmc`` always runs a cold solver.
+
+A checker built from a compile callable compiles on the first read of
+:attr:`ModelChecker.ts`, which a stage settled on shared sessions never
+makes: it takes its result's name and size from the binding.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from .bmc import bmc
 from .budget import BudgetExceeded, ResourceBudget
@@ -151,12 +155,25 @@ class _ModelCheckerMeta(type):
 
 
 class ModelChecker(metaclass=_ModelCheckerMeta):
-    """Checks one safety problem (a :class:`TransitionSystem`)."""
+    """Checks one safety problem (a :class:`TransitionSystem`).
 
-    def __init__(self, ts: TransitionSystem,
+    ``ts`` may instead be a zero-argument callable compiling the
+    problem: it runs once, the first time :attr:`ts` is read, so every
+    later check on this checker reuses that one compile.
+    """
+
+    def __init__(self,
+                 ts: Union[TransitionSystem, Callable[[], TransitionSystem]],
                  budget: Optional[ResourceBudget] = None) -> None:
-        self.ts = ts
+        self._ts = ts
         self.budget = budget
+
+    @property
+    def ts(self) -> TransitionSystem:
+        """The problem, compiled on first use when given as a callable."""
+        if callable(self._ts):
+            self._ts = self._ts()
+        return self._ts
 
     @property
     def METHODS(self) -> Tuple[str, ...]:
@@ -198,7 +215,8 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
                 },
             )
         result.seconds = time.perf_counter() - started
-        result.stats.setdefault("problem", self.ts.size_stats())
+        if "problem" not in result.stats:
+            result.stats["problem"] = self.ts.size_stats()
         return result
 
     # ------------------------------------------------------------------
@@ -233,7 +251,8 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
         if binding is None:
             result = k_induction(self.ts, max_k=max_k, budget=self.budget,
                                  unique_states=unique_states)
-            trace = result.trace
+            name, trace = self.ts.name, result.trace
+            stats = {"sat": result.stats}
         else:
             base = binding.lease("bmc-init", self.budget)
             step = binding.lease("step", self.budget)
@@ -242,16 +261,19 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
                                          unique_states=unique_states)
             trace = (self._rederive_trace(result.k, result.stats)
                      if result.status == "failed" else None)
+            # named and sized without the solo compile, which only a
+            # FAIL's re-derivation needs
+            name = binding.name
+            stats = {"sat": result.stats,
+                     "problem": binding.view().size_stats()}
         if result.status == "proved":
-            return CheckResult(self.ts.name, PASS, "kind",
-                               depth=result.k, stats={"sat": result.stats})
+            return CheckResult(name, PASS, "kind", depth=result.k,
+                               stats=stats)
         if result.status == "failed":
             self._validate(trace)
-            return CheckResult(self.ts.name, FAIL, "kind",
-                               depth=result.k, trace=trace,
-                               stats={"sat": result.stats})
-        return CheckResult(self.ts.name, UNKNOWN, "kind", depth=max_k,
-                           stats={"sat": result.stats})
+            return CheckResult(name, FAIL, "kind", depth=result.k,
+                               trace=trace, stats=stats)
+        return CheckResult(name, UNKNOWN, "kind", depth=max_k, stats=stats)
 
     def _run_bdd(self, method: str) -> CheckResult:
         model = SymbolicModel(self.ts, budget=self.budget)

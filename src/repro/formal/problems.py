@@ -13,8 +13,8 @@ module's RTL digest (SHA-256 of its emitted Verilog).  Every assertion
 of a module compiles against the same flattened design, so a campaign
 pays one elaboration per *distinct module content* instead of one per
 job.  Compiled transition systems are not retained: a campaign
-compiles each assertion once per store, so a retained problem would
-never be read again; ``problem()`` compiles afresh against the
+compiles each assertion at most once per store, so a retained problem
+would never be read again; ``problem()`` compiles afresh against the
 retained design every time.
 
 Digest keying is what makes the store safe **by construction** where
@@ -24,12 +24,12 @@ campaign), but they can never share an RTL digest — so a store hit can
 only ever return the elaboration of byte-identical RTL, never the
 other variant's.
 
-Sharing a :class:`FlatDesign` is sound because it is compiled against
-by many assertions in sequence; property monitors appended for ``next``
-operators are globally uniquely named and stripped by cone-of-influence
-reduction when a later problem does not reference them (the
-long-standing shared-design contract of
-:func:`~repro.psl.compile.compile_assertion`).
+Sharing a :class:`FlatDesign` is sound because every compile leaves
+it as it found it: the ``bad``/``constraint`` outputs and ``next``
+monitor registers a compile adds are removed again when it ends, raise
+or not (:func:`~repro.psl.compile.compile_assertion`,
+:func:`~repro.psl.compile.compile_cluster`), so a compile against a
+store-served design bit-blasts exactly what a fresh elaboration would.
 
 Stores are deliberately **not** shared across processes: each executor
 worker owns its own, which keeps reuse lock-free; module-affinity

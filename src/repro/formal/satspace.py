@@ -52,7 +52,10 @@ CNF's model lives in cluster-AIG literal numbering, while canonical
 traces serialize solo-AIG input literals.  Engines therefore re-derive
 failing traces with a cold run on the solo-compiled system at the
 discovered depth — deterministic, hence byte-identical to the cold
-trace — paying the extra solve only on the FAIL minority.
+trace — paying the extra solve only on the FAIL minority.  Only that
+re-derivation compiles the solo system: any other verdict settled on
+the sessions takes its name and problem size from the binding
+(:attr:`SatBinding.name`, :meth:`SatBinding.view`).
 
 Budgets and capacity
 --------------------
@@ -78,7 +81,7 @@ from .budget import ResourceBudget
 from .induction import _UniqueStates
 from .problems import content_digest
 from .sat import Solver
-from .transition import ClusterSystem
+from .transition import ClusterSystem, TransitionSystem
 
 MODE_BMC_INIT = "bmc-init"
 MODE_STEP = "step"
@@ -184,7 +187,11 @@ class SatBinding:
     """One check job's handle on a workspace: resolves the assertion's
     cluster lazily (a BDD-only portfolio never compiles one), leases
     sessions by mode, and retires the assertion's activations in every
-    leased session when the job finishes."""
+    leased session when the job finishes.
+
+    ``name`` and :meth:`view` describe the assertion's problem without
+    its solo compile: a check settled on the sessions reports them in
+    place of the solo system's name and size."""
 
     def __init__(self, workspace: "SatWorkspace", module, vunit,
                  assert_name: str, module_digest: str = "",
@@ -200,17 +207,33 @@ class SatBinding:
         self._cluster: Optional[ClusterSystem] = None
         self._leased: List[SatSession] = []
 
-    def lease(self, mode: str,
-              budget: Optional[ResourceBudget] = None) -> SatSession:
-        """An armed session for ``mode``, creating or re-warming as
-        needed."""
+    @property
+    def name(self) -> str:
+        """The assertion's problem name, by the rule the solo compile
+        names it."""
+        from ..psl.compile import problem_name  # avoid upward import
+        return problem_name(self.vunit, self.assert_name)
+
+    def view(self) -> TransitionSystem:
+        """The assertion's own COI-reduced problem over its cluster's
+        shared AIG: the solo compile up to AIG literal numbering."""
+        return self._resolve().view(self.assert_name)
+
+    def _resolve(self) -> ClusterSystem:
         if self._cluster is None:
             self._cluster_key, self._cluster = self.workspace._cluster_for(
                 self.module, self.vunit, self.assert_name,
                 self._module_digest, self._vunit_digest, self._store,
             )
+        return self._cluster
+
+    def lease(self, mode: str,
+              budget: Optional[ResourceBudget] = None) -> SatSession:
+        """An armed session for ``mode``, creating or re-warming as
+        needed."""
+        cluster = self._resolve()
         session = self.workspace._lease_session(
-            self._cluster_key, mode, self._cluster, budget,
+            self._cluster_key, mode, cluster, budget,
         )
         if not any(session is leased for leased in self._leased):
             self._leased.append(session)

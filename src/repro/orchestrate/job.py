@@ -51,7 +51,7 @@ from ..formal.problems import CompiledProblemStore, content_digest
 from ..formal.satspace import SatWorkspace
 from ..formal.trace import Trace
 from ..psl.ast import VUnit
-from ..psl.compile import compile_assertion
+from ..psl.compile import asserted_property, compile_assertion
 from ..rtl.module import Module
 from ..rtl.verilog import emit_module
 
@@ -298,9 +298,16 @@ def run_check_job(job: CheckJob,
                   store: Optional[CompiledProblemStore] = None,
                   sat_workspace: Optional[SatWorkspace] = None
                   ) -> JobResult:
-    """Execute one check job: compile (through ``store`` when given —
-    see :func:`compile_job`), then try each portfolio stage in order
-    until one returns a definitive PASS/FAIL verdict.
+    """Execute one check job: try each portfolio stage in order until
+    one returns a definitive PASS/FAIL verdict.
+
+    The job's solo problem is compiled (through ``store`` when given —
+    see :func:`compile_job`) at most once, by the first stage that
+    reads it: a cold ``kind`` or ``bmc``, a BDD stage, or the cold
+    re-derivation of a shared-session FAIL.  Every later stage reuses
+    it, and a job settled on the shared SAT sessions never compiles it.
+    A property the job's vunit does not assert raises
+    :class:`~repro.psl.ast.PslError` before any stage runs.
 
     Every stage attempt is recorded in ``result.stats['portfolio']``
     and ``result.seconds`` totals all attempted stages — uniformly,
@@ -342,7 +349,8 @@ def run_check_job(job: CheckJob,
             f"job {job.qualified_name!r}: engine_order {order!r} is not "
             f"a permutation of the {len(job.engines)}-stage portfolio"
         )
-    ts = compile_job(job, store)
+    asserted_property(job.vunit, job.assert_name)
+    checker = ModelChecker(lambda: compile_job(job, store))
     sat_binding = sat_workspace.bind(
         job.module, job.vunit, job.assert_name,
         module_digest=job.module_digest, vunit_digest=job.vunit_digest,
@@ -357,7 +365,7 @@ def run_check_job(job: CheckJob,
             options = config.options()
             if sat_binding is not None:
                 options = replace(options, sat_workspace=sat_binding)
-            checker = ModelChecker(ts, budget=config.make_budget())
+            checker.budget = config.make_budget()
             stage = checker.check(method=config.method, options=options)
             attempt = {"engine": config.method, "status": stage.status,
                        "seconds": stage.seconds}

@@ -18,7 +18,8 @@ counted) individually.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..formal.problems import note_compilation, note_elaboration
 from ..formal.transition import ClusterSystem, TransitionSystem
@@ -144,9 +145,43 @@ class PropertyCompiler:
         return monitor
 
 
+@contextmanager
+def _monitored(design: FlatDesign) -> Iterator[PropertyCompiler]:
+    """A compiler over ``design`` whose monitors last one compile: the
+    ``bad``/``constraint`` outputs and ``next`` registers it adds are
+    removed again on exit, raise or not, so every compile against a
+    shared design bit-blasts what a fresh design would."""
+    outputs, regs = dict(design.outputs), len(design.regs)
+    try:
+        yield PropertyCompiler(design)
+    finally:
+        design.outputs.clear()
+        design.outputs.update(outputs)
+        del design.regs[regs:]
+
+
 # ----------------------------------------------------------------------
 # public API
 # ----------------------------------------------------------------------
+
+def asserted_property(vunit: VUnit, assert_name: str) -> Property:
+    """The property ``vunit`` asserts as ``assert_name``; raises
+    :class:`PslError` when the vunit asserts no such property."""
+    prop = vunit.property_named(assert_name)
+    if prop is None:
+        raise PslError(f"vunit {vunit.name!r} has no property "
+                       f"{assert_name!r}")
+    if (("assert", assert_name)) not in vunit.directives:
+        raise PslError(f"property {assert_name!r} is not asserted in "
+                       f"vunit {vunit.name!r}")
+    return prop
+
+
+def problem_name(vunit: VUnit, assert_name: str) -> str:
+    """The name of one assertion's safety problem and of its check
+    results: ``"<vunit>.<assert>"``."""
+    return f"{vunit.name}.{assert_name}"
+
 
 def compile_assertion(module: Module, vunit: VUnit, assert_name: str,
                       design: Optional[FlatDesign] = None) -> TransitionSystem:
@@ -156,41 +191,27 @@ def compile_assertion(module: Module, vunit: VUnit, assert_name: str,
     returned transition system is cone-of-influence reduced.
 
     ``design`` lets callers check against a transformed design (e.g. a
-    cut-point abstraction); monitor registers for ``next`` operators are
-    appended to it (they are globally uniquely named, so passing the
-    same design to several compilations is safe — unused monitors are
-    stripped by cone-of-influence reduction).
+    cut-point abstraction) or share one elaboration between compiles:
+    the monitor logic is added to it for the bit-blast only and
+    removed again afterwards, so the design is left as it was found.
     """
     if design is None:
         note_elaboration()
         design = elaborate(module)
     note_compilation()
-    compiler = PropertyCompiler(design)
-
-    prop = vunit.property_named(assert_name)
-    if prop is None:
-        raise PslError(f"vunit {vunit.name!r} has no property "
-                       f"{assert_name!r}")
-    if (("assert", assert_name)) not in vunit.directives:
-        raise PslError(f"property {assert_name!r} is not asserted in "
-                       f"vunit {vunit.name!r}")
-
-    bad = compiler.violation(prop)
-    constraint: Expr = Const(1, 1)
-    for _, assumed in vunit.assumed():
-        constraint = constraint & compiler.holds(assumed)
-
-    design.outputs[BAD_OUTPUT] = bad
-    design.outputs[CONSTRAINT_OUTPUT] = constraint
-    blaster = bitblast(design)
-    name = f"{vunit.name}.{assert_name}"
-    ts = TransitionSystem.from_blaster(
-        blaster, BAD_OUTPUT, CONSTRAINT_OUTPUT, name=name
+    prop = asserted_property(vunit, assert_name)
+    with _monitored(design) as compiler:
+        bad = compiler.violation(prop)
+        constraint: Expr = Const(1, 1)
+        for _, assumed in vunit.assumed():
+            constraint = constraint & compiler.holds(assumed)
+        design.outputs[BAD_OUTPUT] = bad
+        design.outputs[CONSTRAINT_OUTPUT] = constraint
+        blaster = bitblast(design)
+    return TransitionSystem.from_blaster(
+        blaster, BAD_OUTPUT, CONSTRAINT_OUTPUT,
+        name=problem_name(vunit, assert_name),
     )
-    # leave the design reusable for the next assertion
-    del design.outputs[BAD_OUTPUT]
-    del design.outputs[CONSTRAINT_OUTPUT]
-    return ts
 
 
 def compile_sliced_assertion(module: Module, vunit: VUnit,
@@ -233,38 +254,26 @@ def compile_cluster(module: Module, vunit: VUnit,
         note_elaboration()
         design = elaborate(module)
     note_compilation()
-    compiler = PropertyCompiler(design)
 
     if assert_names is None:
         assert_names = [name for name, _ in vunit.asserted()]
     bad_outputs: Dict[str, str] = {}
-    for index, assert_name in enumerate(assert_names):
-        prop = vunit.property_named(assert_name)
-        if prop is None:
-            raise PslError(f"vunit {vunit.name!r} has no property "
-                           f"{assert_name!r}")
-        if (("assert", assert_name)) not in vunit.directives:
-            raise PslError(f"property {assert_name!r} is not asserted in "
-                           f"vunit {vunit.name!r}")
-        output = f"{BAD_OUTPUT}{index}"
-        design.outputs[output] = compiler.violation(prop)
-        bad_outputs[assert_name] = output
+    with _monitored(design) as compiler:
+        for index, assert_name in enumerate(assert_names):
+            prop = asserted_property(vunit, assert_name)
+            output = f"{BAD_OUTPUT}{index}"
+            design.outputs[output] = compiler.violation(prop)
+            bad_outputs[assert_name] = output
 
-    constraint: Expr = Const(1, 1)
-    for _, assumed in vunit.assumed():
-        constraint = constraint & compiler.holds(assumed)
-    design.outputs[CONSTRAINT_OUTPUT] = constraint
-
-    blaster = bitblast(design)
-    cluster = ClusterSystem.from_blaster(
+        constraint: Expr = Const(1, 1)
+        for _, assumed in vunit.assumed():
+            constraint = constraint & compiler.holds(assumed)
+        design.outputs[CONSTRAINT_OUTPUT] = constraint
+        blaster = bitblast(design)
+    return ClusterSystem.from_blaster(
         blaster, bad_outputs, CONSTRAINT_OUTPUT,
         name=f"{vunit.name}[{len(assert_names)}]",
     )
-    # leave the design reusable for the next compilation
-    for output in bad_outputs.values():
-        del design.outputs[output]
-    del design.outputs[CONSTRAINT_OUTPUT]
-    return cluster
 
 
 def compile_vunit(module: Module, vunit: VUnit,

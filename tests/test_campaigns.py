@@ -12,7 +12,9 @@ from repro.core.report import (
     format_status_summary, format_table2, format_table3, render_table,
 )
 from repro.formal.engine import FAIL, PASS
+from repro.formal.problems import compilations_total, elaborations_total
 from repro.orchestrate import CampaignConfig, CampaignOrchestrator
+from repro.psl.compile import compile_assertion
 from repro.sim.campaign import SimulationCampaign
 
 
@@ -104,10 +106,21 @@ class TestCampaignTimeouts:
 
 class TestSolverEffort:
     @pytest.fixture(scope="class")
-    def ac_report(self):
-        """The default A,C campaign, run once for every pin below."""
+    def ac_run(self):
+        """The default A,C campaign, run once for every pin below: its
+        plan, its report, and the process-wide compiles and
+        elaborations it performed."""
         blocks = ComponentChip(only_blocks=["A", "C"]).blocks
-        return CampaignOrchestrator(blocks, config=CampaignConfig()).run()
+        orchestrator = CampaignOrchestrator(blocks, config=CampaignConfig())
+        compiles, elaborations = compilations_total(), elaborations_total()
+        report = orchestrator.run()
+        return {"plan": orchestrator.plan(), "report": report,
+                "compiles": compilations_total() - compiles,
+                "elaborations": elaborations_total() - elaborations}
+
+    @pytest.fixture(scope="class")
+    def ac_report(self, ac_run):
+        return ac_run["report"]
 
     def test_default_ac_campaign_search_pinned(self, ac_report):
         """``canonical_bytes`` leaves out ``stats``, so on this all-PASS
@@ -133,7 +146,11 @@ class TestSolverEffort:
         ``CompiledProblemStore.MAX_DESIGNS``).  The default campaign
         reaches both LRU bounds, so any change to a capacity, to the
         eviction order or to what one lease reuses moves these
-        counters."""
+        counters.  The store is asked for a design once per compile,
+        and every A,C verdict settles on the shared sessions without
+        a solo compile, so only the 111 cluster compiles ask: 79 hits
+        (535 when each of the 456 jobs also compiled its own problem
+        up front)."""
         sat = ac_report.stats["sat_workspace"]
         assert {key: sat[key] for key in (
             "leases", "reuses", "evictions", "cluster_compiles",
@@ -144,8 +161,33 @@ class TestSolverEffort:
         run = ac_report.stats["compile_store"]["run"]
         assert {key: run[key] for key in (
             "design_hits", "design_misses", "design_evictions",
-        )} == {"design_hits": 535, "design_misses": 32,
+        )} == {"design_hits": 79, "design_misses": 32,
                "design_evictions": 24}
+
+    def test_default_ac_campaign_compiles_pinned(self, ac_run):
+        """Every A,C verdict settles on the shared SAT sessions, so the
+        campaign compiles only its 111 clusters and no job's solo
+        problem (it compiled 567 problems when every job compiled its
+        own up front).  The store asks for a design once per cluster:
+        32 elaborations, one per module, and 79 design hits, down from
+        535 when each of the 456 solo compiles asked too."""
+        assert ac_run["compiles"] == 111
+        assert ac_run["elaborations"] == 32
+        assert ac_run["report"].stats["sat_workspace"][
+            "cluster_compiles"] == 111
+
+    def test_session_settled_problem_stats_match_solo_compile(self, ac_run):
+        """A verdict settled on the shared sessions is sized by its
+        cluster view; every one equals the solo compile's size on a
+        fresh design, and carries the solo compile's name."""
+        jobs = ac_run["plan"].jobs
+        results = ac_run["report"].results
+        assert len(jobs) == len(results) == 456
+        for job, record in zip(jobs, results):
+            solo = compile_assertion(job.module, job.vunit, job.assert_name)
+            assert record.result.name == solo.name == job.qualified_name
+            assert record.result.stats["problem"] == solo.size_stats(), \
+                job.qualified_name
 
 
 class TestProgressCallback:

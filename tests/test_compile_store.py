@@ -9,23 +9,27 @@ executor — including the golden-vs-patched same-name scenario the old
 identity-checked design cache had to special-case.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.chip import ComponentChip
 from repro.core.partition import partition_property
-from repro.formal.engine import FAIL, PASS, ModelChecker
+from repro.formal.engine import FAIL, PASS, UNKNOWN, ModelChecker
 from repro.formal.problems import (
     CompiledProblemStore, compilations_total, elaborations_total,
 )
+from repro.formal.satspace import SatWorkspace
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
     ModuleAffinityScheduling, SerialExecutor, compile_job,
     decode_job_result,
     encode_job_result, plan_campaign, run_check_job,
 )
-from repro.psl.compile import compile_vunit
+from repro.psl.ast import Always, Name, PslError, VUnit
+from repro.psl.compile import compile_assertion, compile_cluster, compile_vunit
+from repro.rtl.elaborate import elaborate
 from repro.rtl.verilog import emit_module
 
 
@@ -205,6 +209,131 @@ class TestCompilePaths:
             cold_check = ModelChecker(cold_piece.ts).check(method="kind",
                                                            max_k=6)
             assert warm.status == cold_check.status
+
+
+def _aig_shape(ts):
+    """What a compile bit-blasted, names aside (monitor registers are
+    numbered process-wide): every node's kind and fanins, the latches
+    with their next-state functions and initial values, and the
+    problem's own literals."""
+    aig = ts.aig
+    return (list(aig._kind), list(aig._fanin), list(aig.latches),
+            dict(aig.latch_next), dict(aig.latch_init),
+            list(ts.inputs), list(ts.latches), ts.bad, ts.constraint)
+
+
+class TestSharedDesignRestored:
+    """A compile adds its ``bad``/``constraint`` outputs and ``next``
+    monitor registers to a design for its own bit-blast only, so a
+    store-served design bit-blasts like a fresh one whatever compiled
+    against it before — including a compile that raised."""
+
+    @pytest.fixture(scope="class")
+    def a03_jobs(self):
+        plan = plan_campaign(ComponentChip(only_blocks=["A"]).blocks,
+                             _engines())
+        return [job for job in plan.jobs if job.module.name == "A03_ctl"]
+
+    def test_compile_after_next_bearing_compiles(self, a03_jobs):
+        first = a03_jobs[0]
+        fresh = compile_assertion(first.module, first.vunit,
+                                  first.assert_name)
+        design = elaborate(first.module)
+        regs = list(design.regs)
+        for job in a03_jobs:
+            compile_assertion(job.module, job.vunit, job.assert_name,
+                              design=design)
+        compile_cluster(first.module, first.vunit, design=design)
+        assert [id(reg) for reg in design.regs] == [id(reg) for reg in regs]
+        again = compile_assertion(first.module, first.vunit,
+                                  first.assert_name, design=design)
+        assert len(again.aig._kind) == len(fresh.aig._kind) == 626
+        assert _aig_shape(again) == _aig_shape(fresh)
+
+    def test_compile_after_failed_cluster_compile(self, a03_jobs):
+        first = a03_jobs[0]
+        fresh = compile_assertion(first.module, first.vunit,
+                                  first.assert_name)
+        broken = VUnit(first.vunit.name, first.vunit.module_name,
+                       declarations=list(first.vunit.declarations),
+                       directives=list(first.vunit.directives))
+        broken.declare("pUnknown", Always(Name("NO_SUCH_SIGNAL")))
+        broken.assert_("pUnknown")
+        design = elaborate(first.module)
+        outputs, regs = list(design.outputs), list(design.regs)
+        with pytest.raises(PslError, match="NO_SUCH_SIGNAL"):
+            compile_cluster(first.module, broken, design=design)
+        assert list(design.outputs) == outputs
+        assert [id(reg) for reg in design.regs] == [id(reg) for reg in regs]
+        again = compile_assertion(first.module, first.vunit,
+                                  first.assert_name, design=design)
+        assert _aig_shape(again) == _aig_shape(fresh)
+
+
+class TestLazySoloCompile:
+    """``run_check_job`` compiles a job's solo problem at most once,
+    the first time a stage reads it; a verdict settled on the shared
+    SAT sessions never compiles it."""
+
+    @pytest.fixture(scope="class")
+    def session_run(self, buggy_blocks):
+        """Every job of the buggy plan on one SAT workspace and store:
+        ``(result, solo compiles)``, the compiles the workspace's
+        cluster compiles do not account for."""
+        plan = plan_campaign(buggy_blocks, _engines(method="kind"))
+        workspace, store = SatWorkspace(), CompiledProblemStore()
+        runs = []
+        for job in plan.jobs:
+            compiles = compilations_total()
+            clusters = workspace.counters["cluster_compiles"]
+            result = run_check_job(job, store, workspace).result
+            runs.append((result, (compilations_total() - compiles) - (
+                workspace.counters["cluster_compiles"] - clusters)))
+        return runs
+
+    def test_session_pass_compiles_no_solo_problem(self, session_run):
+        solo = [count for result, count in session_run
+                if result.status == PASS]
+        assert solo and set(solo) == {0}
+
+    def test_session_fail_compiles_exactly_one(self, session_run):
+        """A FAIL's counterexample is re-derived and replayed on the
+        solo problem, so it compiles that problem once."""
+        fails = [(result, count) for result, count in session_run
+                 if result.status == FAIL]
+        assert fails
+        for result, count in fails:
+            assert count == 1
+            assert result.trace.ts.name == result.name
+            assert result.trace.replay()
+
+    def test_unknown_stage_hands_its_problem_to_the_next(self, buggy_plan):
+        job = dataclasses.replace(buggy_plan.jobs[0], engines=(
+            EngineConfig(method="bmc", max_bound=2),
+            EngineConfig(method="kind"),
+        ))
+        compiles = compilations_total()
+        result = run_check_job(job).result
+        assert [attempt["status"] for attempt in
+                result.stats["portfolio"]] == [UNKNOWN, PASS]
+        assert compilations_total() - compiles == 1
+
+    @pytest.mark.parametrize("workspace", [False, True],
+                             ids=["cold", "sat-workspace"])
+    @pytest.mark.parametrize("kind", ["undeclared", "assumed"])
+    def test_unasserted_property_raises_before_any_stage(
+            self, buggy_plan, monkeypatch, workspace, kind):
+        job = next(job for job in buggy_plan.jobs if job.vunit.assumed())
+        name = {"undeclared": "pNoSuchProperty",
+                "assumed": job.vunit.assumed()[0][0]}[kind]
+        job = dataclasses.replace(job, assert_name=name)
+        monkeypatch.setattr(ModelChecker, "check", lambda *args, **kwargs:
+                            pytest.fail("a stage ran"))
+        sat = SatWorkspace() if workspace else None
+        compiles = compilations_total()
+        with pytest.raises(PslError, match=name):
+            run_check_job(job, CompiledProblemStore(), sat)
+        assert compilations_total() == compiles
 
 
 # ----------------------------------------------------------------------
