@@ -224,7 +224,8 @@ def _run(config: CampaignConfig, resume: bool, progress: bool,
           f"portfolio={stats['portfolio_policy']})")
     print(f"jobs:           {stats['jobs']} "
           f"({stats['journal_replayed']} journal-replayed, "
-          f"{stats['cache_hits']} cache hits)")
+          f"{stats['cache_hits']} cache hits, "
+          f"{stats['jobs_reused']} reused)")
     if stats["engine_attempts"]:
         attempts = ", ".join(
             f"{method}={count}" for method, count
@@ -247,8 +248,10 @@ def _run(config: CampaignConfig, resume: bool, progress: bool,
 
 
 def _report(config: CampaignConfig, show_stats: bool = False) -> int:
-    """Read-only campaign status: how much is already settled."""
+    """Read-only campaign status: how much is already settled, and how
+    many distinct checks are left to run."""
     from .orchestrate import CampaignOrchestrator, plan_digest
+    from .orchestrate.orchestrator import split_reuse
 
     orchestrator = CampaignOrchestrator(_blocks(config), config=config)
     plan = orchestrator.plan()
@@ -257,13 +260,11 @@ def _report(config: CampaignConfig, show_stats: bool = False) -> int:
         journaled = orchestrator.checkpoint.load(
             plan_digest(plan), plan.total_jobs
         )
-    cached = 0
-    if orchestrator.cache is not None:
-        cached = sum(
-            job.fingerprint in orchestrator.cache
-            for job in plan.jobs if job.index not in journaled
-        )
-    remaining = plan.total_jobs - len(journaled) - cached
+    cache = orchestrator.cache
+    misses = [job for job in plan.jobs if job.index not in journaled
+              and (cache is None or job.fingerprint not in cache)]
+    cached = plan.total_jobs - len(journaled) - len(misses)
+    reused, to_run = split_reuse(plan, journaled, misses)
     print(f"campaign over blocks "
           f"{', '.join(plan.block_order) or '(none)'}: "
           f"{plan.total_jobs} jobs across "
@@ -272,7 +273,9 @@ def _report(config: CampaignConfig, show_stats: bool = False) -> int:
           f"({config.checkpoint_path or 'not configured'})")
     print(f"  cache:    {cached} hits pending "
           f"({config.cache_path or 'not configured'})")
-    print(f"  to run:   {remaining}")
+    print(f"  reuse:    {len(reused)} pending "
+          f"(same check as an earlier job)")
+    print(f"  to run:   {len(to_run)}")
     if show_stats and journaled:
         # aggregate journaled solver telemetry without replaying a
         # single engine: each entry's result carried its SAT counters

@@ -45,8 +45,11 @@ from .stereotypes import P0, P1, P2, P3
 class PropertyResult:
     """One checked assertion.
 
-    ``cached`` marks verdicts replayed from the orchestrator's result
-    cache rather than computed by an engine in this run.
+    ``cached`` marks verdicts not computed for this assertion in this
+    run: replayed from the orchestrator's result cache, or reused from
+    an earlier job of the same campaign with the same fingerprint (a
+    renamed copy of the check).  A journal-replayed verdict is this
+    campaign's own earlier work and keeps ``cached`` False.
     """
 
     block: str

@@ -224,7 +224,8 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
         """Canonical counterexample for a warm-session FAIL: replay the
         deterministic cold search on the solo-compiled system at the
         (identical) discovered depth, so trace bytes match a cold run's
-        exactly.  Only FAILs pay this extra solve."""
+        exactly.  Only FAILs pay this extra solve; the caller validates
+        the trace by replay, as it does every induction FAIL's."""
         cold = bmc(self.ts, depth, budget=self.budget)
         if not cold.failed:
             raise RuntimeError(
@@ -232,7 +233,6 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
                 f"re-derivation did not within {depth} steps"
             )
         stats["concretise"] = cold.stats
-        self._validate(cold.trace)
         return cold.trace
 
     def _run_bmc(self, max_bound: int) -> CheckResult:

@@ -7,7 +7,10 @@ learned-clause database reduction.  It backs the BMC and k-induction
 engines and the counterexample trace extraction.
 
 Literal encoding: variable ``v`` (0-based) has positive literal ``2 v``
-and negative literal ``2 v + 1``; ``lit ^ 1`` negates.
+and negative literal ``2 v + 1``; ``lit ^ 1`` negates.  The assignment
+is kept per literal: ``_value[lit]`` is 1 (true), 0 (false) or
+``UNASSIGNED``, and assigning or cancelling a variable writes both of
+its literals, so the hot loops read a literal's value in one lookup.
 
 The search is a fixed function of the call sequence, and the hot paths
 are written for the interpreter: attributes are hoisted into locals, the
@@ -58,7 +61,7 @@ class Solver:
         self._clauses: List[_Clause] = []
         self._learned: List[_Clause] = []
         self._watches: List[List[_Clause]] = []
-        self._assign: List[int] = []
+        self._value: List[int] = []
         self._level: List[int] = []
         self._reason: List[Optional[_Clause]] = []
         self._trail: List[int] = []
@@ -112,7 +115,8 @@ class Solver:
         self._num_vars += 1
         self._watches.append([])
         self._watches.append([])
-        self._assign.append(UNASSIGNED)
+        self._value.append(UNASSIGNED)
+        self._value.append(UNASSIGNED)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
@@ -131,7 +135,7 @@ class Solver:
             return False
         if self._trail_lim:
             self._cancel_until(0)   # clause addition happens at the root
-        assign = self._assign
+        val = self._value
         limit = self._num_vars << 1
         seen = set()
         out: List[int] = []
@@ -144,9 +148,9 @@ class Solver:
                 continue
             if (lit ^ 1) in seen:
                 return True  # tautology
-            value = assign[lit >> 1]
+            value = val[lit]
             if value != UNASSIGNED:
-                if value ^ (lit & 1):
+                if value:
                     return True  # already satisfied at level 0
                 continue         # falsified at level 0; drop literal
             seen.add(lit)
@@ -157,11 +161,11 @@ class Solver:
         if len(out) == 1:
             lit = out[0]
             var = lit >> 1
-            value = 1 ^ (lit & 1)
-            assign[var] = value
+            val[lit] = 1
+            val[lit ^ 1] = 0
             self._level[var] = 0
             self._reason[var] = None
-            self._phase[var] = value
+            self._phase[var] = 1 ^ (lit & 1)
             self._trail.append(lit)
             if self._propagate() is not None:
                 self._ok = False
@@ -194,7 +198,7 @@ class Solver:
         budget = self.budget
         trail = self._trail
         trail_lim = self._trail_lim
-        assign = self._assign
+        val = self._value
         level = self._level
         reason = self._reason
         phase = self._phase
@@ -229,11 +233,11 @@ class Solver:
                     watches[first ^ 1].append(why)
                     watches[learned[1] ^ 1].append(why)
                 var = first >> 1
-                value = 1 ^ (first & 1)
-                assign[var] = value
+                val[first] = 1
+                val[first ^ 1] = 0
                 level[var] = len(trail_lim)
                 reason[var] = why
-                phase[var] = value
+                phase[var] = 1 ^ (first & 1)
                 trail.append(first)
                 self._var_inc /= self._var_decay
                 self._cla_inc /= self._cla_decay
@@ -253,10 +257,10 @@ class Solver:
             depth = len(trail_lim)
             if depth < len(assumptions):
                 lit = assumptions[depth]
-                value = assign[lit >> 1]
+                value = val[lit]
                 if value == UNASSIGNED:
                     trail_lim.append(len(trail))
-                elif value ^ (lit & 1):
+                elif value:
                     trail_lim.append(len(trail))   # already true
                     continue
                 else:
@@ -269,35 +273,33 @@ class Solver:
                 stats["decisions"] += 1
                 trail_lim.append(len(trail))
             var = lit >> 1
-            value = 1 ^ (lit & 1)
-            assign[var] = value
+            val[lit] = 1
+            val[lit ^ 1] = 0
             level[var] = depth + 1
             reason[var] = None
-            phase[var] = value
+            phase[var] = 1 ^ (lit & 1)
             trail.append(lit)
 
     def model(self) -> List[int]:
         """Values (0/1) per variable after a SAT answer."""
-        return [1 if v == 1 else 0 for v in self._assign]
+        return [1 if v == 1 else 0 for v in self._value[::2]]
 
     def value_of(self, lit: int) -> int:
         """Model value of a literal after a SAT answer."""
-        value = self._assign[lit >> 1]
+        value = self._value[lit]
         if value == UNASSIGNED:
             return 0
-        return value ^ (lit & 1)
+        return value
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
     def _propagate(self) -> Optional[_Clause]:
-        # ``assign ^ sign`` is -1 or -2 for an unassigned variable, never
-        # 0 or 1, so it stands in for a literal's value in the
-        # comparisons below.  Each watch list is compacted in place:
-        # ``kept`` is the write index, ``index`` the read index.
+        # Each watch list is compacted in place: ``kept`` is the write
+        # index, ``index`` the read index.
         trail = self._trail
         watches = self._watches
-        assign = self._assign
+        val = self._value
         level = self._level
         reason = self._reason
         phase = self._phase
@@ -318,33 +320,33 @@ class Solver:
                 if lits[0] == false_lit:
                     lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if assign[first >> 1] ^ (first & 1) == 1:
+                if val[first] == 1:
                     watch_list[kept] = clause
                     kept += 1
                     continue
                 # search a new watch
                 for k in range(2, len(lits)):
                     other = lits[k]
-                    if assign[other >> 1] ^ (other & 1) != 0:
+                    if val[other] != 0:
                         lits[1], lits[k] = other, lits[1]
                         watches[other ^ 1].append(clause)
                         break
                 else:
                     watch_list[kept] = clause
                     kept += 1
-                    var = first >> 1
-                    if assign[var] != UNASSIGNED:
+                    if val[first] != UNASSIGNED:
                         # first is false: conflict — keep the remaining
                         # watches and report
                         del watch_list[kept:index]
                         self._qhead = len(trail)
                         self.stats["propagations"] += qhead - start
                         return clause
-                    value = 1 ^ (first & 1)
-                    assign[var] = value
+                    var = first >> 1
+                    val[first] = 1
+                    val[first ^ 1] = 0
                     level[var] = depth
                     reason[var] = clause
-                    phase[var] = value
+                    phase[var] = 1 ^ (first & 1)
                     trail.append(first)
             del watch_list[kept:]
         self._qhead = qhead
@@ -466,7 +468,7 @@ class Solver:
         if len(trail_lim) <= level:
             return
         trail = self._trail
-        assign = self._assign
+        val = self._value
         reason = self._reason
         activity = self._activity
         heap = self._heap
@@ -474,7 +476,8 @@ class Solver:
         boundary = trail_lim[level]
         for lit in reversed(trail[boundary:]):
             var = lit >> 1
-            assign[var] = UNASSIGNED
+            val[lit] = UNASSIGNED
+            val[lit ^ 1] = UNASSIGNED
             reason[var] = None
             if heap_pos[var] < 0:
                 # back into the VSIDS heap: append, then sift up
@@ -501,7 +504,7 @@ class Solver:
         heap = self._heap
         heap_pos = self._heap_pos
         activity = self._activity
-        assign = self._assign
+        val = self._value
         while heap:
             top = heap[0]
             last = heap.pop()
@@ -528,7 +531,7 @@ class Solver:
                     index = best
                 heap[index] = last
                 heap_pos[last] = index
-            if assign[top] == UNASSIGNED:
+            if val[top << 1] == UNASSIGNED:
                 return (top << 1) | (1 ^ self._phase[top])
         return None
 

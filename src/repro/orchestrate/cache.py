@@ -3,11 +3,11 @@
 The cache maps a :func:`~repro.orchestrate.job.job_fingerprint` (a
 content hash of module RTL + vunit PSL + assertion + engine portfolio)
 to a serialized :class:`CheckResult`.  Because the key covers the full
-input of the check, a hit can only replay a verdict for a byte-identical
-problem; any edit to the RTL, the properties, or the engine
-configuration changes the fingerprint and forces a re-check.  That is
-what makes ECO regression incremental: only modules the ECO actually
-touched miss the cache.
+input of the check, a hit can only replay a verdict for a problem
+identical up to the module's and vunit's names; any edit to the RTL,
+the properties, or the engine configuration changes the fingerprint
+and forces a re-check.  That is what makes ECO regression incremental:
+only modules the ECO actually touched miss the cache.
 
 Safety rules, in order of importance:
 
@@ -44,7 +44,8 @@ store creates the file (``campaign report`` writes nothing), and
 ``sqlite3`` is imported only when a file is opened.  The connection
 belongs to the opening process: forked fleet workers never touch it.
 The store has no size bound: it keeps every verdict it is given, one
-row per fingerprint (2047 for the full chip), and a hit writes nothing.
+row per fingerprint (617 for the full chip's 2047 assertions: a renamed
+copy of a check shares its fingerprint), and a hit writes nothing.
 
 The entry codec (:func:`~repro.orchestrate.job.encode_result` /
 :func:`~repro.orchestrate.job.decode_result`, re-exported here) is
@@ -66,8 +67,9 @@ from ..formal.engine import CheckResult, FAIL, PASS
 from .job import CheckJob, decode_result, encode_result  # noqa: F401
 
 #: the ``meta`` rows a readable store carries (schema v4 dropped v3's
-#: ``used_at`` recency column; older stores open as empty)
-_META = {"schema": "4", "repro_version": __version__}
+#: ``used_at`` recency column; v5 keys verdicts by name-free
+#: fingerprints; older stores open as empty)
+_META = {"schema": "5", "repro_version": __version__}
 
 #: provenance columns of a ``verdicts`` row, copied from the entry
 _PROVENANCE = ("module", "category", "engine", "status", "cone")
@@ -300,7 +302,9 @@ class ResultCache:
         category-wide fallbacks under ``(None, category)``.  Entries
         are scanned in ``stored_at`` order, so the newest verdict wins;
         this is what :class:`~repro.orchestrate.policy.AdaptivePortfolio`
-        seeds its attempt ordering from.
+        seeds its attempt ordering from.  An entry counts for the one
+        module that produced it, not for the renamed copies (or
+        cone-equal modules) that share its fingerprint.
         """
         history: Dict[Tuple[Optional[str], str], str] = {}
         for entry in sorted(self._entries.values(),

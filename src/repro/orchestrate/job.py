@@ -8,13 +8,15 @@ to try.  Jobs are:
   the job, so an executor can run it in-process or ship it to a worker
   process (jobs and their results are picklable);
 - **content-addressed** — :func:`job_fingerprint` hashes the module's
-  emitted Verilog, the vunit's PSL text, the assertion name, and the
-  engine portfolio, so an unchanged check always maps to the same key
-  (the result cache's index, see :mod:`repro.orchestrate.cache`); the
-  per-component digests also ride on the job (``module_digest``,
-  ``vunit_digest``) and key the shared warm state: the
-  :class:`~repro.formal.problems.CompiledProblemStore` every compile
-  path runs through, and the SAT sessions;
+  emitted Verilog and the vunit's PSL text, both without their header
+  names (:func:`identity_digest`), the assertion name, and the engine
+  portfolio, so an unchanged check always maps to the same key (the
+  result cache's index, see :mod:`repro.orchestrate.cache`), and so
+  does a renamed copy of it: the campaign checks such a copy once and
+  reuses the verdict.  The exact per-component text digests also ride
+  on the job (``module_digest``, ``vunit_digest``) and key the shared
+  warm state: the :class:`~repro.formal.problems.CompiledProblemStore`
+  every compile path runs through, and the SAT sessions;
 - **engine-agnostic** — the portfolio is an ordered tuple of
   :class:`EngineConfig` stages tried until one returns a definitive
   PASS/FAIL verdict, generalising the old hardcoded ``auto`` fallback.
@@ -51,7 +53,7 @@ from ..formal.problems import CompiledProblemStore, content_digest
 from ..formal.satspace import SatWorkspace
 from ..formal.trace import Trace
 from ..psl.ast import VUnit
-from ..psl.compile import asserted_property, compile_assertion
+from ..psl.compile import asserted_property, compile_assertion, problem_name
 from ..rtl.module import Module
 from ..rtl.verilog import emit_module
 
@@ -145,8 +147,9 @@ class CheckJob:
     deliver results in index order so reports are deterministic
     regardless of execution strategy.
 
-    ``module_digest`` is the SHA-256 of the module's emitted Verilog —
-    the *module-level* slice of ``fingerprint``.  Jobs sharing a digest
+    ``module_digest`` is the SHA-256 of the module's emitted Verilog,
+    its name included (``fingerprint`` hashes the text without the
+    names, see :func:`identity_digest`).  Jobs sharing a digest
     compile against the same elaborated design in a
     :class:`~repro.formal.problems.CompiledProblemStore`, which is what
     makes them profitable to run on one worker (the module-affinity
@@ -157,7 +160,7 @@ class CheckJob:
     ``cone_digest`` is the assertion's cone-of-influence content hash
     (:mod:`repro.formal.coi`), stamped by the planner when the ``[coi]``
     section asks for cone fingerprints (empty otherwise).  It then
-    replaces the module digest as the fingerprint's scope component,
+    replaces the module text as the fingerprint's scope component,
     so two modules that agree on this assertion's cone share the job's
     cache key.
 
@@ -184,7 +187,8 @@ class CheckJob:
 
     @property
     def qualified_name(self) -> str:
-        return f"{self.vunit.name}.{self.assert_name}"
+        """The check's result name (:func:`~repro.psl.compile.problem_name`)."""
+        return problem_name(self.vunit, self.assert_name)
 
     def spec(self) -> Dict[str, object]:
         """Portable, digest-bearing description of this job — plain
@@ -252,27 +256,43 @@ def engines_digest(engines: Tuple[EngineConfig, ...]) -> str:
 text_digest = content_digest
 
 
-def fingerprint_digests(module_digest: str, vunit_digest: str,
+def identity_digest(text: str) -> str:
+    """SHA-256 of an emitted module (:func:`emit_module`) or vunit
+    (``VUnit.emit``) after its first line.
+
+    Both emitters put the names, and only them, on the first line:
+    ``module NAME (`` and ``vunit NAME (MODULE) {``, the latter with
+    the vunit's optional comment.  The names say which check it is, not
+    what it checks, so two jobs whose texts agree past that line
+    compile the same transition system, AIG numbering included: they
+    share one fingerprint, and a campaign checks them once.  Names of
+    instantiated submodules stay in the text.
+    """
+    return text_digest(text.partition("\n")[2])
+
+
+def fingerprint_digests(scope_digest: str, vunit_digest: str,
                         assert_name: str, engines_text: str) -> str:
     """Combine pre-hashed fingerprint components into the content key.
 
-    The planner digests each module's Verilog and each vunit's PSL
-    once (:func:`text_digest`) and reuses the digests across that
-    module's assertions, so per-run fingerprint cost stays linear in
-    design size rather than assertions × design size.
+    The planner digests each module's Verilog (or, in cone mode, each
+    assertion's cone) and each vunit's PSL once and reuses the digests
+    across that module's assertions, so per-run fingerprint cost stays
+    linear in design size rather than assertions × design size.
     """
     payload = "\n\x00\n".join([
-        module_digest, vunit_digest, assert_name, engines_text,
+        scope_digest, vunit_digest, assert_name, engines_text,
     ])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def job_fingerprint(module: Module, vunit: VUnit, assert_name: str,
                     engines: Tuple[EngineConfig, ...]) -> str:
-    """Content fingerprint of one check: module RTL (emitted Verilog),
-    vunit PSL source, assertion name, and engine portfolio."""
-    return fingerprint_digests(text_digest(emit_module(module)),
-                               text_digest(vunit.emit()),
+    """Module-mode content fingerprint of one check: module RTL
+    (emitted Verilog) and vunit PSL source, both without their header
+    names, assertion name, and engine portfolio."""
+    return fingerprint_digests(identity_digest(emit_module(module)),
+                               identity_digest(vunit.emit()),
                                assert_name, engines_digest(engines))
 
 
@@ -444,6 +464,12 @@ def decode_result(entry: dict, job: CheckJob,
     instead of ever replaying a wrong verdict.  ``store`` amortises the
     FAIL-replay compiles: consecutive decodes of one module's entries
     share its elaborated design.
+
+    The result is named by ``job`` (its ``qualified_name``, the
+    :func:`~repro.psl.compile.problem_name` rule), not by the entry:
+    fingerprints leave module and vunit names out, so the entry may
+    come from a renamed copy of the check, and a FAIL replays on
+    ``job``'s own compile.
     """
     status = entry["status"]
     if status not in _STATUSES:
@@ -464,7 +490,7 @@ def decode_result(entry: dict, job: CheckJob,
     stats = dict(stats) if isinstance(stats, dict) else {}
     depth = entry.get("depth")
     return CheckResult(
-        name=str(entry.get("name", job.qualified_name)),
+        name=job.qualified_name,
         status=status,
         engine=str(entry.get("engine", "?")),
         depth=int(depth) if depth is not None else None,

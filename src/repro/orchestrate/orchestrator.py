@@ -4,11 +4,14 @@
 
 1. :func:`~repro.orchestrate.planner.plan_campaign` walks the blocks
    once and emits the ordered :class:`CheckJob` list;
-2. the plan is partitioned: jobs already completed in an attached
+2. the plan is partitioned journal → store → reuse → run: jobs
+   already completed in an attached
    :class:`~repro.orchestrate.checkpoint.CampaignCheckpoint` journal
    (when resuming) are replayed first, then a
    :class:`~repro.orchestrate.cache.ResultCache` hit replays its stored
-   verdict, and only the remainder stays on the run list;
+   verdict, then a job whose fingerprint an earlier job of the plan
+   settles (or the journal settled) reuses that verdict, and only the
+   first job of each remaining fingerprint stays on the run list;
 3. the configured :class:`~repro.orchestrate.policy.PortfolioPolicy`
    picks each remaining job's engine attempt order (the adaptive
    policy tries the cache's historical winner first), then the
@@ -17,8 +20,8 @@
    :class:`~repro.orchestrate.policy.SchedulingPolicy`) streams
    :class:`JobResult`\\ s back in plan order, each fresh result
    journaled to the checkpoint as it arrives;
-4. results — journal-replayed, cached, and fresh interleaved back into
-   plan order — are aggregated incrementally into the legacy
+4. results — journal-replayed, cached, reused and fresh interleaved
+   back into plan order — are aggregated incrementally into the legacy
    :class:`CampaignReport`: per-block property counters, per-block
    distinct-defective-module bug counts (no post-hoc rescan), and the
    ``progress`` callback fired once per property in plan order.
@@ -27,18 +30,26 @@ Because aggregation consumes results strictly in plan order, every
 executor — and every interrupted-then-resumed execution — produces a
 byte-identical report outcome (``CampaignReport.canonical_bytes``);
 ``report.stats`` carries the orchestration counters (jobs, cache
-hits/misses, journal replays, executor name) on top.
+hits/misses, journal replays, reused jobs, executor name) on top.
+
+Fingerprints leave module and vunit names out, so a renamed copy of a
+module plans jobs with its original's fingerprints: the campaign checks
+each distinct problem once.  A reused verdict goes through the same
+codec a store hit does (:func:`~repro.orchestrate.job.encode_result` /
+:func:`~repro.orchestrate.job.decode_result`), so it is named by its own
+job and a FAIL replays its counterexample on that job's own compile;
+one that does not replay is an identity bug and raises.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.campaign import BlockSummary, CampaignReport, PropertyResult
 from ..formal.engine import CheckResult, FAIL
 from ..formal.problems import CompiledProblemStore
-from .cache import ResultCache, decode_result
+from .cache import ResultCache, decode_result, encode_result
 from .checkpoint import CampaignCheckpoint, plan_digest
 from .config import CampaignConfig
 from .job import CheckJob, EngineConfig
@@ -186,7 +197,8 @@ class CampaignOrchestrator:
             )
 
         journal_results = self._open_checkpoint(plan, resume)
-        cached_results, to_run = self._partition(plan, journal_results)
+        cached_results, reused, to_run = self._partition(
+            plan, journal_results)
         # the portfolio policy permutes attempt order only — outside
         # the fingerprint, so cache keys and the journal stay put
         reordered = 0
@@ -214,6 +226,17 @@ class CampaignOrchestrator:
                 elif job.index in cached_results:
                     cached = True
                     result = cached_results[job.index]
+                elif job.index in reused:
+                    # not computed for this job in this run: neither
+                    # journaled nor stored, since its fingerprint is.
+                    # A source precedes its reusers in the plan unless
+                    # the journal settled it.
+                    cached = True
+                    source = plan.jobs[reused[job.index]]
+                    settled = journal_results.get(source.index)
+                    if settled is None:
+                        settled = report.results[source.index].result
+                    result = self._reuse(job, source, settled)
                 else:
                     job_result = next(executed, None)
                     if job_result is None:
@@ -315,8 +338,11 @@ class CampaignOrchestrator:
             },
             "jobs": plan.total_jobs,
             "cache_hits": len(cached_results),
-            "cache_misses": len(to_run) if self.cache is not None else 0,
+            # every job the store did not serve: run or reused
+            "cache_misses": len(to_run) + len(reused)
+            if self.cache is not None else 0,
             "journal_replayed": len(journal_results),
+            "jobs_reused": len(reused),
             "modules_checked": sorted(fresh_modules),
             "modules_replayed": sorted(
                 set(plan.modules_planned()) - fresh_modules
@@ -352,23 +378,44 @@ class CampaignOrchestrator:
     # ------------------------------------------------------------------
     def _partition(self, plan: CampaignPlan,
                    journal_results: Dict[int, CheckResult]
-                   ) -> Tuple[Dict[int, CheckResult], List[CheckJob]]:
-        """Split the plan into journal replays (already loaded), cache
-        hits, and jobs that must run."""
+                   ) -> Tuple[Dict[int, CheckResult], Dict[int, int],
+                              List[CheckJob]]:
+        """Split the plan journal → store → reuse → run: past the
+        journal replays (already loaded), the cache hits, the jobs that
+        reuse an earlier job's verdict (index -> source index, see
+        :func:`split_reuse`), and the jobs that must run."""
         remaining = [job for job in plan.jobs
                      if job.index not in journal_results]
-        if self.cache is None:
-            return {}, remaining
         cached: Dict[int, CheckResult] = {}
-        to_run: List[CheckJob] = []
+        misses: List[CheckJob] = []
         for job in remaining:
-            result = self.cache.lookup(job.fingerprint, job,
-                                       self._replay_store)
+            result = None if self.cache is None else self.cache.lookup(
+                job.fingerprint, job, self._replay_store)
             if result is not None:
                 cached[job.index] = result
             else:
-                to_run.append(job)
-        return cached, to_run
+                misses.append(job)
+        reused, to_run = split_reuse(plan, journal_results, misses)
+        return cached, reused, to_run
+
+    def _reuse(self, job: CheckJob, source: CheckJob,
+               result: CheckResult) -> CheckResult:
+        """``source``'s ``result`` for ``job``, through the codec a
+        store hit takes: named by ``job``, a FAIL's counterexample
+        replayed on ``job``'s own compile.  Equal fingerprints promised
+        one check, so a result that does not decode is an identity
+        bug: it raises, and never becomes a reported verdict or a
+        silent re-check."""
+        try:
+            return decode_result(encode_result(result), job,
+                                 self._replay_store)
+        except Exception as error:
+            raise RuntimeError(
+                f"job {job.index} ({job.qualified_name}) cannot reuse "
+                f"the verdict of job {source.index} "
+                f"({source.qualified_name}) although both have "
+                f"fingerprint {job.fingerprint[:16]}: {error}"
+            ) from error
 
     @staticmethod
     def _record(report: CampaignReport, job: CheckJob, result: CheckResult,
@@ -392,3 +439,29 @@ class CampaignOrchestrator:
             summary.bugs = len(defective)
         if progress is not None:
             progress(f"{record.qualified_name}: {result.status.upper()}")
+
+
+def split_reuse(plan: CampaignPlan, settled: Iterable[int],
+                misses: Iterable[CheckJob]
+                ) -> Tuple[Dict[int, int], List[CheckJob]]:
+    """Split the jobs the store did not serve (``misses``, in plan
+    order) into reusers and jobs to run.
+
+    A miss reuses the verdict of the journal-``settled`` job with its
+    fingerprint, else of the first earlier miss with it; it maps to
+    that source's index.  The first miss of every other fingerprint
+    runs.  So a campaign checks each distinct fingerprint once, and a
+    resumed one runs no check its journal settled.
+    """
+    source_of: Dict[str, int] = {}
+    for index in sorted(settled):
+        source_of.setdefault(plan.jobs[index].fingerprint, index)
+    reused: Dict[int, int] = {}
+    to_run: List[CheckJob] = []
+    for job in misses:
+        source = source_of.setdefault(job.fingerprint, job.index)
+        if source == job.index:
+            to_run.append(job)
+        else:
+            reused[job.index] = source
+    return reused, to_run

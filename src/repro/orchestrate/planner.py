@@ -22,7 +22,7 @@ from ..rtl.module import Module
 from ..rtl.verilog import emit_module
 from .job import (
     CheckJob, EngineConfig, engines_digest, fingerprint_digests,
-    text_digest,
+    identity_digest, text_digest,
 )
 
 #: valid values of the ``[coi] fingerprints`` knob
@@ -83,14 +83,21 @@ def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
     ``FormalCampaign`` report byte for byte.
 
     ``coi_fingerprints`` picks the job-identity scope: ``"module"``
-    keys every job by the whole-module digest (the legacy behaviour),
-    ``"cone"`` keys it by the assertion's cone-of-influence digest
+    keys every job by the whole module's Verilog, ``"cone"`` keys it
+    by the assertion's cone-of-influence digest
     (:mod:`repro.formal.coi`) — so two modules that agree on one
     assertion's cone share that job's fingerprint, and a one-site
     mutant re-checks only the cone-touching subset of its jobs.  Cone
     mode computes one cone index per module at plan time — a single
     monitor-free elaboration, amortised across the module's
-    assertions.
+    assertions.  In both modes the fingerprint leaves the header names
+    out (the module's own name; the vunit's name and bound-module
+    name, see :func:`~repro.orchestrate.job.identity_digest`), so a
+    renamed copy of a module plans jobs with its original's
+    fingerprints, and the orchestrator runs each distinct fingerprint
+    once.  ``module_digest`` and ``vunit_digest`` stay exact text
+    digests: they key the compile store, the SAT sessions and the
+    module-affinity groups.
     """
     if coi_fingerprints not in COI_FINGERPRINT_MODES:
         raise ValueError(
@@ -113,18 +120,21 @@ def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
             plan.submodules[block_name] += 1
             if lint:
                 plan.lint_issues.extend(lint_verifiable(module))
-            module_digest = text_digest(emit_module(module))
+            module_text = emit_module(module)
+            module_digest = text_digest(module_text)
             cone_index = index_module(module) if need_cones else None
+            module_scope = None if need_cones \
+                else identity_digest(module_text)
             for vunit in stereotype_vunits(module):
-                vunit_digest = text_digest(vunit.emit())
+                vunit_text = vunit.emit()
+                vunit_digest = text_digest(vunit_text)
+                vunit_scope = identity_digest(vunit_text)
                 for assert_name, _ in vunit.asserted():
                     cone = "" if cone_index is None else \
                         cone_index.info(vunit, assert_name).digest
                     # the "coi:" prefix keeps the two addressing
                     # schemes from ever aliasing in a shared store
-                    scope_digest = module_digest \
-                        if coi_fingerprints == "module" \
-                        else f"coi:{cone}"
+                    scope_digest = module_scope or f"coi:{cone}"
                     plan.jobs.append(CheckJob(
                         index=index,
                         block=block_name,
@@ -134,7 +144,7 @@ def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
                         category=vunit.category,
                         engines=engines,
                         fingerprint=fingerprint_digests(
-                            scope_digest, vunit_digest, assert_name,
+                            scope_digest, vunit_scope, assert_name,
                             engines_text
                         ),
                         module_digest=module_digest,

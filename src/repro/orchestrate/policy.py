@@ -141,6 +141,13 @@ class AdaptivePortfolio(PortfolioPolicy):
     category-wide winner, then to the configured order; with no cache
     attached (or no history yet) the policy degrades to
     :class:`StaticPortfolio` behaviour.
+
+    Only a module that ran a check has history: a stored verdict names
+    the module whose job produced it.  A renamed copy whose checks all
+    reused its original's verdicts (or, with cone fingerprints, a
+    module whose checks all hit a cone-equal module's) has none, so an
+    edit to it orders by the category-wide winner.  Attempt order
+    only; verdicts are the same either way.
     """
 
     name = "adaptive"

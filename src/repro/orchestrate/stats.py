@@ -54,7 +54,7 @@ _GROUPS = (
 #: of ``report.stats`` into their own group
 _ORCHESTRATOR_COUNTERS = (
     "jobs", "cache_hits", "cache_misses", "journal_replayed",
-    "portfolio_reordered",
+    "jobs_reused", "portfolio_reordered",
 )
 
 

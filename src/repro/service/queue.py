@@ -238,7 +238,8 @@ class CampaignQueue:
         run.all_passed = report.all_passed
         run.seconds = report.seconds
         run.jobs = stats["jobs"]
-        run.executed = stats["cache_misses"]
+        # the jobs that ran: a miss may reuse an earlier job's verdict
+        run.executed = stats["coi"]["jobs_executed"]
         run.verdict_hits = stats["cache_hits"]
         run.journal_replayed = stats["journal_replayed"]
         run.counter_groups = counter_groups(stats)

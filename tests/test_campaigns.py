@@ -127,7 +127,9 @@ class TestSolverEffort:
         campaign the report digest cannot see a change in the solver's
         search order.  The summed per-job SAT counters can: any change
         to a decision, a propagation, clause learning or the restart
-        schedule moves them."""
+        schedule moves them.  The sum runs over all 456 records: a
+        reused record carries its check's attempt log, so it is the
+        sum every job would have paid on its own."""
         digest = hashlib.sha256(ac_report.canonical_bytes()).hexdigest()[:16]
         assert digest == "827affdb95659447"
         effort = dict.fromkeys(
@@ -140,46 +142,73 @@ class TestSolverEffort:
                           "propagations": 849882, "learned": 18779,
                           "restarts": 70}
 
+    def test_default_ac_campaign_executed_search_pinned(self, ac_report):
+        """The A,C campaign runs each distinct check once: its 32
+        modules hold 11 distinct designs, so 135 of the 456 jobs
+        execute and the other 321 reuse a verdict (``cached``).  The
+        solver counters summed over the executed records are the
+        search the campaign really did (all 456 records sum to
+        conflicts 19338, decisions 45775, propagations 849882, learned
+        18779 and restarts 70)."""
+        executed = [record for record in ac_report.results
+                    if not record.cached]
+        assert len(executed) == 135
+        assert ac_report.stats["coi"]["jobs_executed"] == 135
+        assert ac_report.stats["jobs_reused"] == 321
+        effort = dict.fromkeys(
+            ("conflicts", "decisions", "propagations", "learned",
+             "restarts"), 0)
+        for record in executed:
+            for key in effort:
+                effort[key] += record.result.stats["sat"][key]
+        assert effort == {"conflicts": 5830, "decisions": 14024,
+                          "propagations": 254533, "learned": 5675,
+                          "restarts": 22}
+
     def test_default_ac_campaign_warm_state_pinned(self, ac_report):
         """The warm-state capacities are class constants of the layers
         they bound (``SatWorkspace.MAX_SESSIONS`` / ``CLUSTER_LIMIT``,
         ``CompiledProblemStore.MAX_DESIGNS``).  The default campaign
         reaches both LRU bounds, so any change to a capacity, to the
         eviction order or to what one lease reuses moves these
-        counters.  The store is asked for a design once per compile,
-        and every A,C verdict settles on the shared sessions without
-        a solo compile, so only the 111 cluster compiles ask: 79 hits
-        (535 when each of the 456 jobs also compiled its own problem
-        up front)."""
+        counters.  Only the 135 executed jobs lease sessions: 270
+        leases, 36 cluster compiles and 64 evictions (912, 111 and 214
+        when each of the 456 jobs ran, renamed copies included).  The
+        store is asked for a design once per cluster compile: 11
+        misses, one per distinct design, and 25 hits (32 and 79 when
+        the copies compiled too)."""
         sat = ac_report.stats["sat_workspace"]
         assert {key: sat[key] for key in (
             "leases", "reuses", "evictions", "cluster_compiles",
             "frames_built", "frames_reused", "clauses_retained",
-        )} == {"leases": 912, "reuses": 690, "evictions": 214,
-               "cluster_compiles": 111, "frames_built": 373,
-               "frames_reused": 1067, "clauses_retained": 35679}
+        )} == {"leases": 270, "reuses": 198, "evictions": 64,
+               "cluster_compiles": 36, "frames_built": 118,
+               "frames_reused": 305, "clauses_retained": 9679}
         run = ac_report.stats["compile_store"]["run"]
         assert {key: run[key] for key in (
             "design_hits", "design_misses", "design_evictions",
-        )} == {"design_hits": 79, "design_misses": 32,
-               "design_evictions": 24}
+        )} == {"design_hits": 25, "design_misses": 11,
+               "design_evictions": 3}
 
     def test_default_ac_campaign_compiles_pinned(self, ac_run):
-        """Every A,C verdict settles on the shared SAT sessions, so the
-        campaign compiles only its 111 clusters and no job's solo
-        problem (it compiled 567 problems when every job compiled its
-        own up front).  The store asks for a design once per cluster:
-        32 elaborations, one per module, and 79 design hits, down from
-        535 when each of the 456 solo compiles asked too."""
-        assert ac_run["compiles"] == 111
-        assert ac_run["elaborations"] == 32
+        """Every executed A,C verdict settles on the shared SAT
+        sessions, so the campaign compiles only its clusters and no
+        job's solo problem, and a reused PASS compiles nothing: 36
+        cluster compiles and 11 elaborations, one per distinct design
+        (111 and 32 when renamed copies ran their own checks; 567
+        compiles when every job also compiled its own problem up
+        front)."""
+        assert ac_run["compiles"] == 36
+        assert ac_run["elaborations"] == 11
         assert ac_run["report"].stats["sat_workspace"][
-            "cluster_compiles"] == 111
+            "cluster_compiles"] == 36
 
     def test_session_settled_problem_stats_match_solo_compile(self, ac_run):
         """A verdict settled on the shared sessions is sized by its
         cluster view; every one equals the solo compile's size on a
-        fresh design, and carries the solo compile's name."""
+        fresh design, and carries the solo compile's name — a reused
+        verdict too, which is named by its own job, not by the renamed
+        copy that computed it."""
         jobs = ac_run["plan"].jobs
         results = ac_run["report"].results
         assert len(jobs) == len(results) == 456

@@ -21,6 +21,7 @@ from repro.formal.problems import (
     CompiledProblemStore, compilations_total, elaborations_total,
 )
 from repro.formal.satspace import SatWorkspace
+from repro.formal.trace import Trace
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
     ModuleAffinityScheduling, SerialExecutor, compile_job,
@@ -306,6 +307,27 @@ class TestLazySoloCompile:
             assert count == 1
             assert result.trace.ts.name == result.name
             assert result.trace.replay()
+
+    def test_session_fail_replays_its_trace_once(self, buggy_blocks,
+                                                 monkeypatch):
+        """A shared-session FAIL's cold re-derivation is validated by
+        replay once, where every induction FAIL is (it was replayed
+        twice when the re-derivation validated it as well); a PASS
+        replays nothing."""
+        plan = plan_campaign(buggy_blocks, _engines(method="kind"))
+        workspace, store = SatWorkspace(), CompiledProblemStore()
+        replays = []
+        replay = Trace.replay
+        monkeypatch.setattr(Trace, "replay", lambda trace: (
+            replays.append(trace), replay(trace))[1])
+        counts = {}
+        for job in plan.jobs:
+            before = len(replays)
+            result = run_check_job(job, store, workspace).result
+            counts.setdefault(result.status, []).append(
+                len(replays) - before)
+        assert counts[FAIL] and set(counts[FAIL]) == {1}
+        assert set(counts[PASS]) == {0}
 
     def test_unknown_stage_hands_its_problem_to_the_next(self, buggy_plan):
         job = dataclasses.replace(buggy_plan.jobs[0], engines=(

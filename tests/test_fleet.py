@@ -788,13 +788,16 @@ class TestCoordinatorThread:
 class TestWarmStateCounters:
     def test_workers_sharing_a_pid_are_summed(self):
         """Two workers reporting one pid still count as two workers,
-        and their compile counters add up to one compile per job."""
+        and their compile counters add up to one compile per executed
+        job: block C's 101 jobs hold 32 distinct checks (C01–C03,
+        C04–C06 and C07–C12 are renamed copies), and only those run."""
         blocks = ComponentChip(only_blocks=["C"]).blocks
         serial = CampaignOrchestrator(blocks,
                                       executor=SerialExecutor()).run()
+        assert serial.stats["coi"]["jobs_executed"] == 32
         serial_run = serial.stats["compile_store"]["run"]
         assert serial_run["design_hits"] + \
-            serial_run["design_misses"] == 101
+            serial_run["design_misses"] == 32
         report = CampaignOrchestrator(
             blocks,
             executor=FleetExecutor(workers=2, launcher=ThreadLauncher(),
@@ -803,11 +806,11 @@ class TestWarmStateCounters:
         assert report.canonical_bytes() == serial.canonical_bytes()
         per_worker = report.stats["fleet"]["jobs_per_worker"]
         assert sorted(per_worker) == ["w0", "w1"]
-        assert sum(per_worker.values()) == 101
+        assert sum(per_worker.values()) == 32
         run_stats = report.stats["compile_store"]["run"]
         assert run_stats["workers"] == 2
         assert run_stats["design_hits"] + \
-            run_stats["design_misses"] == 101
+            run_stats["design_misses"] == 32
 
     def test_sat_counters_of_workers_sharing_a_pid_are_summed(self):
         """The SAT-workspace counters follow the same rule: two

@@ -31,6 +31,7 @@ from repro.orchestrate import (
     plan_campaign, portfolio, run_check_job,
 )
 from repro.orchestrate.cache import remove_store
+from repro.rtl.verilog import emit_module
 
 #: the budgets every campaign here runs with
 CONFIG = CampaignConfig(sat_conflicts=500_000, bdd_nodes=5_000_000)
@@ -89,10 +90,30 @@ class TestPlanner:
                 seen.append(job.module.name)
         assert len(seen) == len(set(seen))
 
-    def test_fingerprints_distinct_per_job(self, block_c):
+    def test_fingerprints_shared_only_by_renamed_copies(self, block_c):
+        """Two jobs share a fingerprint if and only if their RTL and
+        PSL match up to the header names (the module's own name; the
+        vunit's name and bound-module name) and they check the same
+        assertion.  The exact text digests stay distinct per job: they
+        key the compile store and the SAT sessions."""
+        def nameless(job):
+            module = emit_module(job.module).replace(
+                f"module {job.module.name} (", "module M (", 1)
+            vunit = job.vunit.emit().replace(
+                f"vunit {job.vunit.name} ({job.vunit.module_name})",
+                "vunit V (M)", 1)
+            return module, vunit, job.assert_name
+
         plan = plan_campaign(block_c, _engines())
-        fingerprints = [job.fingerprint for job in plan.jobs]
-        assert len(set(fingerprints)) == len(fingerprints)
+        by_fingerprint, by_text = {}, {}
+        for job in plan.jobs:
+            by_fingerprint.setdefault(job.fingerprint, []).append(job.index)
+            by_text.setdefault(nameless(job), []).append(job.index)
+        assert sorted(by_fingerprint.values()) == sorted(by_text.values())
+        assert len(by_fingerprint) < plan.total_jobs  # copies exist
+        exact = {(job.module_digest, job.vunit_digest, job.assert_name)
+                 for job in plan.jobs}
+        assert len(exact) == plan.total_jobs
 
     def test_skipped_modules_recorded(self, block_c):
         plan = plan_campaign(block_c, _engines())
@@ -124,12 +145,19 @@ class TestFingerprint:
             "defect changed an untouched module's keys"
 
     def test_vunit_edit_changes_fingerprint(self, small_blocks):
+        """An edit to what the vunit checks (a dropped assumption)
+        changes the key; its first line (names and comment) is not part
+        of it."""
         module = small_blocks[0][1][0]
         from repro.core.stereotypes import soundness_vunit
         unit = soundness_vunit(module)
         name, _ = unit.asserted()[0]
         before = job_fingerprint(module, unit, name, _engines())
         unit.comment = "edited by a designer"
+        assert job_fingerprint(module, unit, name, _engines()) == before
+        unit.directives.remove(next(directive
+                                    for directive in unit.directives
+                                    if directive[0] == "assume"))
         after = job_fingerprint(module, unit, name, _engines())
         assert before != after
 
@@ -341,8 +369,11 @@ def _fingerprints(path):
     return {row[0] for row in _sql(path, "SELECT fingerprint FROM verdicts")}
 
 
-#: the row with the smallest fingerprint, for one-entry damage
-FIRST_ROW = "fingerprint = (SELECT MIN(fingerprint) FROM verdicts)"
+#: one row for one-entry damage: C00_fsmctl's smallest fingerprint.
+#: C01-C03 are renamed copies of one design, so three jobs read each of
+#: their rows; C00_fsmctl has no copy, so one job reads this row
+FIRST_ROW = ("fingerprint = (SELECT MIN(fingerprint) FROM verdicts "
+             "WHERE module = 'C00_fsmctl')")
 
 
 def _campaign(blocks, path, config=CONFIG):
@@ -447,8 +478,13 @@ class TestResultCache:
             orchestrator.run()
         orchestrator.cache.close()
         retry = _campaign(small_blocks, path)
-        assert retry.stats["cache_hits"] == retry.total_properties - 1
-        assert retry.stats["cache_misses"] == 1
+        # the dropped job's fingerprint is C01_ctl's last assertion,
+        # shared by its renamed copies C02 and C03: all three miss the
+        # store, the first runs and the other two reuse its verdict
+        assert retry.stats["cache_hits"] == retry.total_properties - 3
+        assert retry.stats["cache_misses"] == 3
+        assert retry.stats["coi"]["jobs_executed"] == 1
+        assert retry.stats["jobs_reused"] == 2
         assert retry.all_passed
 
     def test_fail_without_trace_is_a_miss(self, small_blocks, tmp_path):
@@ -474,16 +510,19 @@ class TestUnboundedStore:
     def test_hits_keep_every_verdict(self, small_blocks, tmp_path):
         """Hits reorder nothing and evict nothing: after a warm rerun
         and one more store, every verdict is still in the index and
-        the file."""
+        the file — one row per distinct check, since renamed copies
+        (C01–C03 here) share their fingerprints."""
         path = tmp_path / "r.sqlite"
         cold = _campaign(small_blocks, path)
+        distinct = cold.stats["coi"]["jobs_executed"]
+        assert distinct < cold.total_properties
         warm = _campaign(small_blocks, path)
         assert warm.stats["cache_hits"] == cold.total_properties
         cache = ResultCache(path)
         cache.store("fresh", _pass())
         cache.flush()
-        assert len(cache) == cold.total_properties + 1
-        assert len(_fingerprints(path)) == cold.total_properties + 1
+        assert len(cache) == distinct + 1
+        assert len(_fingerprints(path)) == distinct + 1
 
     def test_unbounded_cache_unchanged(self, tmp_path):
         path = tmp_path / "r.sqlite"
@@ -680,8 +719,8 @@ class TestSharedStore:
             small_blocks, engines=_engines(), cache=ResultCache(path))
         orchestrator.run()
         orchestrator.cache.close()
-        fingerprint = _sql(path, "SELECT MIN(fingerprint) "
-                                 "FROM verdicts")[0][0]
+        fingerprint = _sql(path, f"SELECT fingerprint FROM verdicts "
+                                 f"WHERE {FIRST_ROW}")[0][0]
         _edit_entries(path, lambda entry: entry.update(
             status="definitely-not"), where=FIRST_ROW)
         cache = ResultCache(path)
@@ -968,12 +1007,29 @@ class TestStoreFile:
         assert cache.stats()["resets"] == 1
         assert _fingerprints(path) == {"new"}
         assert dict(_sql(path, "SELECT key, value FROM meta")) == {
-            "schema": "4", "repro_version": repro_version}
+            "schema": "5", "repro_version": repro_version}
+
+    def test_schema_4_store_opens_empty_and_is_replaced(self, tmp_path):
+        """A schema-4 store keyed its rows by fingerprints that hashed
+        module and vunit names; no job's fingerprint reaches them now,
+        so it reads as empty and the first store replaces it."""
+        path = tmp_path / "r.sqlite"
+        old = ResultCache(path)
+        old.store("old", _pass())
+        old.close()
+        _sql(path, "UPDATE meta SET value = '4' WHERE key = 'schema'")
+        cache = ResultCache(path)
+        assert len(cache) == 0
+        assert cache.lookup("old", STUB_JOB) is None
+        cache.store("new", _pass())
+        cache.close()
+        assert cache.stats()["resets"] == 1
+        assert _fingerprints(path) == {"new"}
 
     def test_schema_3_store_opens_empty_and_is_replaced(self, tmp_path):
         """A store written before schema 4 (it carried a ``used_at``
         recency column) reads as empty, and the first store replaces
-        it with the schema-4 layout."""
+        it with the current layout."""
         path = tmp_path / "r.sqlite"
         _sql(path, "CREATE TABLE meta (key TEXT PRIMARY KEY,"
                    " value TEXT NOT NULL)")
@@ -997,7 +1053,7 @@ class TestStoreFile:
                                           "PRAGMA table_info(verdicts)")]
         assert "used_at" not in columns
         assert dict(_sql(path, "SELECT key, value FROM meta"))["schema"] \
-            == "4"
+            == "5"
 
 
 class TestBlockSummaryAdd:

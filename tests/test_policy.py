@@ -14,6 +14,7 @@ import shutil
 import pytest
 
 from repro.chip import ComponentChip
+from repro.chip.specials import fsm_controller
 from repro.formal.engine import CheckResult, PASS, TIMEOUT
 from repro.orchestrate import (
     AdaptivePortfolio, CampaignConfig, CampaignOrchestrator, EngineConfig,
@@ -21,6 +22,7 @@ from repro.orchestrate import (
     StaticPortfolio, plan_campaign, portfolio_policy,
     run_check_job, scheduling_policy,
 )
+from repro.rtl.inject import make_verifiable
 
 
 def _engines(*methods, **overrides):
@@ -179,6 +181,62 @@ class TestPortfolioOrdering:
         cache = ResultCache(str(tmp_path / "cache.sqlite"))
         cache.store("fp", CheckResult("p", PASS, "kind"), job=seed)
         assert AdaptivePortfolio(cache).order(other) == (2, 0, 1)
+
+    def test_edited_copy_falls_back_to_category_winner(self, tmp_path):
+        """A renamed copy reuses its original's verdicts, and a stored
+        verdict names only the module that ran it.  So after an ECO
+        edit to the copy, the adaptive policy orders the copy's jobs by
+        the category-wide winner and the original's by their own
+        history.  It moves attempt order only: the outcome equals the
+        static policy's."""
+        original = make_verifiable(fsm_controller("C00_fsmctl"))
+        copy = make_verifiable(fsm_controller("C13_fsmcopy"))
+        limits = dict(sat_conflicts=500_000, bdd_nodes=5_000_000)
+        cache_path = str(tmp_path / "cache.sqlite")
+        report = CampaignOrchestrator(
+            [("C", [original, copy])],
+            config=CampaignConfig(
+                engines="portfolio:kind,bdd-combined,pobdd",
+                cache_path=cache_path, **limits),
+        ).run()
+        assert 2 * report.stats["jobs_reused"] == report.stats["jobs"]
+        # newer verdicts of a third module: bdd-combined becomes every
+        # category's winner
+        third = plan_campaign(
+            [("C", [make_verifiable(fsm_controller("C14_fsmthird"))])],
+            _engines())
+        cache = ResultCache(cache_path)
+        for job in third.jobs:
+            cache.store(f"third-{job.index}",
+                        CheckResult("p", PASS, "bdd-combined"), job=job)
+        assert {module for module, _ in cache.engine_history()} == \
+            {None, "C00_fsmctl", "C14_fsmthird"}
+        policy = AdaptivePortfolio(cache)
+        cache.close()
+
+        eco_blocks = [("C", [original, make_verifiable(
+            fsm_controller("C13_fsmcopy", buggy=True))])]
+        plan = plan_campaign(eco_blocks,
+                             _engines("pobdd", "bdd-combined", "kind"))
+        assert {(job.module.name, policy.order(job))
+                for job in plan.jobs} == {("C00_fsmctl", (2, 0, 1)),
+                                          ("C13_fsmcopy", (1, 0, 2))}
+
+        eco = CampaignConfig(engines="portfolio:pobdd,bdd-combined,kind",
+                             **limits)
+        reports = {}
+        for portfolio in ("static", "adaptive"):
+            path = str(tmp_path / f"{portfolio}.sqlite")
+            shutil.copy(cache_path, path)
+            reports[portfolio] = CampaignOrchestrator(
+                eco_blocks, config=dataclasses.replace(
+                    eco, cache_path=path, portfolio=portfolio),
+            ).run()
+        adaptive = reports["adaptive"]
+        assert adaptive.stats["portfolio_reordered"] == \
+            adaptive.stats["coi"]["jobs_executed"]
+        assert adaptive.canonical_bytes() == \
+            reports["static"].canonical_bytes()
 
 
 class TestEngineHistory:
