@@ -28,8 +28,7 @@ One TOML file reproduces one campaign::
 - ``serve`` runs the verification-as-a-service daemon
   (:mod:`repro.service`): an HTTP API over the config's verdict store
   (``[cache] path``), configured by the ``[service]`` section (see
-  ``docs/service.md``).  ``--import-cache`` migrates JSON cache files
-  written before the store moved to SQLite into it first;
+  ``docs/service.md``);
 - ``submit`` posts the config to a running daemon and waits for (or
   ``--watch`` streams) the result.  Exit codes mirror ``campaign
   run``: 0 all passed, 1 any FAIL/TIMEOUT or a failed run, 2 on
@@ -128,11 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", default=None, type=int, metavar="PORT",
                        help="bind port (overrides [service] port; "
                             "0 = ephemeral)")
-    serve.add_argument("--import-cache", action="append", default=[],
-                       metavar="JSON", dest="import_caches",
-                       help="migrate a JSON cache file (the format "
-                            "before SQLite) into the verdict store "
-                            "before serving (repeatable)")
     submit = commands.add_parser(
         "submit",
         help="submit the campaign config to a running service daemon "
@@ -364,14 +358,11 @@ def _sweep(config: CampaignConfig, record_path: Optional[str],
 
 
 def _serve(config: CampaignConfig, host: Optional[str],
-           port: Optional[int], import_caches: List[str]) -> int:
+           port: Optional[int]) -> int:
     """Run the service daemon in the foreground until interrupted."""
     from .service import ServiceDaemon
 
     daemon = ServiceDaemon(config, host=host, port=port)
-    for cache_path in import_caches:
-        imported = daemon.db.import_cache(cache_path)
-        print(f"imported {imported} verdicts from {cache_path}")
     print(f"verdict db:     {daemon.db.path} "
           f"({len(daemon.db)} verdicts)")
     print(f"serving on:     {daemon.url}")
@@ -436,8 +427,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "serve":
-        return _serve(config, host=args.host, port=args.port,
-                      import_caches=args.import_caches)
+        return _serve(config, host=args.host, port=args.port)
     if args.command == "submit":
         return _submit(config, url=args.url, tenant=args.tenant,
                        watch=args.watch, timeout=args.timeout)

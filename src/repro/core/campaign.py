@@ -205,13 +205,11 @@ class FormalCampaign:
         FormalCampaign(chip.blocks, config=config).run()
 
     The other constructor arguments are component-object overrides —
-    ``executor`` / ``cache`` / ``checkpoint`` / ``engines`` (and
-    ``lint``); an explicit object wins over the config's corresponding
-    spec.
+    ``executor`` / ``cache`` / ``checkpoint`` / ``engines``; an
+    explicit object wins over the config's corresponding spec.
     """
 
     def __init__(self, blocks: Sequence[Tuple[str, Sequence[Module]]],
-                 lint: Optional[bool] = None,
                  executor=None, cache=None,
                  checkpoint=None, engines=None,
                  config=None) -> None:
@@ -220,7 +218,6 @@ class FormalCampaign:
             from ..orchestrate.config import CampaignConfig
             config = CampaignConfig()
         self.config = config
-        self.lint = lint
         self.executor = executor
         self.cache = cache
         self.checkpoint = checkpoint
@@ -237,7 +234,6 @@ class FormalCampaign:
             executor=self.executor,
             cache=self.cache,
             checkpoint=self.checkpoint,
-            lint=self.lint,
             config=self.config,
         )
         return orchestrator.run(progress, resume=resume)

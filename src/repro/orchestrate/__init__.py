@@ -15,9 +15,8 @@ scheduled, restartable job graph:
   outcome-invariant by construction;
 - :mod:`~repro.orchestrate.job` — :class:`CheckJob` (one property
   check: module + vunit + assertion + engine portfolio), content
-  fingerprints, the portfolio runner, and the serialization codecs
-  (result entries shared with cache/checkpoint, plus the job/result
-  wire format the fleet ships across process boundaries);
+  fingerprints, the portfolio runner, and the result codec the
+  cache, the checkpoint and the fleet's result frames share;
 - :mod:`~repro.orchestrate.planner` — one walk over the chip produces
   the flat, ordered job list;
 - :mod:`~repro.orchestrate.executor` — the results-in-plan-order
@@ -25,10 +24,10 @@ scheduled, restartable job graph:
 - :mod:`~repro.orchestrate.fleet` — :class:`FleetExecutor`, the one
   parallel executor: a coordinator thread leasing scheduling-policy
   batches to worker processes forked on this host, each over its own
-  socket pair, in the portable wire format (length-prefixed JSON, no
-  pickle), with heartbeats, lease re-issue on worker death or stall,
-  and at-most-once result acceptance — the same streaming contract as
-  the serial executor;
+  socket pair, naming each job by index and fingerprint
+  (length-prefixed JSON, no pickle), with heartbeats, lease re-issue
+  on worker death or stall, and at-most-once result acceptance — the
+  same streaming contract as the serial executor;
 - :mod:`~repro.orchestrate.cache` — fingerprint-keyed on-disk result
   store for incremental (ECO-regression) reruns;
 - :mod:`~repro.orchestrate.checkpoint` — crash-safe journal of
@@ -125,8 +124,8 @@ from ..formal.problems import CompiledProblemStore
 from ..formal.satspace import SatWorkspace
 from .job import (
     CheckJob, DEFAULT_PORTFOLIO_METHODS, EngineConfig, JobResult,
-    compile_job, decode_job_result, decode_result, encode_job_result,
-    encode_result, job_fingerprint, portfolio, run_check_job,
+    compile_job, decode_result, encode_result, job_fingerprint,
+    portfolio, run_check_job,
 )
 from .planner import CampaignPlan, plan_campaign
 from .executor import SerialExecutor
@@ -152,7 +151,6 @@ __all__ = [
     "SerialExecutor",
     "FleetExecutor", "LocalFleetLauncher",
     "ResultCache", "decode_result", "encode_result",
-    "decode_job_result", "encode_job_result",
     "CampaignCheckpoint", "plan_digest",
     "CampaignConfig", "ConfigError",
     "parse_engines_spec", "parse_executor_spec",

@@ -49,9 +49,9 @@ copy of a check shares its fingerprint), and a hit writes nothing.
 
 The entry codec (:func:`~repro.orchestrate.job.encode_result` /
 :func:`~repro.orchestrate.job.decode_result`, re-exported here) is
-shared with the checkpoint journal and the executors' wire format, with
-the same FAIL-must-replay rule.  JSON caches (the format before SQLite)
-open as empty; :meth:`ResultCache.import_cache` migrates them.
+shared with the checkpoint journal and the fleet's result frames, with
+the same FAIL-must-replay rule.  A JSON cache (the format before
+SQLite) at the path opens as empty and is replaced at the first store.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class ResultCache:
     """On-disk SQLite store of check results keyed by content fingerprint.
 
     Besides the orchestrator's interface it serves the service daemon:
-    provenance rows (:meth:`get`), metering counters (:meth:`stats`)
-    and the migration of JSON caches (:meth:`import_cache`).
+    provenance rows (:meth:`get`) and metering counters
+    (:meth:`stats`).
     """
 
     def __init__(self, path: str) -> None:
@@ -110,8 +110,7 @@ class ResultCache:
         self._lock = threading.RLock()
         #: metering counters served by the service's /metrics
         self._counters = dict.fromkeys(
-            ("hits", "misses", "stored", "unsafe_evicted", "imported",
-             "resets"), 0)
+            ("hits", "misses", "stored", "unsafe_evicted", "resets"), 0)
         #: fingerprint -> entry
         self._entries: Dict[str, dict] = self._load()
 
@@ -370,36 +369,6 @@ class ResultCache:
                    entry=entry)
         return row
 
-    def import_cache(self, path: str) -> int:
-        """Migrate a JSON cache file (``{"version": 1, "repro_version",
-        "entries": {fingerprint: entry}}``) into this store, newest
-        ``stored_at`` winning per fingerprint.  Returns how many entries
-        were imported; an unreadable file, or one from another format or
-        package version, imports nothing, and so does an entry whose
-        provenance fields are not strings."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, ValueError):
-            return 0
-        if not isinstance(raw, dict) \
-                or raw.get("version") != 1 \
-                or raw.get("repro_version") != __version__ \
-                or not isinstance(raw.get("entries"), dict):
-            return 0
-        imported = 0
-        for fingerprint, entry in raw["entries"].items():
-            if not isinstance(entry, dict) or not all(
-                    isinstance(entry.get(column), (str, type(None)))
-                    for column in _PROVENANCE):
-                continue
-            entry = dict(entry, stored_at=_stored_at(entry))
-            if self._upsert(fingerprint, entry):
-                self._entries[fingerprint] = entry
-                imported += 1
-        self._counters["imported"] += imported
-        return imported
-
     def stats(self) -> Dict[str, int]:
         """Metering counters plus the live entry count, for /metrics."""
         return dict(self._counters, entries=len(self))
@@ -426,15 +395,6 @@ def _entry(payload, stored_at: float) -> dict:
     entry = entry if isinstance(entry, dict) else {}
     entry["stored_at"] = stored_at
     return entry
-
-
-def _stored_at(entry: dict) -> float:
-    """A JSON entry's write timestamp; entries from before the stamp
-    was introduced (or mangled ones: NaN, which SQLite stores as NULL,
-    infinities, non-numbers) count as oldest."""
-    value = entry.get("stored_at")
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    return float(value) if number and abs(value) < 1e300 else 0.0
 
 
 def _winning_method(entry: dict) -> Optional[str]:

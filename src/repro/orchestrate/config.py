@@ -72,7 +72,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 from ..formal.engine import registered_engines
-from .job import DEFAULT_PORTFOLIO_METHODS, EngineConfig
+from .job import DEFAULT_PORTFOLIO_METHODS, EngineConfig, portfolio
 from .policy import (
     PORTFOLIO_POLICIES, SCHEDULING_POLICIES, portfolio_policy,
     scheduling_policy,
@@ -168,16 +168,11 @@ def parse_engines_spec(spec: str) -> Tuple[str, ...]:
 CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
     "campaign": {
         "blocks": "blocks",
-        "lint": "lint",
     },
     "engines": {
         "spec": "engines",
         "sat_conflicts": "sat_conflicts",
         "bdd_nodes": "bdd_nodes",
-        "max_bound": "max_bound",
-        "max_k": "max_k",
-        "unique_states": "unique_states",
-        "num_window_vars": "num_window_vars",
     },
     "execution": {
         "executor": "executor",
@@ -232,8 +227,6 @@ class CampaignConfig:
     #: chip-block subset to campaign over (``None`` = every block);
     #: consumed by the CLI, carried (and digested) for everyone else
     blocks: Optional[Tuple[str, ...]] = None
-    #: lint the Verifiable RTL while planning
-    lint: bool = True
 
     #: engine spec — single engine or ``portfolio:...`` ladder.  The
     #: default portfolio mirrors ``auto``'s internal induction-then-BDD
@@ -245,14 +238,6 @@ class CampaignConfig:
     sat_conflicts: Optional[int] = 200_000
     #: per-stage BDD node budget (``None`` = unlimited)
     bdd_nodes: Optional[int] = 2_000_000
-    #: BMC unroll bound
-    max_bound: int = 60
-    #: k-induction depth limit
-    max_k: int = 40
-    #: simple-path constraints for k-induction completeness
-    unique_states: bool = True
-    #: POBDD partitioning window variables
-    num_window_vars: int = 2
 
     #: executor spec — ``serial`` | ``fleet[:N]``
     executor: str = "serial"
@@ -377,15 +362,7 @@ class CampaignConfig:
                     f"{name} must be a non-negative integer or absent, "
                     f"got {value!r}"
                 )
-        for name in ("max_bound", "max_k", "num_window_vars"):
-            if not _is_int(getattr(self, name)) \
-                    or getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be a positive integer, "
-                    f"got {getattr(self, name)!r}"
-                )
-        for name in ("lint", "unique_states", "compile_store",
-                     "sat_workspace"):
+        for name in ("compile_store", "sat_workspace"):
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(
                     f"{name} must be a boolean, "
@@ -563,20 +540,13 @@ class CampaignConfig:
     # -- component builders --------------------------------------------
     def build_engines(self) -> Tuple[EngineConfig, ...]:
         """The engine portfolio this config describes — one
-        :class:`EngineConfig` per stage, sharing the tuning knobs."""
-        methods = parse_engines_spec(self.engines)
-        return tuple(
-            EngineConfig(
-                method=method,
-                max_bound=self.max_bound,
-                max_k=self.max_k,
-                unique_states=self.unique_states,
-                num_window_vars=self.num_window_vars,
-                sat_conflicts=self.sat_conflicts,
-                bdd_nodes=self.bdd_nodes,
-            )
-            for method in methods
-        )
+        :class:`EngineConfig` per stage, sharing the two budgets; the
+        engine tuning knobs keep their :class:`EngineConfig` defaults
+        (pass ``engines=portfolio(..., max_k=...)`` to the orchestrator
+        to change them)."""
+        return portfolio(*parse_engines_spec(self.engines),
+                         sat_conflicts=self.sat_conflicts,
+                         bdd_nodes=self.bdd_nodes)
 
     def build_executor(self):
         """The executor this config describes, wired with the
@@ -621,7 +591,8 @@ class CampaignConfig:
 
 def _is_int(value: object) -> bool:
     """True for real integers (bool is excluded — TOML and JSON both
-    distinguish them, and ``lint = 1`` should be an error)."""
+    distinguish them, and ``sat_conflicts = true`` should be an
+    error)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

@@ -47,15 +47,17 @@ and ``executor.sat_stats()`` aggregate every worker's counters after a
 The process wire format
 -----------------------
 
-Fleet workers never ship whole :class:`JobResult` objects back to the
-coordinator: results cross the process boundary as
-:func:`~repro.orchestrate.job.encode_job_result` dicts — identification
-scalars plus the serialized-result codec the cache and checkpoint
-already speak, with FAIL counterexamples carried as canonical input
-frames rather than the compiled transition system they replay on.  The
-coordinator re-pairs each entry with its plan job and decodes through
-its own compile store (:func:`~repro.orchestrate.job.decode_job_result`),
-revalidating every FAIL trace by replay.
+A :class:`JobResult` is the plan index and the
+:class:`~repro.formal.engine.CheckResult`; everything else about the
+check is the plan job's.  Fleet workers never ship whole results back
+to the coordinator: a result frame carries the index, the job's
+fingerprint and the :func:`~repro.orchestrate.job.encode_result` entry
+the cache and checkpoint already speak, with FAIL counterexamples as
+canonical input frames rather than the compiled transition system they
+replay on.  The coordinator pairs the frame with its plan job and
+decodes it through its own compile store
+(:func:`~repro.orchestrate.job.decode_result`), revalidating every FAIL
+trace by replay.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ portable job wire format.
 ``FleetExecutor`` is the campaign's one parallel executor: a
 coordinator thread in the campaign process serves the plan's jobs to
 worker processes forked on this host, each over its own
-``socket.socketpair()``, speaking **length-prefixed JSON** built
-entirely from the job wire codec — :meth:`CheckJob.spec` requests out,
-:func:`~repro.orchestrate.job.encode_job_result` replies back, FAIL
-counterexamples as canonical input frames revalidated by replay on the
+``socket.socketpair()``, speaking **length-prefixed JSON**.  Workers
+are forked holding the plan's jobs, so a lease names each job by
+``index``, ``fingerprint`` and ``engine_order`` only, and a result frame
+carries the index, the fingerprint and the job's
+:func:`~repro.orchestrate.job.encode_result` entry — FAIL
+counterexamples as canonical input frames, revalidated by replay on the
 coordinator.  No pickle ever crosses the socket.
 
 The transport preserves the executor streaming contract exactly
@@ -70,7 +72,7 @@ Workers
 :class:`LocalFleetLauncher` forks each worker with one end of its
 socket pair; the coordinator keeps the other.  Under the ``fork``
 start method workers inherit the in-memory job list, so only job
-*identity* (specs, fingerprints) ever crosses the socket.  Engines
+*identity* (index and fingerprint) ever crosses the socket.  Engines
 registered at runtime via :func:`~repro.formal.engine.register_engine`
 reach workers only under ``fork``; on spawn-only platforms run such
 campaigns serially.  A forked child also inherits the coordinator's
@@ -101,8 +103,7 @@ from ..formal.problems import CompiledProblemStore
 from ..formal.satspace import SatWorkspace
 from .executor import SerialExecutor
 from .job import (
-    CheckJob, JobResult, decode_job_result, encode_job_result,
-    run_check_job,
+    CheckJob, JobResult, decode_result, encode_result, run_check_job,
 )
 
 
@@ -121,9 +122,9 @@ class FrameError(FleetError):
 
 
 #: hard upper bound on one frame's payload; anything larger is a
-#: corrupt length prefix, not a real message (the largest legitimate
-#: frame — a module-affinity lease or a FAIL reply — is a few hundred
-#: KiB of JSON)
+#: corrupt length prefix, not a real message (legitimate frames are
+#: far smaller: a lease entry is about 114 bytes of JSON, a FAIL reply
+#: with its counterexample frames about 1 KiB on the chip's blocks)
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
@@ -227,6 +228,18 @@ def _rebuild_exception(exc_type: str, message: str) -> BaseException:
     return RuntimeError(f"{exc_type}: {message}")
 
 
+def _lease_entry(job: CheckJob) -> dict:
+    """One job of a lease frame: what a worker holding the plan needs
+    to find the job (``index``), to refuse it if its own copy differs
+    (``fingerprint``), and to run it (the policy's ``engine_order``)."""
+    return {
+        "index": job.index,
+        "fingerprint": job.fingerprint,
+        "engine_order": list(job.engine_order)
+        if job.engine_order is not None else None,
+    }
+
+
 # ----------------------------------------------------------------------
 # the worker side
 # ----------------------------------------------------------------------
@@ -249,9 +262,10 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
     shutdown (or the coordinator's end closes).
 
     ``jobs`` is the plan's job list, inherited in memory.  A lease
-    carries job *specs* only; each spec is matched to the local job by
-    index and its fingerprint cross-checked, so a worker never answers
-    for a job it does not hold.
+    entry names a job by ``index``, ``fingerprint`` and
+    ``engine_order``; it is matched to the local job by index and its
+    fingerprint cross-checked, so a worker never answers for a job it
+    does not hold.
 
     A failing job answers with an error frame and poisons the rest of
     its lease (same error per remaining job — the stream dies at the
@@ -282,24 +296,24 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
                 continue
             lease_id = frame.get("lease")
             failed: Optional[Tuple[str, str]] = None
-            for spec in frame.get("jobs", []):
-                index = spec.get("index")
+            for entry in frame.get("jobs", []):
+                index = entry.get("index")
                 if failed is None:
                     job = jobs_by_index.get(index)
                     if job is None or \
-                            job.fingerprint != spec.get("fingerprint"):
+                            job.fingerprint != entry.get("fingerprint"):
                         failed = ("RuntimeError",
                                   f"fleet worker {worker_id}: leased "
                                   f"job {index} does not match the "
                                   f"local plan (fingerprint mismatch)")
                     else:
-                        order = spec.get("engine_order")
+                        order = entry.get("engine_order")
                         job.engine_order = tuple(order) \
                             if order is not None else None
                         try:
-                            job_result = run_check_job(
+                            result = run_check_job(
                                 job, store, sat_workspace=sat,
-                            )
+                            ).result
                         except BaseException as exc:
                             failed = (type(exc).__name__, str(exc))
                         else:
@@ -308,7 +322,7 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
                                 "lease": lease_id,
                                 "index": index,
                                 "fingerprint": job.fingerprint,
-                                "result": encode_job_result(job_result),
+                                "result": encode_result(result),
                                 "store": store.stats()
                                 if store is not None else None,
                                 "sat": sat.stats()
@@ -604,8 +618,9 @@ class _FleetRun:
         if frame_type == "result":
             job = self.jobs_by_index[index]
             if frame.get("fingerprint") != job.fingerprint:
-                # a worker answering for the wrong content is a
-                # protocol violation: reject and drop the worker
+                # the index names the plan job, the fingerprint its
+                # content: a worker answering for other content is a
+                # protocol violation — reject and drop the worker
                 self.stats["results_rejected"] += 1
                 self._lose_worker(state)
                 return
@@ -642,7 +657,7 @@ class _FleetRun:
                 send_frame(state.conn, {
                     "type": "lease",
                     "lease": lease.id,
-                    "jobs": [job.spec() for job in unit],
+                    "jobs": [_lease_entry(job) for job in unit],
                 })
             except (OSError, FrameError):
                 self.pending_units.appendleft(unit)
@@ -859,8 +874,8 @@ class FleetExecutor:
                 payload = run.next_payload(job.index)
                 if isinstance(payload, BaseException):
                     raise payload
-                yield decode_job_result(payload["result"], job,
-                                        decode_store)
+                yield JobResult(job.index, decode_result(
+                    payload["result"], job, decode_store))
             # reached when the consumer drives the generator past the
             # last result (the orchestrator always does): dismiss the
             # fleet gracefully

@@ -4,9 +4,9 @@ One :class:`CheckJob` is a single property check: a leaf module, one of
 its stereotype vunits, one asserted property, and the engine portfolio
 to try.  Jobs are:
 
-- **self-contained** — everything needed to run the check travels with
-  the job, so an executor can run it in-process or ship it to a worker
-  process (jobs and their results are picklable);
+- **self-contained** — the job holds everything needed to run the
+  check, so an executor runs it in-process or in a forked worker that
+  inherited the plan;
 - **content-addressed** — :func:`job_fingerprint` hashes the module's
   emitted Verilog and the vunit's PSL text, both without their header
   names (:func:`identity_digest`), the assertion name, and the engine
@@ -21,21 +21,18 @@ to try.  Jobs are:
   :class:`EngineConfig` stages tried until one returns a definitive
   PASS/FAIL verdict, generalising the old hardcoded ``auto`` fallback.
 
-The module also owns the two serialization codecs of the job layer:
-
-- :func:`encode_result` / :func:`decode_result` — one
-  :class:`~repro.formal.engine.CheckResult` to/from a JSON-able entry,
-  shared by the result cache, the checkpoint journal, and the
-  executors' wire format, all enforcing the FAIL-must-replay rule;
-- :func:`encode_job_result` / :func:`decode_job_result` — a whole
-  :class:`JobResult` to/from a plain dict: the process-boundary wire
-  format.  A FAIL's counterexample travels as its canonical input
-  frames only (what report consumers render), not as the compiled
-  transition system it replays on; the receiving side recompiles
-  through its :class:`CompiledProblemStore` and revalidates the trace
-  by replay.  The same dict shape — alongside :meth:`CheckJob.spec` on
-  the request side — is what the fleet's coordinator and its forked
-  workers exchange, as length-prefixed JSON frames over socket pairs.
+The module also owns the job layer's serialization codec:
+:func:`encode_result` / :func:`decode_result` turn one
+:class:`~repro.formal.engine.CheckResult` into a JSON-able entry and
+back.  The result cache, the checkpoint journal and the fleet's result
+frames all speak it, and every decode enforces the FAIL-must-replay
+rule.  A FAIL's counterexample travels as its canonical input frames
+only (what report consumers render), not as the compiled transition
+system it replays on; the receiving side recompiles the job through
+its :class:`CompiledProblemStore` and revalidates the trace by replay.
+A :class:`CheckJob` itself never crosses a process boundary: fleet
+workers are forked holding the plan's jobs, so a lease names each job
+by index and fingerprint (:mod:`repro.orchestrate.fleet`).
 """
 
 from __future__ import annotations
@@ -190,57 +187,16 @@ class CheckJob:
         """The check's result name (:func:`~repro.psl.compile.problem_name`)."""
         return problem_name(self.vunit, self.assert_name)
 
-    def spec(self) -> Dict[str, object]:
-        """Portable, digest-bearing description of this job — plain
-        JSON-able data, no module/vunit object graphs.
-
-        This is the *request* half of the job wire format (the reply
-        half is :func:`encode_job_result`): everything a fleet worker
-        that already holds the plan's jobs needs to identify,
-        schedule, and key the check — content fingerprint,
-        per-component digests, and the engine portfolio description —
-        without pickling RTL across the socket.
-        """
-        return {
-            "index": self.index,
-            "block": self.block,
-            "module": self.module.name,
-            "vunit": self.vunit.name,
-            "assert": self.assert_name,
-            "category": self.category,
-            "fingerprint": self.fingerprint,
-            "module_digest": self.module_digest,
-            "vunit_digest": self.vunit_digest,
-            "cone_digest": self.cone_digest,
-            "engines": [config.describe() for config in self.engines],
-            "engine_order": list(self.engine_order)
-            if self.engine_order is not None else None,
-        }
-
 
 @dataclass
 class JobResult:
-    """Outcome of one executed :class:`CheckJob`.
-
-    Identification is carried as scalars (no module/vunit references),
-    so PASS results ship back across the process boundary cheaply; a
-    FAIL's :class:`CheckResult` still carries its replay-validated
-    :class:`~repro.formal.trace.Trace` — including the transition
-    system it replays on — which is what report consumers render for
-    designer feedback."""
+    """Outcome of one executed :class:`CheckJob`: the plan index it
+    answers and the :class:`CheckResult`.  Everything else about the
+    check (block, names, category) is the plan job's, looked up by
+    index; ``result.name`` is the job's ``qualified_name``."""
 
     index: int
-    block: str
-    module_name: str
-    vunit_name: str
-    assert_name: str
-    category: str
     result: CheckResult
-    cached: bool = False
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.vunit_name}.{self.assert_name}"
 
 
 def engines_digest(engines: Tuple[EngineConfig, ...]) -> str:
@@ -410,16 +366,7 @@ def run_check_job(job: CheckJob,
     result.seconds = sum(attempt["seconds"] for attempt in attempts)
     if len(job.engines) > 1:
         result.engine = f"portfolio:{result.engine}"
-    return JobResult(
-        index=job.index,
-        block=job.block,
-        module_name=job.module.name,
-        vunit_name=job.vunit.name,
-        assert_name=job.assert_name,
-        category=job.category,
-        result=result,
-        cached=False,
-    )
+    return JobResult(index=job.index, result=result)
 
 
 # ----------------------------------------------------------------------
@@ -435,9 +382,9 @@ def encode_result(result: CheckResult) -> dict:
     re-validated on the way back in).
 
     This is the one serialized-result dialect in the package: the
-    result cache, the checkpoint journal, and the executors' process
-    wire format all speak it, and :func:`decode_result` enforces the
-    same FAIL-must-replay rule for all three.
+    result cache, the checkpoint journal, and the fleet's result frames
+    all speak it, and :func:`decode_result` enforces the same
+    FAIL-must-replay rule for all three.
     """
     trace_frames = None
     if result.trace is not None:
@@ -497,55 +444,6 @@ def decode_result(entry: dict, job: CheckJob,
         trace=trace,
         stats=stats,
         seconds=float(entry.get("seconds") or 0.0),
-    )
-
-
-def encode_job_result(job_result: JobResult) -> dict:
-    """Serialize one :class:`JobResult` to the plain-dict wire form.
-
-    Identification travels as scalars and the check outcome as
-    :func:`encode_result`'s entry — for a FAIL that means the trace's
-    canonical input frames, **not** the compiled transition system the
-    in-process ``Trace`` object drags along.  A worker's result pickle
-    therefore shrinks from the whole AIG to a few hundred bytes; the
-    same dict is what a fleet worker sends over its socket.
-    """
-    return {
-        "index": job_result.index,
-        "block": job_result.block,
-        "module": job_result.module_name,
-        "vunit": job_result.vunit_name,
-        "assert": job_result.assert_name,
-        "category": job_result.category,
-        "result": encode_result(job_result.result),
-    }
-
-
-def decode_job_result(entry: dict, job: CheckJob,
-                      store: Optional[CompiledProblemStore] = None
-                      ) -> JobResult:
-    """Rebuild a :class:`JobResult` from its wire form.
-
-    ``job`` must be the plan's job for the entry's index (executors
-    hold the plan, so re-pairing is a dict lookup).  FAIL outcomes are
-    recompiled through ``store`` and their counterexamples revalidated
-    by replay — the same never-a-wrong-verdict rule every other decode
-    path enforces.
-    """
-    if entry.get("index") != job.index:
-        raise ValueError(
-            f"wire result index {entry.get('index')!r} does not match "
-            f"job {job.index}"
-        )
-    return JobResult(
-        index=job.index,
-        block=str(entry.get("block", job.block)),
-        module_name=str(entry.get("module", job.module.name)),
-        vunit_name=str(entry.get("vunit", job.vunit.name)),
-        assert_name=str(entry.get("assert", job.assert_name)),
-        category=str(entry.get("category", job.category)),
-        result=decode_result(entry["result"], job, store),
-        cached=False,
     )
 
 

@@ -84,14 +84,15 @@ class CampaignOrchestrator:
     prefer the config, which is what serializes):
 
     - ``engines`` — the per-job engine portfolio (tuple of
-      :class:`EngineConfig`; one entry = single engine);
+      :class:`EngineConfig`; one entry = single engine), the one way
+      to run with engine tuning knobs other than the
+      :class:`EngineConfig` defaults (``portfolio(..., max_k=...)``);
     - ``executor`` — any object with ``name`` and ``map(jobs)``
       yielding results in plan order;
     - ``cache`` — a :class:`ResultCache` for incremental reruns;
     - ``checkpoint`` — a :class:`CampaignCheckpoint` journaling
       completed jobs so a killed campaign restarts with
-      ``run(resume=True)``;
-    - ``lint`` — lint the Verifiable RTL while planning.
+      ``run(resume=True)``.
 
     An explicit component wins over the config's corresponding spec;
     everything not overridden still comes from the config.  Overridden
@@ -100,25 +101,11 @@ class CampaignOrchestrator:
     stamped ``config_digest`` alone fully describes the run.
     """
 
-    #: the default per-job engine portfolio: the induction-then-BDD
-    #: ladder as explicit stages (algorithmically what the old single
-    #: ``auto`` engine did internally), with the legacy budget limits —
-    #: generous enough for every leaf problem, tripping (TIMEOUT) only
-    #: on genuinely oversized cones instead of running unbounded.
-    #: Identical to ``CampaignConfig().build_engines()`` — the config
-    #: *is* the default campaign.
-    DEFAULT_ENGINES = tuple(
-        EngineConfig(method=method,
-                     sat_conflicts=200_000, bdd_nodes=2_000_000)
-        for method in ("kind", "bdd-combined")
-    )
-
     def __init__(self, blocks: Blocks,
                  engines: Optional[Tuple[EngineConfig, ...]] = None,
                  executor=None,
                  cache: Optional[ResultCache] = None,
                  checkpoint: Optional[CampaignCheckpoint] = None,
-                 lint: Optional[bool] = None,
                  config: Optional[CampaignConfig] = None) -> None:
         if config is None:
             config = CampaignConfig()
@@ -131,7 +118,6 @@ class CampaignOrchestrator:
             name for name, value in [
                 ("engines", engines), ("executor", executor),
                 ("cache", cache), ("checkpoint", checkpoint),
-                ("lint", lint),
             ] if value is not None
         ]
         # the blocks argument is a component too: when the config
@@ -148,7 +134,6 @@ class CampaignOrchestrator:
         self.cache = cache if cache is not None else config.build_cache()
         self.checkpoint = checkpoint if checkpoint is not None \
             else config.build_checkpoint()
-        self.lint = config.lint if lint is None else lint
         self.portfolio_policy = config.build_portfolio_policy(self.cache)
         #: the orchestrator's own compiled-problem store, serving the
         #: journal-replay and cache-lookup decode paths (FAIL traces
@@ -168,7 +153,7 @@ class CampaignOrchestrator:
         its checkpoint journal against a freshly derived plan.
         """
         return plan_campaign(
-            self.blocks, self.engines, lint=self.lint,
+            self.blocks, self.engines,
             coi_fingerprints=self.config.coi_fingerprints or "module",
         )
 

@@ -74,7 +74,6 @@ class CampaignPlan:
 
 
 def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
-                  lint: bool = True,
                   coi_fingerprints: str = "module") -> CampaignPlan:
     """Walk ``blocks`` once and produce the flat, ordered job list.
 
@@ -118,8 +117,7 @@ def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
                 plan.skipped.append(entry)
                 continue
             plan.submodules[block_name] += 1
-            if lint:
-                plan.lint_issues.extend(lint_verifiable(module))
+            plan.lint_issues.extend(lint_verifiable(module))
             module_text = emit_module(module)
             module_digest = text_digest(module_text)
             cone_index = index_module(module) if need_cones else None

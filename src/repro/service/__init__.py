@@ -25,7 +25,7 @@ The pieces, bottom up:
   smoke job drive.
 
 See ``docs/service.md`` for the endpoint table, deployment notes, and
-the migration path for JSON caches.
+the request-body limits.
 """
 
 from .api import DEFAULT_HOST, DEFAULT_PORT, SERVICE_ENDPOINTS, \

@@ -12,7 +12,9 @@ endpoint surface (the table :data:`SERVICE_ENDPOINTS` is what
   or ``{"config_toml": "..."}`` (a TOML file's text), plus an optional
   ``"tenant"`` (the ``X-Tenant`` header works too).  Responds 202 with
   the run id; an identical config already in flight responds with the
-  *same* run id and ``"deduped": true``.  400 names the config error.
+  *same* run id and ``"deduped": true``.  400 names the config error
+  (or a negative ``Content-Length``); a body over
+  :data:`MAX_BODY_BYTES` is refused with 413 unread.
 - ``GET /v1/campaigns/<id>`` — status snapshot.  ``?wait=SECS``
   long-polls until the run finishes (or the wait elapses);
   ``?watch=1`` streams progress as newline-delimited JSON — one
@@ -52,6 +54,11 @@ DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8357
 DEFAULT_DATA_DIR = "out/service"
 
+#: the largest request body the daemon reads; a campaign config is a
+#: few hundred bytes (every shipped example is under 1 kB), so a larger
+#: ``Content-Length`` is refused with 413 before any byte is read
+MAX_BODY_BYTES = 1 << 20
+
 #: (method, path template, summary) — the public surface, one row per
 #: endpoint; docs/service.md must document every row
 #: (tools/check_docs.py enforces it)
@@ -89,7 +96,7 @@ class ServiceDaemon:
         self.db = ResultCache(
             config.cache_path
             or os.path.join(self.data_dir, "verdicts.sqlite"))
-        self.queue = CampaignQueue(self.db, self.data_dir,
+        self.queue = CampaignQueue(self.db,
                                    blocks_provider=blocks_provider,
                                    throttle=throttle)
         self.started_at = time.time()
@@ -181,6 +188,19 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self._error(400, "Content-Length must be an integer")
+            return
+        # checked before reading: rfile.read(-1) would wait for the
+        # client to hang up, and a huge length would allocate it
+        if length < 0:
+            self._error(400, f"negative Content-Length {length}")
+            return
+        if length > MAX_BODY_BYTES:
+            self._error(413, f"request body of {length} bytes exceeds "
+                             f"the {MAX_BODY_BYTES}-byte limit")
+            return
+        try:
             body = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")

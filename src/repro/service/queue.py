@@ -14,10 +14,10 @@ Job-level dedup falls out of the shared verdict store (a
 one campaign at a time through a stock
 :class:`~repro.orchestrate.CampaignOrchestrator` wired with that store
 as its cache, so any job fingerprint ever settled — by an earlier
-campaign, a different tenant, or an imported JSON cache — partitions
-out as an instant verdict hit, and only genuine
-misses reach the configured executor (``serial`` or the parallel
-``fleet:N``; the config decides, the queue does not care).
+campaign or a different tenant — partitions out as an instant verdict
+hit, and only genuine misses reach the configured executor
+(``serial`` or the parallel ``fleet:N``; the config decides, the queue
+does not care).
 
 The store is the served campaign's one persistence path: the queue
 keeps no checkpoint journal, whatever the submitted config says.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import os
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -137,12 +136,10 @@ class CampaignQueue:
     injection hook that widens the window for kill-mid-run tests.
     """
 
-    def __init__(self, db: ResultCache, data_dir: str,
+    def __init__(self, db: ResultCache,
                  blocks_provider: Optional[Callable] = None,
                  throttle: float = 0.0) -> None:
         self.db = db
-        self.data_dir = str(data_dir)
-        os.makedirs(self.data_dir, exist_ok=True)
         self._blocks = blocks_provider or _default_blocks
         self._throttle = throttle
         self._lock = threading.Lock()

@@ -13,7 +13,9 @@ from repro.core.report import (
 )
 from repro.formal.engine import FAIL, PASS
 from repro.formal.problems import compilations_total, elaborations_total
-from repro.orchestrate import CampaignConfig, CampaignOrchestrator
+from repro.orchestrate import (
+    CampaignConfig, CampaignOrchestrator, plan_digest,
+)
 from repro.psl.compile import compile_assertion
 from repro.sim.campaign import SimulationCampaign
 
@@ -217,6 +219,22 @@ class TestSolverEffort:
             assert record.result.name == solo.name == job.qualified_name
             assert record.result.stats["problem"] == solo.size_stats(), \
                 job.qualified_name
+
+    @pytest.mark.parametrize("mode,digest,distinct", [
+        ("module", "290cec67379860e2", 135),
+        ("cone", "50836ab6afe7d129", 110),
+    ])
+    def test_default_ac_plan_digest_pinned(self, mode, digest, distinct):
+        """Every job fingerprint of the default A,C plan, in plan order,
+        in both ``[coi] fingerprints`` modes: a change to what a
+        fingerprint hashes (the emitted text, the engine descriptions
+        of the default portfolio) misses every store written before it,
+        and must be made on purpose."""
+        blocks = ComponentChip(only_blocks=["A", "C"]).blocks
+        plan = CampaignOrchestrator(
+            blocks, config=CampaignConfig(coi_fingerprints=mode)).plan()
+        assert plan_digest(plan)[:16] == digest
+        assert len({job.fingerprint for job in plan.jobs}) == distinct
 
 
 class TestProgressCallback:

@@ -25,8 +25,7 @@ from repro.formal.trace import Trace
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
     ModuleAffinityScheduling, SerialExecutor, compile_job,
-    decode_job_result,
-    encode_job_result, plan_campaign, run_check_job,
+    decode_result, encode_result, plan_campaign, run_check_job,
 )
 from repro.psl.ast import Always, Name, PslError, VUnit
 from repro.psl.compile import compile_assertion, compile_cluster, compile_vunit
@@ -363,45 +362,40 @@ class TestLazySoloCompile:
 # ----------------------------------------------------------------------
 
 class TestWireCodec:
-    def test_spec_is_portable_json(self, buggy_plan):
-        for job in buggy_plan.jobs[:3]:
-            spec = json.loads(json.dumps(job.spec()))
-            assert spec["fingerprint"] == job.fingerprint
-            assert spec["module_digest"] == job.module_digest
-            assert spec["vunit_digest"] == job.vunit_digest
-            assert spec["engines"] == [c.describe() for c in job.engines]
-
     def test_round_trip_preserves_outcome(self, buggy_plan):
+        """A result frame carries :func:`encode_result`'s entry; the
+        coordinator decodes it for the plan job of the frame's index."""
         store = CompiledProblemStore()
         for job in buggy_plan.jobs:
-            original = run_check_job(job, store)
-            entry = json.loads(json.dumps(encode_job_result(original)))
-            revived = decode_job_result(entry, job, store)
-            assert revived.index == original.index
-            assert revived.qualified_name == original.qualified_name
-            assert revived.result.status == original.result.status
-            assert revived.result.engine == original.result.engine
-            assert revived.result.depth == original.result.depth
-            if original.result.status == FAIL:
-                assert revived.result.trace is not None
-                assert revived.result.trace.replay()
-                assert revived.result.trace.canonical_frames() == \
-                    original.result.trace.canonical_frames()
+            original = run_check_job(job, store).result
+            entry = json.loads(json.dumps(encode_result(original)))
+            revived = decode_result(entry, job, store)
+            assert revived.name == original.name == job.qualified_name
+            assert revived.status == original.status
+            assert revived.engine == original.engine
+            assert revived.depth == original.depth
+            if original.status == FAIL:
+                assert revived.trace is not None
+                assert revived.trace.replay()
+                assert revived.trace.canonical_frames() == \
+                    original.trace.canonical_frames()
 
     def test_fail_entry_shrinks_to_frames(self, buggy_plan):
         """The wire entry must carry canonical frames, not the compiled
         transition system."""
         failing = next(job for job in buggy_plan.jobs
                        if run_check_job(job).result.status == FAIL)
-        entry = encode_job_result(run_check_job(failing))
-        assert isinstance(entry["result"]["trace"], list)
+        entry = encode_result(run_check_job(failing).result)
+        assert isinstance(entry["trace"], list)
         # the whole entry is plain data, so it JSON-serializes
         json.dumps(entry)
 
-    def test_index_mismatch_rejected(self, buggy_plan):
-        entry = encode_job_result(run_check_job(buggy_plan.jobs[0]))
-        with pytest.raises(ValueError, match="does not match"):
-            decode_job_result(entry, buggy_plan.jobs[1])
+    def test_job_result_is_index_and_result(self, buggy_plan):
+        """Everything else about a check is the plan job's."""
+        job_result = run_check_job(buggy_plan.jobs[0])
+        assert [field.name for field in dataclasses.fields(job_result)] \
+            == ["index", "result"]
+        assert job_result.index == buggy_plan.jobs[0].index
 
     def test_single_stage_attempt_log_recorded(self, buggy_plan):
         """The small fix: a single-stage portfolio keeps the same

@@ -19,7 +19,7 @@ from repro.core.campaign import FormalCampaign
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, ConfigError, EngineConfig,
     FleetExecutor, SerialExecutor, parse_engines_spec,
-    parse_executor_spec,
+    parse_executor_spec, plan_campaign, portfolio,
 )
 from repro.orchestrate.config import CONFIG_SCHEMA
 
@@ -93,10 +93,9 @@ class TestEnginesSpec:
 # ----------------------------------------------------------------------
 
 FULL = dict(
-    blocks=("A", "C"), lint=False,
+    blocks=("A", "C"),
     engines="portfolio:kind,bdd-combined", sat_conflicts=123_456,
-    bdd_nodes=None, max_bound=50, max_k=30, unique_states=False,
-    num_window_vars=3,
+    bdd_nodes=None,
     executor="fleet:3", scheduling="module-affinity",
     portfolio="adaptive",
     sat_workspace=False, compile_store=False,
@@ -159,9 +158,8 @@ class TestDigest:
     def test_every_field_moves_the_digest(self):
         base = CampaignConfig(**FULL)
         changed = dict(
-            FULL, blocks=("A",), lint=True, engines="portfolio",
-            sat_conflicts=1, bdd_nodes=2, max_bound=51, max_k=31,
-            unique_states=True, num_window_vars=4, executor="serial",
+            FULL, blocks=("A",), engines="portfolio",
+            sat_conflicts=1, bdd_nodes=2, executor="serial",
             scheduling="fifo", portfolio="static",
             sat_workspace=True, compile_store=True,
             cache_path="other.json", checkpoint_path="other.journal",
@@ -195,10 +193,10 @@ class TestStrictness:
     @pytest.mark.parametrize("kwargs,match", [
         (dict(scheduling="lifo"), "scheduling"),
         (dict(portfolio="oracle"), "portfolio"),
-        (dict(lint=1), "lint"),
+        (dict(compile_store=1), "compile_store"),
         (dict(sat_conflicts=-1), "sat_conflicts"),
         (dict(sat_workspace=1), "sat_workspace"),
-        (dict(max_k=0), "max_k"),
+        (dict(bdd_nodes=True), "bdd_nodes"),
         (dict(cache_path=7), "cache_path"),
         (dict(blocks=("A", 3)), "blocks"),
         (dict(blocks="CE"), "bare string"),
@@ -246,6 +244,27 @@ class TestStrictness:
         with pytest.raises(ConfigError, match=key):
             CampaignConfig.from_toml(toml)
 
+    @pytest.mark.parametrize("form", ["toml", "dict"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("campaign", "lint", True),
+        ("engines", "max_bound", 60),
+        ("engines", "max_k", 40),
+        ("engines", "unique_states", True),
+        ("engines", "num_window_vars", 2),
+    ])
+    def test_restated_defaults_removed(self, section, key, value, form):
+        """The keys that restated a default nothing overrode are gone:
+        given in TOML or through ``from_dict``, each is a ConfigError
+        naming it.  Planning always lints, and the engine knobs are
+        the ``EngineConfig`` defaults (``portfolio(..., max_k=...)``
+        changes them through ``engines=``)."""
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            if form == "toml":
+                CampaignConfig.from_toml(
+                    f"[{section}]\n{key} = {str(value).lower()}\n")
+            else:
+                CampaignConfig.from_dict({section: {key: value}})
+
     def test_fleet_worker_command_removed(self, tmp_path, capsys):
         """``python -m repro fleet worker`` is gone: a usage error."""
         from repro.cli import main
@@ -273,18 +292,25 @@ class TestStrictness:
 
 class TestBuilders:
     def test_default_engines_match_legacy_default(self):
-        assert CampaignConfig().build_engines() == \
-            CampaignOrchestrator.DEFAULT_ENGINES
+        """The default campaign: the induction-then-BDD ladder with
+        the classic budgets and the ``EngineConfig`` tuning defaults."""
+        assert CampaignConfig().build_engines() == tuple(
+            EngineConfig(method=method, max_bound=60, max_k=40,
+                         unique_states=True, num_window_vars=2,
+                         sat_conflicts=200_000, bdd_nodes=2_000_000)
+            for method in ("kind", "bdd-combined"))
 
     def test_engine_knobs_reach_every_stage(self):
-        engines = _config(engines="portfolio:kind,pobdd",
-                          max_k=17, num_window_vars=3).build_engines()
+        """The budgets reach every stage; the tuning knobs are the
+        ``EngineConfig`` defaults, as ``portfolio`` builds them."""
+        engines = _config(engines="portfolio:kind,pobdd").build_engines()
         assert [config.method for config in engines] == ["kind", "pobdd"]
+        assert engines == portfolio("kind", "pobdd", sat_conflicts=500_000,
+                                    bdd_nodes=5_000_000)
         for config in engines:
             assert isinstance(config, EngineConfig)
-            assert config.max_k == 17
-            assert config.num_window_vars == 3
             assert config.sat_conflicts == 500_000
+            assert config.bdd_nodes == 5_000_000
 
     def test_executor_kinds(self):
         assert isinstance(_config().build_executor(), SerialExecutor)
@@ -390,13 +416,22 @@ class TestConfigDrivenCampaign:
 class TestLegacyMapping:
     @pytest.mark.parametrize("kwargs", [
         dict(method="kind"), dict(max_k=30),
-        dict(budget_factory=lambda: None),
-    ], ids=["method", "max_k", "budget_factory"])
+        dict(budget_factory=lambda: None), dict(lint=False),
+    ], ids=["method", "max_k", "budget_factory", "lint"])
     def test_removed_kwargs_raise(self, small_blocks, kwargs):
         """The paper-era kwargs are gone: their budgets and engines
-        live in ``config=CampaignConfig(...)``."""
+        live in ``config=CampaignConfig(...)`` or ``engines=``, and
+        planning always lints."""
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             FormalCampaign(small_blocks, **kwargs)
+
+    def test_orchestrator_lint_kwarg_removed(self, small_blocks):
+        with pytest.raises(TypeError, match="lint"):
+            CampaignOrchestrator(small_blocks, lint=False)
+        with pytest.raises(TypeError, match="lint"):
+            plan_campaign(small_blocks, CampaignConfig().build_engines(),
+                          lint=False)
+        assert not hasattr(CampaignOrchestrator, "DEFAULT_ENGINES")
 
     def test_facade_defaults_share_config_defaults(self, small_blocks):
         campaign = FormalCampaign(small_blocks)

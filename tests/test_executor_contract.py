@@ -113,7 +113,7 @@ def tiny_plan(tiny_blocks):
 
 
 def _outcome(job_result):
-    return (job_result.index, job_result.qualified_name,
+    return (job_result.index, job_result.result.name,
             job_result.result.status, job_result.result.engine,
             job_result.result.depth)
 

@@ -19,6 +19,9 @@ adds on top:
   process exits; a long check that keeps heartbeating keeps its lease;
 - a peer that sends garbage frames is dropped and re-leased around —
   one bad peer never wedges the stream;
+- a lease names each job by index, fingerprint and attempt order only;
+  a worker refuses an entry its own plan does not hold, and the
+  coordinator refuses a result for other content than the plan job's;
 - a launcher that cannot keep workers alive, or a job that kills every
   worker that takes it, exhausts the respawn budget into a loud
   ``FleetError`` instead of a wedge;
@@ -51,12 +54,12 @@ from repro.formal.engine import _ENGINES  # test-only registry cleanup
 from repro.orchestrate import (
     CampaignCheckpoint, CampaignOrchestrator, CompiledProblemStore,
     EngineConfig, FleetExecutor, LocalFleetLauncher,
-    ModuleAffinityScheduling, SerialExecutor, decode_job_result,
-    encode_job_result, plan_campaign,
+    ModuleAffinityScheduling, SerialExecutor, decode_result,
+    encode_result, plan_campaign, run_check_job,
 )
 from repro.orchestrate.fleet import (
     FleetError, FrameError, MAX_FRAME_BYTES, _fleet_worker_main,
-    recv_frame, send_frame,
+    _lease_entry, recv_frame, send_frame,
 )
 
 #: jobs in the tiny two-module plan (asserted in the fixture)
@@ -85,7 +88,7 @@ def tiny_plan(tiny_blocks):
 
 
 def _outcome(job_result):
-    return (job_result.index, job_result.qualified_name,
+    return (job_result.index, job_result.result.name,
             job_result.result.status, job_result.result.engine,
             job_result.result.depth)
 
@@ -172,16 +175,17 @@ class TestFraming:
         assert recv_frame(sock) == payload
         assert recv_frame(sock) is None  # clean EOF at frame boundary
 
-    def test_job_specs_roundtrip_fragmented(self, tiny_plan):
+    def test_lease_entries_roundtrip_fragmented(self, tiny_plan):
         rng = random.Random(11)
         sock = _ChunkSocket(rng=rng)
         for job in tiny_plan.jobs:
             send_frame(sock, {"type": "lease", "lease": 0,
-                              "jobs": [job.spec()]})
+                              "jobs": [_lease_entry(job)]})
         for job in tiny_plan.jobs:
             frame = recv_frame(sock)
-            assert frame["jobs"] == [job.spec()]
-            assert frame["jobs"][0]["fingerprint"] == job.fingerprint
+            assert frame["jobs"] == [{"index": job.index,
+                                      "fingerprint": job.fingerprint,
+                                      "engine_order": None}]
         assert recv_frame(sock) is None
 
     def test_fail_results_roundtrip_fragmented(self, tiny_plan,
@@ -195,13 +199,18 @@ class TestFraming:
             job = tiny_plan.jobs[job_result.index]
             sock = _ChunkSocket(rng=rng)
             send_frame(sock, {"type": "result", "index": job.index,
-                              "result": encode_job_result(job_result)})
+                              "fingerprint": job.fingerprint,
+                              "result": encode_result(job_result.result)})
             frame = recv_frame(sock)
-            decoded = decode_job_result(frame["result"], job,
-                                        CompiledProblemStore())
-            assert _outcome(decoded) == _outcome(job_result)
-            assert decoded.result.trace is not None
-            assert decoded.result.trace.replay()
+            assert frame["fingerprint"] == job.fingerprint
+            decoded = decode_result(frame["result"], job,
+                                    CompiledProblemStore())
+            assert (decoded.name, decoded.status, decoded.engine,
+                    decoded.depth) == _outcome(job_result)[1:]
+            assert decoded.trace is not None
+            assert decoded.trace.replay()
+            assert decoded.trace.canonical_frames() == \
+                job_result.result.trace.canonical_frames()
 
     def test_truncated_frame_raises_at_every_cut(self):
         whole = _ChunkSocket()
@@ -539,10 +548,10 @@ class TestWorkerFaults:
             if not worker.go.wait(30.0):
                 return
             lease = worker.lease_frame
-            spec = lease["jobs"][0]
+            entry = lease["jobs"][0]
             late = {"type": "result", "lease": lease["lease"],
-                    "index": spec["index"],
-                    "fingerprint": spec["fingerprint"],
+                    "index": entry["index"],
+                    "fingerprint": entry["fingerprint"],
                     "result": {"bogus": True}, "pid": 0}
             send_frame(worker.sock, late)
             send_frame(worker.sock, late)  # and a duplicate
@@ -685,6 +694,107 @@ class TestWorkerFaults:
             list(executor.map(tiny_plan.jobs))
         assert launcher.launches == 3
         assert not executor._run.coordinator.is_alive()
+
+
+class TestLeaseWire:
+    """Workers are forked holding the plan, so the wire names a job by
+    index and fingerprint: a lease entry adds only the attempt order,
+    and a result frame answers with the index, the fingerprint and the
+    result entry."""
+
+    def test_lease_entries_carry_index_fingerprint_and_order(
+            self, tiny_plan, serial_outcomes):
+        """The scripted first worker records every lease it is given
+        and answers it the way a real worker does, from the three
+        entry keys and its own copy of the plan."""
+        leases = []
+
+        def minimal_worker(worker):
+            frame = worker.lease_frame
+            while frame is not None and frame.get("type") == "lease":
+                leases.append(frame)
+                for entry in frame["jobs"]:
+                    job = tiny_plan.jobs[entry["index"]]
+                    send_frame(worker.sock, {
+                        "type": "result", "lease": frame["lease"],
+                        "index": job.index,
+                        "fingerprint": job.fingerprint,
+                        "result": encode_result(run_check_job(job).result),
+                    })
+                frame = recv_frame(worker.sock)
+            worker.abort()
+
+        launcher = ScriptedFirstLauncher(minimal_worker)
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 heartbeat_interval=0.1)
+        results = list(executor.map(tiny_plan.jobs))
+        assert [_outcome(r) for r in results] == serial_outcomes
+        assert leases
+        entries = [entry for lease in leases for entry in lease["jobs"]]
+        assert all(set(entry) == {"index", "fingerprint", "engine_order"}
+                   for entry in entries)
+        stats = executor.fleet_stats()
+        assert stats["jobs_per_worker"]["w0"] == len(entries)
+        assert stats["results_rejected"] == 0
+
+    def test_worker_refuses_an_entry_it_does_not_hold(self, tiny_plan):
+        """An entry whose fingerprint differs from the worker's own job
+        (or whose index the worker has no job for) is answered with an
+        error frame, never run."""
+        coordinator, worker_end = socket.socketpair()
+        worker = threading.Thread(
+            target=_fleet_worker_main,
+            args=("w0", worker_end, {"heartbeat_interval": 60.0},
+                  tiny_plan.jobs),
+            daemon=True)
+        worker.start()
+        try:
+            coordinator.settimeout(30.0)
+            foreign = {"index": 0, "fingerprint": "0" * 64,
+                       "engine_order": None}
+            unknown = dict(_lease_entry(tiny_plan.jobs[0]), index=10**6)
+            for lease, entry in enumerate((foreign, unknown)):
+                send_frame(coordinator, {"type": "lease", "lease": lease,
+                                         "jobs": [entry]})
+                frame = recv_frame(coordinator)
+                assert frame["type"] == "error"
+                assert frame["index"] == entry["index"]
+                assert "fingerprint mismatch" in frame["message"]
+            send_frame(coordinator, {"type": "shutdown"})
+            worker.join(10.0)
+            assert not worker.is_alive()
+        finally:
+            coordinator.close()
+
+    def test_result_for_other_content_is_rejected(self, tiny_plan,
+                                                  serial_outcomes):
+        """A result frame for the active lease and an unanswered index
+        is still refused when its fingerprint is not the plan job's:
+        the worker is dropped, its lease re-issued, and the stream
+        matches serial."""
+
+        def impostor(worker):
+            lease = worker.lease_frame
+            entry = lease["jobs"][0]
+            job = tiny_plan.jobs[entry["index"]]
+            send_frame(worker.sock, {
+                "type": "result", "lease": lease["lease"],
+                "index": entry["index"], "fingerprint": "0" * 64,
+                "result": encode_result(run_check_job(job).result),
+            })
+            worker.sent.set()
+
+        launcher = ScriptedFirstLauncher(impostor)
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 heartbeat_interval=0.1)
+        results = list(executor.map(tiny_plan.jobs))
+        assert launcher.fake.sent.is_set()
+        assert [_outcome(r) for r in results] == serial_outcomes
+        stats = executor.fleet_stats()
+        assert stats["results_rejected"] >= 1
+        assert stats["workers_lost"] >= 1
+        assert stats["leases_reissued"] >= 1
+        assert stats["jobs_per_worker"]["w0"] == 0
 
 
 class ThreadLauncher(LocalFleetLauncher):

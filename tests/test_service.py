@@ -22,7 +22,6 @@ import time
 
 import pytest
 
-from repro import __version__ as repro_version
 from repro.chip import ComponentChip
 from repro.formal.engine import PASS, CheckResult
 from repro.orchestrate import CampaignOrchestrator, ResultCache
@@ -31,6 +30,7 @@ from repro.orchestrate.stats import STATS_SCHEMA, counter_groups
 from repro.service import (
     CampaignQueue, ServiceClient, ServiceDaemon, ServiceError,
 )
+from repro.service.api import MAX_BODY_BYTES
 
 #: jobs in the tiny two-module plan; pinned by the reference fixture
 TOTAL_JOBS = 17
@@ -71,8 +71,9 @@ def _db_campaign(blocks, db):
 
 
 def _journals(data_dir):
-    """The checkpoint journals in a daemon's data directory (the daemon
-    writes none: its store is the one persistence path)."""
+    """The checkpoint journals in a directory: the daemon's data
+    directory, or the one holding a bare queue's store (neither gets
+    one: the store is the one persistence path)."""
     if not os.path.isdir(data_dir):
         return []
     return [name for name in os.listdir(data_dir)
@@ -94,17 +95,8 @@ def _stored_rows(path):
         conn.close()
 
 
-def _json_cache(path, entries, **header):
-    """Write a JSON cache in the format before the SQLite store."""
-    payload = {"version": 1, "repro_version": repro_version,
-               "entries": entries}
-    payload.update(header)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
-
-
 # ======================================================================
-# The verdict store's service extras: counters, provenance, migration
+# The verdict store's service extras: counters, provenance
 # ======================================================================
 
 class TestVerdictStore:
@@ -161,61 +153,6 @@ class TestVerdictStore:
         assert ResultCache(path).engine_history() == history
         assert history, "fixture must produce definitive verdicts"
 
-    def test_import_cache_migrates_and_second_run_hits(
-            self, tiny_blocks, reference, tmp_path):
-        source = ResultCache(str(tmp_path / "source.sqlite"))
-        _db_campaign(tiny_blocks, source)
-        plan = CampaignOrchestrator(tiny_blocks,
-                                    config=CampaignConfig()).plan()
-        cache_path = str(tmp_path / "legacy-cache.json")
-        _json_cache(cache_path, {
-            job.fingerprint: source.get(job.fingerprint)["entry"]
-            for job in plan.jobs})
-        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
-        assert db.import_cache(cache_path) == TOTAL_JOBS
-        assert len(db) == TOTAL_JOBS
-        served = _db_campaign(tiny_blocks, db)
-        assert served.stats["cache_misses"] == 0
-        assert served.canonical_bytes() == reference.canonical_bytes()
-        assert db.stats()["imported"] == TOTAL_JOBS
-        # importing again is idempotent: nothing in the file is newer
-        assert db.import_cache(cache_path) == 0
-
-    def test_import_rejects_rotten_or_foreign_caches(self, tmp_path):
-        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
-        missing = str(tmp_path / "nope.json")
-        assert db.import_cache(missing) == 0
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("{not json")
-        assert db.import_cache(str(garbage)) == 0
-        foreign = str(tmp_path / "foreign.json")
-        _json_cache(foreign, {"fp": {"status": "pass"}},
-                    repro_version="0.0.0-not-this-build")
-        assert db.import_cache(foreign) == 0
-        assert len(db) == 0
-        assert not os.path.exists(db.path)  # nothing stored, no file
-
-    def test_import_skips_malformed_provenance(self, tmp_path):
-        """An entry whose provenance SQLite cannot bind is skipped, and
-        a stamp it cannot store counts as oldest; the rest import and
-        the store keeps its rows."""
-        db = ResultCache(str(tmp_path / "verdicts.sqlite"))
-        db.store("kept", CheckResult("p", PASS, "kind"))
-        legacy = str(tmp_path / "legacy.json")
-        _json_cache(legacy, {
-            "list-module": {"status": "pass", "module": ["a", "b"]},
-            "dict-engine": {"status": "pass", "engine": {"x": 1}},
-            "good": {"status": "pass", "engine": "kind", "stored_at": 1.0},
-            "nan-stamp": {"status": "pass", "stored_at": float("nan")},
-        })
-        assert db.import_cache(legacy) == 2
-        db.close()
-        reopened = ResultCache(db.path)
-        assert len(reopened) == 3
-        assert reopened.get("nan-stamp")["stored_at"] == 0.0
-        assert "kept" in reopened and "good" in reopened
-        assert db.stats()["resets"] == 0
-
 
 # ======================================================================
 # Submission queue: in-flight dedup, one run for N clients
@@ -225,8 +162,7 @@ class TestCampaignQueue:
     def test_duplicate_inflight_submissions_share_one_run(
             self, reference, tmp_path):
         db = ResultCache(str(tmp_path / "verdicts.sqlite"))
-        queue = CampaignQueue(db, str(tmp_path / "svc"),
-                              blocks_provider=_service_blocks,
+        queue = CampaignQueue(db, blocks_provider=_service_blocks,
                               throttle=0.05)
         try:
             config = CampaignConfig()
@@ -243,7 +179,7 @@ class TestCampaignQueue:
             assert first.executed == TOTAL_JOBS
             assert db.stats()["stored"] == TOTAL_JOBS
             assert first.journal_replayed == 0
-            assert _journals(queue.data_dir) == []
+            assert _journals(str(tmp_path)) == []
             metrics = queue.metrics()
             assert metrics["totals"]["submissions"] == 2
             assert metrics["totals"]["deduped"] == 1
@@ -252,10 +188,26 @@ class TestCampaignQueue:
             queue.close()
             db.close()
 
+    def test_data_dir_argument_removed(self, tmp_path):
+        """The queue keeps no files of its own: the store creates its
+        directory at its first write."""
+        db = ResultCache(str(tmp_path / "store" / "verdicts.sqlite"))
+        with pytest.raises(TypeError, match="data_dir"):
+            CampaignQueue(db, data_dir=str(tmp_path / "svc"))
+        queue = CampaignQueue(db, blocks_provider=_service_blocks)
+        try:
+            assert not hasattr(queue, "data_dir")
+            run, _ = queue.submit(CampaignConfig())
+            assert run.finished.wait(timeout=120.0)
+            assert run.state == "done"
+            assert os.path.exists(db.path)
+        finally:
+            queue.close()
+            db.close()
+
     def test_distinct_configs_queue_separately(self, tmp_path):
         db = ResultCache(str(tmp_path / "verdicts.sqlite"))
-        queue = CampaignQueue(db, str(tmp_path / "svc"),
-                              blocks_provider=_service_blocks,
+        queue = CampaignQueue(db, blocks_provider=_service_blocks,
                               throttle=0.05)
         try:
             first, _ = queue.submit(CampaignConfig())
@@ -266,7 +218,7 @@ class TestCampaignQueue:
             assert first.finished.wait(timeout=120.0)
             assert second.finished.wait(timeout=120.0)
             assert {first.state, second.state} == {"done"}
-            assert _journals(queue.data_dir) == []
+            assert _journals(str(tmp_path)) == []
         finally:
             queue.close()
             db.close()
@@ -274,14 +226,13 @@ class TestCampaignQueue:
     def test_completed_run_resubmission_is_all_verdict_hits(
             self, reference, tmp_path):
         db = ResultCache(str(tmp_path / "verdicts.sqlite"))
-        queue = CampaignQueue(db, str(tmp_path / "svc"),
-                              blocks_provider=_service_blocks)
+        queue = CampaignQueue(db, blocks_provider=_service_blocks)
         try:
             config = CampaignConfig()
             first, _ = queue.submit(config)
             assert first.finished.wait(timeout=120.0)
             # the campaign's truth lives in the db, never in a journal
-            assert _journals(queue.data_dir) == []
+            assert _journals(str(tmp_path)) == []
             again, deduped = queue.submit(config)
             assert not deduped  # first run already finished
             assert again.finished.wait(timeout=120.0)
@@ -289,7 +240,7 @@ class TestCampaignQueue:
             assert again.verdict_hits == TOTAL_JOBS
             assert again.canonical == first.canonical == \
                 reference.canonical_bytes().decode("utf-8")
-            assert _journals(queue.data_dir) == []
+            assert _journals(str(tmp_path)) == []
         finally:
             queue.close()
             db.close()
@@ -450,6 +401,32 @@ class TestServiceApi:
         with pytest.raises(ServiceError):
             dead.healthz()
 
+    @pytest.mark.parametrize("length,status", [
+        ("-1", 400), ("100000000000", 413), (str(MAX_BODY_BYTES + 1), 413),
+        ("ten", 400),
+    ], ids=["negative", "huge", "one-over", "not-a-number"])
+    def test_bad_content_length_answered_at_once(self, daemon, length,
+                                                 status):
+        """A Content-Length the daemon will not read is answered before
+        any byte of the body: a negative one used to wait for the
+        client to hang up, a huge one to raise MemoryError and drop
+        the connection unanswered."""
+        host, port = daemon.address
+        with socket.create_connection((host, port), timeout=1.0) as sock:
+            sock.sendall(f"POST /v1/campaigns HTTP/1.0\r\n"
+                         f"Content-Length: {length}\r\n\r\n"
+                         .encode("ascii"))
+            started = time.monotonic()
+            reply = b""
+            while b"\r\n" not in reply:
+                chunk = sock.recv(4096)  # socket.timeout after 1 s
+                if not chunk:
+                    break
+                reply += chunk
+            assert time.monotonic() - started < 1.0
+        assert reply.split(b" ", 2)[1] == str(status).encode("ascii")
+        assert ServiceClient(daemon.url).healthz()["status"] == "ok"
+
 
 # ======================================================================
 # The crash story: SIGKILL the daemon mid-run, restart, resume
@@ -593,7 +570,7 @@ class TestServiceConfigSection:
         try:
             assert daemon.db.path == \
                 os.path.join(str(tmp_path / "state"), "verdicts.sqlite")
-            assert daemon.queue.data_dir == str(tmp_path / "state")
+            assert daemon.data_dir == str(tmp_path / "state")
             assert daemon.address[0] == "127.0.0.1"
             assert daemon.address[1] > 0  # ephemeral port resolved
         finally:
