@@ -8,35 +8,29 @@ Runs the same chip campaign several ways —
 3. serial executor against a warm result cache (the ECO-rerun case),
 4. checkpointed cold run, then a resume from a half-truncated journal
    (the killed-campaign case: half the jobs replay, half execute),
-5. a config-driven adaptive-portfolio probe: a warm cache seeds the
-   engine history, then an ECO-style rerun (changed budgets, so every
-   fingerprint misses) is executed with a deliberately worst-first
-   portfolio ladder twice — ``portfolio = "static"`` vs ``"adaptive"``
-   — comparing wall time and engine attempts, with byte-identical
-   outcomes,
-6. a shared-SAT-workspace probe on one module's whole assertion set
+5. a shared-SAT-workspace probe on one module's whole assertion set
    with the default ``portfolio:kind,bdd-combined`` ladder: cold
    solvers vs one shared incremental workspace (clustered CNFs,
    retained time frames, learned-clause retention under activation
    literals), comparing wall time and the deterministic
    conflict/propagation totals summed over every portfolio attempt,
-7. a scenario-sweep probe: the fixed tiny generated chip family
+6. a scenario-sweep probe: the fixed tiny generated chip family
    crossed with all four defect classes (``repro.scenario``), run
    under the serial executor and the fleet — recording the
    detection rate, the surviving-mutant list (must be empty), and
    the per-engine time-to-FAIL buckets, with outcome-identical
    canonical records across the executors,
-8. a compile-store probe on the fixed block-C scope: the
+7. a compile-store probe on the fixed block-C scope: the
    content-addressed ``CompiledProblemStore`` on vs off, measured two
    ways — serial runs diffing the process-wide
    ``elaborations_total()`` / ``compilations_total()`` counters (the
    deterministic savings), and module-affinity fleet runs comparing
    job throughput and the fleet's aggregated store hit counters (the
    scheduled case the store was built for),
-9. a cone-addressing probe: a cold module-fingerprint sweep of the
+8. a cone-addressing probe: a cold module-fingerprint sweep of the
    bench family against a cold and a warm-golden cone-fingerprint
    sweep, gated on 3x fewer executed jobs warm than module-keyed,
-10. a fleet-transport probe: the pool leg (2.) again with one worker
+9. a fleet-transport probe: the pool leg (2.) again with one worker
    SIGKILLed after the first result, recording the lease re-issues and
    the recovery overhead against the healthy pool leg (whose
    per-worker job counts and lease bookkeeping it also records), with
@@ -115,81 +109,6 @@ def _timed_run(blocks, resume=False, **kwargs):
     started = time.perf_counter()
     report = campaign.run(resume=resume)
     return report, time.perf_counter() - started
-
-
-def _bench_adaptive():
-    """Config-driven adaptive-portfolio probe on the fixed block-C
-    scope.
-
-    A first campaign with the good ladder (``kind`` first) warms a
-    shared result cache — that is the engine history.  Then an
-    ECO-style rerun (budgets nudged, so every fingerprint misses while
-    module names persist) is executed with a deliberately *worst-first*
-    ladder, once statically and once adaptively (each against its own
-    copy of the warm cache).  The adaptive policy should recover the
-    historical winner per module/category and pay fewer/cheaper engine
-    attempts for the same byte-identical outcome.
-    """
-    import dataclasses
-    import shutil
-
-    blocks = ComponentChip(only_blocks=["C"]).blocks
-    ladder = "portfolio:pobdd,bdd-combined,kind"   # worst-first
-    with tempfile.TemporaryDirectory(prefix="bench_adapt_") as tmp:
-        warm_path = os.path.join(tmp, "warm.json")
-        warm = CampaignConfig(engines="portfolio:kind,bdd-combined,pobdd",
-                              sat_conflicts=1_000_000,
-                              bdd_nodes=10_000_000,
-                              cache_path=warm_path)
-        CampaignOrchestrator(blocks, config=warm).run()
-
-        static_path = os.path.join(tmp, "static.json")
-        adaptive_path = os.path.join(tmp, "adaptive.json")
-        shutil.copy(warm_path, static_path)
-        shutil.copy(warm_path, adaptive_path)
-        eco = CampaignConfig(engines=ladder, sat_conflicts=900_000,
-                             bdd_nodes=10_000_000)
-
-        started = time.perf_counter()
-        static = CampaignOrchestrator(
-            blocks, config=dataclasses.replace(eco,
-                                               cache_path=static_path),
-        ).run()
-        static_s = time.perf_counter() - started
-
-        started = time.perf_counter()
-        adaptive = CampaignOrchestrator(
-            blocks, config=dataclasses.replace(eco,
-                                               cache_path=adaptive_path,
-                                               portfolio="adaptive"),
-        ).run()
-        adaptive_s = time.perf_counter() - started
-
-    identical = adaptive.canonical_bytes() == static.canonical_bytes()
-    print(f"  static worst-first: {static_s:7.2f}s "
-          f"(attempts {static.stats['engine_attempts']})")
-    print(f"  adaptive portfolio: {adaptive_s:7.2f}s "
-          f"(attempts {adaptive.stats['engine_attempts']}, "
-          f"{adaptive.stats['portfolio_reordered']} jobs reordered)")
-    if not identical:
-        print("  WARNING: adaptive-portfolio outcome diverged!")
-    return {
-        "scope": "block C",
-        "ladder": ladder,
-        "properties": static.total_properties,
-        "seconds": {
-            "static": round(static_s, 3),
-            "adaptive": round(adaptive_s, 3),
-        },
-        "speedup_adaptive_vs_static": round(static_s / adaptive_s, 2)
-        if adaptive_s else 0.0,
-        "engine_attempts": {
-            "static": static.stats["engine_attempts"],
-            "adaptive": adaptive.stats["engine_attempts"],
-        },
-        "jobs_reordered": adaptive.stats["portfolio_reordered"],
-        "outcomes_identical": identical,
-    }
 
 
 def _bench_compile_store(workers):
@@ -738,7 +657,6 @@ def main():
               f"{resumed_report.total_properties} replayed from "
               f"{kept} journal entries)")
 
-    adaptive_record = _bench_adaptive()
     compile_record = _bench_compile_store(workers)
     sat_record = _bench_sat_workspace()
     print("scenario-sweep probe (serial vs fleet)")
@@ -807,7 +725,6 @@ def main():
         # the serial run's counters in the one versioned shape the CLI
         # --stats printer and the service /metrics endpoint also serve
         "counter_groups": counter_groups(serial_report.stats),
-        "adaptive_portfolio": adaptive_record,
         "compile_store": compile_record,
         "sat_workspace": sat_record,
         "scenario_sweep": scenario_record,
@@ -818,7 +735,6 @@ def main():
     OUT_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print(f"  perf record -> {OUT_PATH}")
     all_identical = (tables_identical and outcomes_identical
-                     and adaptive_record["outcomes_identical"]
                      and compile_record["outcomes_identical"]
                      and sat_record["outcomes_identical"]
                      and scenario_record["ok"]

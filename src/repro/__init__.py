@@ -22,7 +22,7 @@ Subpackages
     the formal verification campaign.
 ``repro.orchestrate``
     Job-based campaign orchestration: the declarative, serializable
-    ``CampaignConfig``, pluggable scheduling/portfolio policies,
+    ``CampaignConfig``, pluggable scheduling policies,
     check-job planning, the serial executor and the socket-fleet
     parallel executor, per-job engine portfolios, the fingerprint-keyed
     incremental result cache (a SQLite store concurrent campaigns share),

@@ -214,8 +214,7 @@ def _run(config: CampaignConfig, resume: bool, progress: bool,
     print(format_status_summary(report))
     print()
     print(f"executor:       {stats['executor']} "
-          f"(scheduling={stats['scheduling']}, "
-          f"portfolio={stats['portfolio_policy']})")
+          f"(scheduling={stats['scheduling']})")
     print(f"jobs:           {stats['jobs']} "
           f"({stats['journal_replayed']} journal-replayed, "
           f"{stats['cache_hits']} cache hits, "
@@ -225,8 +224,7 @@ def _run(config: CampaignConfig, resume: bool, progress: bool,
             f"{method}={count}" for method, count
             in sorted(stats["engine_attempts"].items())
         )
-        print(f"engine attempts: {attempts} "
-              f"({stats['portfolio_reordered']} reordered by policy)")
+        print(f"engine attempts: {attempts}")
     if show_stats:
         # the versioned counter schema — the same groups /metrics and
         # the benchmark records serve (see repro.orchestrate.stats)

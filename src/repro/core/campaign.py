@@ -157,8 +157,10 @@ class CampaignReport:
         settle the check is provenance too: every stage is sound (the
         verdict is stage-order-invariant, and counterexamples are
         concretised by the same deterministic BMC run), but the winner
-        — and its engine-specific proof bound — varies with the attempt
-        order a portfolio policy picks.  Portfolio results are
+        — and its engine-specific proof bound — can vary with warm
+        state: a binding ``sat_conflicts`` budget can trip an
+        induction stage on the shared SAT sessions where a cold solver
+        settles it, or the other way round.  Portfolio results are
         therefore canonicalised to engine ``"portfolio"`` with no proof
         depth (counterexample frames, which carry the real outcome,
         stay); the winning stage remains visible in

@@ -5,18 +5,18 @@ scheduled, restartable job graph:
 
 - :mod:`~repro.orchestrate.config` — :class:`CampaignConfig`, the
   frozen, serializable description of a whole campaign (engine and
-  executor string specs, policies, cache/checkpoint paths, budgets),
-  round-trippable through dicts and TOML and stamped (as a digest)
-  into every report — the object the ``python -m repro`` CLI runs
-  from;
-- :mod:`~repro.orchestrate.policy` — pluggable scheduling
-  (fifo / module-affinity work-queue batching) and portfolio
-  (static / cache-history-adaptive attempt ordering) policies, both
-  outcome-invariant by construction;
+  executor string specs, scheduling policy, cache/checkpoint paths,
+  budgets), round-trippable through dicts and TOML and stamped (as a
+  digest) into every report — the object the ``python -m repro`` CLI
+  runs from;
+- :mod:`~repro.orchestrate.policy` — pluggable scheduling policies
+  (fifo / module-affinity work-queue batching), outcome-invariant by
+  construction;
 - :mod:`~repro.orchestrate.job` — :class:`CheckJob` (one property
   check: module + vunit + assertion + engine portfolio), content
-  fingerprints, the portfolio runner, and the result codec the
-  cache, the checkpoint and the fleet's result frames share;
+  fingerprints, the portfolio runner (stages tried in their
+  configured order), and the result codec the cache, the checkpoint
+  and the fleet's result frames share;
 - :mod:`~repro.orchestrate.planner` — one walk over the chip produces
   the flat, ordered job list;
 - :mod:`~repro.orchestrate.executor` — the results-in-plan-order
@@ -136,9 +136,8 @@ from .config import (
     CampaignConfig, ConfigError, parse_engines_spec, parse_executor_spec,
 )
 from .policy import (
-    AdaptivePortfolio, FifoScheduling, ModuleAffinityScheduling,
-    PortfolioPolicy, SchedulingPolicy, StaticPortfolio,
-    portfolio_policy, scheduling_policy,
+    FifoScheduling, ModuleAffinityScheduling, SchedulingPolicy,
+    scheduling_policy,
 )
 from .stats import STATS_SCHEMA, counter_groups
 from .orchestrator import CampaignOrchestrator
@@ -154,9 +153,8 @@ __all__ = [
     "CampaignCheckpoint", "plan_digest",
     "CampaignConfig", "ConfigError",
     "parse_engines_spec", "parse_executor_spec",
-    "AdaptivePortfolio", "FifoScheduling", "ModuleAffinityScheduling",
-    "PortfolioPolicy", "SchedulingPolicy", "StaticPortfolio",
-    "portfolio_policy", "scheduling_policy",
+    "FifoScheduling", "ModuleAffinityScheduling", "SchedulingPolicy",
+    "scheduling_policy",
     "STATS_SCHEMA", "counter_groups",
     "CampaignOrchestrator",
 ]

@@ -63,7 +63,7 @@ import time
 from typing import Dict, Optional, Tuple
 
 from .. import __version__
-from ..formal.engine import CheckResult, FAIL, PASS
+from ..formal.engine import CheckResult
 from .job import CheckJob, decode_result, encode_result  # noqa: F401
 
 #: the ``meta`` rows a readable store carries (schema v4 dropped v3's
@@ -274,8 +274,7 @@ class ResultCache:
         Entries are stamped with a wall-clock ``stored_at`` (what the
         upsert arbitrates concurrent writers by) and, when the
         producing ``job`` is given, with its module name and property
-        category — the key the adaptive portfolio policy's engine
-        history (:meth:`engine_history`) is aggregated under.
+        category — provenance that ``GET /v1/verdicts`` serves.
         """
         entry = encode_result(result)
         entry["stored_at"] = time.time()
@@ -290,35 +289,6 @@ class ResultCache:
         self._upsert(fingerprint, entry)
         self._entries[fingerprint] = entry
         self._counters["stored"] += 1
-
-    # ------------------------------------------------------------------
-    def engine_history(self) -> Dict[Tuple[Optional[str], str], str]:
-        """Historical winning engines, from the cached verdicts.
-
-        Returns ``{(module name, category): method}`` — the portfolio
-        stage (or single engine) that most recently produced a
-        definitive PASS/FAIL for that module/category — plus
-        category-wide fallbacks under ``(None, category)``.  Entries
-        are scanned in ``stored_at`` order, so the newest verdict wins;
-        this is what :class:`~repro.orchestrate.policy.AdaptivePortfolio`
-        seeds its attempt ordering from.  An entry counts for the one
-        module that produced it, not for the renamed copies (or
-        cone-equal modules) that share its fingerprint.
-        """
-        history: Dict[Tuple[Optional[str], str], str] = {}
-        for entry in sorted(self._entries.values(),
-                            key=lambda entry: entry["stored_at"]):
-            method = _winning_method(entry)
-            if method is None:
-                continue
-            category = entry.get("category")
-            if not isinstance(category, str):
-                continue
-            history[(None, category)] = method
-            module = entry.get("module")
-            if isinstance(module, str):
-                history[(module, category)] = method
-        return history
 
     # ------------------------------------------------------------------
     def lookup(self, fingerprint: str, job: CheckJob,
@@ -395,24 +365,3 @@ def _entry(payload, stored_at: float) -> dict:
     entry = entry if isinstance(entry, dict) else {}
     entry["stored_at"] = stored_at
     return entry
-
-
-def _winning_method(entry: dict) -> Optional[str]:
-    """The portfolio stage (or engine) that settled a cached entry,
-    or ``None`` for non-definitive / unintelligible entries."""
-    if entry.get("status") not in (PASS, FAIL):
-        return None
-    stats = entry.get("stats")
-    attempts = stats.get("portfolio") if isinstance(stats, dict) else None
-    if isinstance(attempts, list) and attempts:
-        last = attempts[-1]
-        if isinstance(last, dict) and isinstance(last.get("engine"), str):
-            return last["engine"]
-        return None
-    engine = entry.get("engine")
-    if not isinstance(engine, str) or not engine:
-        return None
-    # "portfolio:auto:kind" -> "auto:kind" -> stage method "auto"
-    if engine.startswith("portfolio:"):
-        engine = engine[len("portfolio:"):]
-    return engine.split(":", 1)[0] or None

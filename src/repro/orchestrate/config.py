@@ -1,10 +1,10 @@
 """Declarative campaign configuration — one serializable object.
 
 A :class:`CampaignConfig` captures *everything* that parameterises a
-formal campaign — engine portfolio, executor, scheduling and portfolio
-policies, result cache, checkpoint journal, warm-state switches,
-resource budgets, scope — as plain frozen data.  That buys the
-methodology its missing property: a campaign's full configuration is
+formal campaign — engine portfolio, executor, scheduling policy,
+result cache, checkpoint journal, warm-state switches, resource
+budgets, scope — as plain frozen data.  That buys the methodology its
+missing property: a campaign's full configuration is
 
 - **serializable** — ``to_dict()`` / ``from_dict()`` round-trip through
   plain JSON-able dicts, and ``to_toml()`` / ``CampaignConfig.load()``
@@ -40,11 +40,12 @@ of default: ``engines = "portfolio:kind,bdd-combined"``.  Campaigns
 run an explicit two-stage portfolio instead of the single ``auto``
 engine.  The ladder is algorithmically identical to ``auto``'s
 internal induction-then-BDD fallback, but at the portfolio layer it
-gains the attempt log, the adaptive-policy slot, and
-portfolio-invariant report canonicalization.  The engine spec
-participates in job fingerprints, so the flip invalidates result
-caches written under the old default — ``engines = "auto"`` is the
-one-line opt-out (see ``docs/configuration.md``).
+gains the attempt log and portfolio-invariant report canonicalization.
+Every job tries its stages in the order the spec lists them: to try a
+stage first, list it first.  The engine spec participates in job
+fingerprints, so the flip invalidates result caches written under the
+old default — ``engines = "auto"`` is the one-line opt-out (see
+``docs/configuration.md``).
 
 ``[sat] workspace`` switches the shared incremental SAT workspace
 (:class:`~repro.formal.satspace.SatWorkspace`) on or off.  On by
@@ -73,10 +74,7 @@ from typing import Dict, Optional, Tuple
 
 from ..formal.engine import registered_engines
 from .job import DEFAULT_PORTFOLIO_METHODS, EngineConfig, portfolio
-from .policy import (
-    PORTFOLIO_POLICIES, SCHEDULING_POLICIES, portfolio_policy,
-    scheduling_policy,
-)
+from .policy import SCHEDULING_POLICIES, scheduling_policy
 
 
 class ConfigError(ValueError):
@@ -177,7 +175,6 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
     "execution": {
         "executor": "executor",
         "scheduling": "scheduling",
-        "portfolio": "portfolio",
     },
     "sat": {
         "workspace": "sat_workspace",
@@ -244,8 +241,6 @@ class CampaignConfig:
     #: lease scheduling policy (``fifo`` | ``module-affinity``);
     #: consulted by the fleet, a no-op for the serial executor
     scheduling: str = "fifo"
-    #: portfolio attempt-order policy (``static`` | ``adaptive``)
-    portfolio: str = "static"
 
     #: shared incremental SAT workspaces (per worker): clustered
     #: per-(module, vunit) CNFs with learned-clause retention across
@@ -347,11 +342,6 @@ class CampaignConfig:
             raise ConfigError(
                 f"unknown scheduling policy {self.scheduling!r}; "
                 f"pick one of {tuple(SCHEDULING_POLICIES)}"
-            )
-        if self.portfolio not in PORTFOLIO_POLICIES:
-            raise ConfigError(
-                f"unknown portfolio policy {self.portfolio!r}; "
-                f"pick one of {tuple(PORTFOLIO_POLICIES)}"
             )
         for name in self._BUDGETS:
             # 0 is legal: a budget that trips immediately (every stage
@@ -566,11 +556,6 @@ class CampaignConfig:
     def build_scheduling(self):
         """The scheduling policy instance (``fifo`` unless configured)."""
         return scheduling_policy(self.scheduling)
-
-    def build_portfolio_policy(self, cache=None):
-        """The portfolio policy instance; ``cache`` feeds the adaptive
-        policy its engine history."""
-        return portfolio_policy(self.portfolio, cache)
 
     def build_cache(self):
         """The :class:`~repro.orchestrate.cache.ResultCache`, or

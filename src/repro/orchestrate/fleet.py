@@ -5,9 +5,9 @@ portable job wire format.
 coordinator thread in the campaign process serves the plan's jobs to
 worker processes forked on this host, each over its own
 ``socket.socketpair()``, speaking **length-prefixed JSON**.  Workers
-are forked holding the plan's jobs, so a lease names each job by
-``index``, ``fingerprint`` and ``engine_order`` only, and a result frame
-carries the index, the fingerprint and the job's
+are forked holding the plan's (frozen) jobs, so a lease names each
+job by ``index`` and ``fingerprint`` only, and a result frame carries
+the index, the fingerprint and the job's
 :func:`~repro.orchestrate.job.encode_result` entry — FAIL
 counterexamples as canonical input frames, revalidated by replay on the
 coordinator.  No pickle ever crosses the socket.
@@ -230,14 +230,9 @@ def _rebuild_exception(exc_type: str, message: str) -> BaseException:
 
 def _lease_entry(job: CheckJob) -> dict:
     """One job of a lease frame: what a worker holding the plan needs
-    to find the job (``index``), to refuse it if its own copy differs
-    (``fingerprint``), and to run it (the policy's ``engine_order``)."""
-    return {
-        "index": job.index,
-        "fingerprint": job.fingerprint,
-        "engine_order": list(job.engine_order)
-        if job.engine_order is not None else None,
-    }
+    to find the job (``index``) and to refuse it if its own copy
+    differs (``fingerprint``)."""
+    return {"index": job.index, "fingerprint": job.fingerprint}
 
 
 # ----------------------------------------------------------------------
@@ -262,10 +257,9 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
     shutdown (or the coordinator's end closes).
 
     ``jobs`` is the plan's job list, inherited in memory.  A lease
-    entry names a job by ``index``, ``fingerprint`` and
-    ``engine_order``; it is matched to the local job by index and its
-    fingerprint cross-checked, so a worker never answers for a job it
-    does not hold.
+    entry names a job by ``index`` and ``fingerprint``; it is matched
+    to the local job by index and its fingerprint cross-checked, so a
+    worker never answers for a job it does not hold.
 
     A failing job answers with an error frame and poisons the rest of
     its lease (same error per remaining job — the stream dies at the
@@ -307,9 +301,6 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
                                   f"job {index} does not match the "
                                   f"local plan (fingerprint mismatch)")
                     else:
-                        order = entry.get("engine_order")
-                        job.engine_order = tuple(order) \
-                            if order is not None else None
                         try:
                             result = run_check_job(
                                 job, store, sat_workspace=sat,

@@ -32,7 +32,9 @@ system it replays on; the receiving side recompiles the job through
 its :class:`CompiledProblemStore` and revalidates the trace by replay.
 A :class:`CheckJob` itself never crosses a process boundary: fleet
 workers are forked holding the plan's jobs, so a lease names each job
-by index and fingerprint (:mod:`repro.orchestrate.fleet`).
+by index and fingerprint (:mod:`repro.orchestrate.fleet`).  Jobs are
+frozen, so the plan a forked worker holds cannot drift from the
+coordinator's.
 """
 
 from __future__ import annotations
@@ -136,9 +138,10 @@ def portfolio(*methods: str, **common) -> Tuple[EngineConfig, ...]:
     return tuple(EngineConfig(method=method, **common) for method in methods)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckJob:
-    """One property check, planned but not yet executed.
+    """One property check, planned but not yet executed (frozen: the
+    planner writes a job once, and nothing after it does).
 
     ``index`` is the job's position in the campaign plan; executors must
     deliver results in index order so reports are deterministic
@@ -160,13 +163,6 @@ class CheckJob:
     replaces the module text as the fingerprint's scope component,
     so two modules that agree on this assertion's cone share the job's
     cache key.
-
-    ``engine_order`` is execution-time wiring set by a portfolio
-    policy (:mod:`repro.orchestrate.policy`): a permutation of
-    ``range(len(engines))`` giving the order stages are *attempted*.
-    It is deliberately outside the fingerprint — attempt order changes
-    the cost of reaching a verdict, never the verdict — so cache keys
-    and checkpoint journals are identical whatever the policy.
     """
 
     index: int
@@ -180,7 +176,6 @@ class CheckJob:
     module_digest: str = ""
     vunit_digest: str = ""
     cone_digest: str = ""
-    engine_order: Optional[Tuple[int, ...]] = None
 
     @property
     def qualified_name(self) -> str:
@@ -305,26 +300,9 @@ def run_check_job(job: CheckJob,
     counterexample bytes are workspace-invariant; a binding *conflict*
     budget can trip warm where it wouldn't cold (and vice versa) —
     campaign defaults keep it non-binding.
-
-    ``job.engine_order`` (set by a portfolio policy) permutes the
-    *attempt* order only.  A definitive PASS/FAIL verdict is
-    stage-order-invariant (every engine is sound); when no stage is
-    definitive, the stage that is **last in the configured order** is
-    reported whatever order the stages actually ran in — so a reordered
-    portfolio returns the same status as the static one, and only
-    ``result.stats['portfolio']`` (the attempt log) shows the policy
-    at work.
     """
     if not job.engines:
         raise ValueError(f"job {job.qualified_name!r} has no engines")
-    order = job.engine_order
-    if order is None:
-        order = tuple(range(len(job.engines)))
-    elif sorted(order) != list(range(len(job.engines))):
-        raise ValueError(
-            f"job {job.qualified_name!r}: engine_order {order!r} is not "
-            f"a permutation of the {len(job.engines)}-stage portfolio"
-        )
     asserted_property(job.vunit, job.assert_name)
     checker = ModelChecker(lambda: compile_job(job, store))
     sat_binding = sat_workspace.bind(
@@ -333,11 +311,8 @@ def run_check_job(job: CheckJob,
         store=store,
     ) if sat_workspace is not None else None
     attempts = []
-    result = None
-    fallback_position = -1
     try:
-        for position in order:
-            config = job.engines[position]
+        for config in job.engines:
             options = config.options()
             if sat_binding is not None:
                 options = replace(options, sat_workspace=sat_binding)
@@ -350,13 +325,9 @@ def run_check_job(job: CheckJob,
                 attempt["conflicts"] = sat_stats.get("conflicts", 0)
                 attempt["propagations"] = sat_stats.get("propagations", 0)
             attempts.append(attempt)
+            result = stage
             if stage.status in (PASS, FAIL):
-                result = stage
                 break
-            # no stage definitive: report the stage that is last in the
-            # *configured* order, exactly as a static-order run would
-            if position > fallback_position:
-                result, fallback_position = stage, position
     finally:
         if sat_binding is not None:
             sat_binding.retire()

@@ -12,12 +12,10 @@
    verdict, then a job whose fingerprint an earlier job of the plan
    settles (or the journal settled) reuses that verdict, and only the
    first job of each remaining fingerprint stays on the run list;
-3. the configured :class:`~repro.orchestrate.policy.PortfolioPolicy`
-   picks each remaining job's engine attempt order (the adaptive
-   policy tries the cache's historical winner first), then the
-   executor (serial by default; the parallel fleet is opt-in,
+3. the executor (serial by default; the parallel fleet is opt-in,
    scheduled by the configured
-   :class:`~repro.orchestrate.policy.SchedulingPolicy`) streams
+   :class:`~repro.orchestrate.policy.SchedulingPolicy`) runs each
+   remaining job's engine ladder in its configured order and streams
    :class:`JobResult`\\ s back in plan order, each fresh result
    journaled to the checkpoint as it arrives;
 4. results — journal-replayed, cached, reused and fresh interleaved
@@ -134,7 +132,6 @@ class CampaignOrchestrator:
         self.cache = cache if cache is not None else config.build_cache()
         self.checkpoint = checkpoint if checkpoint is not None \
             else config.build_checkpoint()
-        self.portfolio_policy = config.build_portfolio_policy(self.cache)
         #: the orchestrator's own compiled-problem store, serving the
         #: journal-replay and cache-lookup decode paths (FAIL traces
         #: recompile to revalidate); executors hold their workers' run
@@ -184,12 +181,6 @@ class CampaignOrchestrator:
         journal_results = self._open_checkpoint(plan, resume)
         cached_results, reused, to_run = self._partition(
             plan, journal_results)
-        # the portfolio policy permutes attempt order only — outside
-        # the fingerprint, so cache keys and the journal stay put
-        reordered = 0
-        for job in to_run:
-            job.engine_order = self.portfolio_policy.order(job)
-            reordered += job.engine_order is not None
         executed = self.executor.map(to_run)
 
         fail_modules: Dict[str, Set[str]] = {}
@@ -286,8 +277,6 @@ class CampaignOrchestrator:
             "config_overrides": list(self.config_overrides),
             "scheduling": scheduling.name if scheduling is not None
             else "fifo",
-            "portfolio_policy": self.portfolio_policy.name,
-            "portfolio_reordered": reordered,
             "engine_attempts": engine_attempts,
             # hit/miss/evict counters of the content-addressed compile
             # layer: "run" aggregates the executor's per-worker stores

@@ -13,8 +13,9 @@ endpoint surface (the table :data:`SERVICE_ENDPOINTS` is what
   ``"tenant"`` (the ``X-Tenant`` header works too).  Responds 202 with
   the run id; an identical config already in flight responds with the
   *same* run id and ``"deduped": true``.  400 names the config error
-  (or a negative ``Content-Length``); a body over
-  :data:`MAX_BODY_BYTES` is refused with 413 unread.
+  (or a negative ``Content-Length``, or a body that ends short of
+  it); a body over :data:`MAX_BODY_BYTES` is refused with 413 unread,
+  and one that stalls for :data:`READ_TIMEOUT` seconds gets 408.
 - ``GET /v1/campaigns/<id>`` — status snapshot.  ``?wait=SECS``
   long-polls until the run finishes (or the wait elapses);
   ``?watch=1`` streams progress as newline-delimited JSON — one
@@ -58,6 +59,13 @@ DEFAULT_DATA_DIR = "out/service"
 #: few hundred bytes (every shipped example is under 1 kB), so a larger
 #: ``Content-Length`` is refused with 413 before any byte is read
 MAX_BODY_BYTES = 1 << 20
+
+#: seconds a connection's socket may sit idle inside a read or write:
+#: a client that stalls mid-request (a body shorter than its
+#: ``Content-Length``) gets 408 and frees its handler thread.  A
+#: ``?wait=`` long-poll or a ``?watch=1`` stream waits on the run, not
+#: on the socket, so it is not cut
+READ_TIMEOUT = 10.0
 
 #: (method, path template, summary) — the public surface, one row per
 #: endpoint; docs/service.md must document every row
@@ -165,6 +173,19 @@ class _Handler(BaseHTTPRequestHandler):
     def daemon(self) -> ServiceDaemon:
         return self.server.service
 
+    def setup(self) -> None:
+        # read at connect time, not class creation, so tests can
+        # shorten it; the stdlib drops a request line or headers that
+        # time out, and do_POST answers a stalled body with 408
+        self.timeout = READ_TIMEOUT
+        super().setup()
+
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            pass  # the client hung up before its answer: nobody to tell
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib name
         pass  # the daemon's stdout is not an access log
 
@@ -201,7 +222,17 @@ class _Handler(BaseHTTPRequestHandler):
                              f"the {MAX_BODY_BYTES}-byte limit")
             return
         try:
-            body = json.loads(self.rfile.read(length) or b"{}")
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self._error(408, f"request body stalled for {READ_TIMEOUT} s "
+                             f"before its {length} bytes arrived")
+            return
+        if len(raw) < length:
+            self._error(400, f"request body ended after {len(raw)} of "
+                             f"{length} bytes")
+            return
+        try:
+            body = json.loads(raw or b"{}")
             if not isinstance(body, dict):
                 raise ValueError("request body must be a JSON object")
         except ValueError as exc:
@@ -299,19 +330,16 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.flush()
 
         sent = 0
-        try:
-            while True:
-                with run.changed:
-                    while sent >= len(run.events) \
-                            and run.state not in (DONE, ERROR):
-                        run.changed.wait(timeout=1.0)
-                    fresh = run.events[sent:]
-                    state = run.state
-                for line in fresh:
-                    emit({"event": line})
-                sent += len(fresh)
-                if state in (DONE, ERROR) and sent >= len(run.events):
-                    emit({"status": run.snapshot()})
-                    return
-        except (ConnectionError, BrokenPipeError):
-            return  # subscriber hung up mid-stream — their loss alone
+        while True:
+            with run.changed:
+                while sent >= len(run.events) \
+                        and run.state not in (DONE, ERROR):
+                    run.changed.wait(timeout=1.0)
+                fresh = run.events[sent:]
+                state = run.state
+            for line in fresh:
+                emit({"event": line})
+            sent += len(fresh)
+            if state in (DONE, ERROR) and sent >= len(run.events):
+                emit({"status": run.snapshot()})
+                return

@@ -97,7 +97,6 @@ FULL = dict(
     engines="portfolio:kind,bdd-combined", sat_conflicts=123_456,
     bdd_nodes=None,
     executor="fleet:3", scheduling="module-affinity",
-    portfolio="adaptive",
     sat_workspace=False, compile_store=False,
     cache_path="cache.json",
     checkpoint_path="campaign.journal",
@@ -160,7 +159,7 @@ class TestDigest:
         changed = dict(
             FULL, blocks=("A",), engines="portfolio",
             sat_conflicts=1, bdd_nodes=2, executor="serial",
-            scheduling="fifo", portfolio="static",
+            scheduling="fifo",
             sat_workspace=True, compile_store=True,
             cache_path="other.json", checkpoint_path="other.journal",
         )
@@ -192,7 +191,7 @@ class TestStrictness:
 
     @pytest.mark.parametrize("kwargs,match", [
         (dict(scheduling="lifo"), "scheduling"),
-        (dict(portfolio="oracle"), "portfolio"),
+        (dict(coi_fingerprints="slice"), "coi_fingerprints"),
         (dict(compile_store=1), "compile_store"),
         (dict(sat_conflicts=-1), "sat_conflicts"),
         (dict(sat_workspace=1), "sat_workspace"),
@@ -229,6 +228,8 @@ class TestStrictness:
         ("[fleet]\nlease_timeout = 12.5\n", r"\[fleet\]"),
         ("[fleet]\nheartbeat_interval = 0.25\n", r"\[fleet\]"),
         ('[fleet]\nlauncher = "ssh:riga,tallinn"\n', r"\[fleet\]"),
+        ('[execution]\nportfolio = "static"\n', "'portfolio'"),
+        ('[execution]\nportfolio = "adaptive"\n', "'portfolio'"),
     ], ids=["share_bdd", "workspace", "workspace-retain_memos",
             "workspace-max_manager_nodes", "coi-slice", "max_problems",
             "parallel", "parallel-bare", "workstealing",
@@ -237,12 +238,16 @@ class TestStrictness:
             "sat-max_session_clauses", "compile-max_designs",
             "cache-max_entries",
             "fleet-port", "fleet-lease_timeout",
-            "fleet-heartbeat_interval", "fleet-launcher"])
+            "fleet-heartbeat_interval", "fleet-launcher",
+            "execution-portfolio-static", "execution-portfolio-adaptive"])
     def test_removed_keys_rejected(self, toml, key):
         """Configs using a removed mode fail loudly, naming it, instead
-        of silently running without it."""
+        of silently running without it — given as TOML text or as its
+        parsed tables through ``from_dict``."""
         with pytest.raises(ConfigError, match=key):
             CampaignConfig.from_toml(toml)
+        with pytest.raises(ConfigError, match=key):
+            CampaignConfig.from_dict(tomllib.loads(toml))
 
     @pytest.mark.parametrize("form", ["toml", "dict"])
     @pytest.mark.parametrize("section,key,value", [

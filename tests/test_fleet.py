@@ -19,7 +19,7 @@ adds on top:
   process exits; a long check that keeps heartbeating keeps its lease;
 - a peer that sends garbage frames is dropped and re-leased around —
   one bad peer never wedges the stream;
-- a lease names each job by index, fingerprint and attempt order only;
+- a lease names each job by index and fingerprint only;
   a worker refuses an entry its own plan does not hold, and the
   coordinator refuses a result for other content than the plan job's;
 - a launcher that cannot keep workers alive, or a job that kills every
@@ -184,8 +184,7 @@ class TestFraming:
         for job in tiny_plan.jobs:
             frame = recv_frame(sock)
             assert frame["jobs"] == [{"index": job.index,
-                                      "fingerprint": job.fingerprint,
-                                      "engine_order": None}]
+                                      "fingerprint": job.fingerprint}]
         assert recv_frame(sock) is None
 
     def test_fail_results_roundtrip_fragmented(self, tiny_plan,
@@ -697,16 +696,15 @@ class TestWorkerFaults:
 
 
 class TestLeaseWire:
-    """Workers are forked holding the plan, so the wire names a job by
-    index and fingerprint: a lease entry adds only the attempt order,
-    and a result frame answers with the index, the fingerprint and the
-    result entry."""
+    """Workers are forked holding the (frozen) plan, so the wire names a
+    job by index and fingerprint only, and a result frame answers with
+    the index, the fingerprint and the result entry."""
 
-    def test_lease_entries_carry_index_fingerprint_and_order(
+    def test_lease_entries_carry_index_and_fingerprint(
             self, tiny_plan, serial_outcomes):
         """The scripted first worker records every lease it is given
-        and answers it the way a real worker does, from the three
-        entry keys and its own copy of the plan."""
+        and answers it the way a real worker does, from the two entry
+        keys and its own copy of the plan."""
         leases = []
 
         def minimal_worker(worker):
@@ -731,7 +729,7 @@ class TestLeaseWire:
         assert [_outcome(r) for r in results] == serial_outcomes
         assert leases
         entries = [entry for lease in leases for entry in lease["jobs"]]
-        assert all(set(entry) == {"index", "fingerprint", "engine_order"}
+        assert all(set(entry) == {"index", "fingerprint"}
                    for entry in entries)
         stats = executor.fleet_stats()
         assert stats["jobs_per_worker"]["w0"] == len(entries)
@@ -750,8 +748,7 @@ class TestLeaseWire:
         worker.start()
         try:
             coordinator.settimeout(30.0)
-            foreign = {"index": 0, "fingerprint": "0" * 64,
-                       "engine_order": None}
+            foreign = {"index": 0, "fingerprint": "0" * 64}
             unknown = dict(_lease_entry(tiny_plan.jobs[0]), index=10**6)
             for lease, entry in enumerate((foreign, unknown)):
                 send_frame(coordinator, {"type": "lease", "lease": lease,

@@ -1,28 +1,26 @@
-"""Scheduling and portfolio policies: behaviour and outcome-invariance.
+"""Scheduling policies and engine ladders: behaviour and
+outcome-invariance.
 
-The policy layer's contract is sharp: policies may move *cost* —
-which worker runs what, which engine gets tried first — but never the
-campaign outcome.  These tests pin both halves: the mechanics (batch
-partitioning, history extraction, permutation handling) and the
-invariant (``CampaignReport.canonical_bytes`` identical under every
-policy, across executors).
+The scheduling contract is sharp: a policy may move *cost* — which
+worker runs what — but never the campaign outcome.  A job tries its
+engine stages in the order its ladder gives, and nothing rewrites a
+planned job.  These tests pin the mechanics (batch partitioning, the
+attempt order, frozen jobs) and the invariant
+(``CampaignReport.canonical_bytes`` identical under every policy,
+across executors).
 """
 
 import dataclasses
-import shutil
 
 import pytest
 
 from repro.chip import ComponentChip
-from repro.chip.specials import fsm_controller
-from repro.formal.engine import CheckResult, PASS, TIMEOUT
+from repro.formal.engine import FAIL, PASS
 from repro.orchestrate import (
-    AdaptivePortfolio, CampaignConfig, CampaignOrchestrator, EngineConfig,
-    FifoScheduling, FleetExecutor, ModuleAffinityScheduling, ResultCache,
-    StaticPortfolio, plan_campaign, portfolio_policy,
-    run_check_job, scheduling_policy,
+    CampaignConfig, CampaignOrchestrator, CheckJob, EngineConfig,
+    FifoScheduling, FleetExecutor, ModuleAffinityScheduling,
+    plan_campaign, run_check_job, scheduling_policy,
 )
-from repro.rtl.inject import make_verifiable
 
 
 def _engines(*methods, **overrides):
@@ -122,221 +120,65 @@ class TestScheduling:
 
 
 # ----------------------------------------------------------------------
-# portfolio policies
+# engine ladders run in their configured order
 # ----------------------------------------------------------------------
 
-class TestPortfolioOrdering:
-    def test_registry_lookup(self):
-        assert isinstance(portfolio_policy("static"), StaticPortfolio)
-        assert isinstance(portfolio_policy("adaptive"),
-                          AdaptivePortfolio)
-        with pytest.raises(ValueError, match="unknown portfolio"):
-            portfolio_policy("oracle")
-
-    def test_static_never_reorders(self, small_plan):
-        policy = StaticPortfolio()
-        assert all(policy.order(job) is None for job in small_plan.jobs)
-
-    def test_adaptive_without_cache_is_static(self, small_plan):
-        policy = AdaptivePortfolio(None)
-        assert all(policy.order(job) is None for job in small_plan.jobs)
-
-    def _job_with_history(self, small_blocks, tmp_path, winner):
-        """A portfolio job plus a cache seeded so ``winner`` is the
-        module/category's historical engine."""
-        plan = plan_campaign(
-            small_blocks, _engines("pobdd", "bdd-combined", "kind"))
-        job = plan.jobs[0]
-        cache = ResultCache(str(tmp_path / "cache.sqlite"))
-        cache.store("some-old-fingerprint",
-                    CheckResult("p", PASS, winner), job=job)
-        return job, cache
-
-    def test_adaptive_moves_winner_first(self, small_blocks, tmp_path):
-        job, cache = self._job_with_history(small_blocks, tmp_path,
-                                            "kind")
-        order = AdaptivePortfolio(cache).order(job)
-        assert order == (2, 0, 1)
-
-    def test_adaptive_keeps_leading_winner(self, small_blocks, tmp_path):
-        job, cache = self._job_with_history(small_blocks, tmp_path,
-                                            "pobdd")
-        assert AdaptivePortfolio(cache).order(job) is None
-
-    def test_adaptive_ignores_foreign_winner(self, small_blocks,
-                                             tmp_path):
-        job, cache = self._job_with_history(small_blocks, tmp_path,
-                                            "bmc")
-        assert AdaptivePortfolio(cache).order(job) is None
-
-    def test_category_fallback(self, small_blocks, tmp_path):
-        """History from one module generalises to same-category jobs of
-        other modules (the (None, category) fallback)."""
-        plan = plan_campaign(
-            small_blocks, _engines("pobdd", "bdd-combined", "kind"))
-        seed = plan.jobs[0]
-        other = next(job for job in plan.jobs
-                     if job.module.name != seed.module.name
-                     and job.category == seed.category)
-        cache = ResultCache(str(tmp_path / "cache.sqlite"))
-        cache.store("fp", CheckResult("p", PASS, "kind"), job=seed)
-        assert AdaptivePortfolio(cache).order(other) == (2, 0, 1)
-
-    def test_edited_copy_falls_back_to_category_winner(self, tmp_path):
-        """A renamed copy reuses its original's verdicts, and a stored
-        verdict names only the module that ran it.  So after an ECO
-        edit to the copy, the adaptive policy orders the copy's jobs by
-        the category-wide winner and the original's by their own
-        history.  It moves attempt order only: the outcome equals the
-        static policy's."""
-        original = make_verifiable(fsm_controller("C00_fsmctl"))
-        copy = make_verifiable(fsm_controller("C13_fsmcopy"))
-        limits = dict(sat_conflicts=500_000, bdd_nodes=5_000_000)
-        cache_path = str(tmp_path / "cache.sqlite")
-        report = CampaignOrchestrator(
-            [("C", [original, copy])],
-            config=CampaignConfig(
-                engines="portfolio:kind,bdd-combined,pobdd",
-                cache_path=cache_path, **limits),
-        ).run()
-        assert 2 * report.stats["jobs_reused"] == report.stats["jobs"]
-        # newer verdicts of a third module: bdd-combined becomes every
-        # category's winner
-        third = plan_campaign(
-            [("C", [make_verifiable(fsm_controller("C14_fsmthird"))])],
-            _engines())
-        cache = ResultCache(cache_path)
-        for job in third.jobs:
-            cache.store(f"third-{job.index}",
-                        CheckResult("p", PASS, "bdd-combined"), job=job)
-        assert {module for module, _ in cache.engine_history()} == \
-            {None, "C00_fsmctl", "C14_fsmthird"}
-        policy = AdaptivePortfolio(cache)
-        cache.close()
-
-        eco_blocks = [("C", [original, make_verifiable(
-            fsm_controller("C13_fsmcopy", buggy=True))])]
-        plan = plan_campaign(eco_blocks,
-                             _engines("pobdd", "bdd-combined", "kind"))
-        assert {(job.module.name, policy.order(job))
-                for job in plan.jobs} == {("C00_fsmctl", (2, 0, 1)),
-                                          ("C13_fsmcopy", (1, 0, 2))}
-
-        eco = CampaignConfig(engines="portfolio:pobdd,bdd-combined,kind",
-                             **limits)
-        reports = {}
-        for portfolio in ("static", "adaptive"):
-            path = str(tmp_path / f"{portfolio}.sqlite")
-            shutil.copy(cache_path, path)
-            reports[portfolio] = CampaignOrchestrator(
-                eco_blocks, config=dataclasses.replace(
-                    eco, cache_path=path, portfolio=portfolio),
-            ).run()
-        adaptive = reports["adaptive"]
-        assert adaptive.stats["portfolio_reordered"] == \
-            adaptive.stats["coi"]["jobs_executed"]
-        assert adaptive.canonical_bytes() == \
-            reports["static"].canonical_bytes()
-
-
-class TestEngineHistory:
-    def _cache(self, tmp_path):
-        return ResultCache(str(tmp_path / "cache.sqlite"))
-
-    def _store(self, cache, job, **result_kwargs):
-        result_kwargs.setdefault("name", "p")
-        result_kwargs.setdefault("status", PASS)
-        cache.store(f"fp-{len(cache)}", CheckResult(**result_kwargs),
-                    job=job)
-
-    def test_winner_from_portfolio_attempts(self, small_plan, tmp_path):
-        cache = self._cache(tmp_path)
-        job = small_plan.jobs[0]
-        result = CheckResult("p", PASS, "portfolio:bdd-combined",
-                             stats={"portfolio": [
-                                 {"engine": "kind", "status": TIMEOUT},
-                                 {"engine": "bdd-combined",
-                                  "status": PASS},
-                             ]})
-        cache.store("fp", result, job=job)
-        history = cache.engine_history()
-        assert history[(job.module.name, job.category)] == \
-            "bdd-combined"
-        assert history[(None, job.category)] == "bdd-combined"
-
-    def test_winner_from_plain_engine_labels(self, small_plan,
-                                             tmp_path):
-        cache = self._cache(tmp_path)
-        job = small_plan.jobs[0]
-        self._store(cache, job, engine="auto:kind")
-        assert cache.engine_history()[(job.module.name, job.category)] \
-            == "auto"
-
-    def test_non_definitive_entries_ignored(self, small_plan, tmp_path):
-        cache = self._cache(tmp_path)
-        job = small_plan.jobs[0]
-        self._store(cache, job, status=TIMEOUT, engine="kind")
-        assert cache.engine_history() == {}
-
-    def test_entries_without_job_metadata_ignored(self, tmp_path):
-        cache = self._cache(tmp_path)
-        cache.store("fp", CheckResult("p", PASS, "kind"))  # no job
-        assert cache.engine_history() == {}
-
-    def test_newest_entry_wins(self, small_plan, tmp_path):
-        cache = self._cache(tmp_path)
-        job = small_plan.jobs[0]
-        self._store(cache, job, engine="kind")
-        self._store(cache, job, engine="pobdd")
-        assert cache.engine_history()[(job.module.name, job.category)] \
-            == "pobdd"
-
-    def test_hit_does_not_make_a_verdict_newer(self, small_plan,
-                                               tmp_path):
-        """A hit is not a verdict: the history still names the engine
-        that most recently *settled* a check."""
-        first = small_plan.jobs[0]
-        second = next(job for job in small_plan.jobs
-                      if job.module.name != first.module.name
-                      and job.category == first.category)
-        cache = ResultCache(str(tmp_path / "cache.sqlite"))
-        cache.store("fp-first", CheckResult("p", PASS, "kind"), job=first)
-        cache.store("fp-second", CheckResult("p", PASS, "bdd-combined"),
-                    job=second)
-        assert cache.lookup("fp-first", first) is not None
-        assert cache.engine_history()[(None, first.category)] == \
-            "bdd-combined"
-
-
 class TestEngineOrderExecution:
-    def test_bad_permutation_rejected(self, small_plan):
+    #: budgets under which no stage is definitive, so every stage runs
+    STARVED = dict(sat_conflicts=0, bdd_nodes=0, max_bound=2, max_k=2)
+
+    def _starved_result(self, small_plan, ladder):
         job = dataclasses.replace(
-            small_plan.jobs[0],
-            engines=_engines("kind", "bdd-combined"),
-            engine_order=(0, 0),
-        )
-        with pytest.raises(ValueError, match="not a permutation"):
-            run_check_job(job)
+            small_plan.jobs[0], engines=_engines(*ladder, **self.STARVED))
+        return run_check_job(job).result
 
     def test_non_definitive_reports_configured_last_stage(
             self, small_plan):
-        """When no stage settles the check, the reported result must be
-        the configured-last stage's, whatever order the stages ran in —
-        that is what keeps reordered portfolios outcome-invariant."""
-        job = next(j for j in small_plan.jobs)
-        starved = _engines("bmc", "kind", sat_conflicts=0, max_bound=2,
-                           max_k=2)
-        static = dataclasses.replace(job, engines=starved)
-        reordered = dataclasses.replace(job, engines=starved,
-                                        engine_order=(1, 0))
-        static_result = run_check_job(static).result
-        reordered_result = run_check_job(reordered).result
-        assert static_result.status == reordered_result.status
-        assert static_result.engine == reordered_result.engine
-        attempts = [a["engine"] for a in
-                    reordered_result.stats["portfolio"]]
-        assert attempts == ["kind", "bmc"]  # ran reordered...
-        # ...but reported as the static order would
+        """When no stage settles the check, every stage runs in ladder
+        order, the ladder's last stage is reported, labelled as a
+        portfolio result, and the seconds of all stages are summed."""
+        result = self._starved_result(small_plan, ("bmc", "kind"))
+        attempts = result.stats["portfolio"]
+        assert [attempt["engine"] for attempt in attempts] == \
+            ["bmc", "kind"]
+        assert result.status not in (PASS, FAIL)
+        assert result.status == attempts[-1]["status"]
+        assert result.engine == "portfolio:kind"
+        assert result.seconds == sum(attempt["seconds"]
+                                     for attempt in attempts)
+
+    @pytest.mark.parametrize("ladder", [
+        ("kind", "bmc"),
+        ("kind", "bdd-combined", "pobdd"), ("pobdd", "bdd-combined", "kind"),
+    ], ids="-".join)
+    def test_attempts_follow_the_ladder(self, small_plan, ladder):
+        """Whatever the ladder, its stages are attempted in the order it
+        lists them, and its last stage is the one reported."""
+        result = self._starved_result(small_plan, ladder)
+        assert [attempt["engine"] for attempt in
+                result.stats["portfolio"]] == list(ladder)
+        assert result.engine == f"portfolio:{ladder[-1]}"
+
+    def test_first_definitive_stage_settles(self, small_plan):
+        """The first definitive stage ends the ladder: later stages are
+        never attempted."""
+        job = dataclasses.replace(
+            small_plan.jobs[0], engines=_engines("kind", "bdd-combined"))
+        result = run_check_job(job).result
+        assert result.status in (PASS, FAIL)
+        assert [attempt["engine"] for attempt in
+                result.stats["portfolio"]] == ["kind"]
+        assert result.engine == "portfolio:kind"
+
+    @pytest.mark.parametrize(
+        "field", [field.name for field in dataclasses.fields(CheckJob)])
+    def test_planned_job_is_frozen(self, small_plan, field):
+        """Nothing writes to a planned job, and the type says so: the
+        plan a forked fleet worker holds cannot drift from the
+        coordinator's."""
+        job = small_plan.jobs[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(job, field, getattr(job, field))
 
 
 # ----------------------------------------------------------------------
@@ -365,51 +207,12 @@ class TestOutcomeInvariance:
         assert report.stats["scheduling"] == \
             (scheduling if executor_spec != "serial" else "fifo")
 
-    def test_adaptive_portfolio_moves_only_stats(self, small_blocks,
-                                                 tmp_path):
-        """The ECO scenario: history says `kind` wins, the configured
-        ladder tries `pobdd` first.  The adaptive run must attempt
-        different engines (stats move) yet land the byte-identical
-        outcome."""
-        warm_path = str(tmp_path / "warm.sqlite")
-        warm = CampaignConfig(engines="portfolio:kind,bdd-combined,pobdd",
-                              sat_conflicts=500_000,
-                              bdd_nodes=5_000_000, cache_path=warm_path)
-        CampaignOrchestrator(small_blocks, config=warm).run()
-
-        # budgets changed -> every fingerprint misses, history remains
-        static_path = str(tmp_path / "static.sqlite")
-        adaptive_path = str(tmp_path / "adaptive.sqlite")
-        shutil.copy(warm_path, static_path)
-        shutil.copy(warm_path, adaptive_path)
-        eco = CampaignConfig(engines="portfolio:pobdd,bdd-combined,kind",
-                             sat_conflicts=400_000,
-                             bdd_nodes=5_000_000)
-        static = CampaignOrchestrator(
-            small_blocks,
-            config=dataclasses.replace(eco, cache_path=static_path),
-        ).run()
-        adaptive = CampaignOrchestrator(
-            small_blocks,
-            config=dataclasses.replace(eco, cache_path=adaptive_path,
-                                       portfolio="adaptive"),
-        ).run()
-        assert static.stats["portfolio_reordered"] == 0
-        assert adaptive.stats["portfolio_reordered"] == \
-            adaptive.stats["jobs"]
-        assert adaptive.stats["engine_attempts"] == \
-            {"kind": adaptive.stats["jobs"]}
-        assert static.stats["engine_attempts"] == \
-            {"pobdd": static.stats["jobs"]}
-        assert adaptive.canonical_bytes() == static.canonical_bytes()
-
-    def test_adaptive_with_empty_history_is_static(self, small_blocks,
-                                                   reference, tmp_path):
-        config = CampaignConfig(engines="portfolio:pobdd,bdd-combined,kind",
-                                sat_conflicts=500_000,
-                                bdd_nodes=5_000_000,
-                                portfolio="adaptive",
-                                cache_path=str(tmp_path / "cold.sqlite"))
-        report = CampaignOrchestrator(small_blocks, config=config).run()
-        assert report.stats["portfolio_reordered"] == 0
-        assert report.canonical_bytes() == reference.canonical_bytes()
+    def test_engine_attempts_follow_the_configured_ladder(
+            self, reference):
+        """Every executed job attempts the ladder's first stage first,
+        and the report names no attempt-order policy."""
+        stats = reference.stats
+        assert stats["engine_attempts"] == \
+            {"pobdd": stats["coi"]["jobs_executed"]}
+        assert "portfolio_policy" not in stats
+        assert "portfolio_reordered" not in stats

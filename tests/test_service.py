@@ -30,6 +30,7 @@ from repro.orchestrate.stats import STATS_SCHEMA, counter_groups
 from repro.service import (
     CampaignQueue, ServiceClient, ServiceDaemon, ServiceError,
 )
+from repro.service import api
 from repro.service.api import MAX_BODY_BYTES
 
 #: jobs in the tiny two-module plan; pinned by the reference fixture
@@ -141,17 +142,29 @@ class TestVerdictStore:
         assert isinstance(row["entry"], dict)
         assert db.get("no-such-fingerprint") is None
 
-    def test_engine_history_survives_reopen(self, tiny_blocks, tmp_path):
-        """The adaptive portfolio policy must see the same historical
-        winners from a reopened store as from the one that stored
-        them."""
+    def test_provenance_survives_reopen(self, tiny_blocks, tmp_path):
+        """A reopened store serves every row with the module and
+        category of the job that stored it, as the store that wrote
+        the rows does."""
         path = str(tmp_path / "verdicts.sqlite")
         db = ResultCache(path)
         _db_campaign(tiny_blocks, db)
-        history = db.engine_history()
+        plan = CampaignOrchestrator(tiny_blocks,
+                                    config=CampaignConfig()).plan()
+        provenance = ("module", "category", "engine", "status",
+                      "stored_at")
+        rows = {job.fingerprint: [db.get(job.fingerprint)[column]
+                                  for column in provenance]
+                for job in plan.jobs}
         db.close()
-        assert ResultCache(path).engine_history() == history
-        assert history, "fixture must produce definitive verdicts"
+        reopened = ResultCache(path)
+        for job in plan.jobs:
+            row = reopened.get(job.fingerprint)
+            assert [row[column] for column in provenance] == \
+                rows[job.fingerprint]
+        first = reopened.get(plan.jobs[0].fingerprint)
+        assert (first["module"], first["category"]) == \
+            (plan.jobs[0].module.name, plan.jobs[0].category)
 
 
 # ======================================================================
@@ -426,6 +439,73 @@ class TestServiceApi:
             assert time.monotonic() - started < 1.0
         assert reply.split(b" ", 2)[1] == str(status).encode("ascii")
         assert ServiceClient(daemon.url).healthz()["status"] == "ok"
+
+    def test_stalled_body_answered_408_and_handler_freed(
+            self, daemon, monkeypatch):
+        """A body shorter than its Content-Length is answered 408 once
+        the socket has been idle for ``READ_TIMEOUT``, and its handler
+        thread ends: it used to wait for the client to hang up."""
+        monkeypatch.setattr(api, "READ_TIMEOUT", 0.5)
+        before = _handler_threads()
+        with socket.create_connection(daemon.address, timeout=5.0) as sock:
+            sock.sendall(_SHORT_POST)
+            started = time.monotonic()
+            handler = _new_handler_thread(before)
+            status_line = sock.makefile("rb").readline()
+            elapsed = time.monotonic() - started
+        assert status_line.split()[1] == b"408", status_line
+        assert elapsed < 0.5 + 2.0
+        handler.join(timeout=2.0)
+        assert not handler.is_alive()
+        assert ServiceClient(daemon.url).healthz()["status"] == "ok"
+
+    def test_body_ending_short_answered_400(self, daemon):
+        """A client that half-closes after 10 of 100 body bytes is told
+        at once that the body ended short, not handed a JSON error for
+        the fragment."""
+        with socket.create_connection(daemon.address, timeout=5.0) as sock:
+            sock.sendall(_SHORT_POST)
+            sock.shutdown(socket.SHUT_WR)
+            reply = sock.makefile("rb").read()
+        assert reply.split(b" ", 2)[1] == b"400", reply
+        assert b"ended after 10 of 100 bytes" in reply
+
+    def test_client_hanging_up_mid_body_dropped_quietly(self, daemon,
+                                                        capsys):
+        """A client that hangs up after 10 of 100 body bytes gets no
+        answer and leaves no traceback: the answer finds the socket
+        closed, and the handler thread ends."""
+        before = _handler_threads()
+        with socket.create_connection(daemon.address, timeout=5.0) as sock:
+            sock.sendall(_SHORT_POST)
+            handler = _new_handler_thread(before)
+        handler.join(timeout=5.0)
+        assert not handler.is_alive()
+        assert "Traceback" not in capsys.readouterr().err
+        assert ServiceClient(daemon.url).healthz()["status"] == "ok"
+
+
+#: a POST announcing 100 body bytes and sending the first 10
+_SHORT_POST = (b"POST /v1/campaigns HTTP/1.0\r\n"
+               b"Content-Length: 100\r\n\r\n" + b'{"config":')
+
+
+def _handler_threads():
+    """The daemon's live per-connection handler threads."""
+    return {thread for thread in threading.enumerate()
+            if "process_request_thread" in thread.name}
+
+
+def _new_handler_thread(before):
+    """The handler thread a just-opened connection started."""
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        fresh = _handler_threads() - before
+        if fresh:
+            (thread,) = fresh
+            return thread
+        time.sleep(0.005)
+    raise AssertionError("no handler thread started")
 
 
 # ======================================================================

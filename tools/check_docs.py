@@ -91,9 +91,7 @@ def check_config_reference(problems):
     sys.path.insert(0, str(REPO / "src"))
     try:
         from repro.orchestrate.config import CONFIG_SCHEMA, CampaignConfig
-        from repro.orchestrate.policy import (
-            PORTFOLIO_POLICIES, SCHEDULING_POLICIES,
-        )
+        from repro.orchestrate.policy import SCHEDULING_POLICIES
     finally:
         sys.path.pop(0)
     text = doc.read_text()
@@ -140,14 +138,12 @@ def check_config_reference(problems):
                     f"docs/configuration.md: [{section}] {key} "
                     f"default drifted — live default is `{rendered}`"
                 )
-    for kind, registry in (("scheduling", SCHEDULING_POLICIES),
-                           ("portfolio", PORTFOLIO_POLICIES)):
-        for name in registry:
-            if f"`{name}`" not in text:
-                problems.append(
-                    f"docs/configuration.md: {kind} policy "
-                    f"{name!r} is undocumented"
-                )
+    for name in SCHEDULING_POLICIES:
+        if f"`{name}`" not in text:
+            problems.append(
+                f"docs/configuration.md: scheduling policy "
+                f"{name!r} is undocumented"
+            )
 
 
 def check_scenario_reference(problems):
