@@ -3,7 +3,7 @@
 One :class:`CnfContext` owns the mapping from AIG literals to solver
 literals for one combinational copy (one time-frame of an unrolling, or
 a single combinational check).  AND nodes get the standard three-clause
-Tseitin encoding.
+Tseitin encoding, one :meth:`Solver.add_and_definition` call each.
 """
 
 from __future__ import annotations
@@ -56,21 +56,35 @@ class CnfContext:
         return solver_lit ^ (aig_lit & 1)
 
     def _encode_cone(self, root: int) -> None:
+        # The walk of Aig.cone_nodes, stopping at encoded nodes: a leaf
+        # is encoded when the walk reaches it, an AND node when its
+        # marker ``~index`` comes off the stack, after its fanins.  A
+        # DAG walk cannot reach a node again before its marker, so the
+        # map alone marks what is done.
         mapping = self._map
+        fanins = self.aig.fanins()
         solver = self.solver
         new_var = solver.new_var
-        add_clause = solver.add_clause
-        for index, fanin in self.aig.cone_outside((root,), mapping):
-            y = new_var() << 1
-            mapping[index] = y
-            if fanin is None:
-                continue        # input or latch: a free variable
-            a, b = fanin
-            lit_a = mapping[a >> 1] ^ (a & 1)
-            lit_b = mapping[b >> 1] ^ (b & 1)
-            add_clause([y ^ 1, lit_a])
-            add_clause([y ^ 1, lit_b])
-            add_clause([y, lit_a ^ 1, lit_b ^ 1])
+        add_and = solver.add_and_definition
+        stack = [root >> 1]
+        while stack:
+            index = stack.pop()
+            if index < 0:
+                index = ~index
+                a, b = fanins[index]
+                mapping[index] = add_and(mapping[a >> 1] ^ (a & 1),
+                                         mapping[b >> 1] ^ (b & 1))
+            elif index not in mapping:
+                pair = fanins[index]
+                if pair is None:                # input or latch
+                    mapping[index] = new_var() << 1
+                    continue
+                stack.append(~index)
+                a, b = pair[0] >> 1, pair[1] >> 1
+                if a not in mapping:
+                    stack.append(a)
+                if b not in mapping:
+                    stack.append(b)
 
     def value_of(self, aig_lit: int) -> int:
         """Model value of an AIG literal after SAT; leaves that never

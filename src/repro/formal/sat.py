@@ -15,8 +15,10 @@ its literals, so the hot loops read a literal's value in one lookup.
 The search is a fixed function of the call sequence, and the hot paths
 are written for the interpreter: attributes are hoisted into locals, the
 VSIDS heap's sift-up and pop are inlined where they are used, and watch
-lists are compacted in place.  None of that changes a decision or a
-propagation; ``tests/sat_reference.py`` keeps the plain formulation and
+lists are compacted in place.  :meth:`Solver.add_and_definition` adds a
+gate's three Tseitin clauses in one call and leaves the solver as the
+plain calls would.  None of that changes a decision or a propagation;
+``tests/sat_reference.py`` keeps the plain formulation and
 ``tests/test_sat.py`` checks that both take identical searches.
 """
 
@@ -177,6 +179,79 @@ class Solver:
         self._watches[out[1] ^ 1].append(clause)
         return True
 
+    def add_and_definition(self, a: int, b: int) -> int:
+        """Allocate a variable ``y`` defined as ``a & b`` (the Tseitin
+        AND encoding); returns its positive literal.
+
+        The solver is left exactly as ``y = new_var() << 1`` followed by
+        ``add_clause([y ^ 1, a])``, ``add_clause([y ^ 1, b])`` and
+        ``add_clause([y, a ^ 1, b ^ 1])`` would leave it: the same
+        clauses in the same order, the same watch appends, and the same
+        root-level simplification (a fanin true at the root satisfies
+        its clause, a false one is dropped, a unit is assigned and
+        propagated).  At the root, with the fanins on two distinct
+        variables, the clauses are built here; otherwise it makes those
+        four calls."""
+        limit = self._num_vars << 1
+        if (not self._ok or self._trail_lim or not 0 <= a < limit
+                or not 0 <= b < limit or (a ^ b) < 2):   # one variable
+            y = self.new_var() << 1
+            self.add_clause([y ^ 1, a])
+            self.add_clause([y ^ 1, b])
+            self.add_clause([y, a ^ 1, b ^ 1])
+            return y
+        y = self.new_var() << 1
+        val = self._value
+        watches = self._watches
+        value_a = val[a]
+        value_b = val[b]
+        if value_a == UNASSIGNED and value_b == UNASSIGNED:
+            first = _Clause([y ^ 1, a], False)
+            second = _Clause([y ^ 1, b], False)
+            third = _Clause([y, a ^ 1, b ^ 1], False)
+            self._clauses += (first, second, third)
+            watches[y] += (first, second)
+            watches[a ^ 1].append(first)
+            watches[b ^ 1].append(second)
+            watches[y ^ 1].append(third)
+            watches[a].append(third)
+            return y
+        if value_a == 0:
+            unit = y ^ 1                # y is false
+        elif value_a == 1:
+            if value_b != UNASSIGNED:   # y takes b's value
+                unit = y ^ (value_b ^ 1)
+            else:                       # y <-> b
+                second = _Clause([y ^ 1, b], False)
+                third = _Clause([y, b ^ 1], False)
+                self._clauses += (second, third)
+                watches[y].append(second)
+                watches[b ^ 1].append(second)
+                watches[y ^ 1].append(third)
+                watches[b].append(third)
+                return y
+        else:
+            first = _Clause([y ^ 1, a], False)
+            self._clauses.append(first)
+            watches[y].append(first)
+            watches[a ^ 1].append(first)
+            if value_b == 0:
+                unit = y ^ 1
+            else:                       # y <-> a
+                third = _Clause([y, a ^ 1], False)
+                self._clauses.append(third)
+                watches[y ^ 1].append(third)
+                watches[a].append(third)
+                return y
+        # a unit clause fixes y at the root, as add_clause does
+        val[unit] = 1
+        val[unit ^ 1] = 0
+        self._phase[y >> 1] = 1 ^ (unit & 1)
+        self._trail.append(unit)
+        if self._propagate() is not None:
+            self._ok = False
+        return y
+
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
@@ -296,7 +371,9 @@ class Solver:
     # ------------------------------------------------------------------
     def _propagate(self) -> Optional[_Clause]:
         # Each watch list is compacted in place: ``kept`` is the write
-        # index, ``index`` the read index.
+        # index, and ``kept + moved`` clauses have been read.  A clause
+        # only moves to the watches of a literal that is not false, never
+        # to this list, so the list does not grow while it is iterated.
         trail = self._trail
         watches = self._watches
         val = self._value
@@ -310,44 +387,50 @@ class Solver:
             qhead += 1
             false_lit = lit ^ 1
             watch_list = watches[lit]
-            size = len(watch_list)
-            kept = index = 0
-            while index < size:
-                clause = watch_list[index]
-                index += 1
+            kept = moved = 0
+            for clause in watch_list:
                 lits = clause.lits
                 # make sure the falsified watch is lits[1]
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
                 if val[first] == 1:
                     watch_list[kept] = clause
                     kept += 1
                     continue
-                # search a new watch
-                for k in range(2, len(lits)):
-                    other = lits[k]
-                    if val[other] != 0:
-                        lits[1], lits[k] = other, lits[1]
+                # search a new watch; a binary clause has none
+                width = len(lits)
+                if width > 2:
+                    for k in range(2, width):
+                        if val[lits[k]] != 0:
+                            break
+                    else:
+                        k = 0           # none: unit or conflict
+                    if k:
+                        other = lits[k]
+                        lits[1] = other
+                        lits[k] = false_lit
                         watches[other ^ 1].append(clause)
-                        break
-                else:
-                    watch_list[kept] = clause
-                    kept += 1
-                    if val[first] != UNASSIGNED:
-                        # first is false: conflict — keep the remaining
-                        # watches and report
-                        del watch_list[kept:index]
-                        self._qhead = len(trail)
-                        self.stats["propagations"] += qhead - start
-                        return clause
-                    var = first >> 1
-                    val[first] = 1
-                    val[first ^ 1] = 0
-                    level[var] = depth
-                    reason[var] = clause
-                    phase[var] = 1 ^ (first & 1)
-                    trail.append(first)
+                        moved += 1
+                        continue
+                watch_list[kept] = clause
+                kept += 1
+                if val[first] != UNASSIGNED:
+                    # first is false: conflict — keep the remaining
+                    # watches and report
+                    del watch_list[kept:kept + moved]
+                    self._qhead = len(trail)
+                    self.stats["propagations"] += qhead - start
+                    return clause
+                var = first >> 1
+                val[first] = 1
+                val[first ^ 1] = 0
+                level[var] = depth
+                reason[var] = clause
+                phase[var] = 1 ^ (first & 1)
+                trail.append(first)
             del watch_list[kept:]
         self._qhead = qhead
         self.stats["propagations"] += qhead - start
@@ -431,23 +514,24 @@ class Solver:
             start = 1
 
         # clause minimisation: drop a literal whose reason consists only
-        # of other learned literals and level-0 assignments
+        # of other learned literals and level-0 assignments.  The learned
+        # variables are the ones still ``seen``: the current level's marks
+        # are cleared by now, and a reason holds no literal of a higher
+        # level than the one it implies, so never the asserting literal.
         reason = self._reason
-        learned_vars = {l >> 1 for l in learned}
         minimized = [learned[0]]
         for candidate in learned[1:]:
-            var = candidate >> 1
-            seen[var] = False   # leave the marks clear for the next call
-            why = reason[var]
+            why = reason[candidate >> 1]
             if why is not None:
                 for other in why.lits:
                     other_var = other >> 1
-                    if (other_var != var and level[other_var] != 0
-                            and other_var not in learned_vars):
+                    if not seen[other_var] and level[other_var] != 0:
                         break
                 else:
                     continue    # redundant
             minimized.append(candidate)
+        for candidate in learned[1:]:
+            seen[candidate >> 1] = False   # clear for the next call
 
         if len(minimized) == 1:
             return minimized, 0

@@ -97,8 +97,10 @@ class TransitionSystem:
         """Problem-size metrics (reported alongside check results)."""
         roots = [self.bad, self.constraint]
         roots.extend(self.next_fn[lit] for lit in self.latches)
-        cone = self.aig.cone_nodes(roots)
-        ands = sum(1 for index in cone if self.aig.kind(index << 1) == "and")
+        fanins = self.aig.fanins()
+        # AND nodes are the ones with a fanin pair
+        ands = sum(1 for index in self.aig.cone_nodes(roots)
+                   if fanins[index] is not None)
         return {
             "latches": len(self.latches),
             "inputs": len(self.inputs),

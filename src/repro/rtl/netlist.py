@@ -11,9 +11,7 @@ build node functions over it.  Literals follow the AIGER convention:
 
 from __future__ import annotations
 
-from typing import (
-    Container, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .elaborate import FlatDesign
 from .signals import Const, Expr, Input, Op, Reg, mask
@@ -139,36 +137,36 @@ class Aig:
     def num_ands(self) -> int:
         return sum(1 for k in self._kind if k == "and")
 
+    def fanins(self) -> List[Optional[Tuple[int, int]]]:
+        """The fanin pair of every node by index, ``None`` for the
+        constant, inputs and latches: the AIG's own list, for walks that
+        read it in a hot loop (do not change it)."""
+        return self._fanin
+
     def cone_nodes(self, roots: Sequence[int]) -> List[int]:
         """Indices of all nodes in the transitive fanin of ``roots``,
-        in topological (fanin-first) order."""
-        return [index for index, _ in self.cone_outside(roots, ())]
-
-    def cone_outside(self, roots: Sequence[int], known: Container[int]
-                     ) -> List[Tuple[int, Optional[Tuple[int, int]]]]:
-        """``(index, fanin pair or None)`` of each node in the
-        transitive fanin of ``roots`` that is not in ``known``, fanin
-        first.  The walk stops at ``known`` nodes; when ``known`` is
-        closed under fanin, the nodes come in the order
-        :meth:`cone_nodes` lists them."""
+        in topological (fanin-first) order: the post-order of a
+        depth-first walk that visits a node's second fanin first."""
         fanins = self._fanin
         seen = set()
-        order: List[Tuple[int, Optional[Tuple[int, int]]]] = []
+        order: List[int] = []
         stack = [lit >> 1 for lit in roots]
         while stack:
             index = stack.pop()
             if index < 0:           # ~index: its fanins are all listed
-                index = ~index
-                order.append((index, fanins[index]))
-                continue
-            if index in seen or index in known:
-                continue
-            seen.add(index)
-            stack.append(~index)
-            pair = fanins[index]
-            if pair is not None:
-                stack.append(pair[0] >> 1)
-                stack.append(pair[1] >> 1)
+                order.append(~index)
+            elif index not in seen:
+                seen.add(index)
+                pair = fanins[index]
+                if pair is None:
+                    order.append(index)
+                    continue
+                stack.append(~index)
+                a, b = pair[0] >> 1, pair[1] >> 1
+                if a not in seen:
+                    stack.append(a)
+                if b not in seen:
+                    stack.append(b)
         return order
 
     def sequential_support(self, roots: Sequence[int],

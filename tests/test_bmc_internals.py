@@ -179,10 +179,24 @@ class TestPrunedWalks:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_cnf_numbering_matches_full_cone_encoder(self, seed):
+        """Also when frame 0's latches are bound to literals fixed at
+        the root (even seeds, as an init-constrained ``Unroller`` binds
+        them), when a unit clause lands between two requests, and when
+        encoding goes on after a SAT answer left the solver at a
+        decision level."""
         rng = random.Random(seed)
         aig, pool = random_sequential_aig(rng)
         fast_solver, ref_solver = Solver(), Solver()
         fast, ref = [], []
+
+        def add_unit(lit):
+            assert fast_solver.add_clause([lit]) == \
+                ref_solver.add_clause([lit])
+
+        def solve_both():
+            assert fast_solver.solve() and ref_solver.solve()
+            assert fast_solver.model() == ref_solver.model()
+
         for frame in range(4):
             fast.append(CnfContext(aig, fast_solver))
             ref.append(FullConeEncoder(aig, ref_solver))
@@ -192,13 +206,32 @@ class TestPrunedWalks:
                     next_lit = aig.latch_next[latch]
                     fast[frame].bind(latch, fast[frame - 1].lit(next_lit))
                     ref[frame].bind(latch, ref[frame - 1].lit(next_lit))
-            for _ in range(12):
+            elif seed % 2 == 0:
+                # initial values as a constrain_init unroller binds them
+                for latch in aig.latches:
+                    lit = fast_solver.new_var() << 1
+                    assert ref_solver.new_var() << 1 == lit
+                    fast[0].bind(latch, lit)
+                    ref[0].bind(latch, lit)
+                    add_unit(lit ^ (aig.latch_init[latch] ^ 1))
+            if frame == 1:
+                # this frame's requests encode from a decision level
+                solve_both()
+            for step in range(12):
                 at = rng.randrange(frame + 1)
                 aig_lit = rng.choice(pool) ^ rng.randrange(2)
-                assert fast[at].lit(aig_lit) == ref[at].lit(aig_lit)
+                solver_lit = fast[at].lit(aig_lit)
+                assert solver_lit == ref[at].lit(aig_lit)
                 assert fast_solver.num_clauses() == ref_solver.num_clauses()
                 assert fast_solver.stats_snapshot() == \
                     ref_solver.stats_snapshot()
+                if step == 6 and frame >= 2:
+                    # fix a gate the later requests may read, to the
+                    # value it takes in a model, so the formula stays
+                    # satisfiable
+                    solve_both()
+                    add_unit(solver_lit
+                             ^ (fast_solver.value_of(solver_lit) ^ 1))
         # same variables, same clauses in the same order: same search
         assert fast_solver.solve([fast[-1].lit(pool[-1])]) == \
             ref_solver.solve([ref[-1].lit(pool[-1])])

@@ -304,24 +304,39 @@ class TestSearchPinned:
         variables with their Tseitin definitions, solves under
         assumptions, and clauses added between solves (the blocking
         clause of an UNSAT query, or clauses the last model satisfies),
-        interleaved."""
+        interleaved.  AND gates go through ``add_and_definition`` on
+        the fast solver and through ``new_var`` plus three
+        ``add_clause`` calls on the reference.  The pool holds literals
+        fixed at the root in both polarities (as the constant,
+        init-bound latches and constraint units are), some gates take
+        both fanins from one variable, and some follow a SAT answer
+        directly, with the solver still at its last decision level."""
         rng = random.Random(seed * 7919 + 11)
         fast, ref = Solver(), ReferenceSolver()
         lits = [2 * var for var in
                 self._new_vars(fast, ref, rng.randint(16, 24))]
+        for lit in rng.sample(lits, 4):
+            self._add(fast, ref, [lit ^ rng.randrange(2)])
         verdicts = []
         for _ in range(30):
             for _ in range(rng.randint(4, 12)):
                 a, b = (lit ^ rng.randrange(2)
                         for lit in rng.sample(lits, 2))
-                y = 2 * self._new_vars(fast, ref, 1)[0]
+                if rng.random() < 0.1:
+                    b = a ^ rng.randrange(2)
                 if rng.random() < 0.4:      # y <-> a & b
-                    gate = [[y ^ 1, a], [y ^ 1, b], [y, a ^ 1, b ^ 1]]
+                    y = fast.add_and_definition(a, b)
+                    assert 2 * ref.new_var() == y
+                    for clause in ([y ^ 1, a], [y ^ 1, b],
+                                   [y, a ^ 1, b ^ 1]):
+                        ref.add_clause(clause)
+                    assert fast.stats_snapshot() == ref.stats_snapshot()
+                    assert fast.num_clauses() == ref.num_clauses()
                 else:                       # y <-> a ^ b
-                    gate = [[y ^ 1, a, b], [y ^ 1, a ^ 1, b ^ 1],
-                            [y, a ^ 1, b], [y, a, b ^ 1]]
-                for clause in gate:
-                    self._add(fast, ref, clause)
+                    y = 2 * self._new_vars(fast, ref, 1)[0]
+                    for clause in ([y ^ 1, a, b], [y ^ 1, a ^ 1, b ^ 1],
+                                   [y, a ^ 1, b], [y, a, b ^ 1]):
+                        self._add(fast, ref, clause)
                 lits.append(y)
             assumptions = [lit ^ rng.randrange(2)
                            for lit in rng.sample(lits, rng.randint(2, 5))]
@@ -329,6 +344,8 @@ class TestSearchPinned:
             verdicts.append(verdict)
             if not verdict:
                 self._add(fast, ref, [lit ^ 1 for lit in assumptions])
+                continue
+            if rng.random() < 0.3:
                 continue
             model = fast.model()
             for _ in range(6):
