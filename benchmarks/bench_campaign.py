@@ -237,9 +237,10 @@ def _bench_sat_workspace():
     counters — conflicts and propagations summed over every portfolio
     attempt from each result's attempt log.  The gate is byte-identical
     cold/warm outcomes with live session reuses; the effort and wall
-    ratios are recorded without a threshold, because ``kind`` decides
-    every default check on its first attempt and the warm gain there
-    is modest.
+    ratios, and the checks answered from the workspace's settled-problem
+    memo (``problem_hits`` in the recorded counters), are recorded
+    without a threshold, because ``kind`` decides every default check
+    on its first attempt and the warm gain there is modest.
     """
     import dataclasses
 
@@ -283,7 +284,8 @@ def _bench_sat_workspace():
           f"{counters.get('reuses', 0)} session reuses, "
           f"{counters.get('frames_reused', 0)} frames and "
           f"{counters.get('clauses_retained', 0)} learned clauses "
-          f"retained)")
+          f"retained; {counters.get('problem_hits', 0)} settled-problem "
+          f"hits)")
     print(f"  sat effort ratio:   {conflict_ratio:.1f}x conflicts, "
           f"{prop_ratio:.1f}x propagations, {wall_ratio:.1f}x wall")
     if not identical:

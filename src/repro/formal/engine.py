@@ -32,9 +32,11 @@ engines (``kind`` and ``auto``'s induction leg) honour
 :class:`~repro.formal.satspace.SatBinding` is attached, they run over
 shared incremental solver sessions — retained frame unrollings and
 learned clauses, per-assertion activation literals — instead of cold
-solvers; failing traces are re-derived cold on the solo-compiled
-system so counterexamples stay byte-canonical (see
-:mod:`repro.formal.satspace`).  ``bmc`` always runs a cold solver.
+solvers, and answer a problem isomorphic to one the workspace already
+settled from its memo, without a solve; failing traces are re-derived
+cold on the solo-compiled system so counterexamples stay
+byte-canonical (see :mod:`repro.formal.satspace`).  ``bmc`` always
+runs a cold solver.
 
 A checker built from a compile callable compiles on the first read of
 :attr:`ModelChecker.ts`, which a stage settled on shared sessions never
@@ -49,7 +51,9 @@ from typing import Callable, Dict, Optional, Tuple, Union
 
 from .bmc import bmc
 from .budget import BudgetExceeded, ResourceBudget
-from .induction import k_induction, k_induction_session
+from .induction import (
+    InductionResult, idle_stats, k_induction, k_induction_session,
+)
 from .pobdd import pobdd_reach
 from .reachability import (
     SymbolicModel, backward_reach, combined_reach, forward_reach,
@@ -254,18 +258,29 @@ class ModelChecker(metaclass=_ModelCheckerMeta):
             name, trace = self.ts.name, result.trace
             stats = {"sat": result.stats}
         else:
-            base = binding.lease("bmc-init", self.budget)
-            step = binding.lease("step", self.budget)
-            result = k_induction_session(base, step, binding.assert_name,
-                                         max_k=max_k,
-                                         unique_states=unique_states)
-            trace = (self._rederive_trace(result.k, result.stats)
-                     if result.status == "failed" else None)
             # named and sized without the solo compile, which only a
             # FAIL's re-derivation needs
+            problem, digest = binding.view().structure()
+            key = (digest, max_k, unique_states)
+            workspace = binding.workspace
+            settled = workspace.recall(key)
+            if settled is None:
+                base = binding.lease("bmc-init", self.budget)
+                step = binding.lease("step", self.budget)
+                result = k_induction_session(base, step,
+                                             binding.assert_name,
+                                             max_k=max_k,
+                                             unique_states=unique_states)
+                if result.status != "unknown":
+                    workspace.remember(key, result.status, result.k)
+            else:
+                # an isomorphic problem settled on this worker
+                result = InductionResult(*settled, None,
+                                         {**idle_stats(), "problem_hit": 1})
+            trace = (self._rederive_trace(result.k, result.stats)
+                     if result.status == "failed" else None)
             name = binding.name
-            stats = {"sat": result.stats,
-                     "problem": binding.view().size_stats()}
+            stats = {"sat": result.stats, "problem": problem}
         if result.status == "proved":
             return CheckResult(name, PASS, "kind", depth=result.k,
                                stats=stats)

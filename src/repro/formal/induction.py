@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .budget import ResourceBudget
 from .bmc import Unroller
-from .sat import Solver, stats_delta
+from .sat import STAT_COUNTERS, Solver, stats_delta
 from .trace import Trace
 from .transition import TransitionSystem
 
@@ -143,6 +143,13 @@ def _merge(base: Solver, step: Solver) -> Dict[str, int]:
     merged["base"] = base_snap
     merged["step"] = step_snap
     return merged
+
+
+def idle_stats() -> Dict[str, object]:
+    """Solver telemetry of a check that ran no solve: the shape of a
+    session run's, every counter zero."""
+    zero = dict.fromkeys((*STAT_COUNTERS, "learned_db"), 0)
+    return {**zero, "base": dict(zero), "step": dict(zero)}
 
 
 def _session_stats(base: Solver, step: Solver,

@@ -30,6 +30,10 @@ from .budget import BudgetExceeded, ResourceBudget
 
 UNASSIGNED = -1
 
+#: the monotonic search counters of :attr:`Solver.stats`
+STAT_COUNTERS = ("conflicts", "decisions", "propagations", "restarts",
+                 "learned")
+
 
 class _Clause:
     """Clause with activity for database reduction."""
@@ -60,7 +64,7 @@ class Solver:
     def __init__(self, budget: Optional[ResourceBudget] = None) -> None:
         self.budget = budget
         self._num_vars = 0
-        self._clauses: List[_Clause] = []
+        self._num_problem_clauses = 0
         self._learned: List[_Clause] = []
         self._watches: List[List[_Clause]] = []
         self._value: List[int] = []
@@ -81,10 +85,7 @@ class Solver:
         self._heap: List[int] = []
         self._heap_pos: List[int] = []   # var -> heap index, -1 if absent
         self._ok = True
-        self.stats: Dict[str, int] = {
-            "conflicts": 0, "decisions": 0, "propagations": 0,
-            "restarts": 0, "learned": 0,
-        }
+        self.stats: Dict[str, int] = dict.fromkeys(STAT_COUNTERS, 0)
 
     # ------------------------------------------------------------------
     # lifecycle for long-lived (workspace-shared) solvers
@@ -106,7 +107,7 @@ class Solver:
 
     def num_clauses(self) -> int:
         """Problem plus learned clauses currently attached."""
-        return len(self._clauses) + len(self._learned)
+        return self._num_problem_clauses + len(self._learned)
 
     # ------------------------------------------------------------------
     # problem construction
@@ -174,7 +175,7 @@ class Solver:
                 return False
             return True
         clause = _Clause(out, learned=False)
-        self._clauses.append(clause)
+        self._num_problem_clauses += 1
         self._watches[out[0] ^ 1].append(clause)
         self._watches[out[1] ^ 1].append(clause)
         return True
@@ -209,7 +210,7 @@ class Solver:
             first = _Clause([y ^ 1, a], False)
             second = _Clause([y ^ 1, b], False)
             third = _Clause([y, a ^ 1, b ^ 1], False)
-            self._clauses += (first, second, third)
+            self._num_problem_clauses += 3
             watches[y] += (first, second)
             watches[a ^ 1].append(first)
             watches[b ^ 1].append(second)
@@ -224,7 +225,7 @@ class Solver:
             else:                       # y <-> b
                 second = _Clause([y ^ 1, b], False)
                 third = _Clause([y, b ^ 1], False)
-                self._clauses += (second, third)
+                self._num_problem_clauses += 2
                 watches[y].append(second)
                 watches[b ^ 1].append(second)
                 watches[y ^ 1].append(third)
@@ -232,14 +233,14 @@ class Solver:
                 return y
         else:
             first = _Clause([y ^ 1, a], False)
-            self._clauses.append(first)
+            self._num_problem_clauses += 1
             watches[y].append(first)
             watches[a ^ 1].append(first)
             if value_b == 0:
                 unit = y ^ 1
             else:                       # y <-> a
                 third = _Clause([y, a ^ 1], False)
-                self._clauses.append(third)
+                self._num_problem_clauses += 1
                 watches[y ^ 1].append(third)
                 watches[a].append(third)
                 return y

@@ -57,6 +57,25 @@ re-derivation compiles the solo system: any other verdict settled on
 the sessions takes its name and problem size from the binding
 (:attr:`SatBinding.name`, :meth:`SatBinding.view`).
 
+Settled problems
+----------------
+
+A worker settles each distinct compiled problem once.  Module texts that
+differ outside a property's cone get distinct job fingerprints, yet
+compile to the same bit-level problem.  So the ``kind`` engine keys
+every definitive outcome by the assertion view's structural digest
+(:meth:`~repro.formal.transition.TransitionSystem.structure`) plus
+``max_k`` and ``unique_states``, and answers a later check with an
+equal key from :meth:`SatWorkspace.recall` without leasing a session.
+Equal digests mean isomorphic problems, and a proved or failed ``kind``
+outcome and its ``k`` are properties of the problem, not of the search,
+so a hit is the cold verdict.  A FAIL hit still re-derives its trace
+cold on the job's own solo compile, like every shared-session FAIL.
+Only PASS and FAIL outcomes are kept: a TIMEOUT depends on the search,
+and an UNKNOWN says only that ``max_k`` ran out.  The memo is per
+worker, like the sessions, and is neither shared across a fleet nor
+persisted.
+
 Budgets and capacity
 --------------------
 
@@ -67,7 +86,8 @@ monotonically cheaper — retained clauses usually save conflicts but can
 steer the heuristics either way — so under a binding budget a warm run
 may TIMEOUT where a cold run finished (and vice versa); campaign
 defaults keep budgets non-binding.  :attr:`SatWorkspace.MAX_SESSIONS`
-bounds live sessions (and compiled clusters) LRU-fashion.  Workspaces
+bounds live sessions (and compiled clusters) LRU-fashion, and
+:attr:`SatWorkspace.MAX_PROBLEMS` the settled outcomes.  Workspaces
 are plain per-process objects: executors build one per worker, exactly
 like compile stores.
 """
@@ -85,6 +105,9 @@ from .transition import ClusterSystem, TransitionSystem
 
 MODE_BMC_INIT = "bmc-init"
 MODE_STEP = "step"
+
+#: a settled problem: (structural digest, max_k, unique_states)
+ProblemKey = Tuple[str, int, bool]
 
 
 class SatSession:
@@ -257,6 +280,9 @@ class SatWorkspace:
 
     #: live sessions retained, and compiled clusters kept (LRU each)
     MAX_SESSIONS = 8
+    #: settled ``kind`` outcomes kept (LRU), more than the 516 distinct
+    #: problems of the full chip
+    MAX_PROBLEMS = 1024
     #: assertions of one (module, vunit) per shared cluster (the
     #: paper's clustering ablation plateaus by 16)
     CLUSTER_LIMIT = 16
@@ -264,11 +290,12 @@ class SatWorkspace:
     def __init__(self) -> None:
         self._sessions: Dict[Tuple[str, str, int, str], SatSession] = {}
         self._clusters: Dict[Tuple[str, str, int], ClusterSystem] = {}
+        self._problems: Dict[ProblemKey, Tuple[str, int]] = {}
         self.counters: Dict[str, int] = {
             "leases": 0, "reuses": 0, "evictions": 0,
             "activations": 0, "retirements": 0,
             "frames_built": 0, "frames_reused": 0, "clauses_retained": 0,
-            "cluster_compiles": 0,
+            "cluster_compiles": 0, "problem_hits": 0,
         }
 
     # ------------------------------------------------------------------
@@ -334,10 +361,29 @@ class SatWorkspace:
         return session
 
     # ------------------------------------------------------------------
+    def recall(self, key: ProblemKey) -> Optional[Tuple[str, int]]:
+        """The ``(status, k)`` that ``kind`` settled on this worker for
+        ``key`` — ``(structural digest, max_k, unique_states)`` — or
+        ``None``."""
+        outcome = self._problems.pop(key, None)
+        if outcome is not None:
+            self._problems[key] = outcome
+            self.counters["problem_hits"] += 1
+        return outcome
+
+    def remember(self, key: ProblemKey, status: str, k: int) -> None:
+        """Keep a proved or failed ``kind`` outcome for :meth:`recall`."""
+        while len(self._problems) >= self.MAX_PROBLEMS:
+            self._problems.pop(next(iter(self._problems)))
+        self._problems[key] = (status, k)
+
+    # ------------------------------------------------------------------
     def discard(self) -> None:
-        """Drop every session and cluster (counters are retained)."""
+        """Drop every session, cluster and settled outcome (counters
+        are retained)."""
         self._sessions.clear()
         self._clusters.clear()
+        self._problems.clear()
 
     def stats(self) -> Dict[str, int]:
         """Current gauges plus the cumulative counters."""

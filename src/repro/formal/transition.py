@@ -16,6 +16,8 @@ what makes the divide-and-conquer partitioning measurable (Figure 7).
 
 from __future__ import annotations
 
+import hashlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -95,17 +97,58 @@ class TransitionSystem:
     # ------------------------------------------------------------------
     def size_stats(self) -> Dict[str, int]:
         """Problem-size metrics (reported alongside check results)."""
+        return self.structure()[0]
+
+    def structure(self) -> Tuple[Dict[str, int], str]:
+        """Problem-size metrics and a canonical structural digest, from
+        one walk of the cone.
+
+        The digest is the SHA-256 of a serialization free of names and
+        of AIG numbering.  Canonical id 0 is the constant and ids
+        ``1..L`` are the latches by position in ``latches``, each with
+        its init bit.  Every other node gets the next id in the order
+        :meth:`Aig.cone_nodes` lists it from the roots ``bad``,
+        ``constraint`` and ``next_fn[latch]`` (latches in order): a
+        leaf is written as an input (a leaf outside ``latches`` is a
+        free variable of every frame, as it is to the unroller), an
+        AND node as its two fanins in stored order, each
+        ``(canonical id << 1) | complement``.  The root literals close
+        it.  The serialization can be parsed back into the problem, so
+        equal digests mean isomorphic problems."""
+        latches = self.latches
         roots = [self.bad, self.constraint]
-        roots.extend(self.next_fn[lit] for lit in self.latches)
+        roots.extend(self.next_fn[lit] for lit in latches)
         fanins = self.aig.fanins()
-        # AND nodes are the ones with a fanin pair
-        ands = sum(1 for index in self.aig.cone_nodes(roots)
-                   if fanins[index] is not None)
-        return {
-            "latches": len(self.latches),
+        # node index -> canonical id << 1, -1 while unnumbered
+        canon = [-1] * len(fanins)
+        canon[0] = 0
+        for position, lit in enumerate(latches, 1):
+            canon[lit >> 1] = position << 1
+        next_lit = (len(latches) + 1) << 1
+        words = [len(latches)]
+        words.extend(self.init[lit] for lit in latches)
+        ands = 0
+        for index in self.aig.cone_nodes(roots):
+            pair = fanins[index]
+            if pair is not None:
+                a, b = pair
+                words.append(canon[a >> 1] | (a & 1))
+                words.append(canon[b >> 1] | (b & 1))
+                ands += 1
+            elif canon[index] < 0:
+                words.append(-1)    # an input
+            else:
+                continue            # the constant or a latch
+            canon[index] = next_lit
+            next_lit += 2
+        words.extend(canon[lit >> 1] | (lit & 1) for lit in roots)
+        stats = {
+            "latches": len(latches),
             "inputs": len(self.inputs),
             "ands": ands,
         }
+        digest = hashlib.sha256(array("q", words).tobytes()).hexdigest()
+        return stats, digest
 
     def latch_name(self, lit: int) -> str:
         return self.aig.name_of(lit) or f"latch{lit}"

@@ -12,6 +12,7 @@ from repro.core.report import (
     format_status_summary, format_table2, format_table3, render_table,
 )
 from repro.formal.engine import FAIL, PASS
+from repro.formal.induction import k_induction
 from repro.formal.problems import compilations_total, elaborations_total
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, plan_digest,
@@ -130,8 +131,10 @@ class TestSolverEffort:
         search order.  The summed per-job SAT counters can: any change
         to a decision, a propagation, clause learning or the restart
         schedule moves them.  The sum runs over all 456 records: a
-        reused record carries its check's attempt log, so it is the
-        sum every job would have paid on its own."""
+        reused record carries its check's attempt log, and a verdict
+        served from the workspace's settled-problem memo reports zero
+        effort, so this is the search the campaign did, counted once
+        per job that carries it."""
         digest = hashlib.sha256(ac_report.canonical_bytes()).hexdigest()[:16]
         assert digest == "827affdb95659447"
         effort = dict.fromkeys(
@@ -140,18 +143,19 @@ class TestSolverEffort:
         for record in ac_report.results:
             for key in effort:
                 effort[key] += record.result.stats["sat"][key]
-        assert effort == {"conflicts": 19338, "decisions": 45775,
-                          "propagations": 849882, "learned": 18779,
-                          "restarts": 70}
+        assert effort == {"conflicts": 11339, "decisions": 28745,
+                          "propagations": 514805, "learned": 10937,
+                          "restarts": 44}
 
     def test_default_ac_campaign_executed_search_pinned(self, ac_report):
         """The A,C campaign runs each distinct check once: its 32
         modules hold 11 distinct designs, so 135 of the 456 jobs
-        execute and the other 321 reuse a verdict (``cached``).  The
-        solver counters summed over the executed records are the
-        search the campaign really did (all 456 records sum to
-        conflicts 19338, decisions 45775, propagations 849882, learned
-        18779 and restarts 70)."""
+        execute and the other 321 reuse a verdict (``cached``).  36 of
+        the 135 are answered from the settled-problem memo without a
+        solve.  The solver counters summed over the executed records
+        are the search the campaign really did (all 456 records sum to
+        conflicts 11339, decisions 28745, propagations 514805, learned
+        10937 and restarts 44)."""
         executed = [record for record in ac_report.results
                     if not record.cached]
         assert len(executed) == 135
@@ -163,9 +167,9 @@ class TestSolverEffort:
         for record in executed:
             for key in effort:
                 effort[key] += record.result.stats["sat"][key]
-        assert effort == {"conflicts": 5830, "decisions": 14024,
-                          "propagations": 254533, "learned": 5675,
-                          "restarts": 22}
+        assert effort == {"conflicts": 4272, "decisions": 10563,
+                          "propagations": 188623, "learned": 4151,
+                          "restarts": 17}
 
     def test_default_ac_campaign_warm_state_pinned(self, ac_report):
         """The warm-state capacities are class constants of the layers
@@ -173,19 +177,23 @@ class TestSolverEffort:
         ``CompiledProblemStore.MAX_DESIGNS``).  The default campaign
         reaches both LRU bounds, so any change to a capacity, to the
         eviction order or to what one lease reuses moves these
-        counters.  Only the 135 executed jobs lease sessions: 270
-        leases, 36 cluster compiles and 64 evictions (912, 111 and 214
-        when each of the 456 jobs ran, renamed copies included).  The
-        store is asked for a design once per cluster compile: 11
-        misses, one per distinct design, and 25 hits (32 and 79 when
-        the copies compiled too)."""
+        counters.  Only executed jobs that miss the settled-problem
+        memo lease sessions: 36 of the 135 hit it, so 99 jobs take 198
+        leases, with 36 cluster compiles (a hit still sizes its problem
+        from its cluster view) and 50 evictions (270 leases and 64
+        evictions without the memo; 912, 111 and 214 when each of the
+        456 jobs ran, renamed copies included).  The store is asked for
+        a design once per cluster compile: 11 misses, one per distinct
+        design, and 25 hits (32 and 79 when the copies compiled too)."""
         sat = ac_report.stats["sat_workspace"]
         assert {key: sat[key] for key in (
             "leases", "reuses", "evictions", "cluster_compiles",
             "frames_built", "frames_reused", "clauses_retained",
-        )} == {"leases": 270, "reuses": 198, "evictions": 64,
-               "cluster_compiles": 36, "frames_built": 118,
-               "frames_reused": 305, "clauses_retained": 9679}
+            "problem_hits",
+        )} == {"leases": 198, "reuses": 140, "evictions": 50,
+               "cluster_compiles": 36, "frames_built": 93,
+               "frames_reused": 214, "clauses_retained": 6655,
+               "problem_hits": 36}
         run = ac_report.stats["compile_store"]["run"]
         assert {key: run[key] for key in (
             "design_hits", "design_misses", "design_evictions",
@@ -194,8 +202,9 @@ class TestSolverEffort:
 
     def test_default_ac_campaign_compiles_pinned(self, ac_run):
         """Every executed A,C verdict settles on the shared SAT
-        sessions, so the campaign compiles only its clusters and no
-        job's solo problem, and a reused PASS compiles nothing: 36
+        sessions or is a PASS served from their settled-problem memo,
+        so the campaign compiles only its clusters and no job's solo
+        problem, and a reused PASS compiles nothing: 36
         cluster compiles and 11 elaborations, one per distinct design
         (111 and 32 when renamed copies ran their own checks; 567
         compiles when every job also compiled its own problem up
@@ -219,6 +228,33 @@ class TestSolverEffort:
             assert record.result.name == solo.name == job.qualified_name
             assert record.result.stats["problem"] == solo.size_stats(), \
                 job.qualified_name
+
+    def test_memo_served_verdicts_match_cold_runs(self, ac_run):
+        """36 executed A,C jobs check a problem isomorphic to one their
+        worker already settled (equal structural digests, same
+        ``max_k`` and ``unique_states``), though their module texts,
+        and so their fingerprints, differ.  Each is answered from the
+        workspace's memo with zero solver effort, and each answer is
+        what cold ``k_induction`` gives on the job's own solo compile,
+        in status and in k."""
+        jobs = ac_run["plan"].jobs
+        served = [
+            (job, record.result)
+            for job, record in zip(jobs, ac_run["report"].results)
+            if not record.cached
+            and record.result.stats["sat"].get("problem_hit")
+        ]
+        assert len(served) == 36
+        statuses = {"proved": PASS, "failed": FAIL}
+        for job, result in served:
+            assert result.stats["sat"]["conflicts"] == 0
+            options = job.engines[0].options()
+            assert job.engines[0].method == "kind"
+            cold = k_induction(
+                compile_assertion(job.module, job.vunit, job.assert_name),
+                max_k=options.max_k, unique_states=options.unique_states)
+            assert (result.status, result.depth) == \
+                (statuses[cold.status], cold.k), job.qualified_name
 
     @pytest.mark.parametrize("mode,digest,distinct", [
         ("module", "290cec67379860e2", 135),

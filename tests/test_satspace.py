@@ -5,18 +5,24 @@ Covers the clustering layer (one shared-AIG multi-bad system per
 the workspace itself (session reuse, activation/retire soundness, the
 LRU capacity, budget re-arming), the engine integration (warm
 ``bmc``/``kind`` results — verdicts, depths, *and* counterexample
-bytes — identical to cold runs), and the campaign-level certification
+bytes — identical to cold runs), the settled-problem memo (the
+structural digest it is keyed by, what it keeps, and its hits matching
+cold runs), and the campaign-level certification
 bar: byte-identical ``CampaignReport.canonical_bytes`` with the
 workspace on, off, clustering disabled, or LRU-thrashed, across every
 executor.  The thrashed and unclustered variants patch the capacity
 constants on the class; forked fleet workers inherit the patch.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.chip import ComponentChip
 from repro.formal.budget import BudgetExceeded, ResourceBudget
-from repro.formal.engine import FAIL, PASS, EngineOptions, ModelChecker
+from repro.formal.engine import (
+    FAIL, PASS, TIMEOUT, UNKNOWN, EngineOptions, ModelChecker,
+)
 from repro.formal.satspace import (
     MODE_BMC_INIT, MODE_STEP, SatSession, SatWorkspace,
 )
@@ -24,7 +30,12 @@ from repro.orchestrate import (
     CampaignOrchestrator, EngineConfig, FleetExecutor, SerialExecutor,
     plan_campaign, portfolio,
 )
+from repro.formal.transition import TransitionSystem
+from repro.orchestrate.config import CampaignConfig
 from repro.psl.compile import compile_assertion, compile_cluster
+from repro.rtl.netlist import Aig
+from repro.scenario import FamilySpec, run_sweep
+from repro.scenario.sweep import record_digest
 
 
 def _engines(**overrides):
@@ -228,7 +239,8 @@ class TestWorkspace:
         for key in ("sessions", "clusters", "leases", "reuses",
                     "evictions", "activations",
                     "retirements", "frames_built", "frames_reused",
-                    "clauses_retained", "cluster_compiles"):
+                    "clauses_retained", "cluster_compiles",
+                    "problem_hits"):
             assert key in stats
 
     def test_discard_drops_sessions_keeps_counters(self, a_module,
@@ -305,6 +317,242 @@ class TestEngineWarmCold:
             for key in ("conflicts", "propagations", "restarts",
                         "learned_db"):
                 assert key in sat
+
+
+# ----------------------------------------------------------------------
+# settled problems: the structural digest and the memo it keys
+# ----------------------------------------------------------------------
+
+def _toy(names=("x", "p", "q"), pad=0, init_p=0, flip=(0, 0)):
+    """A two-latch toy problem.  ``pad`` unrelated inputs first shift
+    every AIG literal; ``flip`` complements the edges from ``x`` and
+    ``p`` into one gate."""
+    aig = Aig()
+    for index in range(pad):
+        aig.add_input(f"pad{index}")
+    x = aig.add_input(names[0])
+    p = aig.add_latch(names[1], init_p)
+    q = aig.add_latch(names[2], 1)
+    gate = aig.and2(p ^ flip[1], x ^ flip[0])
+    aig.set_latch_next(p, aig.xor2(q, x))
+    aig.set_latch_next(q, gate ^ 1)
+    return TransitionSystem(
+        aig=aig, inputs=[x], latches=[p, q], init=dict(aig.latch_init),
+        next_fn=dict(aig.latch_next), bad=aig.and2(gate, q))
+
+
+def _digest(ts):
+    return ts.structure()[1]
+
+
+class TestStructuralDigest:
+    def test_free_of_names_and_numbering(self):
+        assert _digest(_toy(names=("a", "b", "c"), pad=3)) == \
+            _digest(_toy())
+
+    def test_walk_gives_the_size_stats(self):
+        ts = _toy()
+        stats, _ = ts.structure()
+        assert stats == ts.size_stats() == \
+            {"latches": 2, "inputs": 1, "ands": 5}
+
+    def test_one_change_moves_the_digest(self):
+        ts = _toy()
+        p, q = ts.latches
+        variants = {
+            "latch init": _toy(init_p=1),
+            "complemented first fanin": _toy(flip=(1, 0)),
+            "complemented second fanin": _toy(flip=(0, 1)),
+            # the same AIG with ``p`` a free leaf, not a latch
+            "leaf kind": dataclasses.replace(
+                ts, inputs=[ts.inputs[0], p], latches=[q],
+                init={q: ts.init[q]}, next_fn={q: ts.next_fn[q]}),
+            "constraint": dataclasses.replace(ts,
+                                              constraint=ts.inputs[0]),
+            "latch order": dataclasses.replace(ts, latches=[q, p]),
+        }
+        digests = {name: _digest(variant)
+                   for name, variant in variants.items()}
+        digests["base"] = _digest(ts)
+        assert len(set(digests.values())) == len(digests), digests
+
+    def test_view_equals_solo_compile(self):
+        """Every A,C assertion's cluster view digests like its solo
+        compile, though the two AIGs number their nodes differently."""
+        plan = plan_campaign(ComponentChip(only_blocks=["A", "C"]).blocks,
+                             _engines())
+        workspace = SatWorkspace()
+        for job in plan.jobs:
+            view = workspace.bind(job.module, job.vunit,
+                                  job.assert_name).view()
+            solo = compile_assertion(job.module, job.vunit, job.assert_name)
+            assert view.aig is not solo.aig
+            assert view.structure() == solo.structure(), job.qualified_name
+
+    def test_integrity_vunits_of_distinct_texts_share_digests(self):
+        """``A03_ctl``, ``A07_ctl`` and ``A14_ctl`` differ in module
+        text, so their integrity jobs have distinct fingerprints; their
+        assertions compile to the same problems, position by
+        position."""
+        blocks = ComponentChip(only_blocks=["A"]).blocks
+        plan = plan_campaign(blocks, _engines())
+        jobs = {}
+        for job in plan.jobs:
+            if job.module.name in ("A03_ctl", "A07_ctl", "A14_ctl") and \
+                    job.vunit.name.endswith("_integrity"):
+                jobs.setdefault(job.module.name, []).append(job)
+        assert sorted(jobs) == ["A03_ctl", "A07_ctl", "A14_ctl"]
+        fingerprints = [{job.fingerprint for job in group}
+                        for group in jobs.values()]
+        assert not set.intersection(*fingerprints)
+        digests = {
+            name: [_digest(compile_assertion(job.module, job.vunit,
+                                             job.assert_name))
+                   for job in group]
+            for name, group in jobs.items()
+        }
+        assert digests["A03_ctl"] == digests["A07_ctl"]
+        shared = len(digests["A14_ctl"])
+        assert shared >= 6
+        assert digests["A14_ctl"] == digests["A03_ctl"][:shared]
+
+
+def _kind(workspace, module, vunit, name, budget=None, **options):
+    """``kind`` on the workspace, as a campaign job runs it."""
+    binding = workspace.bind(module, vunit, name)
+    checker = ModelChecker(lambda: compile_assertion(module, vunit, name),
+                           budget=budget)
+    try:
+        return checker.check("kind", options=EngineOptions(
+            sat_workspace=binding, **options))
+    finally:
+        binding.retire()
+
+
+class TestSettledProblems:
+    """The fixture's two output-integrity assertions compile to one
+    problem; its first soundness assertion FAILs at k=1."""
+
+    @pytest.fixture(scope="class")
+    def vunits(self, a_module):
+        from repro.core.stereotypes import stereotype_vunits
+        return {vunit.name.rsplit("_", 1)[1]: vunit
+                for vunit in stereotype_vunits(a_module)}
+
+    def test_isomorphic_assertion_served_without_a_solve(self, a_module,
+                                                         vunits):
+        vunit = vunits["integrity"]
+        first, second = [name for name, _ in vunit.asserted()]
+        workspace = SatWorkspace()
+        settled = _kind(workspace, a_module, vunit, first, max_k=12)
+        leases = workspace.stats()["leases"]
+        served = _kind(workspace, a_module, vunit, second, max_k=12)
+        assert workspace.stats()["problem_hits"] == 1
+        assert workspace.stats()["leases"] == leases
+        assert (served.status, served.depth) == (settled.status,
+                                                 settled.depth) == (PASS, 0)
+        assert served.stats["sat"]["problem_hit"] == 1
+        assert served.stats["sat"]["conflicts"] == 0
+        assert served.stats["sat"]["step"]["propagations"] == 0
+        solo = compile_assertion(a_module, vunit, second)
+        assert served.name == solo.name
+        assert served.stats["problem"] == solo.size_stats()
+
+    def test_fail_hit_rederives_the_cold_trace(self, a_module, vunits):
+        vunit = vunits["soundness"]
+        name = next(iter(vunit.asserted()))[0]
+        cold = ModelChecker(compile_assertion(a_module, vunit, name)) \
+            .check("kind", max_k=12)
+        assert (cold.status, cold.depth) == (FAIL, 1)
+        workspace = SatWorkspace()
+        for hits in (0, 1):
+            warm = _kind(workspace, a_module, vunit, name, max_k=12)
+            assert workspace.stats()["problem_hits"] == hits
+            assert (warm.status, warm.depth) == (FAIL, 1)
+            assert warm.trace.canonical_frames() == \
+                cold.trace.canonical_frames()
+        assert warm.stats["sat"]["problem_hit"] == 1
+        assert "concretise" in warm.stats["sat"]
+
+    def test_no_hit_across_max_k_or_unique_states(self, a_module, vunits):
+        vunit = vunits["integrity"]
+        name = next(iter(vunit.asserted()))[0]
+        workspace = SatWorkspace()
+        _kind(workspace, a_module, vunit, name, max_k=12)
+        _kind(workspace, a_module, vunit, name, max_k=13)
+        _kind(workspace, a_module, vunit, name, max_k=12,
+              unique_states=False)
+        assert workspace.stats()["problem_hits"] == 0
+        _kind(workspace, a_module, vunit, name, max_k=13)
+        _kind(workspace, a_module, vunit, name, max_k=12,
+              unique_states=False)
+        assert workspace.stats()["problem_hits"] == 2
+
+    def test_timeout_and_unknown_never_stored(self, a_module, vunits):
+        vunit = vunits["soundness"]
+        name = next(iter(vunit.asserted()))[0]
+        workspace = SatWorkspace()
+        starved = ResourceBudget(sat_conflicts=0)
+        for _ in range(2):
+            timed_out = _kind(workspace, a_module, vunit, name,
+                              budget=starved, max_k=12)
+            assert timed_out.status == TIMEOUT
+            # max_k 0 stops before the violation at k=1
+            unknown = _kind(workspace, a_module, vunit, name, max_k=0)
+            assert unknown.status == UNKNOWN
+        assert workspace.stats()["problem_hits"] == 0
+        _kind(workspace, a_module, vunit, name, max_k=12)
+        assert workspace.stats()["problem_hits"] == 0
+
+    def test_small_capacity_evicts(self, a_module, vunits, monkeypatch):
+        monkeypatch.setattr(SatWorkspace, "MAX_PROBLEMS", 1)
+        first = (vunits["integrity"],
+                 next(iter(vunits["integrity"].asserted()))[0])
+        second = (vunits["edetect"],
+                  next(iter(vunits["edetect"].asserted()))[0])
+        workspace = SatWorkspace()
+        for vunit, name in (first, second, first):
+            _kind(workspace, a_module, vunit, name, max_k=12)
+        assert workspace.stats()["problem_hits"] == 0
+        _kind(workspace, a_module, *first, max_k=12)
+        assert workspace.stats()["problem_hits"] == 1
+
+    def test_discard_empties_the_memo(self, a_module, vunits):
+        vunit = vunits["integrity"]
+        name = next(iter(vunit.asserted()))[0]
+        workspace = SatWorkspace()
+        _kind(workspace, a_module, vunit, name, max_k=12)
+        workspace.discard()
+        _kind(workspace, a_module, vunit, name, max_k=12)
+        assert workspace.stats()["problem_hits"] == 0
+
+    def test_memo_served_fails_match_cold_solvers(self):
+        """The tiny CI family: memo-served PASSes and FAILs, and the
+        sweep record and every FAIL's trace equal to cold solvers."""
+        spec = FamilySpec(blocks=1, modules_per_block=2, datapath_width=4,
+                          pipeline_depth=1, error_report_width=2)
+        classes = ["wrong-rotate", "dropped-error-flag"]
+
+        def sweep(config):
+            record, report = run_sweep(spec, classes=classes,
+                                       config=config)
+            del record["config_digest"]
+            return record_digest(record), report
+
+        warm_digest, warm = sweep(CampaignConfig())
+        cold_digest, cold = sweep(CampaignConfig(sat_workspace=False))
+        assert warm_digest == cold_digest
+        served = [record.result.status for record in warm.results
+                  if not record.cached
+                  and record.result.stats["sat"].get("problem_hit")]
+        assert served.count(FAIL) == 5 and served.count(PASS) == 19
+        assert warm.stats["sat_workspace"]["problem_hits"] == 24
+        frames = [[None if record.result.trace is None
+                   else record.result.trace.canonical_frames()
+                   for record in report.results]
+                  for report in (warm, cold)]
+        assert frames[0] == frames[1]
+        assert sum(trace is not None for trace in frames[0]) > 5
 
 
 # ----------------------------------------------------------------------
