@@ -24,9 +24,9 @@ Runs the same chip campaign several ways —
    content-addressed ``CompiledProblemStore`` on vs off, measured two
    ways — serial runs diffing the process-wide
    ``elaborations_total()`` / ``compilations_total()`` counters (the
-   deterministic savings), and module-affinity fleet runs comparing
-   job throughput and the fleet's aggregated store hit counters (the
-   scheduled case the store was built for),
+   deterministic savings), and default fleet runs (one job per lease,
+   in plan order) comparing job throughput and the fleet's aggregated
+   per-worker store hit counters,
 8. a cone-addressing probe: a cold module-fingerprint sweep of the
    bench family against a cold and a warm-golden cone-fingerprint
    sweep, gated on 3x fewer executed jobs warm than module-keyed,
@@ -120,10 +120,9 @@ def _bench_compile_store(workers):
       compilation totals (``repro.formal.problems``): with the store
       on, a campaign pays one elaboration per distinct module instead
       of one per job;
-    - **affinity-scheduled / throughput** — module-affinity fleet
-      (one lease = one module's whole job group, exactly the case
-      per-worker stores are built for): job throughput plus the
-      fleet's aggregated hit counters from
+    - **pool / throughput** — the default fleet (one job per lease,
+      in plan order, each worker with its own store): job throughput
+      plus the fleet's aggregated hit counters from
       ``report.stats["compile_store"]["run"]``.
 
     Returns the record plus an ``ok`` gate: nonzero hits, fewer
@@ -161,7 +160,6 @@ def _bench_compile_store(workers):
         config = dataclasses.replace(
             base, compile_store=store_on,
             executor=f"fleet:{workers}",
-            scheduling="module-affinity",
         )
         started = time.perf_counter()
         report = CampaignOrchestrator(blocks, config=config).run()
@@ -196,11 +194,11 @@ def _bench_compile_store(workers):
         serial_on["elaborations"]
     print(f"  compile store off:  {serial_off['seconds']:7.2f}s serial "
           f"({serial_off['elaborations']} elaborations), "
-          f"{pool_off_s:.2f}s affinity pool")
+          f"{pool_off_s:.2f}s pool")
     print(f"  compile store on:   {serial_on['seconds']:7.2f}s serial "
           f"({serial_on['elaborations']} elaborations, "
           f"{elaborations_saved} saved), "
-          f"{pool_on_s:.2f}s affinity pool "
+          f"{pool_on_s:.2f}s pool "
           f"({hits} store hits)")
     if not identical:
         print("  WARNING: compile-store outcome diverged!")
@@ -212,7 +210,7 @@ def _bench_compile_store(workers):
         "properties": jobs,
         "serial": {"off": serial_off, "on": serial_on,
                    "elaborations_saved": elaborations_saved},
-        "affinity_pool": {
+        "pool": {
             "workers": workers,
             "seconds": {"off": round(pool_off_s, 3),
                         "on": round(pool_on_s, 3)},

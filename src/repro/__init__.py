@@ -22,11 +22,11 @@ Subpackages
     the formal verification campaign.
 ``repro.orchestrate``
     Job-based campaign orchestration: the declarative, serializable
-    ``CampaignConfig``, pluggable scheduling policies,
-    check-job planning, the serial executor and the socket-fleet
-    parallel executor, per-job engine portfolios, the fingerprint-keyed
-    incremental result cache (a SQLite store concurrent campaigns share),
-    crash-safe checkpoint/resume, and shared incremental SAT sessions.
+    ``CampaignConfig``, check-job planning, the serial executor and the
+    socket-fleet parallel executor, per-job engine portfolios, the
+    fingerprint-keyed incremental result cache (a SQLite store
+    concurrent campaigns share), crash-safe checkpoint/resume, and
+    shared incremental SAT sessions.
 ``repro.cli``
     The ``python -m repro`` command line: a whole campaign run,
     resumed, or inspected from one TOML config file.

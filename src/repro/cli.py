@@ -213,8 +213,7 @@ def _run(config: CampaignConfig, resume: bool, progress: bool,
     print()
     print(format_status_summary(report))
     print()
-    print(f"executor:       {stats['executor']} "
-          f"(scheduling={stats['scheduling']})")
+    print(f"executor:       {stats['executor']}")
     print(f"jobs:           {stats['jobs']} "
           f"({stats['journal_replayed']} journal-replayed, "
           f"{stats['cache_hits']} cache hits, "

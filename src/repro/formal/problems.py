@@ -32,9 +32,9 @@ or not (:func:`~repro.psl.compile.compile_assertion`,
 store-served design bit-blasts exactly what a fresh elaboration would.
 
 Stores are deliberately **not** shared across processes: each executor
-worker owns its own, which keeps reuse lock-free; module-affinity
-scheduling (one worker runs one module's whole job group) is what
-turns the per-worker store into near-perfect design reuse.
+worker owns its own, which keeps reuse lock-free.  A fleet leases one
+job at a time, so a module's jobs spread over its workers and each
+worker elaborates the module for itself.
 
 :attr:`CompiledProblemStore.MAX_DESIGNS` bounds the store (least
 recently used evicted first); it is a class constant, not a knob, since

@@ -5,13 +5,10 @@ scheduled, restartable job graph:
 
 - :mod:`~repro.orchestrate.config` — :class:`CampaignConfig`, the
   frozen, serializable description of a whole campaign (engine and
-  executor string specs, scheduling policy, cache/checkpoint paths,
-  budgets), round-trippable through dicts and TOML and stamped (as a
-  digest) into every report — the object the ``python -m repro`` CLI
-  runs from;
-- :mod:`~repro.orchestrate.policy` — pluggable scheduling policies
-  (fifo / module-affinity work-queue batching), outcome-invariant by
-  construction;
+  executor string specs, cache/checkpoint paths, budgets),
+  round-trippable through dicts and TOML and stamped (as a digest)
+  into every report — the object the ``python -m repro`` CLI runs
+  from;
 - :mod:`~repro.orchestrate.job` — :class:`CheckJob` (one property
   check: module + vunit + assertion + engine portfolio), content
   fingerprints, the portfolio runner (stages tried in their
@@ -22,9 +19,9 @@ scheduled, restartable job graph:
 - :mod:`~repro.orchestrate.executor` — the results-in-plan-order
   executor contract and the serial executor;
 - :mod:`~repro.orchestrate.fleet` — :class:`FleetExecutor`, the one
-  parallel executor: a coordinator thread leasing scheduling-policy
-  batches to worker processes forked on this host, each over its own
-  socket pair, naming each job by index and fingerprint
+  parallel executor: a coordinator thread leasing one job at a time,
+  in plan order, to worker processes forked on this host, each over
+  its own socket pair, naming the job by index and fingerprint
   (length-prefixed JSON, no pickle), with heartbeats, lease re-issue
   on worker death or stall, and at-most-once result acceptance — the
   same streaming contract as the serial executor;
@@ -135,10 +132,6 @@ from .checkpoint import CampaignCheckpoint, plan_digest
 from .config import (
     CampaignConfig, ConfigError, parse_engines_spec, parse_executor_spec,
 )
-from .policy import (
-    FifoScheduling, ModuleAffinityScheduling, SchedulingPolicy,
-    scheduling_policy,
-)
 from .stats import STATS_SCHEMA, counter_groups
 from .orchestrator import CampaignOrchestrator
 
@@ -153,8 +146,6 @@ __all__ = [
     "CampaignCheckpoint", "plan_digest",
     "CampaignConfig", "ConfigError",
     "parse_engines_spec", "parse_executor_spec",
-    "FifoScheduling", "ModuleAffinityScheduling", "SchedulingPolicy",
-    "scheduling_policy",
     "STATS_SCHEMA", "counter_groups",
     "CampaignOrchestrator",
 ]

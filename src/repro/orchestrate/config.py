@@ -1,10 +1,10 @@
 """Declarative campaign configuration — one serializable object.
 
 A :class:`CampaignConfig` captures *everything* that parameterises a
-formal campaign — engine portfolio, executor, scheduling policy,
-result cache, checkpoint journal, warm-state switches, resource
-budgets, scope — as plain frozen data.  That buys the methodology its
-missing property: a campaign's full configuration is
+formal campaign — engine portfolio, executor, result cache,
+checkpoint journal, warm-state switches, resource budgets, scope — as
+plain frozen data.  That buys the methodology its missing property: a
+campaign's full configuration is
 
 - **serializable** — ``to_dict()`` / ``from_dict()`` round-trip through
   plain JSON-able dicts, and ``to_toml()`` / ``CampaignConfig.load()``
@@ -20,8 +20,9 @@ Compact string specs stand in for object graphs:
 
 - ``executor = "fleet:4"`` — ``serial`` or ``fleet[:N]`` (the
   parallel pool of :mod:`repro.orchestrate.fleet`: forked worker
-  processes fed by one coordinator thread); ``N`` is the worker
-  count, defaulting to the machine's CPU count;
+  processes fed by one coordinator thread, which leases one job at a
+  time, in plan order, to whichever worker is idle); ``N`` is the
+  worker count, defaulting to the machine's CPU count;
 - ``engines = "portfolio:kind,bdd-combined,pobdd"`` — a single engine
   name runs one stage; ``portfolio:`` prefixes a comma-separated stage
   ladder; bare ``portfolio`` is the default ladder
@@ -74,7 +75,6 @@ from typing import Dict, Optional, Tuple
 
 from ..formal.engine import registered_engines
 from .job import DEFAULT_PORTFOLIO_METHODS, EngineConfig, portfolio
-from .policy import SCHEDULING_POLICIES, scheduling_policy
 
 
 class ConfigError(ValueError):
@@ -174,7 +174,6 @@ CONFIG_SCHEMA: Dict[str, Dict[str, str]] = {
     },
     "execution": {
         "executor": "executor",
-        "scheduling": "scheduling",
     },
     "sat": {
         "workspace": "sat_workspace",
@@ -238,9 +237,6 @@ class CampaignConfig:
 
     #: executor spec — ``serial`` | ``fleet[:N]``
     executor: str = "serial"
-    #: lease scheduling policy (``fifo`` | ``module-affinity``);
-    #: consulted by the fleet, a no-op for the serial executor
-    scheduling: str = "fifo"
 
     #: shared incremental SAT workspaces (per worker): clustered
     #: per-(module, vunit) CNFs with learned-clause retention across
@@ -338,11 +334,6 @@ class CampaignConfig:
                     )
         parse_executor_spec(self.executor)
         parse_engines_spec(self.engines)
-        if self.scheduling not in SCHEDULING_POLICIES:
-            raise ConfigError(
-                f"unknown scheduling policy {self.scheduling!r}; "
-                f"pick one of {tuple(SCHEDULING_POLICIES)}"
-            )
         for name in self._BUDGETS:
             # 0 is legal: a budget that trips immediately (every stage
             # TIMEOUTs) — used to exercise exhaustion paths
@@ -540,8 +531,7 @@ class CampaignConfig:
 
     def build_executor(self):
         """The executor this config describes, wired with the
-        compile-store and SAT-workspace switches and (for the fleet)
-        the scheduling policy."""
+        compile-store and SAT-workspace switches."""
         from .executor import SerialExecutor
         from .fleet import FleetExecutor
         kind, processes = parse_executor_spec(self.executor)
@@ -549,13 +539,7 @@ class CampaignConfig:
                     share_sat=self.sat_workspace)
         if kind == "serial":
             return SerialExecutor(**warm)
-        return FleetExecutor(workers=processes,
-                             scheduling=self.build_scheduling(),
-                             **warm)
-
-    def build_scheduling(self):
-        """The scheduling policy instance (``fifo`` unless configured)."""
-        return scheduling_policy(self.scheduling)
+        return FleetExecutor(workers=processes, **warm)
 
     def build_cache(self):
         """The :class:`~repro.orchestrate.cache.ResultCache`, or

@@ -21,10 +21,9 @@ lock-free):
 - a content-addressed
   :class:`~repro.formal.problems.CompiledProblemStore` (on by default,
   ``compile_store=False`` to opt out): a module's many jobs share one
-  elaborated design keyed by the module's RTL digest, which makes
-  module-affinity batches (one lease = one module's whole job group)
-  hit a warm design for every job after the group's first — and makes
-  the golden-vs-patched same-name case safe by construction, since two
+  elaborated design keyed by the module's RTL digest, so a worker's
+  later jobs of a module it holds hit a warm design — and the
+  golden-vs-patched same-name case is safe by construction, since two
   modules with different RTL can never share a digest;
 - with ``share_sat=True``, a :class:`~repro.formal.satspace.SatWorkspace`:
   ``kind`` stages query shared incremental solver sessions — clustered

@@ -5,7 +5,7 @@ portable job wire format.
 coordinator thread in the campaign process serves the plan's jobs to
 worker processes forked on this host, each over its own
 ``socket.socketpair()``, speaking **length-prefixed JSON**.  Workers
-are forked holding the plan's (frozen) jobs, so a lease names each
+are forked holding the plan's (frozen) jobs, so a lease names its one
 job by ``index`` and ``fingerprint`` only, and a result frame carries
 the index, the fingerprint and the job's
 :func:`~repro.orchestrate.job.encode_result` entry — FAIL
@@ -35,27 +35,24 @@ journaling, caching or decoding earlier results.
 Lease lifecycle
 ---------------
 
-The coordinator hands each worker one *lease* at a time: a batch of
-jobs from the configured
-:class:`~repro.orchestrate.policy.SchedulingPolicy` (one job under FIFO
-scheduling for maximum balance; module-affinity batches keep a
-worker's ``CompiledProblemStore`` / ``SatWorkspace`` warm for a whole
-module group).  Workers heartbeat on a fixed interval — also *during*
-long checks, from a background thread — so liveness and progress are
-separate signals:
+The coordinator hands each idle worker one *lease* at a time, and a
+lease is one job: the pending deque holds the plan's jobs in plan
+order, so the fleet pulls them first come, first served, and a worker
+that finishes is re-leased the next job at once.  Workers heartbeat on
+a fixed interval — also *during* long checks, from a background
+thread — so liveness and progress are separate signals:
 
 - a worker whose socket dies (SIGKILL, OOM, an exit before its first
-  frame) is detected immediately at EOF; its lease's unanswered jobs
-  are re-queued at the front of the pending deque
-  (``leases_reissued``);
+  frame) is detected immediately at EOF; its leased job goes back to
+  the front of the pending deque (``leases_reissued``);
 - a worker that stops heartbeating for ``lease_timeout`` seconds is
   declared a *zombie*: its lease is revoked and re-queued, and any
   frame it sends later — a late result, a duplicate — is rejected
   (``results_rejected``), never accepted.  Acceptance is
   **at-most-once**, keyed by job fingerprint: a result frame is
-  accepted only if its lease is still the job's active lease, the job
-  is still unanswered, and the frame's fingerprint matches the plan's
-  job.
+  accepted only if it names the worker's active lease and that
+  lease's job, which is still unanswered, and the frame's fingerprint
+  matches the plan's job.
 - lost workers are replaced through the launcher up to a bounded
   respawn budget; when no worker is left and the budget is spent, the
   stream raises instead of wedging.  At the end of the stream zombie
@@ -97,7 +94,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from ..formal.problems import CompiledProblemStore
 from ..formal.satspace import SatWorkspace
@@ -123,8 +120,8 @@ class FrameError(FleetError):
 
 #: hard upper bound on one frame's payload; anything larger is a
 #: corrupt length prefix, not a real message (legitimate frames are
-#: far smaller: a lease entry is about 114 bytes of JSON, a FAIL reply
-#: with its counterexample frames about 1 KiB on the chip's blocks)
+#: far smaller: a lease is about 120 bytes of JSON, a FAIL reply with
+#: its counterexample frames about 1 KiB on the chip's blocks)
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
@@ -228,11 +225,12 @@ def _rebuild_exception(exc_type: str, message: str) -> BaseException:
     return RuntimeError(f"{exc_type}: {message}")
 
 
-def _lease_entry(job: CheckJob) -> dict:
-    """One job of a lease frame: what a worker holding the plan needs
-    to find the job (``index``) and to refuse it if its own copy
-    differs (``fingerprint``)."""
-    return {"index": job.index, "fingerprint": job.fingerprint}
+def _lease_frame(lease_id: int, job: CheckJob) -> dict:
+    """The lease of one job: what a worker holding the plan needs to
+    find the job (``index``) and to refuse it if its own copy differs
+    (``fingerprint``)."""
+    return {"type": "lease", "lease": lease_id, "index": job.index,
+            "fingerprint": job.fingerprint}
 
 
 # ----------------------------------------------------------------------
@@ -257,14 +255,12 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
     shutdown (or the coordinator's end closes).
 
     ``jobs`` is the plan's job list, inherited in memory.  A lease
-    entry names a job by ``index`` and ``fingerprint``; it is matched
-    to the local job by index and its fingerprint cross-checked, so a
+    names its job by ``index`` and ``fingerprint``; it is matched to
+    the local job by index and its fingerprint cross-checked, so a
     worker never answers for a job it does not hold.
 
-    A failing job answers with an error frame and poisons the rest of
-    its lease (same error per remaining job — the stream dies at the
-    first failure's plan position, but every leased job must still be
-    answered); the worker then keeps serving further leases.
+    A failing job answers with an error frame; the worker then keeps
+    serving further leases.
     """
     jobs_by_index = {job.index: job for job in jobs}
     store = CompiledProblemStore() \
@@ -288,41 +284,31 @@ def _fleet_worker_main(worker_id: str, conn: socket.socket,
                 return
             if frame.get("type") != "lease":
                 continue
-            lease_id = frame.get("lease")
-            failed: Optional[Tuple[str, str]] = None
-            for entry in frame.get("jobs", []):
-                index = entry.get("index")
-                if failed is None:
-                    job = jobs_by_index.get(index)
-                    if job is None or \
-                            job.fingerprint != entry.get("fingerprint"):
-                        failed = ("RuntimeError",
-                                  f"fleet worker {worker_id}: leased "
-                                  f"job {index} does not match the "
-                                  f"local plan (fingerprint mismatch)")
-                    else:
-                        try:
-                            result = run_check_job(
-                                job, store, sat_workspace=sat,
-                            ).result
-                        except BaseException as exc:
-                            failed = (type(exc).__name__, str(exc))
-                        else:
-                            _send({
-                                "type": "result",
-                                "lease": lease_id,
-                                "index": index,
-                                "fingerprint": job.fingerprint,
-                                "result": encode_result(result),
-                                "store": store.stats()
-                                if store is not None else None,
-                                "sat": sat.stats()
-                                if sat is not None else None,
-                            })
-                            continue
-                _send({"type": "error", "lease": lease_id,
-                       "index": index, "exc_type": failed[0],
-                       "message": failed[1]})
+            index = frame.get("index")
+            reply = {"lease": frame.get("lease"), "index": index}
+            job = jobs_by_index.get(index)
+            if job is None or job.fingerprint != frame.get("fingerprint"):
+                reply.update(type="error", exc_type="RuntimeError",
+                             message=f"fleet worker {worker_id}: leased "
+                                     f"job {index} does not match the "
+                                     f"local plan (fingerprint mismatch)")
+            else:
+                try:
+                    result = run_check_job(job, store,
+                                           sat_workspace=sat).result
+                except BaseException as exc:
+                    reply.update(type="error",
+                                 exc_type=type(exc).__name__,
+                                 message=str(exc))
+                else:
+                    reply.update(
+                        type="result", fingerprint=job.fingerprint,
+                        result=encode_result(result),
+                        store=store.stats() if store is not None
+                        else None,
+                        sat=sat.stats() if sat is not None else None,
+                    )
+            _send(reply)
     except (OSError, FrameError):
         return  # coordinator died or dropped us; local state is moot
     finally:
@@ -420,15 +406,13 @@ def _merge_worker_stats(worker_stats: Dict[str, dict]) -> Dict[str, int]:
 
 
 class _Lease:
-    """One outstanding batch: its wire id, the unit's jobs, and the
-    indices still unanswered."""
+    """One outstanding lease: its wire id and its one job."""
 
-    __slots__ = ("id", "unit", "remaining")
+    __slots__ = ("id", "job")
 
-    def __init__(self, lease_id: int, unit: List[CheckJob]) -> None:
+    def __init__(self, lease_id: int, job: CheckJob) -> None:
         self.id = lease_id
-        self.unit = unit
-        self.remaining = {job.index for job in unit}
+        self.job = job
 
 
 class _WorkerState:
@@ -458,10 +442,11 @@ class _FleetRun:
                  jobs: List[CheckJob]) -> None:
         self.executor = executor
         self.jobs = jobs
-        self.jobs_by_index = {job.index: job for job in jobs}
         self.unsettled = {job.index for job in jobs}
         self.settled: Dict[int, object] = {}
-        self.pending_units = collections.deque()
+        #: jobs not leased yet, in plan order (a revoked lease's job
+        #: goes back to the front)
+        self.pending = collections.deque(jobs)
         self.events = queue_module.Queue()
         self.cond = threading.Condition()
         #: an unrecoverable coordinator failure, raised to the consumer
@@ -491,16 +476,7 @@ class _FleetRun:
 
     # -- startup -------------------------------------------------------
     def start(self) -> None:
-        executor = self.executor
-        units = executor.scheduling.batches(self.jobs)
-        if sorted(job.index for unit in units for job in unit) != \
-                sorted(job.index for job in self.jobs):
-            raise RuntimeError(
-                f"scheduling policy {executor.scheduling.name!r} lost "
-                f"or duplicated jobs while batching"
-            )
-        self.pending_units.extend(units)
-        for _ in range(min(executor.workers, len(units))):
+        for _ in range(min(self.executor.workers, len(self.jobs))):
             self._launch_one()
         self.coordinator = threading.Thread(target=self._coordinate,
                                             daemon=True)
@@ -602,13 +578,12 @@ class _FleetRun:
         index = frame.get("index")
         if state.zombie or state.dead or lease is None \
                 or lease.id != frame.get("lease") \
-                or index not in lease.remaining:
+                or index != lease.job.index:
             # late, duplicate, or revoked — at-most-once acceptance
             self.stats["results_rejected"] += 1
             return
         if frame_type == "result":
-            job = self.jobs_by_index[index]
-            if frame.get("fingerprint") != job.fingerprint:
+            if frame.get("fingerprint") != lease.job.fingerprint:
                 # the index names the plan job, the fingerprint its
                 # content: a worker answering for other content is a
                 # protocol violation — reject and drop the worker
@@ -626,46 +601,36 @@ class _FleetRun:
                 str(frame.get("message", "fleet worker error")),
             )
         self.unsettled.discard(index)
-        lease.remaining.discard(index)
-        if not lease.remaining:
-            state.lease = None  # idle — next _dispatch leases again
+        state.lease = None  # idle — next _dispatch leases again
         self.cond.notify_all()
 
     # -- lease bookkeeping --------------------------------------------
     def _dispatch(self) -> None:
-        if not self.pending_units:
-            return
         for name in sorted(self.workers):
-            if not self.pending_units:
+            if not self.pending:
                 return
             state = self.workers[name]
             if state.dead or state.zombie or state.lease is not None:
                 continue
-            unit = self.pending_units.popleft()
-            lease = _Lease(self.next_lease_id, unit)
+            job = self.pending.popleft()
+            lease = _Lease(self.next_lease_id, job)
             self.next_lease_id += 1
             try:
-                send_frame(state.conn, {
-                    "type": "lease",
-                    "lease": lease.id,
-                    "jobs": [_lease_entry(job) for job in unit],
-                })
+                send_frame(state.conn, _lease_frame(lease.id, job))
             except (OSError, FrameError):
-                self.pending_units.appendleft(unit)
+                self.pending.appendleft(job)
                 self._lose_worker(state)
                 continue
             state.lease = lease
             self.stats["leases_issued"] += 1
 
     def _requeue(self, state: _WorkerState) -> None:
+        """Put a lost or revoked lease's job back at the front."""
         lease = state.lease
         state.lease = None
-        if lease is None or not lease.remaining:
-            return
-        unit = [job for job in lease.unit
-                if job.index in lease.remaining]
-        self.pending_units.appendleft(unit)
-        self.stats["leases_reissued"] += 1
+        if lease is not None:
+            self.pending.appendleft(lease.job)
+            self.stats["leases_reissued"] += 1
 
     def _lose_worker(self, state: _WorkerState) -> None:
         """Connection-level loss (EOF, send failure, bad frame): the
@@ -702,9 +667,9 @@ class _FleetRun:
         live = sum(1 for state in self.workers.values()
                    if not state.dead and not state.zombie)
         if live >= min(self.executor.workers,
-                       len(self.pending_units) + 1) and live > 0:
+                       len(self.pending) + 1) and live > 0:
             return
-        if live > 0 and not self.pending_units:
+        if live > 0 and not self.pending:
             return  # remaining work is leased to live workers
         if self.respawns_used < self.executor.max_respawns:
             self.respawns_used += 1
@@ -774,11 +739,8 @@ class FleetExecutor:
     workers' liveness cadence; ``max_respawns`` bounds replacement
     launches (default: the fleet size).  The warm state
     (``compile_store`` / ``share_sat``) is per worker process, never
-    shared, which keeps reuse lock-free;
-    ``scheduling`` picks the lease granularity (FIFO single jobs for
-    balance, module-affinity units to keep one module's warm state on
-    one worker) — the outcome is policy-invariant, because results are
-    reassembled into plan order either way.
+    shared, which keeps reuse lock-free.  Each lease is one job, handed
+    out in plan order to whichever worker is idle.
 
     Falls back to in-process serial execution for <=1 job or a 1-worker
     fleet, reporting ``fleet[serial-fallback]`` — a socket round-trip
@@ -789,7 +751,6 @@ class FleetExecutor:
                  lease_timeout: float = 30.0,
                  heartbeat_interval: float = 0.5,
                  launcher=None,
-                 scheduling=None,
                  max_respawns: Optional[int] = None,
                  compile_store: bool = True,
                  share_sat: bool = False) -> None:
@@ -808,10 +769,6 @@ class FleetExecutor:
         self.heartbeat_interval = float(heartbeat_interval)
         self.launcher = launcher if launcher is not None \
             else LocalFleetLauncher()
-        if scheduling is None:
-            from .policy import FifoScheduling
-            scheduling = FifoScheduling()
-        self.scheduling = scheduling
         self.max_respawns = max_respawns if max_respawns is not None \
             else self.workers
         self.compile_store = compile_store

@@ -151,11 +151,10 @@ class CheckJob:
     its name included (``fingerprint`` hashes the text without the
     names, see :func:`identity_digest`).  Jobs sharing a digest
     compile against the same elaborated design in a
-    :class:`~repro.formal.problems.CompiledProblemStore`, which is what
-    makes them profitable to run on one worker (the module-affinity
-    scheduling unit).  ``vunit_digest`` is the matching SHA-256 of the
-    vunit's PSL source; together the two digests key the job's shared
-    SAT sessions (:mod:`repro.formal.satspace`).
+    :class:`~repro.formal.problems.CompiledProblemStore`.
+    ``vunit_digest`` is the matching SHA-256 of the vunit's PSL
+    source; together the two digests key the job's shared SAT sessions
+    (:mod:`repro.formal.satspace`).
 
     ``cone_digest`` is the assertion's cone-of-influence content hash
     (:mod:`repro.formal.coi`), stamped by the planner when the ``[coi]``

@@ -12,12 +12,11 @@
    verdict, then a job whose fingerprint an earlier job of the plan
    settles (or the journal settled) reuses that verdict, and only the
    first job of each remaining fingerprint stays on the run list;
-3. the executor (serial by default; the parallel fleet is opt-in,
-   scheduled by the configured
-   :class:`~repro.orchestrate.policy.SchedulingPolicy`) runs each
-   remaining job's engine ladder in its configured order and streams
-   :class:`JobResult`\\ s back in plan order, each fresh result
-   journaled to the checkpoint as it arrives;
+3. the executor (serial by default; the parallel fleet is opt-in and
+   leases one job at a time, in plan order, to whichever worker is
+   idle) runs each remaining job's engine ladder in its configured
+   order and streams :class:`JobResult`\\ s back in plan order, each
+   fresh result journaled to the checkpoint as it arrives;
 4. results — journal-replayed, cached, reused and fresh interleaved
    back into plan order — are aggregated incrementally into the legacy
    :class:`CampaignReport`: per-block property counters, per-block
@@ -65,13 +64,12 @@ class CampaignOrchestrator:
 
         config = CampaignConfig(executor="fleet:4",
                                 engines="portfolio:kind,bdd-combined",
-                                scheduling="module-affinity",
                                 cache_path="campaign-cache.sqlite")
         CampaignOrchestrator(blocks, config=config).run()
 
-    Every component — engine portfolio, executor (with its scheduling
-    policy and warm-state wiring), result cache, checkpoint journal —
-    is built from the config, and the config's :meth:`digest
+    Every component — engine portfolio, executor (with its warm-state
+    wiring), result cache, checkpoint journal — is built from the
+    config, and the config's :meth:`digest
     <repro.orchestrate.config.CampaignConfig.digest>` is stamped into
     ``report.stats["config_digest"]`` so the report names the exact
     configuration that produced it.
@@ -262,7 +260,6 @@ class CampaignOrchestrator:
             if self.cache is not None:
                 self.cache.flush()
         report.seconds = time.perf_counter() - started
-        scheduling = getattr(self.executor, "scheduling", None)
         compile_stats_fn = getattr(self.executor, "compile_stats", None)
         sat_stats_fn = getattr(self.executor, "sat_stats", None)
         fleet_stats_fn = getattr(self.executor, "fleet_stats", None)
@@ -275,8 +272,6 @@ class CampaignOrchestrator:
             "engines": [config.method for config in self.engines],
             "config_digest": self.config.digest(),
             "config_overrides": list(self.config_overrides),
-            "scheduling": scheduling.name if scheduling is not None
-            else "fifo",
             "engine_attempts": engine_attempts,
             # hit/miss/evict counters of the content-addressed compile
             # layer: "run" aggregates the executor's per-worker stores

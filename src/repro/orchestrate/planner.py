@@ -55,23 +55,6 @@ class CampaignPlan:
             seen.setdefault(job.module.name, None)
         return list(seen)
 
-    def module_groups(self) -> Dict[str, List[int]]:
-        """Job indices grouped by module digest, in plan order.
-
-        The planner emits each module's jobs contiguously, so every
-        group is a contiguous index run.  Jobs in one group share an
-        elaborated design and SAT sessions, and this grouping is the
-        module-affinity scheduling unit: with
-        ``scheduling = "module-affinity"`` the fleet leases one group
-        at a time
-        (:class:`~repro.orchestrate.policy.ModuleAffinityScheduling`),
-        keeping one module's warm state hot on one worker.
-        """
-        groups: Dict[str, List[int]] = {}
-        for job in self.jobs:
-            groups.setdefault(job.module_digest, []).append(job.index)
-        return groups
-
 
 def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
                   coi_fingerprints: str = "module") -> CampaignPlan:
@@ -95,8 +78,7 @@ def plan_campaign(blocks: Blocks, engines: Tuple[EngineConfig, ...],
     renamed copy of a module plans jobs with its original's
     fingerprints, and the orchestrator runs each distinct fingerprint
     once.  ``module_digest`` and ``vunit_digest`` stay exact text
-    digests: they key the compile store, the SAT sessions and the
-    module-affinity groups.
+    digests: they key the compile store and the SAT sessions.
     """
     if coi_fingerprints not in COI_FINGERPRINT_MODES:
         raise ValueError(

@@ -17,9 +17,8 @@ from repro.formal.engine import (
 )
 from repro.formal.reachability import SymbolicModel
 from repro.orchestrate import (
-    CampaignOrchestrator, EngineConfig, FleetExecutor,
-    ModuleAffinityScheduling, SerialExecutor, compile_job,
-    plan_campaign, run_check_job,
+    CampaignOrchestrator, EngineConfig, FleetExecutor, SerialExecutor,
+    compile_job, plan_campaign, run_check_job,
 )
 
 BDD_METHODS = ["bdd-forward", "bdd-backward", "bdd-combined", "pobdd"]
@@ -154,9 +153,8 @@ def serial_bytes(small_blocks):
 
 @pytest.mark.parametrize("make_executor", [
     pytest.param(lambda: FleetExecutor(workers=2), id="fleet"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, scheduling=ModuleAffinityScheduling()),
-        id="fleet-affinity"),
+    pytest.param(lambda: FleetExecutor(workers=2, compile_store=False),
+                 id="fleet-nostore"),
 ])
 @pytest.mark.parametrize("method", ["bdd-combined", "pobdd"])
 def test_bdd_campaign_byte_identical_across_executors(

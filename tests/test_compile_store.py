@@ -24,8 +24,8 @@ from repro.formal.satspace import SatWorkspace
 from repro.formal.trace import Trace
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
-    ModuleAffinityScheduling, SerialExecutor, compile_job,
-    decode_result, encode_result, plan_campaign, run_check_job,
+    SerialExecutor, compile_job, decode_result, encode_result,
+    plan_campaign, run_check_job,
 )
 from repro.psl.ast import Always, Name, PslError, VUnit
 from repro.psl.compile import compile_assertion, compile_cluster, compile_vunit
@@ -528,10 +528,9 @@ class TestExecutorStoreWiring:
         """Each worker owns a private store: the fleet's aggregated
         counters account one compile per executed job, with at least
         one design miss per distinct module (no cross-process
-        sharing), and module-affinity batches turn the rest into
-        design hits."""
-        executor = FleetExecutor(
-            workers=2, scheduling=ModuleAffinityScheduling())
+        sharing), and a worker's later jobs of a module it already
+        elaborated hit its design."""
+        executor = FleetExecutor(workers=2)
         results = list(executor.map(buggy_plan.jobs))
         assert len(results) == len(buggy_plan.jobs)
         stats = executor.compile_stats()
@@ -549,7 +548,6 @@ class TestExecutorStoreWiring:
         config = CampaignConfig(
             engines="kind", sat_conflicts=500_000,
             bdd_nodes=5_000_000, executor="fleet:2",
-            scheduling="module-affinity",
         )
         report = CampaignOrchestrator(buggy_blocks, config=config).run()
         run_stats = report.stats["compile_store"]["run"]

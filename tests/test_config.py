@@ -96,7 +96,7 @@ FULL = dict(
     blocks=("A", "C"),
     engines="portfolio:kind,bdd-combined", sat_conflicts=123_456,
     bdd_nodes=None,
-    executor="fleet:3", scheduling="module-affinity",
+    executor="fleet:3",
     sat_workspace=False, compile_store=False,
     cache_path="cache.json",
     checkpoint_path="campaign.journal",
@@ -159,7 +159,6 @@ class TestDigest:
         changed = dict(
             FULL, blocks=("A",), engines="portfolio",
             sat_conflicts=1, bdd_nodes=2, executor="serial",
-            scheduling="fifo",
             sat_workspace=True, compile_store=True,
             cache_path="other.json", checkpoint_path="other.journal",
         )
@@ -190,7 +189,7 @@ class TestStrictness:
             CampaignConfig.load("/nonexistent/campaign.toml")
 
     @pytest.mark.parametrize("kwargs,match", [
-        (dict(scheduling="lifo"), "scheduling"),
+        (dict(checkpoint_path=7), "checkpoint_path"),
         (dict(coi_fingerprints="slice"), "coi_fingerprints"),
         (dict(compile_store=1), "compile_store"),
         (dict(sat_conflicts=-1), "sat_conflicts"),
@@ -230,6 +229,8 @@ class TestStrictness:
         ('[fleet]\nlauncher = "ssh:riga,tallinn"\n', r"\[fleet\]"),
         ('[execution]\nportfolio = "static"\n', "'portfolio'"),
         ('[execution]\nportfolio = "adaptive"\n', "'portfolio'"),
+        ('[execution]\nscheduling = "module-affinity"\n', "'scheduling'"),
+        ('[execution]\nscheduling = "fifo"\n', "'scheduling'"),
     ], ids=["share_bdd", "workspace", "workspace-retain_memos",
             "workspace-max_manager_nodes", "coi-slice", "max_problems",
             "parallel", "parallel-bare", "workstealing",
@@ -239,7 +240,9 @@ class TestStrictness:
             "cache-max_entries",
             "fleet-port", "fleet-lease_timeout",
             "fleet-heartbeat_interval", "fleet-launcher",
-            "execution-portfolio-static", "execution-portfolio-adaptive"])
+            "execution-portfolio-static", "execution-portfolio-adaptive",
+            "execution-scheduling-module-affinity",
+            "execution-scheduling-fifo"])
     def test_removed_keys_rejected(self, toml, key):
         """Configs using a removed mode fail loudly, naming it, instead
         of silently running without it — given as TOML text or as its
@@ -269,6 +272,19 @@ class TestStrictness:
                     f"[{section}]\n{key} = {str(value).lower()}\n")
             else:
                 CampaignConfig.from_dict({section: {key: value}})
+
+    def test_cli_refuses_the_scheduling_key(self, tmp_path, capsys):
+        """``campaign run`` on a config that still sets ``[execution]
+        scheduling`` exits 2 naming the key, before any check runs:
+        every fleet leases one job at a time, in plan order."""
+        from repro.cli import main
+        path = tmp_path / "campaign.toml"
+        path.write_text('[execution]\nscheduling = "module-affinity"\n')
+        assert main(["campaign", "run", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown key 'scheduling' in section [execution]" \
+            in captured.err
+        assert captured.out == ""
 
     def test_fleet_worker_command_removed(self, tmp_path, capsys):
         """``python -m repro fleet worker`` is gone: a usage error."""
@@ -321,31 +337,25 @@ class TestBuilders:
         assert isinstance(_config().build_executor(), SerialExecutor)
         fleet = _config(executor="fleet").build_executor()
         assert isinstance(fleet, FleetExecutor)
-        assert fleet.scheduling.name == "fifo"
         assert fleet.launcher.name == "local"
-        fleet = _config(executor="fleet:2",
-                        scheduling="module-affinity").build_executor()
+        fleet = _config(executor="fleet:2").build_executor()
         assert isinstance(fleet, FleetExecutor)
         assert fleet.workers == 2
-        assert fleet.scheduling.name == "module-affinity"
 
-    @pytest.mark.parametrize("preset,executor,workers,scheduling", [
-        ("smoke", SerialExecutor, None, None),
-        ("nightly", FleetExecutor, 2, "module-affinity"),
-        ("full", FleetExecutor, 4, "module-affinity"),
+    @pytest.mark.parametrize("preset,executor,workers", [
+        ("smoke", SerialExecutor, None),
+        ("nightly", FleetExecutor, 2),
+        ("full", FleetExecutor, 4),
     ])
-    def test_preset_executors(self, preset, executor, workers,
-                              scheduling):
+    def test_preset_executors(self, preset, executor, workers):
         """Every preset builds the executor it names: serial for
-        smoke, a forked fleet of its size with its scheduling for the
-        others."""
+        smoke, a forked fleet of its size for the others."""
         from repro.cli import resolve_config_path
         config = CampaignConfig.load(resolve_config_path(f"preset:{preset}"))
         built = config.build_executor()
         assert type(built) is executor
         if executor is FleetExecutor:
             assert built.workers == workers
-            assert built.scheduling.name == scheduling
             assert built.launcher.name == "local"
 
     def test_cache_and_checkpoint(self, tmp_path):

@@ -19,7 +19,7 @@ from repro.formal.problems import CompiledProblemStore
 from repro.formal.satspace import SatWorkspace
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, EngineConfig, FleetExecutor,
-    ModuleAffinityScheduling, SerialExecutor, plan_campaign,
+    SerialExecutor, plan_campaign,
 )
 
 
@@ -43,7 +43,7 @@ def _case(case_id, factory, *capacities):
 
 
 #: the conformance roster: every executor the package ships, including
-#: non-default tunings that change scheduling behaviour
+#: non-default tunings of its warm state and fleet size
 EXECUTORS = [
     _case("serial", lambda: SerialExecutor()),
     # compile-store variants: off entirely, and LRU-thrashed down to a
@@ -58,29 +58,30 @@ EXECUTORS = [
     _case("serial-satspace-thrash",
           lambda: SerialExecutor(share_sat=True), ONE_SESSION),
     # the parallel fleet: the same contract over socket pairs —
-    # leases, heartbeats, and the portable job wire format — under
-    # both scheduling policies and every warm-state capacity
+    # one-job leases, heartbeats, and the portable job wire format —
+    # under every warm-state capacity
     _case("fleet", lambda: FleetExecutor(workers=2)),
-    _case("fleet-affinity", lambda: FleetExecutor(
-        workers=2, scheduling=ModuleAffinityScheduling())),
     _case("fleet-nostore",
           lambda: FleetExecutor(workers=2, compile_store=False)),
-    _case("fleet-tight-store", lambda: FleetExecutor(
-        workers=2, scheduling=ModuleAffinityScheduling()), ONE_DESIGN),
     _case("fleet-fifo-tight-store",
           lambda: FleetExecutor(workers=2), ONE_DESIGN),
     _case("fleet-warm", lambda: FleetExecutor(workers=2, share_sat=True)),
+    # the default campaign's fleet (store and SAT workspace on) with
+    # its store thrashed, and the workspace without a store
+    _case("fleet-warm-tight-store",
+          lambda: FleetExecutor(workers=2, share_sat=True), ONE_DESIGN),
+    _case("fleet-warm-nostore", lambda: FleetExecutor(
+        workers=2, compile_store=False, share_sat=True)),
     _case("fleet-satspace-cluster1",
           lambda: FleetExecutor(workers=2, share_sat=True),
           ONE_PER_CLUSTER),
-    _case("fleet-affinity-satspace", lambda: FleetExecutor(
-        workers=2, scheduling=ModuleAffinityScheduling(),
-        share_sat=True)),
     _case("fleet-satspace-thrash",
           lambda: FleetExecutor(workers=2, share_sat=True), ONE_SESSION),
     # more workers than CPUs, and heartbeats dense enough to interleave
     # with every result frame: neither may disturb the stream
     _case("fleet-3", lambda: FleetExecutor(workers=3)),
+    _case("fleet-3-warm",
+          lambda: FleetExecutor(workers=3, share_sat=True)),
     _case("fleet-chatty", lambda: FleetExecutor(
         workers=2, heartbeat_interval=0.02)),
 ]
@@ -219,9 +220,8 @@ class TestStreamingContract:
 COI_EXECUTORS = [
     pytest.param(lambda: SerialExecutor(), id="serial"),
     pytest.param(lambda: FleetExecutor(workers=2), id="fleet"),
-    pytest.param(lambda: FleetExecutor(
-        workers=2, scheduling=ModuleAffinityScheduling()),
-        id="fleet-affinity"),
+    pytest.param(lambda: FleetExecutor(workers=2, share_sat=True),
+                 id="fleet-warm"),
 ]
 
 COI_CONFIGS = [
@@ -257,8 +257,8 @@ class TestConeAddressingContract:
 
 
 class TestFleetSpecifics:
-    """Guarantees beyond the shared battery that the fleet's pull
-    scheduling makes (an executor that ships jobs in chunks could lose
+    """Guarantees beyond the shared battery that the fleet's one-job
+    leases make (an executor that ships jobs in chunks could lose
     results inside a failing chunk, so these are not part of the
     shared contract)."""
 

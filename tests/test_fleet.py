@@ -19,9 +19,11 @@ adds on top:
   process exits; a long check that keeps heartbeating keeps its lease;
 - a peer that sends garbage frames is dropped and re-leased around —
   one bad peer never wedges the stream;
-- a lease names each job by index and fingerprint only;
-  a worker refuses an entry its own plan does not hold, and the
-  coordinator refuses a result for other content than the plan job's;
+- a lease is one job, named by index and fingerprint only, and the
+  leases go out in plan order; a worker refuses a lease its own plan
+  does not hold and keeps serving after a failing job, and the
+  coordinator accepts a result only for the active lease's own job and
+  refuses one for other content than the plan job's;
 - a launcher that cannot keep workers alive, or a job that kills every
   worker that takes it, exhausts the respawn budget into a loud
   ``FleetError`` instead of a wedge;
@@ -53,13 +55,13 @@ from repro.formal.engine import CheckResult, PASS, register_engine
 from repro.formal.engine import _ENGINES  # test-only registry cleanup
 from repro.orchestrate import (
     CampaignCheckpoint, CampaignOrchestrator, CompiledProblemStore,
-    EngineConfig, FleetExecutor, LocalFleetLauncher,
-    ModuleAffinityScheduling, SerialExecutor, decode_result,
-    encode_result, plan_campaign, run_check_job,
+    EngineConfig, FleetExecutor, LocalFleetLauncher, SerialExecutor,
+    decode_result, encode_result, plan_campaign, run_check_job,
 )
+from repro.orchestrate import fleet as fleet_module
 from repro.orchestrate.fleet import (
     FleetError, FrameError, MAX_FRAME_BYTES, _fleet_worker_main,
-    _lease_entry, recv_frame, send_frame,
+    _lease_frame, recv_frame, send_frame,
 )
 
 #: jobs in the tiny two-module plan (asserted in the fixture)
@@ -175,16 +177,15 @@ class TestFraming:
         assert recv_frame(sock) == payload
         assert recv_frame(sock) is None  # clean EOF at frame boundary
 
-    def test_lease_entries_roundtrip_fragmented(self, tiny_plan):
+    def test_lease_frames_roundtrip_fragmented(self, tiny_plan):
         rng = random.Random(11)
         sock = _ChunkSocket(rng=rng)
-        for job in tiny_plan.jobs:
-            send_frame(sock, {"type": "lease", "lease": 0,
-                              "jobs": [_lease_entry(job)]})
-        for job in tiny_plan.jobs:
-            frame = recv_frame(sock)
-            assert frame["jobs"] == [{"index": job.index,
-                                      "fingerprint": job.fingerprint}]
+        for lease, job in enumerate(tiny_plan.jobs):
+            send_frame(sock, _lease_frame(lease, job))
+        for lease, job in enumerate(tiny_plan.jobs):
+            assert recv_frame(sock) == {
+                "type": "lease", "lease": lease, "index": job.index,
+                "fingerprint": job.fingerprint}
         assert recv_frame(sock) is None
 
     def test_fail_results_roundtrip_fragmented(self, tiny_plan,
@@ -492,21 +493,30 @@ def _running(pid):
 
 class TestWorkerFaults:
     def test_sigkilled_worker_lease_reissued_results_identical(
-            self, tiny_plan, serial_outcomes):
-        """SIGKILL a worker holding a module-affinity lease after its
-        first result: the unanswered jobs must be re-leased and the
-        stream must stay identical to serial."""
+            self, tiny_plan, serial_outcomes, fault_engines):
+        """SIGKILL a worker while it runs its leased job: the job must
+        be re-leased and the stream must stay identical to serial.
+        Jobs 1 and 2 compute for two seconds each, so w1 is still on
+        job 1 when w0, done with job 0, takes job 2 — the third lease —
+        and w0 is still running it when the kill lands."""
+        spun = (1, 2)
+        jobs = [_with_engine(job, "test-spin") if job.index in spun
+                else job for job in tiny_plan.jobs]
         launcher = TrackingLauncher()
-        executor = FleetExecutor(
-            workers=2, launcher=launcher,
-            scheduling=ModuleAffinityScheduling(),
-            heartbeat_interval=0.1,
-        )
-        stream = executor.map(tiny_plan.jobs)
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 heartbeat_interval=0.1)
+        stream = executor.map(jobs)
         results = [next(stream)]
+        deadline = time.monotonic() + 30.0
+        while executor.fleet_stats()["leases_issued"] < 3 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
         os.kill(launcher.handles[0].pid, signal.SIGKILL)
         results.extend(stream)
-        assert [_outcome(r) for r in results] == serial_outcomes
+        expected = [outcome[:2] + (PASS, "test-spin", None)
+                    if outcome[0] in spun else outcome
+                    for outcome in serial_outcomes]
+        assert [_outcome(r) for r in results] == expected
         stats = executor.fleet_stats()
         assert stats["workers_lost"] >= 1
         assert stats["leases_reissued"] >= 1
@@ -524,11 +534,8 @@ class TestWorkerFaults:
 
         report = CampaignOrchestrator(
             tiny_blocks, engines=_engines(),
-            executor=FleetExecutor(
-                workers=2, launcher=launcher,
-                scheduling=ModuleAffinityScheduling(),
-                heartbeat_interval=0.1,
-            ),
+            executor=FleetExecutor(workers=2, launcher=launcher,
+                                   heartbeat_interval=0.1),
         ).run(progress=progress)
         assert killed
         assert report.canonical_bytes() == reference.canonical_bytes()
@@ -547,23 +554,19 @@ class TestWorkerFaults:
             if not worker.go.wait(30.0):
                 return
             lease = worker.lease_frame
-            entry = lease["jobs"][0]
             late = {"type": "result", "lease": lease["lease"],
-                    "index": entry["index"],
-                    "fingerprint": entry["fingerprint"],
+                    "index": lease["index"],
+                    "fingerprint": lease["fingerprint"],
                     "result": {"bogus": True}, "pid": 0}
             send_frame(worker.sock, late)
             send_frame(worker.sock, late)  # and a duplicate
             worker.sent.set()
 
         launcher = ScriptedFirstLauncher(zombie)
-        executor = FleetExecutor(
-            workers=2, launcher=launcher,
-            scheduling=ModuleAffinityScheduling(),
-            lease_timeout=1.5, heartbeat_interval=0.2,
-        )
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 lease_timeout=1.5, heartbeat_interval=0.2)
         stream = executor.map(tiny_plan.jobs)
-        # consuming all but the last result forces the zombie's unit
+        # consuming all but the last result forces the zombie's job
         # through revocation + re-lease (the fake never answers)
         results = [next(stream) for _ in range(TOTAL_JOBS - 1)]
         assert launcher.fake.leased.is_set()
@@ -600,11 +603,8 @@ class TestWorkerFaults:
             worker.sent.set()
 
         launcher = ScriptedFirstLauncher(garbage)
-        executor = FleetExecutor(
-            workers=2, launcher=launcher,
-            scheduling=ModuleAffinityScheduling(),
-            heartbeat_interval=0.1,
-        )
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 heartbeat_interval=0.1)
         results = list(executor.map(tiny_plan.jobs))
         assert [_outcome(r) for r in results] == serial_outcomes
         stats = executor.fleet_stats()
@@ -695,30 +695,51 @@ class TestWorkerFaults:
         assert not executor._run.coordinator.is_alive()
 
 
-class TestLeaseWire:
-    """Workers are forked holding the (frozen) plan, so the wire names a
-    job by index and fingerprint only, and a result frame answers with
-    the index, the fingerprint and the result entry."""
+def _serve_in_thread(jobs):
+    """A real fleet worker on a thread of this process, holding
+    ``jobs`` as its plan; returns the coordinator's end of its socket
+    pair and the thread."""
+    coordinator, worker_end = socket.socketpair()
+    worker = threading.Thread(
+        target=_fleet_worker_main,
+        args=("w0", worker_end, {"heartbeat_interval": 60.0}, jobs),
+        daemon=True)
+    worker.start()
+    coordinator.settimeout(30.0)
+    return coordinator, worker
 
-    def test_lease_entries_carry_index_and_fingerprint(
+
+def _dismiss(coordinator, worker):
+    send_frame(coordinator, {"type": "shutdown"})
+    worker.join(10.0)
+    assert not worker.is_alive()
+
+
+class TestLeaseWire:
+    """Workers are forked holding the (frozen) plan, so a lease names
+    its one job by index and fingerprint only, and a result frame
+    answers with the index, the fingerprint and the result entry."""
+
+    def test_each_lease_is_one_job_by_index_and_fingerprint(
             self, tiny_plan, serial_outcomes):
         """The scripted first worker records every lease it is given
-        and answers it the way a real worker does, from the two entry
-        keys and its own copy of the plan."""
+        and answers it the way a real worker does, from the lease's
+        index and fingerprint and its own copy of the plan.  Every
+        lease frame has exactly four keys, and one worker's leases
+        ascend in plan order."""
         leases = []
 
         def minimal_worker(worker):
             frame = worker.lease_frame
             while frame is not None and frame.get("type") == "lease":
                 leases.append(frame)
-                for entry in frame["jobs"]:
-                    job = tiny_plan.jobs[entry["index"]]
-                    send_frame(worker.sock, {
-                        "type": "result", "lease": frame["lease"],
-                        "index": job.index,
-                        "fingerprint": job.fingerprint,
-                        "result": encode_result(run_check_job(job).result),
-                    })
+                job = tiny_plan.jobs[frame["index"]]
+                send_frame(worker.sock, {
+                    "type": "result", "lease": frame["lease"],
+                    "index": job.index,
+                    "fingerprint": job.fingerprint,
+                    "result": encode_result(run_check_job(job).result),
+                })
                 frame = recv_frame(worker.sock)
             worker.abort()
 
@@ -728,55 +749,149 @@ class TestLeaseWire:
         results = list(executor.map(tiny_plan.jobs))
         assert [_outcome(r) for r in results] == serial_outcomes
         assert leases
-        entries = [entry for lease in leases for entry in lease["jobs"]]
-        assert all(set(entry) == {"index", "fingerprint"}
-                   for entry in entries)
+        assert all(set(lease) == {"type", "lease", "index", "fingerprint"}
+                   for lease in leases)
+        indices = [lease["index"] for lease in leases]
+        assert indices == sorted(indices)
         stats = executor.fleet_stats()
-        assert stats["jobs_per_worker"]["w0"] == len(entries)
+        assert stats["jobs_per_worker"]["w0"] == len(leases)
         assert stats["results_rejected"] == 0
 
-    def test_worker_refuses_an_entry_it_does_not_hold(self, tiny_plan):
-        """An entry whose fingerprint differs from the worker's own job
+    def test_leases_go_out_one_job_at_a_time_in_plan_order(
+            self, tiny_plan, serial_outcomes, monkeypatch):
+        """On a clean run the coordinator issues one lease per job,
+        with consecutive lease ids, in plan order."""
+        sent = []
+        real_send = fleet_module.send_frame
+
+        def recording_send(sock, payload):
+            if payload.get("type") == "lease":
+                sent.append(payload)
+            real_send(sock, payload)
+
+        monkeypatch.setattr(fleet_module, "send_frame", recording_send)
+        executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
+        results = list(executor.map(tiny_plan.jobs))
+        assert [_outcome(r) for r in results] == serial_outcomes
+        assert [frame["lease"] for frame in sent] == \
+            list(range(TOTAL_JOBS))
+        assert [(frame["index"], frame["fingerprint"]) for frame in sent] \
+            == [(job.index, job.fingerprint) for job in tiny_plan.jobs]
+        assert executor.fleet_stats()["leases_issued"] == TOTAL_JOBS
+
+    def test_worker_refuses_a_lease_it_does_not_hold(self, tiny_plan):
+        """A lease whose fingerprint differs from the worker's own job
         (or whose index the worker has no job for) is answered with an
         error frame, never run."""
-        coordinator, worker_end = socket.socketpair()
-        worker = threading.Thread(
-            target=_fleet_worker_main,
-            args=("w0", worker_end, {"heartbeat_interval": 60.0},
-                  tiny_plan.jobs),
-            daemon=True)
-        worker.start()
+        coordinator, worker = _serve_in_thread(tiny_plan.jobs)
         try:
-            coordinator.settimeout(30.0)
-            foreign = {"index": 0, "fingerprint": "0" * 64}
-            unknown = dict(_lease_entry(tiny_plan.jobs[0]), index=10**6)
-            for lease, entry in enumerate((foreign, unknown)):
-                send_frame(coordinator, {"type": "lease", "lease": lease,
-                                         "jobs": [entry]})
+            job = tiny_plan.jobs[0]
+            foreign = dict(_lease_frame(0, job), fingerprint="0" * 64)
+            unknown = dict(_lease_frame(1, job), index=10**6)
+            for lease in (foreign, unknown):
+                send_frame(coordinator, lease)
                 frame = recv_frame(coordinator)
                 assert frame["type"] == "error"
-                assert frame["index"] == entry["index"]
+                assert frame["lease"] == lease["lease"]
+                assert frame["index"] == lease["index"]
                 assert "fingerprint mismatch" in frame["message"]
-            send_frame(coordinator, {"type": "shutdown"})
-            worker.join(10.0)
-            assert not worker.is_alive()
+            _dismiss(coordinator, worker)
         finally:
             coordinator.close()
 
+    def test_worker_refuses_a_batch_lease(self, tiny_plan):
+        """A lease of several jobs (a ``jobs`` list, no ``index``)
+        names no job of the plan: the worker answers with one error
+        frame and runs none of them."""
+        coordinator, worker = _serve_in_thread(tiny_plan.jobs)
+        try:
+            batch = {"type": "lease", "lease": 0, "jobs": [
+                {"index": job.index, "fingerprint": job.fingerprint}
+                for job in tiny_plan.jobs[:2]]}
+            send_frame(coordinator, batch)
+            frame = recv_frame(coordinator)
+            assert frame["type"] == "error"
+            assert frame["index"] is None
+            assert "fingerprint mismatch" in frame["message"]
+            # the next frame answers the next lease: nothing else was
+            # sent for the batch
+            send_frame(coordinator, _lease_frame(1, tiny_plan.jobs[0]))
+            frame = recv_frame(coordinator)
+            assert (frame["type"], frame["lease"], frame["index"]) == \
+                ("result", 1, 0)
+            _dismiss(coordinator, worker)
+        finally:
+            coordinator.close()
+
+    def test_worker_keeps_serving_after_a_failing_job(
+            self, tiny_plan, fault_engines):
+        """A job that raises is answered with an error frame naming the
+        exception, and the worker goes on to run the next lease."""
+        jobs = [_with_engine(tiny_plan.jobs[0], "test-raise")] \
+            + list(tiny_plan.jobs[1:])
+        coordinator, worker = _serve_in_thread(jobs)
+        try:
+            send_frame(coordinator, _lease_frame(0, jobs[0]))
+            frame = recv_frame(coordinator)
+            assert (frame["type"], frame["lease"], frame["index"]) == \
+                ("error", 0, 0)
+            assert frame["exc_type"] == "_WorkerFault"
+            assert frame["message"] == "injected worker fault"
+            send_frame(coordinator, _lease_frame(1, jobs[1]))
+            frame = recv_frame(coordinator)
+            assert (frame["type"], frame["lease"], frame["index"]) == \
+                ("result", 1, 1)
+            assert frame["fingerprint"] == jobs[1].fingerprint
+            _dismiss(coordinator, worker)
+        finally:
+            coordinator.close()
+
+    @pytest.mark.parametrize("field", ["index", "lease"])
+    def test_result_outside_the_active_lease_is_rejected(
+            self, tiny_plan, serial_outcomes, field):
+        """A result frame naming another plan job than its lease's
+        (fingerprint and result genuine for that job), or another lease
+        than the worker's, is rejected without dropping the worker;
+        the silent worker then loses its lease to the timeout, its job
+        is re-leased, and the stream matches serial."""
+
+        def stray(worker):
+            lease = worker.lease_frame
+            job = tiny_plan.jobs[lease["index"]]
+            if field == "index":
+                job = tiny_plan.jobs[lease["index"] + 1]
+            send_frame(worker.sock, {
+                "type": "result",
+                "lease": lease["lease"] + (field == "lease"),
+                "index": job.index, "fingerprint": job.fingerprint,
+                "result": encode_result(run_check_job(job).result),
+            })
+            worker.sent.set()
+
+        launcher = ScriptedFirstLauncher(stray)
+        executor = FleetExecutor(workers=2, launcher=launcher,
+                                 lease_timeout=1.0, heartbeat_interval=0.1)
+        results = list(executor.map(tiny_plan.jobs))
+        assert launcher.fake.sent.is_set()
+        assert [_outcome(r) for r in results] == serial_outcomes
+        stats = executor.fleet_stats()
+        assert stats["results_rejected"] >= 1
+        assert stats["leases_reissued"] >= 1
+        assert stats["jobs_per_worker"]["w0"] == 0
+
     def test_result_for_other_content_is_rejected(self, tiny_plan,
                                                   serial_outcomes):
-        """A result frame for the active lease and an unanswered index
-        is still refused when its fingerprint is not the plan job's:
-        the worker is dropped, its lease re-issued, and the stream
-        matches serial."""
+        """A result frame for the active lease and its job is still
+        refused when its fingerprint is not the plan job's: the worker
+        is dropped, its lease re-issued, and the stream matches
+        serial."""
 
         def impostor(worker):
             lease = worker.lease_frame
-            entry = lease["jobs"][0]
-            job = tiny_plan.jobs[entry["index"]]
+            job = tiny_plan.jobs[lease["index"]]
             send_frame(worker.sock, {
                 "type": "result", "lease": lease["lease"],
-                "index": entry["index"], "fingerprint": "0" * 64,
+                "index": lease["index"], "fingerprint": "0" * 64,
                 "result": encode_result(run_check_job(job).result),
             })
             worker.sent.set()
@@ -878,7 +993,7 @@ class TestCoordinatorThread:
 
     def test_leasing_never_waits_for_the_consumer(self, tiny_plan):
         """With the consumer parked after its first result, idle
-        workers keep getting leases until every FIFO unit is out."""
+        workers keep getting leases until every job is leased."""
         executor = FleetExecutor(workers=2, heartbeat_interval=0.1)
         stream = executor.map(tiny_plan.jobs)
         try:
@@ -950,9 +1065,12 @@ class TestConstructor:
 
     @pytest.mark.parametrize("kwargs", [
         dict(host="127.0.0.1"), dict(port=0),
-    ], ids=["host", "port"])
+        dict(scheduling="module-affinity"),
+    ], ids=["host", "port", "scheduling"])
     def test_removed_bind_arguments(self, kwargs):
-        """Workers get socket pairs, so there is no address to bind."""
+        """Arguments of removed modes are refused: workers get socket
+        pairs, so there is no address to bind, and every lease is one
+        job in plan order, so there is no scheduling policy."""
         with pytest.raises(TypeError, match=next(iter(kwargs))):
             FleetExecutor(workers=2, **kwargs)
 

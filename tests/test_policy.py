@@ -1,13 +1,10 @@
-"""Scheduling policies and engine ladders: behaviour and
-outcome-invariance.
+"""Engine ladders: behaviour and outcome-invariance.
 
-The scheduling contract is sharp: a policy may move *cost* — which
-worker runs what — but never the campaign outcome.  A job tries its
-engine stages in the order its ladder gives, and nothing rewrites a
-planned job.  These tests pin the mechanics (batch partitioning, the
+A job tries its engine stages in the order its ladder gives, and
+nothing rewrites a planned job; which worker runs a job may move its
+cost, never the campaign outcome.  These tests pin the mechanics (the
 attempt order, frozen jobs) and the invariant
-(``CampaignReport.canonical_bytes`` identical under every policy,
-across executors).
+(``CampaignReport.canonical_bytes`` identical across executors).
 """
 
 import dataclasses
@@ -18,8 +15,7 @@ from repro.chip import ComponentChip
 from repro.formal.engine import FAIL, PASS
 from repro.orchestrate import (
     CampaignConfig, CampaignOrchestrator, CheckJob, EngineConfig,
-    FifoScheduling, FleetExecutor, ModuleAffinityScheduling,
-    plan_campaign, run_check_job, scheduling_policy,
+    plan_campaign, run_check_job,
 )
 
 
@@ -43,80 +39,6 @@ def small_blocks():
 @pytest.fixture(scope="module")
 def small_plan(small_blocks):
     return plan_campaign(small_blocks, _engines())
-
-
-# ----------------------------------------------------------------------
-# scheduling policies
-# ----------------------------------------------------------------------
-
-class TestScheduling:
-    def test_registry_lookup(self):
-        assert isinstance(scheduling_policy("fifo"), FifoScheduling)
-        assert isinstance(scheduling_policy("module-affinity"),
-                          ModuleAffinityScheduling)
-        with pytest.raises(ValueError, match="unknown scheduling"):
-            scheduling_policy("lifo")
-
-    def test_fifo_is_one_job_per_unit(self, small_plan):
-        units = FifoScheduling().batches(small_plan.jobs)
-        assert [job.index for unit in units for job in unit] == \
-            [job.index for job in small_plan.jobs]
-        assert all(len(unit) == 1 for unit in units)
-
-    def test_planner_module_groups_contiguous(self, small_plan):
-        groups = small_plan.module_groups()
-        assert sum(len(indices) for indices in groups.values()) \
-            == small_plan.total_jobs
-        for indices in groups.values():
-            assert indices == list(range(indices[0],
-                                         indices[0] + len(indices)))
-
-    def test_module_affinity_matches_module_groups(self, small_plan):
-        """One unit per module group, exactly the planner's grouping,
-        in first-appearance order — a partition of the plan."""
-        units = ModuleAffinityScheduling().batches(small_plan.jobs)
-        groups = small_plan.module_groups()
-        assert [[job.index for job in unit] for unit in units] == \
-            list(groups.values())
-        flat = [job.index for unit in units for job in unit]
-        assert sorted(flat) == [job.index for job in small_plan.jobs]
-
-    def test_executor_rejects_lossy_policy(self, small_plan):
-        class Lossy(FifoScheduling):
-            def batches(self, jobs):
-                return super().batches(jobs)[:-1]
-
-        executor = FleetExecutor(workers=2, scheduling=Lossy())
-        with pytest.raises(RuntimeError, match="lost or duplicated"):
-            list(executor.map(small_plan.jobs))
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_fleet_streams_plan_order_under_affinity(
-            self, small_plan, workers):
-        executor = FleetExecutor(
-            workers=workers,
-            scheduling=ModuleAffinityScheduling(),
-        )
-        results = list(executor.map(small_plan.jobs))
-        assert [r.index for r in results] == \
-            [job.index for job in small_plan.jobs]
-
-    def test_error_in_batch_poisons_only_its_unit(self, small_plan):
-        """A failing job inside a module batch must surface exactly at
-        its plan position; earlier results still stream out."""
-        jobs = [dataclasses.replace(job) for job in small_plan.jobs]
-        bad_index = jobs[-1].index
-        jobs[-1] = dataclasses.replace(
-            jobs[-1], engines=(EngineConfig(method="quantum"),)
-        )
-        executor = FleetExecutor(
-            workers=2, scheduling=ModuleAffinityScheduling()
-        )
-        yielded = []
-        with pytest.raises(ValueError, match="unknown method"):
-            for result in executor.map(jobs):
-                yielded.append(result.index)
-        assert yielded == list(range(bad_index))
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +104,7 @@ class TestEngineOrderExecution:
 
 
 # ----------------------------------------------------------------------
-# the invariant: policies move stats, never the outcome
+# the invariant: executors move stats, never the outcome
 # ----------------------------------------------------------------------
 
 class TestOutcomeInvariance:
@@ -193,19 +115,19 @@ class TestOutcomeInvariance:
                                 bdd_nodes=5_000_000)
         return CampaignOrchestrator(small_blocks, config=config).run()
 
-    @pytest.mark.parametrize("executor_spec", ["serial", "fleet:2"])
-    @pytest.mark.parametrize("scheduling", ["fifo", "module-affinity"])
-    def test_scheduling_never_moves_the_outcome(
-            self, small_blocks, reference, executor_spec, scheduling):
+    @pytest.mark.parametrize("executor_spec",
+                             ["serial", "fleet:2", "fleet:3"])
+    def test_executor_never_moves_the_outcome(
+            self, small_blocks, reference, executor_spec):
+        """Serial or on a fleet of one-job leases, the report is the
+        same, and it names no scheduling policy."""
         config = CampaignConfig(engines="portfolio:pobdd,bdd-combined,kind",
                                 sat_conflicts=500_000,
                                 bdd_nodes=5_000_000,
-                                executor=executor_spec,
-                                scheduling=scheduling)
+                                executor=executor_spec)
         report = CampaignOrchestrator(small_blocks, config=config).run()
         assert report.canonical_bytes() == reference.canonical_bytes()
-        assert report.stats["scheduling"] == \
-            (scheduling if executor_spec != "serial" else "fifo")
+        assert "scheduling" not in report.stats
 
     def test_engine_attempts_follow_the_configured_ladder(
             self, reference):

@@ -20,7 +20,7 @@ from repro.formal.engine import FAIL
 from repro.formal.trace import Trace
 from repro.orchestrate import (
     CampaignCheckpoint, CampaignConfig, CampaignOrchestrator, FleetExecutor,
-    ModuleAffinityScheduling, ResultCache, SerialExecutor,
+    ResultCache, SerialExecutor,
 )
 from repro.psl.compile import compile_assertion
 from repro.rtl.inject import make_verifiable
@@ -140,15 +140,12 @@ class TestBlockC:
         assert report.stats["cache_misses"] == 0  # no store attached
         _assert_reuses(plan, report)
 
-    @pytest.mark.parametrize("scheduling", [None,
-                                            ModuleAffinityScheduling()],
-                             ids=["fifo", "module-affinity"])
+    @pytest.mark.parametrize("workers", [2, 3])
     def test_fleet_byte_identical_to_serial(self, block_c, block_c_run,
-                                            scheduling):
+                                            workers):
         _, serial = block_c_run
-        kwargs = {} if scheduling is None else {"scheduling": scheduling}
         fleet = CampaignOrchestrator(
-            block_c, executor=FleetExecutor(workers=2, **kwargs)).run()
+            block_c, executor=FleetExecutor(workers=workers)).run()
         assert fleet.canonical_bytes() == serial.canonical_bytes()
         assert [record.cached for record in fleet.results] == \
             [record.cached for record in serial.results]
@@ -254,7 +251,8 @@ class TestCli:
     def test_report_and_run_count_reuse(self, tmp_path, capsys):
         """``campaign report`` shows the pending reusers and counts only
         distinct checks as ``to run``; ``campaign run`` prints how many
-        jobs reused a verdict on its jobs line."""
+        jobs reused a verdict on its jobs line, and names its executor
+        alone."""
         from repro.cli import main
         path = tmp_path / "campaign.toml"
         path.write_text(CampaignConfig(blocks=("C",)).to_toml())
@@ -264,7 +262,9 @@ class TestCli:
             in report
         assert "  to run:   32" in report
         assert main(["campaign", "run", "--config", str(path)]) == 0
-        jobs = [line for line in capsys.readouterr().out.splitlines()
-                if line.startswith("jobs:")]
-        assert jobs == ["jobs:           101 (0 journal-replayed, "
-                        "0 cache hits, 69 reused)"]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("jobs:")] == \
+            ["jobs:           101 (0 journal-replayed, "
+             "0 cache hits, 69 reused)"]
+        assert [line for line in lines if line.startswith("executor:")] \
+            == ["executor:       serial"]

@@ -12,9 +12,8 @@ Verifies, without any third-party dependency:
 3. every example script in ``examples/`` is linked from the README's
    examples table, so new examples cannot ship undocumented;
 4. the configuration reference (``docs/configuration.md``) documents
-   every ``CampaignConfig`` TOML section and key, and every registered
-   scheduling/portfolio policy name — so a knob added to the config
-   dataclass (or a new policy) cannot ship undocumented;
+   every ``CampaignConfig`` TOML section and key — so a knob added to
+   the config dataclass cannot ship undocumented;
 5. documented defaults track the live config: every key's *default
    value* as rendered by ``CampaignConfig()`` (via its ``to_dict``
    TOML form) must appear inside that key's section of the reference —
@@ -91,7 +90,6 @@ def check_config_reference(problems):
     sys.path.insert(0, str(REPO / "src"))
     try:
         from repro.orchestrate.config import CONFIG_SCHEMA, CampaignConfig
-        from repro.orchestrate.policy import SCHEDULING_POLICIES
     finally:
         sys.path.pop(0)
     text = doc.read_text()
@@ -138,12 +136,6 @@ def check_config_reference(problems):
                     f"docs/configuration.md: [{section}] {key} "
                     f"default drifted — live default is `{rendered}`"
                 )
-    for name in SCHEDULING_POLICIES:
-        if f"`{name}`" not in text:
-            problems.append(
-                f"docs/configuration.md: scheduling policy "
-                f"{name!r} is undocumented"
-            )
 
 
 def check_scenario_reference(problems):
